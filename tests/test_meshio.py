@@ -206,3 +206,91 @@ class TestDeterminismAndErrors:
         with pytest.raises(ValueError):
             MaskedGrid(np.zeros(3), np.zeros(2), np.zeros((2, 2, 3)),
                        np.full((2, 2), FLAG_VALID, dtype=np.uint8))
+
+
+# --------------------------------------------------------------------------
+# golden bytes: SHA-256 of every file the writers produce for fixed scenes
+# --------------------------------------------------------------------------
+
+def _cli_files(argv, out_dir, prefix):
+    from catacaustics import cli
+    out = str(out_dir / prefix)
+    assert cli.main([*argv, "--out", out]) in (0, 2)
+    return {p.name: p.read_bytes() for p in sorted(out_dir.glob(f"{prefix}-*"))}
+
+
+def _grid_files(grid, out_dir, prefix):
+    files = {}
+    for fmt in ("obj", "csv", "ply"):
+        path = out_dir / f"{prefix}.{fmt}"
+        n = export_mesh(grid, fmt, path)
+        files[path.name] = path.read_bytes()
+        assert n == len(files[path.name])
+    return files
+
+
+def golden_files(out_dir):
+    """Every file of the golden scenes, keyed by file name."""
+    files = {}
+    for fmt in ("obj", "csv", "ply"):
+        files.update(_cli_files(["compute", "--surface", "sphere", "--flat", "0,0,1",
+                                 "--grid", "12,12", "--format", fmt], out_dir, f"sphere-{fmt}"))
+        files.update(_cli_files(["compute", "--surface", "ellipsoid",
+                                 "--source", "0.2,0.1,0.1", "--grid", "40,40",
+                                 "--format", fmt], out_dir, f"ellipsoid-{fmt}"))
+        # L = 0.6 leaves the low rows of the sphere unarrived (clipped)
+        files.update(_cli_files(["front", "--surface", "sphere", "--flat", "0,0,1",
+                                 "--grid", "12,12", "--travel", "0.6", "--format", fmt],
+                                out_dir, f"front-{fmt}"))
+    ast, dom = build_surface("cylinder")
+    sheets = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), GridSpec(8, 4, dom))[:2]
+    flat = next(s for s in sheets if np.all(s.flags & FLAG_AT_INFINITY))
+    files.update(_grid_files(clip_sheet(flat, max_radius=100.0), out_dir, "empty"))
+    v = np.linspace(-1.0, 1.0, 5)
+    pts = np.stack([np.full(5, 0.5), v, v * v - 0.25], axis=-1)[None]
+    flags = np.full((1, 5), FLAG_VALID, dtype=np.uint8)
+    flags[0, 3] = FLAG_GRAZING
+    pts[0, 0, 0], pts[0, 1, 0] = -0.0, -2e-10  # both print as -0.000000000
+    files.update(_grid_files(MaskedGrid(np.array([0.5]), v, pts, flags), out_dir, "row"))
+    return files
+
+
+GOLDEN_SHA256 = {
+    "sphere-obj-sheet1.obj": "f4df7d9ea6b5b653952956a78e861bf6ff787c11c27de1d5fbfe2411193f1cc8",
+    "sphere-obj-sheet2.obj": "9f774f7939f6bbb7e9cf71962af13a4564ffeed1c5eaa050c336c9337867a6ad",
+    "sphere-obj-stats.txt": "568669e75959ebd9c436bc0a9e272f0b3b4c1cbd65dd62f39e8f229a82b3a3c2",
+    "ellipsoid-obj-sheet1.obj": "689e06733c857d7092138a945ba8e9293d3cf03a3714501c3861293c8b5a7f27",
+    "ellipsoid-obj-sheet2.obj": "22573b98821a2f5bf53fc7a02eedd1e35a73431a09bbfb004aafaf08f35e6207",
+    "ellipsoid-obj-stats.txt": "88e2c8ad7e94932e2973a599f3cb6e593d4e85ccae3c14febc3d5d069639c49c",
+    "front-obj-front.obj": "52b7ba13227d5a417a2a47d489ad922761ddc0fb3f2cfd611281ebc137442172",
+    "sphere-csv-sheet1.csv": "b6eba090f40a8c5ebd73eb1a330e2db564cee0c45e400ab8dd905e85d7901041",
+    "sphere-csv-sheet2.csv": "ac3778ba9d4b0d6d15846ac5988edf72eb31929332a5115734b43fab4684cfe5",
+    "sphere-csv-stats.txt": "568669e75959ebd9c436bc0a9e272f0b3b4c1cbd65dd62f39e8f229a82b3a3c2",
+    "ellipsoid-csv-sheet1.csv": "8c5d0f6bb9a83fbf1ea07e524a61fc07e7997f40cbf7efab5e992f3cffbc5fab",
+    "ellipsoid-csv-sheet2.csv": "30e8c718c9a026d24d0f30fa9239973cb11e257a69efcf29105e2e55ff917711",
+    "ellipsoid-csv-stats.txt": "88e2c8ad7e94932e2973a599f3cb6e593d4e85ccae3c14febc3d5d069639c49c",
+    "front-csv-front.csv": "7f59677f15e4c0dab514531358dbcf8ce4cd3c97d912a8c4775eaea8649b695b",
+    "sphere-ply-sheet1.ply": "fce5f06375599f62180ef0cd8f7fb8c2116de28c83ac97eac0b33ab23029a59d",
+    "sphere-ply-sheet2.ply": "88cdf436bb3afa85f555e6f733db00fdd89face2819818d9e6737d837dc15ca8",
+    "sphere-ply-stats.txt": "568669e75959ebd9c436bc0a9e272f0b3b4c1cbd65dd62f39e8f229a82b3a3c2",
+    "ellipsoid-ply-sheet1.ply": "c5b6af5a8bd11f2bf2ca8ba785cd4def2929f776285f447013bf715edb0f44a1",
+    "ellipsoid-ply-sheet2.ply": "04c659ce79069496b9977dda8eb7470f5c90fbe43f3c03da7befaf650dff762f",
+    "ellipsoid-ply-stats.txt": "88e2c8ad7e94932e2973a599f3cb6e593d4e85ccae3c14febc3d5d069639c49c",
+    "front-ply-front.ply": "1e6fae746d37feb8c9e8cf2ceebff6069c7ab1bcbfc494ad46686b766bbc08c6",
+    "empty.obj": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "empty.csv": "5ffe3fbe3707555af4cead82d20cf258e04821e67d423037a0d378ec3e6e39a2",
+    "empty.ply": "e41fea06110bba6bc17e5e9506a7b275f0e48d51b9591f92580d517081b45a63",
+    "row.obj": "4e69d129671865e7e78f3f22bcd22048e70f251ea4eec77a185d57350369e0c9",
+    "row.csv": "cbe77fe6ce48c083960f89a70a9b5bce0d63b780a1daea248cb66a5089aa0f1c",
+    "row.ply": "d6b2365c1e7ef5396c3b6f5730bee93ad95d9ea8146ef485bb7e32e9d5fd2f02",
+}
+
+
+def test_golden_bytes(tmp_path):
+    import hashlib
+    files = golden_files(tmp_path)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    assert digests == GOLDEN_SHA256
+    assert files["empty.obj"] == b""
+    assert files["empty.ply"].endswith(b"end_header\n")
+    assert b"\nf " not in files["row.obj"]
