@@ -40,7 +40,8 @@ __all__ = [
     "FLAG_CLIPPED", "FLAG_EXCLUDED_ZERO_ROOT",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
-    "caustic_point", "reflected_front_point", "compute_caustic_sheets",
+    "caustic_point", "caustic_radius", "reflected_front_point",
+    "compute_caustic_sheets",
 ]
 
 # per-vertex flag byte, shared with the mesh writer:
@@ -367,6 +368,13 @@ def caustic_point(r, b, k_star, *, field: IncidentField = None, sheet_id: int = 
         radius = np.where(np.isfinite(k), radius, np.nan)
         xi = np.where(valid[..., None], r + b * np.where(valid, radius, 0.0)[..., None], np.nan)
     return CausticPoint(k.copy(), radius, xi, sheet_id, flags)
+
+
+def caustic_radius(k_star) -> np.ndarray:
+    """Signed distance 1/k* from the mirror to the caustic point; inf where k* = 0."""
+    k = np.asarray(k_star)
+    with np.errstate(all="ignore"):
+        return np.where(k != 0.0, 1.0 / np.where(k != 0.0, k, 1.0), np.inf)
 
 
 @dataclass

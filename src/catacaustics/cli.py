@@ -29,7 +29,7 @@ from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
                        incident_direction, reflection_data,
                        reflected_front_point)
 from .diffgeo import DegenerateSurfaceError, frame_at, fundamental_forms
-from .meshio import FORMATS, MaskedGrid, clip_sheet, export_mesh
+from .meshio import FORMATS, MaskedGrid, clip_sheet, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
 from .surfacelang import (EvalDomainError, SurfaceLangError, eval_surface,
                           parse_surface_definition)
@@ -251,7 +251,7 @@ def cmd_compute(scene: SceneSpec) -> int:
         export_mesh(grid_mesh, scene.fmt, path)
         print(f"wrote {path}")
     stats_path = f"{scene.out}-stats.txt"
-    _write_text(stats_path, stats.to_text())
+    write_ascii(stats_path, (stats.to_text(),))
     print(f"wrote {stats_path}")
 
     if stats.empty:
@@ -317,15 +317,6 @@ def cmd_builtins() -> int:
     """Print the catalog of built-in surfaces."""
     print(builtin_listing())
     return EXIT_OK
-
-
-def _write_text(path: str, text: str):
-    import os
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(text.encode("ascii"))
 
 
 # --------------------------------------------------------------------------

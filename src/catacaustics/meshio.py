@@ -1,9 +1,15 @@
 """Masked parameter-grid meshes and deterministic writers (OBJ, CSV, PLY).
 
-Vertices are formatted with 9 fixed decimals and "\n" newlines, so identical
-input produces byte-identical files on every run and platform.  Invalid
-vertices are dropped (together with their incident faces) instead of emitting
-NaN, which many mesh viewers reject.
+Byte contract: every coordinate is printed as f"{x:.9f}" (9 fixed decimals,
+with -0.000000000 written as 0.000000000), every line ends in "\n" and the
+files are ASCII, so identical input produces byte-identical files on every run
+and platform.  Tests pin the SHA-256 of reference scenes.  Invalid vertices
+are dropped (together with their incident faces) instead of emitting NaN,
+which many mesh viewers reject.
+
+The writers format blocks of CHUNK_ROWS lines with one C-level ``%`` call per
+block and write each block to the file as soon as it is formatted; no Python
+statement runs per vertex or face, and no whole-file string is built.
 """
 
 from __future__ import annotations
@@ -13,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED, FLAG_VALID,
-                       CausticSheet)
+from .caustics import FLAG_CLIPPED, FLAG_VALID, CausticSheet, caustic_radius
 
-__all__ = ["MaskedGrid", "clip_sheet", "export_mesh", "FORMATS"]
+__all__ = ["MaskedGrid", "clip_sheet", "export_mesh", "write_ascii", "FORMATS"]
 
 FORMATS = ("obj", "csv", "ply")
+CHUNK_ROWS = 32768      # lines formatted by one % call and written at once
 
 
 @dataclass
@@ -58,19 +64,28 @@ def clip_sheet(sheet: CausticSheet, max_radius: float = None) -> MaskedGrid:
     if max_radius is not None and np.isfinite(max_radius):
         if max_radius <= 0.0:
             raise ValueError("max_radius must be positive")
-        with np.errstate(all="ignore"):
-            radius = np.where(sheet.k_star != 0.0,
-                              1.0 / np.where(sheet.k_star != 0.0, sheet.k_star, 1.0),
-                              np.inf)
-        clip = sheet.valid & (np.abs(radius) > max_radius)
+        clip = sheet.valid & (np.abs(caustic_radius(sheet.k_star)) > max_radius)
         flags[clip] |= FLAG_CLIPPED
         flags[clip] &= np.uint8(~FLAG_VALID & 0xFF)
     return MaskedGrid(sheet.u, sheet.v, sheet.xi, flags)
 
 
-def _fmt9(x: float) -> str:
-    s = f"{x:.9f}"
-    return "0.000000000" if s == "-0.000000000" else s
+_NEG_ZERO = "-0.000000000"
+
+
+def _normalise_zero(text: str) -> str:
+    return text.replace(_NEG_ZERO, _NEG_ZERO[1:]) if _NEG_ZERO in text else text
+
+
+def _blocks(template: str, rows: np.ndarray):
+    """Yield `template` filled from each row of the 2-D array `rows`.
+
+    Each block of CHUNK_ROWS rows is formatted by one ``%`` call; "%.9f" prints
+    exactly as f"{x:.9f}" does, inf and nan included.
+    """
+    for start in range(0, len(rows), CHUNK_ROWS):
+        block = rows[start:start + CHUNK_ROWS]
+        yield _normalise_zero((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _vertex_index_map(grid: MaskedGrid):
@@ -81,80 +96,86 @@ def _vertex_index_map(grid: MaskedGrid):
     return idx, valid
 
 
-def _quad_faces(idx, valid):
-    faces = []
-    nu, nv = valid.shape
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            corners = (idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1])
-            if all(c >= 0 for c in corners):
-                faces.append(corners)
-    return faces
+def _quad_faces(idx, valid) -> np.ndarray:
+    """(n, 4) corner indices of the cells whose four corners are valid, row-major."""
+    quad = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+    return np.stack([idx[:-1, :-1][quad], idx[1:, :-1][quad],
+                     idx[1:, 1:][quad], idx[:-1, 1:][quad]], axis=-1)
 
 
-def _obj_text(grid: MaskedGrid) -> str:
+def _obj_chunks(grid: MaskedGrid):
     idx, valid = _vertex_index_map(grid)
-    lines = []
-    for i, j in np.argwhere(valid):
-        x, y, z = grid.points[i, j]
-        lines.append(f"v {_fmt9(x)} {_fmt9(y)} {_fmt9(z)}")
-    for a, b, c, d in _quad_faces(idx, valid):
-        lines.append(f"f {a + 1} {b + 1} {c + 1} {d + 1}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    yield from _blocks("v %.9f %.9f %.9f\n", grid.points[valid])
+    yield from _blocks("f %d %d %d %d\n", _quad_faces(idx, valid) + 1)
 
 
-def _csv_text(grid: MaskedGrid) -> str:
-    lines = ["u,v,x,y,z,flags"]
-    valid = grid.valid
-    for i in range(len(grid.u)):
-        for j in range(len(grid.v)):
-            if valid[i, j]:
-                x, y, z = grid.points[i, j]
-                coords = f"{_fmt9(x)},{_fmt9(y)},{_fmt9(z)}"
-            else:
-                coords = ",,"
-            lines.append(f"{_fmt9(grid.u[i])},{_fmt9(grid.v[j])},{coords},{int(grid.flags[i, j])}")
-    return "\n".join(lines) + "\n"
+def _axis_strings(values) -> np.ndarray:
+    """The formatted string of each axis value, as an object array."""
+    text = "".join(_blocks("%.9f\n", np.reshape(values, (-1, 1))))
+    return np.array(text.split("\n")[:-1], dtype=object)
 
 
-def _ply_text(grid: MaskedGrid) -> str:
+# CSV line templates, indexed by validity: invalid points keep empty coordinates
+_CSV_LINES = np.array(["%s,%s,,,,%d\n", "%s,%s,%.9f,%.9f,%.9f,%d\n"], dtype=object)
+
+
+def _csv_chunks(grid: MaskedGrid):
+    yield "u,v,x,y,z,flags\n"
+    us, vs = _axis_strings(grid.u), _axis_strings(grid.v)
+    step = max(1, CHUNK_ROWS // max(len(vs), 1))
+    for i in range(0, len(us), step):
+        rows = slice(i, i + step)
+        valid = grid.valid[rows].ravel()
+        n = valid.size
+        fields = np.empty((n, 6), dtype=object)
+        fields[:, 0] = np.repeat(us[rows], len(vs))
+        fields[:, 1] = np.tile(vs, len(us[rows]))
+        fields[:, 2:5] = grid.points[rows].reshape(n, 3)
+        fields[:, 5] = grid.flags[rows].ravel()
+        used = np.ones((n, 6), dtype=bool)
+        used[:, 2:5] = valid[:, None]
+        template = "".join(_CSV_LINES[valid.astype(np.intp)].tolist())
+        yield _normalise_zero(template % tuple(fields[used].tolist()))
+
+
+def _ply_chunks(grid: MaskedGrid):
     idx, valid = _vertex_index_map(grid)
     faces = _quad_faces(idx, valid)
-    n_vertices = int(np.count_nonzero(valid))
-    header = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {n_vertices}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {len(faces)}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    lines = header[:]
-    for i, j in np.argwhere(valid):
-        x, y, z = grid.points[i, j]
-        lines.append(f"{_fmt9(x)} {_fmt9(y)} {_fmt9(z)}")
-    for a, b, c, d in faces:
-        lines.append(f"4 {a} {b} {c} {d}")
-    return "\n".join(lines) + "\n"
+    yield ("ply\n"
+           "format ascii 1.0\n"
+           f"element vertex {int(np.count_nonzero(valid))}\n"
+           "property float x\n"
+           "property float y\n"
+           "property float z\n"
+           f"element face {len(faces)}\n"
+           "property list uchar int vertex_indices\n"
+           "end_header\n")
+    yield from _blocks("%.9f %.9f %.9f\n", grid.points[valid])
+    yield from _blocks("4 %d %d %d %d\n", faces)
+
+
+_WRITERS = {"obj": _obj_chunks, "csv": _csv_chunks, "ply": _ply_chunks}
+
+
+def write_ascii(path, chunks) -> int:
+    """Write each string of `chunks` to path as it arrives; returns the byte count.
+
+    Missing parent directories are created.
+    """
+    parent = os.path.dirname(os.fspath(path))
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    n_bytes = 0
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode("ascii")
+            fh.write(data)
+            n_bytes += len(data)
+    return n_bytes
 
 
 def export_mesh(grid: MaskedGrid, fmt: str, path) -> int:
     """Write the grid in the requested format; returns the byte count."""
-    if fmt == "obj":
-        text = _obj_text(grid)
-    elif fmt == "csv":
-        text = _csv_text(grid)
-    elif fmt == "ply":
-        text = _ply_text(grid)
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown mesh format {fmt!r} (choose from {', '.join(FORMATS)})")
-    data = text.encode("ascii")
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+    return write_ascii(path, _WRITERS[fmt](grid))

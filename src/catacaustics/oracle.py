@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .caustics import (EPS_GRAZING_DEFAULT, FLAG_VALID, CausticSheet,
-                       GridSpec, IncidentField, incident_direction,
-                       reflect_direction)
+                       GridSpec, IncidentField, caustic_radius,
+                       incident_direction, reflect_direction)
 from .diffgeo import dot, norm
 from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
@@ -255,9 +255,7 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
     max_radius = float(max_radius)
 
     def sheet_side(sheet: CausticSheet):
-        with np.errstate(all="ignore"):
-            radius = np.where(sheet.k_star != 0.0,
-                              1.0 / np.where(sheet.k_star != 0.0, sheet.k_star, 1.0), np.inf)
+        radius = caustic_radius(sheet.k_star)
         usable = ((sheet.flags & FLAG_VALID) != 0) & (np.abs(radius) <= max_radius)
         return radius, usable
 

@@ -1,7 +1,15 @@
 """Masked-grid mesh writers: OBJ, CSV, PLY; byte determinism and face rules."""
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from catacaustics import meshio
 
 from catacaustics import (FlatFront, GridSpec, build_surface, clip_sheet,
                           compute_caustic_sheets, export_mesh)
@@ -287,10 +295,78 @@ GOLDEN_SHA256 = {
 
 
 def test_golden_bytes(tmp_path):
-    import hashlib
     files = golden_files(tmp_path)
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
     assert digests == GOLDEN_SHA256
     assert files["empty.obj"] == b""
     assert files["empty.ply"].endswith(b"end_header\n")
     assert b"\nf " not in files["row.obj"]
+
+
+# --------------------------------------------------------------------------
+# property: the writers match a one-value-at-a-time reference formatter
+# --------------------------------------------------------------------------
+
+def _fmt9(x) -> str:
+    s = f"{x:.9f}"
+    return "0.000000000" if s == "-0.000000000" else s
+
+
+def reference_bytes(grid: MaskedGrid, fmt: str) -> bytes:
+    """The byte contract spelled out per vertex, per face and per grid point."""
+    valid = grid.valid
+    nu, nv = valid.shape
+    idx = np.full(valid.shape, -1, dtype=int)
+    idx[valid] = np.arange(int(np.count_nonzero(valid)))
+    vertices = [" ".join(_fmt9(c) for c in grid.points[i, j]) for i, j in np.argwhere(valid)]
+    faces = [(idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1])
+             for i in range(nu - 1) for j in range(nv - 1) if valid[i:i + 2, j:j + 2].all()]
+    if fmt == "obj":
+        lines = [f"v {v}" for v in vertices] + [f"f {a + 1} {b + 1} {c + 1} {d + 1}"
+                                                for a, b, c, d in faces]
+    elif fmt == "ply":
+        lines = ["ply", "format ascii 1.0", f"element vertex {len(vertices)}",
+                 "property float x", "property float y", "property float z",
+                 f"element face {len(faces)}", "property list uchar int vertex_indices",
+                 "end_header", *vertices, *(f"4 {a} {b} {c} {d}" for a, b, c, d in faces)]
+    else:
+        lines = ["u,v,x,y,z,flags"]
+        for i in range(nu):
+            for j in range(nv):
+                coords = ",".join(_fmt9(c) for c in grid.points[i, j]) if valid[i, j] else ",,"
+                lines.append(f"{_fmt9(grid.u[i])},{_fmt9(grid.v[j])},{coords},"
+                             f"{int(grid.flags[i, j])}")
+    return "".join(line + "\n" for line in lines).encode("ascii")
+
+
+_values = st.one_of(
+    st.floats(-5e-10, 0.0, exclude_min=True, exclude_max=True),  # prints as -0.000000000
+    st.just(-0.0),
+    st.floats(-1e12, 1e12),
+    st.sampled_from([np.inf, -np.inf, np.nan]),
+)
+_reasons = st.sampled_from([FLAG_GRAZING, FLAG_CLIPPED, FLAG_AT_INFINITY, 0x02, 0x20])
+
+
+@st.composite
+def masked_grids(draw):
+    nu, nv = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    u = draw(arrays(float, nu, elements=_values))
+    v = draw(arrays(float, nv, elements=_values))
+    points = draw(arrays(float, (nu, nv, 3), elements=_values))
+    valid = draw(arrays(bool, (nu, nv)))
+    reasons = draw(arrays(np.uint8, (nu, nv), elements=_reasons))
+    flags = np.where(valid, np.uint8(FLAG_VALID), reasons).astype(np.uint8)
+    return MaskedGrid(u, v, points, flags)
+
+
+@given(masked_grids(), st.sampled_from([1, 2, 5, meshio.CHUNK_ROWS]))
+@settings(max_examples=200, deadline=None)
+def test_export_matches_reference_formatter(tmp_path_factory, grid, chunk_rows):
+    out = tmp_path_factory.mktemp("prop")
+    with mock.patch.object(meshio, "CHUNK_ROWS", chunk_rows):
+        for fmt in meshio.FORMATS:
+            path = out / f"grid.{fmt}"
+            n = export_mesh(grid, fmt, path)
+            assert path.read_bytes() == reference_bytes(grid, fmt)
+            assert n == path.stat().st_size
