@@ -23,7 +23,6 @@ from .caustics import FLAG_CLIPPED, FLAG_VALID, CausticSheet, caustic_radius
 
 __all__ = ["MaskedGrid", "clip_sheet", "export_mesh", "write_ascii", "FORMATS"]
 
-FORMATS = ("obj", "csv", "ply")
 CHUNK_ROWS = 32768      # lines formatted by one % call and written at once
 
 
@@ -122,10 +121,11 @@ _CSV_LINES = np.array(["%s,%s,,,,%d\n", "%s,%s,%.9f,%.9f,%.9f,%d\n"], dtype=obje
 def _csv_chunks(grid: MaskedGrid):
     yield "u,v,x,y,z,flags\n"
     us, vs = _axis_strings(grid.u), _axis_strings(grid.v)
+    grid_valid = grid.valid
     step = max(1, CHUNK_ROWS // max(len(vs), 1))
     for i in range(0, len(us), step):
         rows = slice(i, i + step)
-        valid = grid.valid[rows].ravel()
+        valid = grid_valid[rows].ravel()
         n = valid.size
         fields = np.empty((n, 6), dtype=object)
         fields[:, 0] = np.repeat(us[rows], len(vs))
@@ -155,6 +155,7 @@ def _ply_chunks(grid: MaskedGrid):
 
 
 _WRITERS = {"obj": _obj_chunks, "csv": _csv_chunks, "ply": _ply_chunks}
+FORMATS = tuple(_WRITERS)
 
 
 def write_ascii(path, chunks) -> int:
