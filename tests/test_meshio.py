@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from catacaustics import meshio
-
-from catacaustics import (FlatFront, GridSpec, build_surface, clip_sheet,
-                          compute_caustic_sheets, export_mesh)
+from catacaustics import (FlatFront, GridSpec, build_surface, cli, clip_sheet,
+                          compute_caustic_sheets, export_mesh, meshio)
 from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
                                    FLAG_GRAZING, FLAG_VALID, CausticSheet)
 from catacaustics.meshio import MaskedGrid
@@ -221,7 +219,6 @@ class TestDeterminismAndErrors:
 # --------------------------------------------------------------------------
 
 def _cli_files(argv, out_dir, prefix):
-    from catacaustics import cli
     out = str(out_dir / prefix)
     assert cli.main([*argv, "--out", out]) in (0, 2)
     return {p.name: p.read_bytes() for p in sorted(out_dir.glob(f"{prefix}-*"))}
@@ -229,7 +226,7 @@ def _cli_files(argv, out_dir, prefix):
 
 def _grid_files(grid, out_dir, prefix):
     files = {}
-    for fmt in ("obj", "csv", "ply"):
+    for fmt in meshio.FORMATS:
         path = out_dir / f"{prefix}.{fmt}"
         n = export_mesh(grid, fmt, path)
         files[path.name] = path.read_bytes()
