@@ -27,9 +27,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .diffgeo import (FrameData, SurfaceForms, dot, frame_at,
-                      fundamental_forms, norm)
-from .surfacelang import SurfaceAST, eval_surface
+from .diffgeo import (DegenerateSurfaceError, FrameData, SurfaceForms, dot,
+                      frame_at, fundamental_forms, norm)
+from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
     "FlatFront", "PointSource", "IncidentField",
@@ -38,6 +38,7 @@ __all__ = [
     "InternalConsistencyError", "SourceOnSurfaceError",
     "FLAG_VALID", "FLAG_SHADOW", "FLAG_GRAZING", "FLAG_AT_INFINITY",
     "FLAG_CLIPPED", "FLAG_EXCLUDED_ZERO_ROOT",
+    "BLOCK_POINTS", "row_blocks", "incidence_flags",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "caustic_radius", "reflected_front_point",
@@ -61,6 +62,10 @@ EPS_INF_DEFAULT = 1e-9          # |k*| at or below this has no finite caustic po
 _DISC_DOUBLE_RTOL = 2e-13       # |disc| below this times scale collapses to a double root
 _DISC_NEGATIVE_RTOL = 1e-12     # disc below minus this times scale is an internal error
 _EIG_CROSSCHECK_RTOL = 1e-8
+
+# grid points per block of whole rows in the pointwise stages: bounds the
+# working set of the whole-grid routes, whose intermediates take ~900 B/point
+BLOCK_POINTS = 32768
 
 
 class InternalConsistencyError(RuntimeError):
@@ -118,6 +123,14 @@ def reflect_direction(a, n) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     n = np.asarray(n, dtype=float)
     return a - 2.0 * dot(a, n)[..., None] * n
+
+
+def incidence_flags(cos_theta, eps_grazing: float = EPS_GRAZING_DEFAULT) -> np.ndarray:
+    """The lit/shadow/grazing flag byte: FLAG_GRAZING where |cos theta| <= eps_grazing,
+    FLAG_SHADOW where the mirror faces away (cos theta > eps_grazing), 0 where lit."""
+    flags = np.where(np.abs(cos_theta) <= eps_grazing, np.uint8(FLAG_GRAZING), np.uint8(0))
+    flags |= np.where(cos_theta > eps_grazing, np.uint8(FLAG_SHADOW), np.uint8(0))
+    return flags
 
 
 @dataclass
@@ -430,9 +443,15 @@ class GridSpec:
         u0, u1, v0, v1 = self.domain
         return np.linspace(u0, u1, self.nu), np.linspace(v0, v1, self.nv)
 
-    def mesh(self):
+    def mesh(self, rows: slice = slice(None)):
         us, vs = self.axes()
-        return np.meshgrid(us, vs, indexing="ij")
+        return np.meshgrid(us[rows], vs, indexing="ij")
+
+
+def row_blocks(nu: int, nv: int) -> list:
+    """Slices of whole grid rows that hold at most BLOCK_POINTS points (one row at least)."""
+    rows = max(1, BLOCK_POINTS // nv)
+    return [slice(start, min(start + rows, nu)) for start in range(0, nu, rows)]
 
 
 @dataclass
@@ -537,29 +556,56 @@ def _order_roots_by_continuity(k_a, k_b, usable):
 
     Per grid row, roots are matched to the previous point's assignment by
     nearest value; each row starts from an ascending pair.  This prevents
-    sheet-swapping artifacts where the root curves cross.
+    sheet-swapping artifacts where the root curves cross.  All rows advance
+    together, one column at a time; a tie keeps the ascending pair and a NaN
+    distance (inf - inf) swaps it.
     """
-    lo = np.minimum(k_a, k_b)
-    hi = np.maximum(k_a, k_b)
+    nu, nv = k_a.shape
     s1 = np.full_like(k_a, np.nan)
     s2 = np.full_like(k_a, np.nan)
-    nu, nv = k_a.shape
-    for i in range(nu):
-        prev = None
+    prev1 = np.zeros(nu)
+    prev2 = np.zeros(nu)
+    has_prev = np.zeros(nu, dtype=bool)
+    with np.errstate(invalid="ignore"):
         for j in range(nv):
-            if not usable[i, j]:
-                continue
-            x, y = lo[i, j], hi[i, j]
-            if prev is None:
-                first, second = x, y
-            else:
-                keep = abs(x - prev[0]) + abs(y - prev[1])
-                swap = abs(y - prev[0]) + abs(x - prev[1])
-                first, second = (x, y) if keep <= swap else (y, x)
-            s1[i, j] = first
-            s2[i, j] = second
-            prev = (first, second)
+            x = np.minimum(k_a[:, j], k_b[:, j])
+            y = np.maximum(k_a[:, j], k_b[:, j])
+            keep = np.abs(x - prev1) + np.abs(y - prev2)
+            swap = np.abs(y - prev1) + np.abs(x - prev2)
+            flip = has_prev & ~(keep <= swap)
+            first = np.where(flip, y, x)
+            second = np.where(flip, x, y)
+            use = usable[:, j]
+            s1[use, j] = first[use]
+            s2[use, j] = second[use]
+            prev1 = np.where(use, first, prev1)
+            prev2 = np.where(use, second, prev2)
+            has_prev |= use
     return s1, s2
+
+
+def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
+    """The pointwise stages of the closed-form route on one block of grid points.
+
+    Returns (r, b, base_flags, k_a, k_b): mirror points, reflected directions,
+    the shadow/grazing flag byte and the unordered front curvatures, which
+    are NaN off the lit region.  The roots are cross-checked on the block.
+    """
+    jet = eval_surface(surface, U, V)
+    # orientation hint needs the incident direction, which needs positions
+    a = incident_direction(field, jet.value())
+    frame = frame_at(jet, a)
+    forms = fundamental_forms(frame)
+    refl = reflection_data(frame, forms, field)
+    base_flags = incidence_flags(refl.cos_theta, eps_grazing)
+    lit = base_flags == 0
+
+    mods = modified_forms(forms, frame, refl, field)
+    p, q = caustic_coefficients(forms, refl, field)
+    p = np.where(lit, p, np.nan)
+    q = np.where(lit, q, np.nan)
+    k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field, refl.r_dist, lit)
+    return frame.r, refl.b, base_flags, k_a, k_b
 
 
 def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: GridSpec,
@@ -573,43 +619,40 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     (no travel parameter enters the computation).
     """
     us, vs = grid.axes()
-    U, V = grid.mesh()
-    jet = eval_surface(surface, U, V)
+    shape = (grid.nu, grid.nv)
+    r = np.empty(shape + (3,))
+    b = np.empty(shape + (3,))
+    base_flags = np.empty(shape, dtype=np.uint8)
+    k_a = np.empty(shape)
+    k_b = np.empty(shape)
+    blocks = row_blocks(grid.nu, grid.nv)
+    try:
+        for rows in blocks:
+            r[rows], b[rows], base_flags[rows], k_a[rows], k_b[rows] = _sheet_block(
+                surface, field, *grid.mesh(rows), eps_grazing)
+    except (EvalDomainError, SourceOnSurfaceError, DegenerateSurfaceError,
+            InternalConsistencyError):
+        if len(blocks) > 1:
+            # every stage is pointwise, so the whole grid fails as well; run as
+            # one block it raises the grid-level error (class, count, first
+            # index, worst value) that the failing block only saw part of
+            _sheet_block(surface, field, *grid.mesh(), eps_grazing)
+        raise
 
-    # orientation hint needs the incident direction, which needs positions
-    r = jet.value()
-    a = incident_direction(field, r)
-    frame = frame_at(jet, a)
-    forms = fundamental_forms(frame)
-    refl = reflection_data(frame, forms, field)
-
-    grazing = np.abs(refl.cos_theta) <= eps_grazing
-    shadow = refl.cos_theta > eps_grazing
-    lit = ~grazing & ~shadow
-
-    base_flags = np.zeros(U.shape, dtype=np.uint8)
-    base_flags |= np.where(grazing, np.uint8(FLAG_GRAZING), np.uint8(0))
-    base_flags |= np.where(shadow, np.uint8(FLAG_SHADOW), np.uint8(0))
-
-    mods = modified_forms(forms, frame, refl, field)
-    p, q = caustic_coefficients(forms, refl, field)
-    p = np.where(lit, p, np.nan)
-    q = np.where(lit, q, np.nan)
-    k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field, refl.r_dist, lit)
-
-    k1, k2 = _order_roots_by_continuity(k_a, k_b, lit)
+    k1, k2 = _order_roots_by_continuity(k_a, k_b, base_flags == 0)
+    del k_a, k_b  # the placement below is the peak of the working set
     sheets = []
     for sheet_id, k in ((1, k1), (2, k2)):
-        cp = caustic_point(frame.r, refl.b, k, field=field, sheet_id=sheet_id,
+        cp = caustic_point(r, b, k, field=field, sheet_id=sheet_id,
                            eps_inf=eps_inf, base_flags=base_flags)
         sheets.append(CausticSheet(sheet_id, us, vs, cp.k_star, cp.xi, cp.flags))
 
     surf_min = r.reshape(-1, 3).min(axis=0)
     surf_max = r.reshape(-1, 3).max(axis=0)
     stats = FrontStatistics(
-        nu=grid.nu, nv=grid.nv, n_points=int(U.size),
-        n_shadow=int(np.count_nonzero(shadow)),
-        n_grazing=int(np.count_nonzero(grazing)),
+        nu=grid.nu, nv=grid.nv, n_points=int(base_flags.size),
+        n_shadow=int(np.count_nonzero(base_flags & FLAG_SHADOW)),
+        n_grazing=int(np.count_nonzero(base_flags & FLAG_GRAZING)),
         surface_bbox_min=surf_min, surface_bbox_max=surf_max,
         surface_diameter=float(np.linalg.norm(surf_max - surf_min)),
         sheets=(_sheet_statistics(sheets[0]), _sheet_statistics(sheets[1])),

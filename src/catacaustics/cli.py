@@ -23,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
-                       FLAG_GRAZING, FLAG_SHADOW, FLAG_VALID, FlatFront,
-                       GridSpec, InternalConsistencyError, PointSource,
+                       FLAG_VALID, FlatFront, GridSpec,
+                       InternalConsistencyError, PointSource,
                        SourceOnSurfaceError, compute_caustic_sheets,
-                       incident_direction, reflection_data,
+                       incidence_flags, incident_direction, reflection_data,
                        reflected_front_point)
 from .diffgeo import DegenerateSurfaceError, frame_at, fundamental_forms
 from .meshio import FORMATS, MaskedGrid, clip_sheet, export_mesh, write_ascii
@@ -289,13 +289,9 @@ def cmd_front(scene: SceneSpec, L: float) -> int:
     forms = fundamental_forms(frame)
     refl = reflection_data(frame, forms, scene.field)
 
-    grazing = np.abs(refl.cos_theta) <= scene.eps_grazing
-    shadow = refl.cos_theta > scene.eps_grazing
     front = reflected_front_point(frame.r, refl.a, refl.b, L, refl.r_dist)
 
-    flags = np.zeros(U.shape, dtype=np.uint8)
-    flags |= np.where(grazing, np.uint8(FLAG_GRAZING), np.uint8(0))
-    flags |= np.where(shadow, np.uint8(FLAG_SHADOW), np.uint8(0))
+    flags = incidence_flags(refl.cos_theta, scene.eps_grazing)
     # the front has not reached points with lambda < 0; mask them like a clip
     flags |= np.where(~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
     valid = flags == 0

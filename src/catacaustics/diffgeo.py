@@ -11,6 +11,7 @@ Everything here is vectorized: inputs may carry arbitrary leading batch axes
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,22 @@ class SurfaceForms:
     K: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
-    dir1: np.ndarray       # (u,v)-components of the k1 principal direction
-    dir2: np.ndarray
     umbilic: np.ndarray    # where True, dir1/dir2 are an arbitrary orthonormal pair
+
+    @property
+    def dir1(self) -> np.ndarray:
+        """(u,v)-components of the k1 principal direction, unit in the metric."""
+        return self._directions[0]
+
+    @property
+    def dir2(self) -> np.ndarray:
+        """(u,v)-components of the k2 principal direction, unit in the metric."""
+        return self._directions[1]
+
+    @functools.cached_property
+    def _directions(self):
+        # only shape_frame reads the directions, so they are made on first use
+        return _principal_directions(self)
 
 
 def _frame_arrays(jet: Jet2Vec3, incident_hint):
@@ -112,7 +126,7 @@ def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
 
 
 def fundamental_forms(frame: FrameData) -> SurfaceForms:
-    """First/second fundamental forms, curvatures and principal directions."""
+    """First/second fundamental forms and curvatures; principal directions on demand."""
     g11 = dot(frame.r_u, frame.r_u)
     g12 = dot(frame.r_u, frame.r_v)
     g22 = dot(frame.r_v, frame.r_v)
@@ -135,6 +149,14 @@ def fundamental_forms(frame: FrameData) -> SurfaceForms:
     k1 = H - sq
     k2 = H + sq
     umbilic = np.abs(k2 - k1) < UMBILIC_RTOL * np.maximum(1.0, np.abs(k1))
+    return SurfaceForms(g11, g12, g22, B11, B12, B22, det_g, H, K, k1, k2, umbilic)
+
+
+def _principal_directions(forms: SurfaceForms):
+    """Metric-unit principal directions (dir1, dir2) of the k1 and k2 curvatures."""
+    g11, g12, g22, det_g = forms.g11, forms.g12, forms.g22, forms.det_g
+    B11, B12, B22 = forms.B11, forms.B12, forms.B22
+    k1, k2, umbilic = forms.k1, forms.k2, forms.umbilic
 
     # shape operator S = g^{-1} B (mixed components)
     S11 = (g22 * B11 - g12 * B12) / det_g
@@ -171,8 +193,7 @@ def fundamental_forms(frame: FrameData) -> SurfaceForms:
         lead = np.where(np.abs(X[..., 0]) >= np.abs(X[..., 1]), X[..., 0], X[..., 1])
         return X * np.where(lead < 0.0, -1.0, 1.0)[..., None]
 
-    return SurfaceForms(g11, g12, g22, B11, B12, B22, det_g, H, K, k1, k2,
-                        g_normalize(X1), g_normalize(X2), umbilic)
+    return g_normalize(X1), g_normalize(X2)
 
 
 def shape_frame(frame: FrameData, forms: SurfaceForms):

@@ -20,10 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .caustics import (EPS_GRAZING_DEFAULT, FLAG_VALID, CausticSheet,
-                       GridSpec, IncidentField, caustic_radius,
-                       incident_direction, reflect_direction)
-from .diffgeo import dot, norm
+from .caustics import (EPS_GRAZING_DEFAULT, FLAG_VALID, GridSpec,
+                       IncidentField, caustic_radius, incident_direction,
+                       reflect_direction, row_blocks)
+from .diffgeo import REGULARITY_RTOL, dot, norm
 from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
@@ -66,7 +66,7 @@ def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
 
     c = np.cross(ru, rv)
     cn = norm(c)
-    regular = cn >= 1e-12 * norm(ru) * norm(rv)
+    regular = cn >= REGULARITY_RTOL * norm(ru) * norm(rv)
     with np.errstate(all="ignore"):
         n_raw = c / np.where(cn > 0.0, cn, 1.0)[..., None]
     a = incident_direction(field, r)
@@ -227,6 +227,41 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+def _point_errors(sheets, rows, r0, b0, ok, lam, max_radius):
+    """Caustic-point errors of both sheets on a block of grid rows.
+
+    Returns (err, both, n_disagree): the (2, rows, nv) distances between the
+    closed-form and the oracle caustic points, the mask of points both sides
+    call valid, and the number of sheet-points only one side calls valid.
+    """
+    def sheet_side(sheet):
+        radius = caustic_radius(sheet.k_star[rows])
+        usable = ((sheet.flags[rows] & FLAG_VALID) != 0) & (np.abs(radius) <= max_radius)
+        return radius, usable
+
+    rad1, use1 = sheet_side(sheets[0])
+    rad2, use2 = sheet_side(sheets[1])
+    oracle_ok = ok[None] & (np.abs(lam) <= max_radius) & np.isfinite(lam)
+
+    # pair closed-form radii with oracle roots by least total |difference|
+    with np.errstate(all="ignore"):
+        cf = np.stack([rad1, rad2])
+        keep = np.abs(cf[0] - lam[0]) + np.abs(cf[1] - lam[1])
+        swap = np.abs(cf[0] - lam[1]) + np.abs(cf[1] - lam[0])
+        swap_better = swap < keep
+        orc = np.where(swap_better[None], lam[::-1], lam)
+        oracle_ok = np.where(swap_better[None], oracle_ok[::-1], oracle_ok)
+
+        cf_ok = np.stack([use1, use2])
+        both = cf_ok & oracle_ok
+        disagree = int(np.count_nonzero(cf_ok != oracle_ok))
+
+        xi_cf = np.stack([sheets[0].xi[rows], sheets[1].xi[rows]])
+        xi_or = r0[None] + orc[..., None] * b0[None]
+        err = np.linalg.norm(np.where(both[..., None], xi_cf - xi_or, 0.0), axis=-1)
+    return err, both, disagree
+
+
 def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
                     grid: GridSpec, h: float = FD_STEP_DEFAULT,
                     tol: float = VALIDATION_TOL_DEFAULT,
@@ -245,42 +280,31 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
     if sheet1.k_star.shape != (grid.nu, grid.nv) or sheet2.k_star.shape != (grid.nu, grid.nv):
         raise ValueError("closed-form sheets were not computed on the given grid")
 
-    U, V = grid.mesh()
-    coeffs, r0, b0, ok = _focal_quadratic(surface, field, U, V, h, eps_grazing)
-    lam_a, lam_b = _roots_of_focal_quadratic(*coeffs)
+    shape = (grid.nu, grid.nv)
+    r0 = np.empty(shape + (3,))
+    b0 = np.empty(shape + (3,))
+    ok = np.empty(shape, dtype=bool)
+    lam = np.empty((2,) + shape)       # the two oracle roots, sheet-major
+    blocks = row_blocks(grid.nu, grid.nv)
+    for rows in blocks:
+        coeffs, r0[rows], b0[rows], ok[rows] = _focal_quadratic(
+            surface, field, *grid.mesh(rows), h, eps_grazing)
+        lam[0, rows], lam[1, rows] = _roots_of_focal_quadratic(*coeffs)
 
     if max_radius is None:
         span = r0.reshape(-1, 3)
         max_radius = 10.0 * float(np.linalg.norm(span.max(axis=0) - span.min(axis=0)))
     max_radius = float(max_radius)
 
-    def sheet_side(sheet: CausticSheet):
-        radius = caustic_radius(sheet.k_star)
-        usable = ((sheet.flags & FLAG_VALID) != 0) & (np.abs(radius) <= max_radius)
-        return radius, usable
-
-    rad1, use1 = sheet_side(sheet1)
-    rad2, use2 = sheet_side(sheet2)
-    oracle_ok = ok[None] & (np.abs(np.stack([lam_a, lam_b])) <= max_radius) \
-        & np.isfinite(np.stack([lam_a, lam_b]))
-
-    # pair closed-form radii with oracle roots by least total |difference|
-    with np.errstate(all="ignore"):
-        cf = np.stack([rad1, rad2])
-        orc = np.stack([lam_a, lam_b])
-        keep = np.abs(cf[0] - orc[0]) + np.abs(cf[1] - orc[1])
-        swap = np.abs(cf[0] - orc[1]) + np.abs(cf[1] - orc[0])
-        swap_better = swap < keep
-        orc = np.where(swap_better[None], orc[::-1], orc)
-        oracle_ok = np.where(swap_better[None], oracle_ok[::-1], oracle_ok)
-
-        cf_ok = np.stack([use1, use2])
-        both = cf_ok & oracle_ok
-        disagree = int(np.count_nonzero(cf_ok != oracle_ok))
-
-        xi_cf = np.stack([sheet1.xi, sheet2.xi])
-        xi_or = r0[None] + orc[..., None] * b0[None]
-        err = np.linalg.norm(np.where(both[..., None], xi_cf - xi_or, 0.0), axis=-1)
+    # per-point errors into sheet-major arrays, so that err[both] lists the
+    # compared points in the same order whatever the block size
+    err = np.empty((2,) + shape)
+    both = np.empty((2,) + shape, dtype=bool)
+    disagree = 0
+    for rows in blocks:
+        err[:, rows], both[:, rows], n = _point_errors(
+            (sheet1, sheet2), rows, r0[rows], b0[rows], ok[rows], lam[:, rows], max_radius)
+        disagree += n
     errors = err[both]
 
     n_compared = int(errors.size)
@@ -294,7 +318,8 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
         passed = False
     return ValidationReport(
         nu=grid.nu, nv=grid.nv, fd_step=float(h), tol=float(tol), max_radius=max_radius,
-        n_points=int(U.size), n_compared=n_compared, n_flag_disagreements=disagree,
+        n_points=grid.nu * grid.nv, n_compared=n_compared, n_flag_disagreements=disagree,
         max_error=max_err, mean_error=stats[0], p50=stats[1], p90=stats[2], p99=stats[3],
         passed=passed,
     )
+

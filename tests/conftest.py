@@ -5,6 +5,8 @@ random surfaces are gentle graphs z = f(u, v): always regular, with bounded
 slopes so that near-vertical incident fields stay safely away from grazing.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from catacaustics import FlatFront, PointSource, parse_surface
@@ -90,3 +92,32 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+# -- block sizes of the pointwise stages ------------------------------------
+
+HUGE_BLOCK = 10**9      # BLOCK_POINTS that makes any test grid one block
+
+# (built-in, field, grid shape); nu is no multiple of 7 so blocks end ragged
+BLOCK_SCENES = [
+    ("ellipsoid", PointSource((0.05, -0.03, 0.08)), (23, 17)),
+    ("revolution", FlatFront((0.3, 0.1, -1.0)), (19, 24)),  # shadow and grazing
+    ("cylinder", FlatFront((1.0, 0.0, 0.0)), (16, 9)),      # a sheet at infinity
+]
+
+
+def block_sizes(nv):
+    """BLOCK_POINTS values that cut an nv-column grid into several row blocks."""
+    return [1, nv - 1, nv + 1, 7 * nv]
+
+
+def traced_peak_per_point(fn, n_points):
+    """Run fn; the traced peak above what was live before, per point, and fn's result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / n_points, result

@@ -1,9 +1,13 @@
 """Reflection law, modified forms, characteristic quadratic, caustic points."""
 
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           caustic_coefficients, caustic_point,
@@ -12,11 +16,15 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           modified_forms, parse_surface, reflect_direction,
                           reflected_front_point, reflection_data,
                           solve_sheet_curvatures)
+from catacaustics import caustics
 from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_EXCLUDED_ZERO_ROOT,
                                    InternalConsistencyError,
                                    SourceOnSurfaceError,
-                                   _stable_quadratic_roots)
-from conftest import random_field, random_graph_surface
+                                   _order_roots_by_continuity,
+                                   _stable_quadratic_roots, row_blocks)
+from catacaustics.diffgeo import DegenerateSurfaceError
+from conftest import (BLOCK_SCENES, HUGE_BLOCK, block_sizes, random_field,
+                      random_graph_surface, traced_peak_per_point)
 
 SPHERE = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
 AXIAL = FlatFront((0.0, 0.0, 1.0))
@@ -316,3 +324,103 @@ class TestRootIdentities:
             if s2 > 1e-2:
                 assert float(refl.B_at_at) == pytest.approx(
                     float(refl.k_n_at) * s2, rel=1e-9, abs=1e-12)
+
+
+def order_roots_reference(k_a, k_b, usable):
+    """The per-point double loop that _order_roots_by_continuity replaced."""
+    lo = np.minimum(k_a, k_b)
+    hi = np.maximum(k_a, k_b)
+    s1 = np.full_like(k_a, np.nan)
+    s2 = np.full_like(k_a, np.nan)
+    nu, nv = k_a.shape
+    for i in range(nu):
+        prev = None
+        for j in range(nv):
+            if not usable[i, j]:
+                continue
+            x, y = lo[i, j], hi[i, j]
+            if prev is None:
+                first, second = x, y
+            else:
+                keep = abs(x - prev[0]) + abs(y - prev[1])
+                swap = abs(y - prev[0]) + abs(x - prev[1])
+                first, second = (x, y) if keep <= swap else (y, x)
+            s1[i, j] = first
+            s2[i, j] = second
+            prev = (first, second)
+    return s1, s2
+
+
+# rounded values make ties between keeping and swapping a pair common
+root_values = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                        st.floats(-4.0, 4.0).map(lambda x: round(x, 1)),
+                        st.floats(-1e6, 1e6))
+
+
+@st.composite
+def root_grids(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 9)))
+    k_a = draw(arrays(np.float64, shape, elements=root_values))
+    k_b = draw(arrays(np.float64, shape, elements=root_values))
+    usable = draw(arrays(np.bool_, shape))
+    return k_a, k_b, usable
+
+
+@given(root_grids())
+@settings(max_examples=200, deadline=None)
+def test_order_roots_matches_reference_loop(grid):
+    with np.errstate(invalid="ignore"):
+        want = order_roots_reference(*grid)
+    got = _order_roots_by_continuity(*grid)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+def test_row_blocks_cover_every_row_once():
+    for nu, nv in [(1, 5), (23, 17), (7, 1), (10, 3)]:
+        for size in block_sizes(nv) + [HUGE_BLOCK]:
+            with mock.patch.object(caustics, "BLOCK_POINTS", size):
+                blocks = row_blocks(nu, nv)
+            rows = [i for block in blocks for i in range(nu)[block]]
+            assert rows == list(range(nu))
+            assert all((b.stop - b.start) * nv <= max(size, nv) for b in blocks)
+
+
+@pytest.mark.parametrize("name, field, shape", BLOCK_SCENES)
+def test_block_size_does_not_change_the_sheets(name, field, shape):
+    ast, dom = build_surface(name)
+    grid = GridSpec(*shape, dom)
+    with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
+        *want, want_stats = compute_caustic_sheets(ast, field, grid)
+    for size in block_sizes(grid.nv):
+        with mock.patch.object(caustics, "BLOCK_POINTS", size):
+            assert len(row_blocks(grid.nu, grid.nv)) > 1
+            *got, stats = compute_caustic_sheets(ast, field, grid)
+        assert stats.to_text() == want_stats.to_text()
+        for g, w in zip(got, want):
+            assert np.array_equal(g.k_star, w.k_star, equal_nan=True)
+            assert np.array_equal(g.xi, w.xi, equal_nan=True)
+            assert np.array_equal(g.flags, w.flags)
+
+
+def test_degenerate_rows_in_later_blocks_report_the_whole_grid():
+    # r_u = r_v wherever d/du (u (u - 1/2))^2 = 0: rows u = 0, 1/4, 1/2
+    ast = parse_surface("[u + v, (u+v)^2 + (u*(u-0.5))^2, (u+v)^3 + (u*(u-0.5))^2]")
+    grid = GridSpec(9, 6, (-1.0, 1.0, -1.0, 1.0))
+    with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
+        with pytest.raises(DegenerateSurfaceError) as whole:
+            compute_caustic_sheets(ast, AXIAL, grid)
+    assert "at 18 point(s)" in str(whole.value)
+    # two rows per block: the singular rows 4, 5 and 6 sit in blocks 2 and 3
+    with mock.patch.object(caustics, "BLOCK_POINTS", 2 * grid.nv):
+        with pytest.raises(DegenerateSurfaceError) as blocked:
+            compute_caustic_sheets(ast, AXIAL, grid)
+    assert str(blocked.value) == str(whole.value)
+
+
+def test_compute_working_set_is_bounded():
+    ast, dom = build_surface("revolution")
+    grid = GridSpec(300, 300, dom)
+    per_point, _ = traced_peak_per_point(
+        lambda: compute_caustic_sheets(ast, AXIAL, grid), grid.nu * grid.nv)
+    assert per_point <= 400, f"{per_point:.0f} B per grid point"

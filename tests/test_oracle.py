@@ -1,14 +1,19 @@
 """Brute-force ray-envelope oracle and sheet validation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           compute_caustic_sheets, focal_distances_bruteforce,
                           parse_surface, reflected_ray, validate_sheets)
+from catacaustics import caustics
 from catacaustics.oracle import (GrazingIncidenceError, _focal_quadratic,
                                  _roots_of_focal_quadratic)
-from conftest import (GRAPH_DOMAIN, random_field, random_graph_surface)
+from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
+                      random_field, random_graph_surface,
+                      traced_peak_per_point)
 
 SPHERE_TEXT = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
 AXIAL = FlatFront((0.0, 0.0, 1.0))
@@ -163,3 +168,28 @@ class TestValidateSheets:
         assert "PASS" in text
         assert text == self._validate("sphere", AXIAL,
                                       GridSpec(8, 8, (0.2, 1.4, 0.0, 6.2831853))).to_text()
+
+
+@pytest.mark.parametrize("name, field, shape", BLOCK_SCENES)
+def test_block_size_does_not_change_the_report(name, field, shape):
+    ast, dom = build_surface(name)
+    grid = GridSpec(*shape, dom)
+    with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
+        sheets = compute_caustic_sheets(ast, field, grid)[:2]
+        want = validate_sheets(sheets, ast, field, grid)
+    assert want.n_compared
+    for size in block_sizes(grid.nv):
+        with mock.patch.object(caustics, "BLOCK_POINTS", size):
+            got = validate_sheets(sheets, ast, field, grid)
+        assert got.to_text() == want.to_text()
+        assert repr(got) == repr(want)
+
+
+def test_validate_working_set_is_bounded():
+    ast, dom = build_surface("revolution")
+    grid = GridSpec(300, 300, dom)
+    sheets = compute_caustic_sheets(ast, AXIAL, grid)[:2]
+    per_point, report = traced_peak_per_point(
+        lambda: validate_sheets(sheets, ast, AXIAL, grid), grid.nu * grid.nv)
+    assert report.passed
+    assert per_point <= 400, f"{per_point:.0f} B per grid point"
