@@ -126,8 +126,11 @@ def reflect_direction(a, n) -> np.ndarray:
 
 
 def incidence_flags(cos_theta, eps_grazing: float = EPS_GRAZING_DEFAULT) -> np.ndarray:
-    """The lit/shadow/grazing flag byte: FLAG_GRAZING where |cos theta| <= eps_grazing,
-    FLAG_SHADOW where the mirror faces away (cos theta > eps_grazing), 0 where lit."""
+    """The shadow/grazing flag byte of each point; 0 where the point is lit.
+
+    FLAG_GRAZING where |cos theta| <= eps_grazing, FLAG_SHADOW where
+    cos theta > eps_grazing (the mirror faces away from the light).
+    """
     flags = np.where(np.abs(cos_theta) <= eps_grazing, np.uint8(FLAG_GRAZING), np.uint8(0))
     flags |= np.where(cos_theta > eps_grazing, np.uint8(FLAG_SHADOW), np.uint8(0))
     return flags
