@@ -619,7 +619,9 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     Returns (sheet1, sheet2, statistics).  Shadowed and grazing points are
     masked, not errors; roots without a finite caustic point are flagged.
     The flat-front result is independent of any front offset by construction
-    (no travel parameter enters the computation).
+    (no travel parameter enters the computation).  The pointwise stages run
+    over blocks of whole grid rows (see row_blocks); the result does not
+    depend on the block size.
     """
     us, vs = grid.axes()
     shape = (grid.nu, grid.nv)
