@@ -17,11 +17,14 @@ mirror, assembled from the modified fundamental forms
     B*_ij = -2 cos(theta) B_ij            (flat)
     B*_ij = -2 cos(theta) B_ij - g*_ij / rho   (point source)
 
-Both routes are computed and cross-checked against each other.
+The roots come from the quadratic; they are cross-checked against the
+invariants of W* = g*^-1 B*, whose trace and determinant must equal the root
+sum and product (see solve_sheet_curvatures).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -61,7 +64,26 @@ EPS_INF_DEFAULT = 1e-9          # |k*| at or below this has no finite caustic po
 # and taking sqrt of that noise would smear the roots by its square root.
 _DISC_DOUBLE_RTOL = 2e-13       # |disc| below this times scale collapses to a double root
 _DISC_NEGATIVE_RTOL = 1e-12     # disc below minus this times scale is an internal error
-_EIG_CROSSCHECK_RTOL = 1e-8
+
+# Cross-check of the roots against W* = g*^-1 B*.  For a 2x2 matrix the
+# eigenvalues carry the same information as (trace, det), so the root sum S and
+# product P are compared with those, multiplied through by det g*:
+#     S det g* = g*22 B*11 - 2 g*12 B*12 + g*11 B*22,    P det g* = det B*.
+# Each difference is divided by the magnitudes of the terms before they cancel:
+# the left-hand sides by (|k_a| + |k_b|) and |k_a| |k_b| times g11 g22 + g12^2,
+# because det g* = det g cos^2(theta) cancels from those terms near grazing and
+# its absolute error scales with them; the right-hand sides by their sum of
+# |term|.  For a point source each root counts with its magnitude before the
+# shift k = mu - 1/rho, that is |mu| + 1/rho.  What is left is a relative
+# backward error (Higham, Accuracy and Stability of Numerical Algorithms,
+# ch. 3): each side is a few dozen flops from the shared g, B, (d_i r, a),
+# cos(theta) and rho, so a correct computation leaves a few units of round-off
+# (measured <= 1e-15) whatever the conditioning of W*, also near grazing,
+# where one root is ~1/cos^2(theta) and the eigenvalues themselves are only
+# known to ~1e-8.  A clamped double root keeps S = -p and moves P by disc/4,
+# which is added back before the comparison.  A wrong sign of B*, a dropped
+# 1/rho shift or a wrong q moves S or P by O(1) of these magnitudes.
+_CROSSCHECK_RTOL = 1e-12
 
 # grid points per block of whole rows in the pointwise stages: bounds the
 # working set of the whole-grid routes, whose intermediates take ~900 B/point
@@ -186,12 +208,23 @@ class ModifiedForms:
     Bs12: np.ndarray
     Bs22: np.ndarray
     det_gs: np.ndarray
-    weingarten: np.ndarray   # (..., 2, 2): A* for a flat front, W* for a point source
+    det_gs_scale: np.ndarray  # g11 g22 + g12^2: the terms det g* cancels from
+
+    @functools.cached_property
+    def weingarten(self) -> np.ndarray:
+        """(..., 2, 2) matrix W* = g*^-1 B*; its eigenvalues are the front curvatures k*."""
+        gs11, gs12, gs22 = self.gs11, self.gs12, self.gs22
+        Bs11, Bs12, Bs22 = self.Bs11, self.Bs12, self.Bs22
+        with np.errstate(all="ignore"):
+            inv = 1.0 / self.det_gs
+            rows = [[(gs22 * Bs11 - gs12 * Bs12) * inv, (gs22 * Bs12 - gs12 * Bs22) * inv],
+                    [(gs11 * Bs12 - gs12 * Bs11) * inv, (gs11 * Bs22 - gs12 * Bs12) * inv]]
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def modified_forms(forms: SurfaceForms, frame: FrameData, refl: ReflectionData,
                    field: IncidentField) -> ModifiedForms:
-    """g*, B* and the Weingarten matrix of the reflected front.
+    """g* and B* of the reflected front; W* = g*^-1 B* is made on first use.
 
     Valid away from grazing incidence (cos theta = 0), where g* degenerates;
     grid-level code masks those points before use.
@@ -202,31 +235,19 @@ def modified_forms(forms: SurfaceForms, frame: FrameData, refl: ReflectionData,
     gs12 = forms.g12 - w1 * w2
     gs22 = forms.g22 - w2 * w2
     det_gs = gs11 * gs22 - gs12 * gs12
+    det_gs_scale = forms.g11 * forms.g22 + forms.g12 * forms.g12
 
     m = -2.0 * refl.cos_theta
     Bs11 = m * forms.B11
     Bs12 = m * forms.B12
     Bs22 = m * forms.B22
-
-    with np.errstate(all="ignore"):
-        inv = 1.0 / det_gs
-        A11 = (gs22 * Bs11 - gs12 * Bs12) * inv
-        A12 = (gs22 * Bs12 - gs12 * Bs22) * inv
-        A21 = (gs11 * Bs12 - gs12 * Bs11) * inv
-        A22 = (gs11 * Bs22 - gs12 * Bs12) * inv
-
     if isinstance(field, PointSource):
         with np.errstate(all="ignore"):
             shift = 1.0 / refl.r_dist
         Bs11 = Bs11 - shift * gs11
         Bs12 = Bs12 - shift * gs12
         Bs22 = Bs22 - shift * gs22
-        A11 = A11 - shift
-        A22 = A22 - shift
-
-    wein = np.stack([np.stack([A11, A12], axis=-1),
-                     np.stack([A21, A22], axis=-1)], axis=-2)
-    return ModifiedForms(gs11, gs12, gs22, Bs11, Bs12, Bs22, det_gs, wein)
+    return ModifiedForms(gs11, gs12, gs22, Bs11, Bs12, Bs22, det_gs, det_gs_scale)
 
 
 def caustic_coefficients(forms: SurfaceForms, refl: ReflectionData,
@@ -276,49 +297,64 @@ def _stable_quadratic_roots(p, q):
     return mu_a, mu_b, clamped
 
 
+def _crosscheck_errors(mods: ModifiedForms, S, P, S_size, P_size):
+    """Relative errors of the root sum S and product P against tr W* and det W*.
+
+    S_size and P_size are the magnitudes S and P are computed from.  Both
+    sides are multiplied through by det g* and each difference is divided by
+    the magnitudes of its terms before cancellation (see _CROSSCHECK_RTOL).
+    Returns the larger of the two errors per point.
+    """
+    gs11, gs12, gs22 = mods.gs11, mods.gs12, mods.gs22
+    Bs11, Bs12, Bs22 = mods.Bs11, mods.Bs12, mods.Bs22
+    with np.errstate(all="ignore"):
+        err_S = np.abs(S * mods.det_gs - (gs22 * Bs11 - 2.0 * gs12 * Bs12 + gs11 * Bs22))
+        size_S = (S_size * mods.det_gs_scale + np.abs(gs22 * Bs11)
+                  + 2.0 * np.abs(gs12 * Bs12) + np.abs(gs11 * Bs22))
+        err_P = np.abs(P * mods.det_gs - (Bs11 * Bs22 - Bs12 * Bs12))
+        size_P = P_size * mods.det_gs_scale + np.abs(Bs11 * Bs22) + Bs12 * Bs12
+        # a zero size means every term is zero, and so is the error
+        return np.maximum(err_S / np.where(size_S > 0.0, size_S, 1.0),
+                          err_P / np.where(size_P > 0.0, size_P, 1.0))
+
+
 def solve_sheet_curvatures(mods: ModifiedForms, coeffs, field: IncidentField,
                            r_dist=None, lit_mask=None):
     """The two front principal curvatures k*, from the quadratic, cross-checked.
 
     Returns (k_a, k_b, residual): the unordered root pair per point and the
-    worst disagreement between the quadratic roots and the eigenvalues of the
-    Weingarten matrix.  The two routes share no arithmetic beyond the raw
-    forms, so agreement validates both.
+    worst relative error of the root sum and product against the trace and
+    determinant of the Weingarten matrix W* = g*^-1 B* on lit points.  The
+    two routes share no arithmetic beyond the raw forms, so agreement
+    validates both.  Raises InternalConsistencyError where the error exceeds
+    _CROSSCHECK_RTOL.
     """
     p, q = coeffs
     mu_a, mu_b, clamped = _stable_quadratic_roots(p, q)
+    shift = 0.0
     if isinstance(field, PointSource):
         with np.errstate(all="ignore"):
             shift = 1.0 / np.asarray(r_dist, dtype=float)
-        k_a = mu_a - shift
-        k_b = mu_b - shift
-    else:
-        k_a, k_b = mu_a, mu_b
+    k_a = mu_a - shift
+    k_b = mu_b - shift
 
     lit = np.isfinite(k_a) & np.isfinite(k_b)
     if lit_mask is not None:
         lit = lit & lit_mask
 
-    residual = 0.0
-    if np.any(lit):
-        W = mods.weingarten[lit]
-        eig = np.linalg.eigvals(W)
-        if np.any(np.abs(eig.imag) > 1e-6 * np.maximum(1.0, np.abs(eig.real))):
-            raise InternalConsistencyError(
-                "complex eigenvalues of the reflected front's Weingarten matrix")
-        eig = np.sort(eig.real, axis=-1)
-        roots = np.sort(np.stack([k_a[lit], k_b[lit]], axis=-1), axis=-1)
-        err = np.abs(roots - eig)
-        tol = _EIG_CROSSCHECK_RTOL * np.maximum(1.0, np.abs(roots))
-        # at a clamped (double-root) point the pair is only known to the
-        # square root of the discriminant tolerance
-        scale = np.maximum(1.0, np.maximum(p * p, np.abs(q)))[lit]
-        tol += np.where(clamped[lit], np.sqrt(_DISC_DOUBLE_RTOL * scale), 0.0)[..., None]
-        if np.any(err > tol):
-            raise InternalConsistencyError(
-                f"quadratic roots and Weingarten eigenvalues disagree by "
-                f"{float(np.max(err)):.3e}")
-        residual = float(np.max(err)) if err.size else 0.0
+    with np.errstate(all="ignore"):
+        # a clamped double root keeps the sum -p and moves the product by disc/4
+        P = k_a * k_b - np.where(clamped, 0.25 * (p * p - 4.0 * q), 0.0)
+        # each root counts with its magnitude before the shift, |mu| + 1/rho
+        mag_a = np.abs(mu_a) + shift
+        mag_b = np.abs(mu_b) + shift
+        err = _crosscheck_errors(mods, k_a + k_b, P, mag_a + mag_b, mag_a * mag_b)
+    err = np.where(lit, err, 0.0)
+    residual = float(np.max(err)) if err.size else 0.0
+    if residual > _CROSSCHECK_RTOL:
+        raise InternalConsistencyError(
+            f"quadratic roots and the Weingarten matrix's trace and determinant "
+            f"disagree by {residual:.3e} (relative)")
     return k_a, k_b, residual
 
 
@@ -530,6 +566,22 @@ def _fmt_vec(x) -> str:
     return " ".join(f"{float(c):.9g}" for c in np.asarray(x).ravel())
 
 
+def _column_extrema(pts):
+    """(min, max) of each column of an (N, k) array, bit-identical to min/max(axis=0).
+
+    Reducing a contiguous copy of the columns is several times faster than
+    reducing across the rows.  The two layouts differ only in which zero wins
+    a +0.0/-0.0 tie (and which NaN), so those columns take the axis-0 result.
+    """
+    cols = np.ascontiguousarray(pts.T)
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    for ext, reduce in ((lo, np.min), (hi, np.max)):
+        redo = (ext == 0.0) | np.isnan(ext)
+        if np.any(redo):
+            ext[redo] = reduce(pts, axis=0)[redo]
+    return lo, hi
+
+
 def _sheet_statistics(sheet: CausticSheet) -> SheetStatistics:
     valid = sheet.valid
     n_inf = int(np.count_nonzero(sheet.flags & FLAG_AT_INFINITY))
@@ -537,15 +589,15 @@ def _sheet_statistics(sheet: CausticSheet) -> SheetStatistics:
     if not np.any(valid):
         return SheetStatistics(sheet.sheet_id, 0, n_inf, n_zero, None, None, 0.0, None)
     pts = sheet.xi[valid]
-    bb_min = pts.min(axis=0)
-    bb_max = pts.max(axis=0)
+    bb_min, bb_max = _column_extrema(pts)
     diameter = float(np.linalg.norm(bb_max - bb_min))
     centered = pts - pts.mean(axis=0)
     if pts.shape[0] >= 2:
         # principal-component extents flag degeneracy to a curve or a point
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         proj = centered @ vt.T
-        extents = proj.max(axis=0) - proj.min(axis=0)
+        proj_min, proj_max = _column_extrema(proj)
+        extents = proj_max - proj_min
         if extents.shape[0] < 3:
             extents = np.pad(extents, (0, 3 - extents.shape[0]))
     else:
@@ -652,8 +704,7 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
                            eps_inf=eps_inf, base_flags=base_flags)
         sheets.append(CausticSheet(sheet_id, us, vs, cp.k_star, cp.xi, cp.flags))
 
-    surf_min = r.reshape(-1, 3).min(axis=0)
-    surf_max = r.reshape(-1, 3).max(axis=0)
+    surf_min, surf_max = _column_extrema(r.reshape(-1, 3))
     stats = FrontStatistics(
         nu=grid.nu, nv=grid.nv, n_points=int(base_flags.size),
         n_shadow=int(np.count_nonzero(base_flags & FLAG_SHADOW)),

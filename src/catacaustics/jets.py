@@ -35,7 +35,8 @@ def _all_zero(x) -> bool:
 class Jet2:
     """Value with exact first and second partials in (u, v)."""
 
-    __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv")
+    # sin_cos caches (sin f, cos f), which sin and cos of this jet share
+    __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv", "sin_cos")
 
     def __init__(self, f, fu=0.0, fv=0.0, fuu=0.0, fuv=0.0, fvv=0.0):
         self.f = f
@@ -44,6 +45,7 @@ class Jet2:
         self.fuu = fuu
         self.fuv = fuv
         self.fvv = fvv
+        self.sin_cos = None
 
     @classmethod
     def constant(cls, value) -> "Jet2":
@@ -142,17 +144,24 @@ def _chain(x: Jet2, f0, f1, f2) -> Jet2:
     )
 
 
+def _sin_cos(x: Jet2):
+    """(sin, cos) of the jet's value, computed once per jet."""
+    if x.sin_cos is None:
+        x.sin_cos = (np.sin(x.f), np.cos(x.f))
+    return x.sin_cos
+
+
 def sin(x):
     if not isinstance(x, Jet2):
         return np.sin(x)
-    s, c = np.sin(x.f), np.cos(x.f)
+    s, c = _sin_cos(x)
     return _chain(x, s, c, -s)
 
 
 def cos(x):
     if not isinstance(x, Jet2):
         return np.cos(x)
-    s, c = np.sin(x.f), np.cos(x.f)
+    s, c = _sin_cos(x)
     return _chain(x, c, -s, -c)
 
 

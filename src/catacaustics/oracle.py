@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .caustics import (EPS_GRAZING_DEFAULT, FLAG_VALID, GridSpec,
-                       IncidentField, caustic_radius, incident_direction,
-                       reflect_direction, row_blocks)
+                       IncidentField, _column_extrema, caustic_radius,
+                       incident_direction, reflect_direction, row_blocks)
 from .diffgeo import REGULARITY_RTOL, dot, norm
 from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
@@ -292,8 +292,8 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
         lam[0, rows], lam[1, rows] = _roots_of_focal_quadratic(*coeffs)
 
     if max_radius is None:
-        span = r0.reshape(-1, 3)
-        max_radius = 10.0 * float(np.linalg.norm(span.max(axis=0) - span.min(axis=0)))
+        lo, hi = _column_extrema(r0.reshape(-1, 3))
+        max_radius = 10.0 * float(np.linalg.norm(hi - lo))
     max_radius = float(max_radius)
 
     # per-point errors into sheet-major arrays, so that err[both] lists the

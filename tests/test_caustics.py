@@ -1,8 +1,10 @@
 """Reflection law, modified forms, characteristic quadratic, caustic points."""
 
+import dataclasses
 import inspect
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,15 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           reflected_front_point, reflection_data,
                           solve_sheet_curvatures)
 from catacaustics import caustics
-from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_EXCLUDED_ZERO_ROOT,
+from catacaustics.caustics import (_CROSSCHECK_RTOL, FLAG_AT_INFINITY,
+                                   FLAG_EXCLUDED_ZERO_ROOT,
                                    InternalConsistencyError,
-                                   SourceOnSurfaceError,
+                                   SourceOnSurfaceError, _column_extrema,
                                    _order_roots_by_continuity,
                                    _stable_quadratic_roots, row_blocks)
 from catacaustics.diffgeo import DegenerateSurfaceError
+from catacaustics.surfacelang import EvalDomainError
+from catacaustics.surfaces import BUILTINS
 from conftest import (BLOCK_SCENES, HUGE_BLOCK, block_sizes, random_field,
                       random_graph_surface, traced_peak_per_point)
 
@@ -424,3 +429,164 @@ def test_compute_working_set_is_bounded():
     per_point, _ = traced_peak_per_point(
         lambda: compute_caustic_sheets(ast, AXIAL, grid), grid.nu * grid.nv)
     assert per_point <= 400, f"{per_point:.0f} B per grid point"
+
+
+# -- the cross-check of the roots against the trace and determinant of W* ----
+
+GRAPH_NEAR_SOURCE = parse_surface(
+    "[u, v, a1*u + a2*v + a3*u^2 + a4*u*v + a5*v^2 + a6*sin(w1*u + p1) + a7*cos(w2*v + p2)]",
+    {"a1": -0.158, "a2": -0.322, "a3": -0.112, "a4": -0.207, "a5": -0.014,
+     "a6": -0.204, "a7": -0.04, "w1": 0.804, "w2": 0.879, "p1": 3.106, "p2": 5.897})
+
+# (surface, domain, field, grid side)
+CROSSCHECK_SCENES = {
+    "ellipsoid-interior": (*build_surface("ellipsoid"), PointSource((0.2, 0.1, 0.1)), 60),
+    "ellipsoid-exterior": (*build_surface("ellipsoid"), PointSource((0.3, 0.2, 3.0)), 60),
+    "torus": (*build_surface("revolution"), AXIAL, 60),
+    # the source sits 0.07 from the mirror, and k + 1/rho cancels where
+    # |cos theta| ~ 0.02: the root magnitudes must count before the shift
+    "graph-near-source": (GRAPH_NEAR_SOURCE, (-1.0, 1.0, -1.0, 1.0),
+                          PointSource((-0.66, -0.9, 0.07)), 150),
+}
+
+
+def _compute_scene(scene):
+    ast, dom, field, n = CROSSCHECK_SCENES[scene]
+    return compute_caustic_sheets(ast, field, GridSpec(n, n, dom))
+
+
+def _planted(plant):
+    """A stage whose result passes through plant."""
+    return lambda real: lambda *args: plant(real(*args))
+
+
+def _flip_B(mods):
+    return dataclasses.replace(mods, Bs11=-mods.Bs11, Bs12=-mods.Bs12, Bs22=-mods.Bs22)
+
+
+def _halve_q(coeffs):
+    p, q = coeffs
+    return p, 0.5 * q
+
+
+def _drop_shift(real):
+    # B* = m B, as if the point-source branch of modified_forms were missing
+    return lambda forms, frame, refl, field: real(forms, frame, refl, AXIAL)
+
+
+@pytest.mark.parametrize("scene, stage, plant", [
+    ("ellipsoid-interior", "modified_forms", _planted(_flip_B)),
+    ("torus", "modified_forms", _planted(_flip_B)),
+    ("ellipsoid-interior", "modified_forms", _drop_shift),
+    ("ellipsoid-exterior", "modified_forms", _drop_shift),
+    ("torus", "caustic_coefficients", _planted(_halve_q)),  # moves the product only
+], ids=["flip-B-ellipsoid", "flip-B-torus", "drop-shift-interior",
+        "drop-shift-exterior", "halve-q-torus"])
+def test_planted_bugs_fail_the_crosscheck(scene, stage, plant):
+    with mock.patch.object(caustics, stage, plant(getattr(caustics, stage))):
+        with pytest.raises(InternalConsistencyError):
+            _compute_scene(scene)
+
+
+@pytest.mark.parametrize("scene", sorted(CROSSCHECK_SCENES))
+def test_clean_residual_is_far_below_the_bound(scene):
+    residuals = []
+    real = caustics.solve_sheet_curvatures
+
+    def spy(*args):
+        out = real(*args)
+        residuals.append(out[2])
+        return out
+
+    with mock.patch.object(caustics, "solve_sheet_curvatures", spy):
+        _compute_scene(scene)
+    assert 0.0 < max(residuals) <= _CROSSCHECK_RTOL / 100
+
+
+def test_clamped_double_roots_pass_the_crosscheck():
+    # a nearly flat, nearly umbilic mirror: |p| ~ 4e-4, so the clamp of a
+    # discriminant below 2e-13 moves the root product by up to 1e-7 of itself
+    field = FlatFront((0.01, 0.02, 1.0))
+    U, V = GridSpec(41, 41, (-1.0, 1.0, -1.0, 1.0)).mesh()
+    frame, forms, refl = _pipeline("[u, v, cx*u^2 + cy*v^2]", field, U, V,
+                                   {"cx": 1e-4, "cy": 1.00001e-4})
+    p, q = caustic_coefficients(forms, refl, field)
+    assert np.all(_stable_quadratic_roots(p, q)[2])
+    mods = modified_forms(forms, frame, refl, field)
+    assert solve_sheet_curvatures(mods, (p, q), field)[2] <= _CROSSCHECK_RTOL / 100
+
+
+@given(name=st.sampled_from(sorted(BUILTINS)), n=st.sampled_from([20, 50, 100, 200]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_no_builtin_scene_fails_the_crosscheck(name, n, seed):
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        field = FlatFront(rng.normal(size=3))
+    else:
+        field = PointSource(rng.normal(scale=2.0, size=3))
+    ast, dom = build_surface(name)
+    try:
+        compute_caustic_sheets(ast, field, GridSpec(n, n, dom))
+    except (SourceOnSurfaceError, DegenerateSurfaceError, EvalDomainError):
+        pass  # input errors; InternalConsistencyError must not occur
+
+
+def test_near_grazing_routes_differ_only_by_the_conditioning():
+    # the one point of `validate --surface revolution --flat 0.3,0.1,-1
+    # --grid 100,100` where the roots and the float eigenvalues of W* differed
+    # by more than 1e-8 relative: |cos theta| = 1.8e-4, roots -1.1e4 and -1.2e-4
+    field = FlatFront((0.3, 0.1, -1.0))
+    ast, dom = build_surface("revolution")
+    U, V = GridSpec(100, 100, dom).mesh()
+    jet = eval_surface(ast, U[10, 2], V[10, 2])
+    frame = frame_at(jet, incident_direction(field, jet.value()))
+    forms = fundamental_forms(frame)
+    refl = reflection_data(frame, forms, field)
+    mods = modified_forms(forms, frame, refl, field)
+    p, q = caustic_coefficients(forms, refl, field)
+    cos = float(refl.cos_theta)
+    assert cos == pytest.approx(-1.8e-4, rel=1e-2)
+    roots = sorted([float(k) for k in solve_sheet_curvatures(mods, (p, q), field)[:2]])
+    eigs = sorted(np.linalg.eigvals(mods.weingarten).real)
+
+    mp = mpmath.mpf
+    with mpmath.workdps(50):
+        # each route evaluated exactly on its own float inputs
+        g = mpmath.matrix([[mp(float(mods.gs11)), mp(float(mods.gs12))],
+                           [mp(float(mods.gs12)), mp(float(mods.gs22))]])
+        B = mpmath.matrix([[mp(float(mods.Bs11)), mp(float(mods.Bs12))],
+                           [mp(float(mods.Bs12)), mp(float(mods.Bs22))]])
+        exact_w = sorted(mpmath.re(e) for e in mpmath.eig(g ** -1 * B)[0])
+        pp, qq = mp(float(p)), mp(float(q))
+        d = mpmath.sqrt(pp * pp - 4 * qq)
+        exact_q = sorted([(-pp - d) / 2, (-pp + d) / 2])
+
+        def rel(x, y):
+            return float(abs(mp(x) - y) / abs(y))
+
+        # each route is accurate for its own inputs
+        for got, want in zip(roots, exact_q):
+            assert rel(got, want) <= 2e-11
+        for got, want in zip(eigs, exact_w):
+            assert rel(got, want) <= 2e-11
+        # the exact routes part on the large root by the round-off of the
+        # shared inputs times the conditioning 1/cos^2(theta)
+        unit = 2.0 ** -53
+        assert 1e-9 <= rel(exact_q[0], exact_w[0]) <= 10 * unit / cos ** 2
+        assert rel(exact_q[1], exact_w[1]) <= 100 * unit
+
+
+# signed zeros, NaN and infinities besides any other float
+extrema_values = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats())
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+              elements=extrema_values))
+@settings(max_examples=300, deadline=None)
+def test_column_extrema_is_bitwise_axis0(pts):
+    lo, hi = _column_extrema(pts)
+    with np.errstate(invalid="ignore"):
+        want_lo, want_hi = pts.min(axis=0), pts.max(axis=0)
+    assert lo.view(np.uint64).tolist() == want_lo.view(np.uint64).tolist()
+    assert hi.view(np.uint64).tolist() == want_hi.view(np.uint64).tolist()

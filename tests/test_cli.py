@@ -131,6 +131,21 @@ class TestValidate:
                            "--source", "0.05,-0.03,0.08", "--grid", "15,15")
         assert code == 0
 
+    @pytest.mark.parametrize("scene, grid", [
+        (("--surface", "revolution", "--flat", "0.3,0.1,-1"), "100,100"),
+        (("--surface", "revolution", "--flat", "0.3,0.1,-1"), "400,400"),
+        (("--surface", "revolution", "--flat", "0.3,0.1,1"), "200,200"),
+        (("--surface", "ellipsoid", "--source", "0.3,0.2,3"), "100,100"),
+        (("--surface", "ellipsoid", "--source", "0.3,0.2,3"), "400,400"),
+    ], ids=["torus-below-100", "torus-below-400", "torus-above-200",
+            "ellipsoid-exterior-100", "ellipsoid-exterior-400"])
+    def test_near_grazing_scenes_pass_at_every_grid(self, capsys, scene, grid):
+        # these once failed the cross-check of the roots against W* with an
+        # internal error, depending on the grid size (|cos theta| down to 6e-6)
+        code, out, err = run(capsys, "validate", *scene, "--grid", grid)
+        assert (code, err) == (0, "")
+        assert "result:            PASS" in out
+
     def test_zero_tolerance_fails_exit_3(self, capsys):
         code, out, _ = run(capsys, "validate", "--surface", "sphere",
                            "--flat", "0,0,1", "--grid", "8,8", "--tol", "0")
