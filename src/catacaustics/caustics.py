@@ -25,7 +25,7 @@ sum and product (see solve_sheet_curvatures).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
 import numpy as np
@@ -58,6 +58,7 @@ FLAG_EXCLUDED_ZERO_ROOT = 0x20  # bit 5
 
 EPS_GRAZING_DEFAULT = 1e-6      # |cos theta| at or below this is grazing
 EPS_INF_DEFAULT = 1e-9          # |k*| at or below this has no finite caustic point
+SOURCE_MIN_DISTANCE = 1e-12     # a point source this close to a surface point is on it
 
 # relative discriminant handling for the characteristic quadratic: round-off
 # can push an analytically zero (double-root) discriminant slightly off zero,
@@ -135,9 +136,14 @@ def incident_direction(field: IncidentField, r) -> np.ndarray:
         return np.broadcast_to(field.direction, r.shape).copy()
     d = r - field.origin
     dist = norm(d)
-    if np.any(dist <= 1e-12):
-        raise SourceOnSurfaceError("point source coincides with a surface point")
+    _check_source_distance(dist)
     return d / dist[..., None]
+
+
+def _check_source_distance(dist):
+    """Raise SourceOnSurfaceError where a point source lies on the mirror."""
+    if np.any(dist <= SOURCE_MIN_DISTANCE):
+        raise SourceOnSurfaceError("point source coincides with a surface point")
 
 
 def reflect_direction(a, n) -> np.ndarray:
@@ -151,7 +157,10 @@ def incidence_flags(cos_theta, eps_grazing: float = EPS_GRAZING_DEFAULT) -> np.n
     """The shadow/grazing flag byte of each point; 0 where the point is lit.
 
     FLAG_GRAZING where |cos theta| <= eps_grazing, FLAG_SHADOW where
-    cos theta > eps_grazing (the mirror faces away from the light).
+    cos theta > eps_grazing (the mirror faces away from the light).  The
+    mirror is two-sided: frame_at orients n so that cos theta = (a, n) <= 0
+    at every point, so on the grid routes (compute, front) FLAG_SHADOW is
+    never set and only grazing points are masked.
     """
     flags = np.where(np.abs(cos_theta) <= eps_grazing, np.uint8(FLAG_GRAZING), np.uint8(0))
     flags |= np.where(cos_theta > eps_grazing, np.uint8(FLAG_SHADOW), np.uint8(0))
@@ -165,8 +174,6 @@ class ReflectionData:
     a: np.ndarray            # unit incident direction
     cos_theta: np.ndarray    # (a, n); negative on lit points
     b: np.ndarray            # unit reflected direction
-    a_t: np.ndarray          # tangential projection of a (3-vector)
-    a_t_uv: np.ndarray       # same, contravariant (u,v)-components
     k_n_at: np.ndarray       # normal curvature along a_t (0 at normal incidence)
     B_at_at: np.ndarray      # B(a_t, a_t), well-behaved through normal incidence
     r_dist: Optional[np.ndarray]  # |r - O| for a point source, None for flat
@@ -177,14 +184,13 @@ def reflection_data(frame: FrameData, forms: SurfaceForms,
     a = incident_direction(field, frame.r)
     cos_theta = dot(a, frame.n)
     b = reflect_direction(a, frame.n)
-    a_t = a - cos_theta[..., None] * frame.n
 
-    # contravariant components of a_t: solve g X = w with w_i = (d_i r, a)
+    # contravariant components of the tangential part a_t of a: solve g X = w
+    # with w_i = (d_i r, a)
     w1 = dot(frame.r_u, a)
     w2 = dot(frame.r_v, a)
     X1 = (forms.g22 * w1 - forms.g12 * w2) / forms.det_g
     X2 = (forms.g11 * w2 - forms.g12 * w1) / forms.det_g
-    a_t_uv = np.stack([X1, X2], axis=-1)
 
     BXX = forms.B11 * X1 * X1 + 2.0 * forms.B12 * X1 * X2 + forms.B22 * X2 * X2
     gXX = w1 * X1 + w2 * X2  # equals g(a_t, a_t) = sin^2(theta)
@@ -194,7 +200,7 @@ def reflection_data(frame: FrameData, forms: SurfaceForms,
     r_dist = None
     if isinstance(field, PointSource):
         r_dist = norm(frame.r - field.origin)
-    return ReflectionData(a, cos_theta, b, a_t, a_t_uv, k_n, BXX, r_dist)
+    return ReflectionData(a, cos_theta, b, k_n, BXX, r_dist)
 
 
 @dataclass
@@ -482,9 +488,18 @@ class GridSpec:
         u0, u1, v0, v1 = self.domain
         return np.linspace(u0, u1, self.nu), np.linspace(v0, v1, self.nv)
 
-    def mesh(self, rows: slice = slice(None)):
+    def mesh(self):
+        """Full (nu, nv) arrays of u and v."""
+        return np.meshgrid(*self.axes(), indexing="ij")
+
+    def block(self, rows: slice = slice(None)):
+        """The u column (rows, 1) and v row (1, nv) of a block of grid rows.
+
+        They broadcast to the block's mesh, so a surface evaluated on them
+        computes each term in u alone or v alone once per grid line.
+        """
         us, vs = self.axes()
-        return np.meshgrid(us[rows], vs, indexing="ij")
+        return us[rows, None], vs[None, :]
 
 
 def row_blocks(nu: int, nv: int) -> list:
@@ -533,7 +548,12 @@ class FrontStatistics:
     surface_bbox_min: np.ndarray
     surface_bbox_max: np.ndarray
     surface_diameter: float
-    sheets: tuple
+    caustic_sheets: tuple = dc_field(repr=False)  # the two CausticSheets
+
+    @functools.cached_property
+    def sheets(self) -> tuple:
+        """SheetStatistics of both sheets, made on first use: validate reads none."""
+        return tuple(_sheet_statistics(s) for s in self.caustic_sheets)
 
     @property
     def empty(self) -> bool:
@@ -686,14 +706,14 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     try:
         for rows in blocks:
             r[rows], b[rows], base_flags[rows], k_a[rows], k_b[rows] = _sheet_block(
-                surface, field, *grid.mesh(rows), eps_grazing)
+                surface, field, *grid.block(rows), eps_grazing)
     except (EvalDomainError, SourceOnSurfaceError, DegenerateSurfaceError,
             InternalConsistencyError):
         if len(blocks) > 1:
             # every stage is pointwise, so the whole grid fails as well; run as
             # one block it raises the grid-level error (class, count, first
             # index, worst value) that the failing block only saw part of
-            _sheet_block(surface, field, *grid.mesh(), eps_grazing)
+            _sheet_block(surface, field, *grid.block(), eps_grazing)
         raise
 
     k1, k2 = _order_roots_by_continuity(k_a, k_b, base_flags == 0)
@@ -711,6 +731,6 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
         n_grazing=int(np.count_nonzero(base_flags & FLAG_GRAZING)),
         surface_bbox_min=surf_min, surface_bbox_max=surf_max,
         surface_diameter=float(np.linalg.norm(surf_max - surf_min)),
-        sheets=(_sheet_statistics(sheets[0]), _sheet_statistics(sheets[1])),
+        caustic_sheets=tuple(sheets),
     )
     return sheets[0], sheets[1], stats

@@ -281,7 +281,7 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
 def cmd_front(scene: SceneSpec, L: float) -> int:
     """Export the reflected front rho(u, v; L) as a mesh."""
     ast, grid = scene.resolve()
-    U, V = grid.mesh()
+    U, V = grid.block()
     jet = eval_surface(ast, U, V)
     r = jet.value()
     a = incident_direction(scene.field, r)

@@ -67,9 +67,19 @@ class SurfaceForms:
     det_g: np.ndarray
     H: np.ndarray
     K: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    umbilic: np.ndarray    # where True, dir1/dir2 are an arbitrary orthonormal pair
+
+    @property
+    def k1(self) -> np.ndarray:
+        return self._curvatures[0]
+
+    @property
+    def k2(self) -> np.ndarray:
+        return self._curvatures[1]
+
+    @property
+    def umbilic(self) -> np.ndarray:
+        """Where True, dir1/dir2 are an arbitrary orthonormal pair."""
+        return self._curvatures[2]
 
     @property
     def dir1(self) -> np.ndarray:
@@ -80,6 +90,11 @@ class SurfaceForms:
     def dir2(self) -> np.ndarray:
         """(u,v)-components of the k2 principal direction, unit in the metric."""
         return self._directions[1]
+
+    @functools.cached_property
+    def _curvatures(self):
+        # the pipeline reads only H and K, so k1, k2 and umbilic are made on first use
+        return _principal_curvatures(self.H, self.K)
 
     @functools.cached_property
     def _directions(self):
@@ -100,7 +115,8 @@ def _frame_arrays(jet: Jet2Vec3, incident_hint):
 
     c = np.cross(r_u, r_v)
     cn = norm(c)
-    ok = cn >= REGULARITY_RTOL * norm(r_u) * norm(r_v)
+    # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
+    ok = cn > REGULARITY_RTOL * norm(r_u) * norm(r_v)
     with np.errstate(all="ignore"):
         n = c / np.where(cn > 0.0, cn, 1.0)[..., None]
     flip = dot(hint, n) > 0.0
@@ -113,8 +129,10 @@ def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
 
     The raw normal (r_u x r_v)/|r_u x r_v| is negated wherever it has a
     positive dot product with the incident hint, so (hint, n) <= 0 holds
-    pointwise.  Raises DegenerateSurfaceError if the chart is singular
-    anywhere in the batch.
+    pointwise: the mirror is two-sided, and every point faces the light (no
+    point is in shadow; see caustics.incidence_flags).  Raises
+    DegenerateSurfaceError if the chart is singular anywhere in the batch,
+    including where r_u or r_v vanishes.
     """
     frame, ok = _frame_arrays(jet, incident_hint)
     if not np.all(ok):
@@ -126,7 +144,7 @@ def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
 
 
 def fundamental_forms(frame: FrameData) -> SurfaceForms:
-    """First/second fundamental forms and curvatures; principal directions on demand."""
+    """First/second fundamental forms, H and K; principal curvatures and directions on demand."""
     g11 = dot(frame.r_u, frame.r_u)
     g12 = dot(frame.r_u, frame.r_v)
     g22 = dot(frame.r_v, frame.r_v)
@@ -137,11 +155,14 @@ def fundamental_forms(frame: FrameData) -> SurfaceForms:
     det_g = g11 * g22 - g12 * g12
     K = (B11 * B22 - B12 * B12) / det_g
     H = (g22 * B11 - 2.0 * g12 * B12 + g11 * B22) / (2.0 * det_g)
+    return SurfaceForms(g11, g12, g22, B11, B12, B22, det_g, H, K)
 
-    # k1 <= k2 from H +- sqrt(H^2 - K).  The discriminant of a genuine umbilic
-    # lands at round-off rather than exactly 0 and the sqrt would smear the
-    # pair by its square root, so sub-round-off discriminants collapse to a
-    # clean double root.
+
+def _principal_curvatures(H, K):
+    """(k1, k2, umbilic) with k1 = H - sqrt(H^2 - K) <= k2 = H + sqrt(H^2 - K)."""
+    # The discriminant of a genuine umbilic lands at round-off rather than
+    # exactly 0 and the sqrt would smear the pair by its square root, so
+    # sub-round-off discriminants collapse to a clean double root.
     disc = H * H - K
     scale = np.maximum(1.0, np.maximum(H * H, np.abs(K)))
     disc = np.where(np.abs(disc) <= 2e-13 * scale, 0.0, np.maximum(disc, 0.0))
@@ -149,7 +170,7 @@ def fundamental_forms(frame: FrameData) -> SurfaceForms:
     k1 = H - sq
     k2 = H + sq
     umbilic = np.abs(k2 - k1) < UMBILIC_RTOL * np.maximum(1.0, np.abs(k1))
-    return SurfaceForms(g11, g12, g22, B11, B12, B22, det_g, H, K, k1, k2, umbilic)
+    return k1, k2, umbilic
 
 
 def _principal_directions(forms: SurfaceForms):

@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .caustics import (EPS_GRAZING_DEFAULT, FLAG_VALID, GridSpec,
-                       IncidentField, _column_extrema, caustic_radius,
-                       incident_direction, reflect_direction, row_blocks)
-from .diffgeo import REGULARITY_RTOL, dot, norm
+                       IncidentField, PointSource, _check_source_distance,
+                       _column_extrema, caustic_radius, row_blocks)
+from .diffgeo import REGULARITY_RTOL
 from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
@@ -50,33 +50,64 @@ class RaySample:
     v: float
 
 
+def _dot3(x, y):
+    """(x, y) of 3-vectors given as (x, y, z) component planes.
+
+    Summed as (x0 y0 + x2 y2) + x1 y1: that is the order in which numpy's
+    einsum reduces a length-3 axis (diffgeo.dot), so the planes round
+    exactly as the (..., 3) arrays of the closed-form route do.
+    """
+    return (x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]
+
+
+def _cross3(x, y):
+    """x cross y of 3-vectors given as component planes (np.cross's rounding)."""
+    return (x[1] * y[2] - x[2] * y[1],
+            x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0])
+
+
 def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
                 eps_grazing: float = EPS_GRAZING_DEFAULT):
-    """Vectorized rays with a lit-mask; silently masks degenerate points."""
+    """Vectorized rays with a lit-mask; silently masks degenerate points.
+
+    Returns (r, b, lit, flipped): the mirror points and unit reflected
+    directions as (x, y, z) planes of the broadcast shape of U and V, the
+    lit mask and where the raw normal r_u x r_v faces the light.
+    """
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
+    shape = np.broadcast_shapes(U.shape, V.shape)
     jet = eval_surface(surface, U, V)
-    r = jet.value()
-    ru = jet.d_u()
-    rv = jet.d_v()
-    shape = np.broadcast_shapes(r.shape, ru.shape, rv.shape)
-    r = np.broadcast_to(r, shape)
-    ru = np.broadcast_to(ru, shape)
-    rv = np.broadcast_to(rv, shape)
+    r = tuple(c.f for c in jet.components())
+    ru = tuple(c.fu for c in jet.components())
+    rv = tuple(c.fv for c in jet.components())
 
-    c = np.cross(ru, rv)
-    cn = norm(c)
-    regular = cn >= REGULARITY_RTOL * norm(ru) * norm(rv)
+    c = _cross3(ru, rv)
+    cn = np.sqrt(_dot3(c, c))
+    # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
+    regular = cn > REGULARITY_RTOL * np.sqrt(_dot3(ru, ru)) * np.sqrt(_dot3(rv, rv))
     with np.errstate(all="ignore"):
-        n_raw = c / np.where(cn > 0.0, cn, 1.0)[..., None]
-    a = incident_direction(field, r)
-    side = dot(a, n_raw)
+        inv = np.where(cn > 0.0, cn, 1.0)
+        n_raw = tuple(ci / inv for ci in c)
+    if isinstance(field, PointSource):
+        d = tuple(ri - oi for ri, oi in zip(r, field.origin))
+        dist = np.sqrt(_dot3(d, d))
+        _check_source_distance(dist)
+        a = tuple(di / dist for di in d)
+    else:
+        a = tuple(field.direction)
+    side = _dot3(a, n_raw)
     flipped = side > 0.0
-    n = np.where(flipped[..., None], -n_raw, n_raw)
-    cos_theta = np.where(flipped, -side, side)
-    b = reflect_direction(a, n)
-    lit = regular & (np.abs(cos_theta) > eps_grazing)
-    return r, b, lit, flipped
+    # the mirror law b = a - 2 (a, n) n is even in n and IEEE negation is
+    # exact, so reflecting in n_raw gives the same bits as in the oriented n
+    b = tuple(ai - 2.0 * side * ni for ai, ni in zip(a, n_raw))
+    lit = regular & (np.abs(side) > eps_grazing)
+
+    def full(planes):
+        return tuple(np.broadcast_to(x, shape) for x in planes)
+
+    return full(r), full(b), np.broadcast_to(lit, shape), np.broadcast_to(flipped, shape)
 
 
 def reflected_ray(surface: SurfaceAST, field: IncidentField, u: float, v: float,
@@ -86,8 +117,7 @@ def reflected_ray(surface: SurfaceAST, field: IncidentField, u: float, v: float,
     if not bool(np.all(lit)):
         raise GrazingIncidenceError(f"no reflected ray at (u, v) = ({u}, {v}): "
                                     "grazing incidence or degenerate chart")
-    return RaySample(np.asarray(r, dtype=float).reshape(3),
-                     np.asarray(b, dtype=float).reshape(3), float(u), float(v))
+    return RaySample(np.array(r, dtype=float), np.array(b, dtype=float), float(u), float(v))
 
 
 def _bundle_or_mask(surface, field, U, V, eps_grazing):
@@ -99,8 +129,8 @@ def _bundle_or_mask(surface, field, U, V, eps_grazing):
     shape = np.broadcast_shapes(np.shape(U), np.shape(V))
     U = np.broadcast_to(np.asarray(U, dtype=float), shape)
     V = np.broadcast_to(np.asarray(V, dtype=float), shape)
-    r = np.zeros(shape + (3,))
-    b = np.zeros(shape + (3,))
+    r = np.zeros((3,) + shape)
+    b = np.zeros((3,) + shape)
     lit = np.zeros(shape, dtype=bool)
     flipped = np.zeros(shape, dtype=bool)
     for idx in np.ndindex(shape):
@@ -108,12 +138,17 @@ def _bundle_or_mask(surface, field, U, V, eps_grazing):
             ri, bi, li, fi = _ray_bundle(surface, field, U[idx], V[idx], eps_grazing)
         except EvalDomainError:
             continue
-        r[idx], b[idx], lit[idx], flipped[idx] = ri, bi, li, fi
-    return r, b, lit, flipped
+        r[(slice(None),) + idx], b[(slice(None),) + idx] = ri, bi
+        lit[idx], flipped[idx] = li, fi
+    return tuple(r), tuple(b), lit, flipped
 
 
 def _focal_quadratic(surface, field, U, V, h, eps_grazing):
-    """FD-assembled coefficients (c0, c1, c2) of det[d_u F, d_v F, b](lambda)."""
+    """FD-assembled coefficients (c0, c1, c2) of det[d_u F, d_v F, b](lambda).
+
+    Returns (coeffs, r0, b0, ok) with r0 and b0 the (..., 3) mirror points
+    and reflected directions at (U, V).
+    """
     r0, b0, lit0, flip0 = _bundle_or_mask(surface, field, U, V, eps_grazing)
     rpu, bpu, lpu, fpu = _bundle_or_mask(surface, field, U + h, V, eps_grazing)
     rmu, bmu, lmu, fmu = _bundle_or_mask(surface, field, U - h, V, eps_grazing)
@@ -127,18 +162,20 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     ok &= consistent
 
     inv2h = 1.0 / (2.0 * h)
-    ru = (rpu - rmu) * inv2h
-    rv = (rpv - rmv) * inv2h
-    bu = (bpu - bmu) * inv2h
-    bv = (bpv - bmv) * inv2h
+
+    def central(plus, minus):
+        return tuple((p - m) * inv2h for p, m in zip(plus, minus))
+
+    ru, rv = central(rpu, rmu), central(rpv, rmv)
+    bu, bv = central(bpu, bmu), central(bpv, bmv)
 
     def det3(x, y, z):
-        return dot(np.cross(x, y), z)
+        return _dot3(_cross3(x, y), z)
 
     c0 = det3(ru, rv, b0)
     c1 = det3(bu, rv, b0) + det3(ru, bv, b0)
     c2 = det3(bu, bv, b0)
-    return (c0, c1, c2), r0, b0, ok
+    return (c0, c1, c2), np.stack(r0, axis=-1), np.stack(b0, axis=-1), ok
 
 
 def _roots_of_focal_quadratic(c0, c1, c2):
@@ -288,7 +325,7 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
     blocks = row_blocks(grid.nu, grid.nv)
     for rows in blocks:
         coeffs, r0[rows], b0[rows], ok[rows] = _focal_quadratic(
-            surface, field, *grid.mesh(rows), h, eps_grazing)
+            surface, field, *grid.block(rows), h, eps_grazing)
         lam[0, rows], lam[1, rows] = _roots_of_focal_quadratic(*coeffs)
 
     if max_radius is None:

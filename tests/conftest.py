@@ -101,7 +101,7 @@ HUGE_BLOCK = 10**9      # BLOCK_POINTS that makes any test grid one block
 # (built-in, field, grid shape); nu is no multiple of 7 so blocks end ragged
 BLOCK_SCENES = [
     ("ellipsoid", PointSource((0.05, -0.03, 0.08)), (23, 17)),
-    ("revolution", FlatFront((0.3, 0.1, -1.0)), (19, 24)),  # shadow and grazing
+    ("revolution", FlatFront((0.3, 0.1, -1.0)), (19, 24)),  # the normal flips across the grid
     ("cylinder", FlatFront((1.0, 0.0, 0.0)), (16, 9)),      # a sheet at infinity
 ]
 

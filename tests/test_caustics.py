@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import re
+import warnings
 from unittest import mock
 
 import mpmath
@@ -28,8 +30,9 @@ from catacaustics.caustics import (_CROSSCHECK_RTOL, FLAG_AT_INFINITY,
 from catacaustics.diffgeo import DegenerateSurfaceError
 from catacaustics.surfacelang import EvalDomainError
 from catacaustics.surfaces import BUILTINS
-from conftest import (BLOCK_SCENES, HUGE_BLOCK, block_sizes, random_field,
-                      random_graph_surface, traced_peak_per_point)
+from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
+                      random_field, random_graph_surface,
+                      traced_peak_per_point)
 
 SPHERE = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
 AXIAL = FlatFront((0.0, 0.0, 1.0))
@@ -421,6 +424,51 @@ def test_degenerate_rows_in_later_blocks_report_the_whole_grid():
         with pytest.raises(DegenerateSurfaceError) as blocked:
             compute_caustic_sheets(ast, AXIAL, grid)
     assert str(blocked.value) == str(whole.value)
+
+
+def test_vanishing_partial_is_degenerate_not_grazing():
+    # r_v = 0 along u = 0: the regularity test once read 0 >= 0 there and
+    # flagged the row grazing, with divide-by-zero warnings from det g = 0
+    ast = parse_surface("[u*cos(v), u*sin(v), u^2/2]")
+    grid = GridSpec(5, 8, (0.0, 1.0, 0.0, 2.0 * np.pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateSurfaceError) as err:
+            compute_caustic_sheets(ast, AXIAL, grid)
+    message = str(err.value)
+    assert "at 8 point(s)" in message
+    assert re.search(r"first at grid index \((np\.int64\()?0\b", message)
+
+
+STENCIL_SHIFTS = [(0.0, 0.0), (1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)]
+
+
+def _slot_bits(jet, shape):
+    """Every slot of a Jet2Vec3, broadcast to shape, as its IEEE bit patterns."""
+    return [np.ascontiguousarray(np.broadcast_to(slot, shape), dtype=float).view(np.uint64)
+            for component in jet.components() for slot in component.slots()]
+
+
+@given(name=st.sampled_from(sorted(BUILTINS) + ["random-graph"]),
+       seed=st.integers(0, 2**32 - 1), nu=st.integers(2, 30), nv=st.integers(2, 30),
+       shift=st.sampled_from(STENCIL_SHIFTS), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_evaluation_is_bitwise_the_mesh_evaluation(name, seed, nu, nv, shift, data):
+    if name == "random-graph":
+        ast, dom = random_graph_surface(np.random.default_rng(seed)), GRAPH_DOMAIN
+    else:
+        ast, dom = build_surface(name)
+    grid = GridSpec(nu, nv, dom)
+    start = data.draw(st.integers(0, nu - 1))
+    rows = slice(start, data.draw(st.integers(start + 1, nu)))
+    du, dv = shift
+    U, V = grid.mesh()
+    u, v = grid.block(rows)
+    assert u.shape == (rows.stop - rows.start, 1) and v.shape == (1, nv)
+    want = _slot_bits(eval_surface(ast, U[rows] + du, V[rows] + dv), U[rows].shape)
+    got = _slot_bits(eval_surface(ast, u + du, v + dv), U[rows].shape)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_compute_working_set_is_bounded():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from catacaustics import caustics
 from catacaustics.cli import main
 
 
@@ -143,6 +144,16 @@ class TestValidate:
         # these once failed the cross-check of the roots against W* with an
         # internal error, depending on the grid size (|cos theta| down to 6e-6)
         code, out, err = run(capsys, "validate", *scene, "--grid", grid)
+        assert (code, err) == (0, "")
+        assert "result:            PASS" in out
+
+    def test_validate_reads_no_sheet_statistics(self, capsys, monkeypatch):
+        def unread(sheet):
+            raise AssertionError("validate computed the sheet statistics")
+
+        monkeypatch.setattr(caustics, "_sheet_statistics", unread)
+        code, out, err = run(capsys, "validate", "--surface", "ellipsoid",
+                             "--source", "0.05,-0.03,0.08", "--grid", "15,15")
         assert (code, err) == (0, "")
         assert "result:            PASS" in out
 

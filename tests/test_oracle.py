@@ -4,13 +4,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
-                          compute_caustic_sheets, focal_distances_bruteforce,
-                          parse_surface, reflected_ray, validate_sheets)
+                          compute_caustic_sheets, eval_surface,
+                          focal_distances_bruteforce, incident_direction,
+                          parse_surface, reflect_direction, reflected_ray,
+                          validate_sheets)
 from catacaustics import caustics
+from catacaustics.caustics import SourceOnSurfaceError
+from catacaustics.diffgeo import REGULARITY_RTOL, dot, norm
 from catacaustics.oracle import (GrazingIncidenceError, _focal_quadratic,
                                  _roots_of_focal_quadratic)
+from catacaustics.surfacelang import EvalDomainError
+from catacaustics.surfaces import BUILTINS
 from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
                       random_field, random_graph_surface,
                       traced_peak_per_point)
@@ -193,3 +201,114 @@ def test_validate_working_set_is_bounded():
         lambda: validate_sheets(sheets, ast, AXIAL, grid), grid.nu * grid.nv)
     assert report.passed
     assert per_point <= 400, f"{per_point:.0f} B per grid point"
+
+
+# -- the oracle's stencil on (..., 3) arrays, the reference for the planes ---
+
+def ray_bundle_reference(surface, field, U, V, eps_grazing):
+    """Rays of the stencil on stacked (..., 3) arrays with np.cross and einsum."""
+    U = np.asarray(U, dtype=float)
+    V = np.asarray(V, dtype=float)
+    jet = eval_surface(surface, U, V)
+    r, ru, rv = jet.value(), jet.d_u(), jet.d_v()
+    shape = np.broadcast_shapes(r.shape, ru.shape, rv.shape)
+    r, ru, rv = (np.broadcast_to(x, shape) for x in (r, ru, rv))
+
+    c = np.cross(ru, rv)
+    cn = norm(c)
+    regular = cn > REGULARITY_RTOL * norm(ru) * norm(rv)
+    with np.errstate(all="ignore"):
+        n_raw = c / np.where(cn > 0.0, cn, 1.0)[..., None]
+    a = incident_direction(field, r)
+    side = dot(a, n_raw)
+    flipped = side > 0.0
+    n = np.where(flipped[..., None], -n_raw, n_raw)
+    cos_theta = np.where(flipped, -side, side)
+    b = reflect_direction(a, n)
+    lit = regular & (np.abs(cos_theta) > eps_grazing)
+    return r, b, lit, flipped
+
+
+def bundle_or_mask_reference(surface, field, U, V, eps_grazing):
+    try:
+        return ray_bundle_reference(surface, field, U, V, eps_grazing)
+    except EvalDomainError:
+        pass
+    shape = np.broadcast_shapes(np.shape(U), np.shape(V))
+    U = np.broadcast_to(np.asarray(U, dtype=float), shape)
+    V = np.broadcast_to(np.asarray(V, dtype=float), shape)
+    r = np.zeros(shape + (3,))
+    b = np.zeros(shape + (3,))
+    lit = np.zeros(shape, dtype=bool)
+    flipped = np.zeros(shape, dtype=bool)
+    for idx in np.ndindex(shape):
+        try:
+            ri, bi, li, fi = ray_bundle_reference(surface, field, U[idx], V[idx], eps_grazing)
+        except EvalDomainError:
+            continue
+        r[idx], b[idx], lit[idx], flipped[idx] = ri, bi, li, fi
+    return r, b, lit, flipped
+
+
+def focal_quadratic_reference(surface, field, U, V, h, eps_grazing):
+    def bundle(du, dv):
+        return bundle_or_mask_reference(surface, field, U + du, V + dv, eps_grazing)
+
+    (r0, b0, lit0, flip0), *stencil = (bundle(0.0, 0.0), bundle(h, 0.0), bundle(-h, 0.0),
+                                       bundle(0.0, h), bundle(0.0, -h))
+    (rpu, bpu, lpu, fpu), (rmu, bmu, lmu, fmu), (rpv, bpv, lpv, fpv), (rmv, bmv, lmv, fmv) = stencil
+    ok = lit0 & lpu & lmu & lpv & lmv
+    ok &= (fpu == flip0) & (fmu == flip0) & (fpv == flip0) & (fmv == flip0)
+
+    inv2h = 1.0 / (2.0 * h)
+    ru, rv = (rpu - rmu) * inv2h, (rpv - rmv) * inv2h
+    bu, bv = (bpu - bmu) * inv2h, (bpv - bmv) * inv2h
+
+    def det3(x, y, z):
+        return dot(np.cross(x, y), z)
+
+    c0 = det3(ru, rv, b0)
+    c1 = det3(bu, rv, b0) + det3(ru, bv, b0)
+    c2 = det3(bu, bv, b0)
+    return (c0, c1, c2), r0, b0, ok
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+# stencils at u - h <= 0 leave the chart of sqrt(u) and take the per-point path
+SQRT_APEX = ("[u, v, sqrt(u) + 0.3*v^2]", (5e-5, 0.5, -1.0, 1.0))
+
+
+@given(name=st.sampled_from(sorted(BUILTINS) + ["random-graph", "sqrt-apex"]),
+       seed=st.integers(0, 2**32 - 1), point=st.booleans(),
+       nu=st.integers(2, 7), nv=st.integers(2, 7),
+       h=st.sampled_from([1e-4, 1e-2, 0.1]))
+@settings(max_examples=200, deadline=None)
+def test_planes_oracle_is_bitwise_the_stacked_reference(name, seed, point, nu, nv, h):
+    # large steps make stencils straddle orientation folds, where ok is cleared
+    rng = np.random.default_rng(seed)
+    if name == "random-graph":
+        ast, dom = random_graph_surface(rng), GRAPH_DOMAIN
+    elif name == "sqrt-apex":
+        ast, dom = parse_surface(SQRT_APEX[0]), SQRT_APEX[1]
+    else:
+        ast, dom = build_surface(name)
+    field = PointSource(rng.normal(scale=2.0, size=3)) if point else FlatFront(rng.normal(size=3))
+    grid = GridSpec(nu, nv, dom)
+    U, V = grid.mesh()
+    for args_want, args_got in (((U, V), grid.block()),
+                                ((U[0, -1], V[0, -1]), (float(U[0, -1]), float(V[0, -1])))):
+        try:
+            want = focal_quadratic_reference(ast, field, *args_want, h, 1e-6)
+        except SourceOnSurfaceError:
+            with pytest.raises(SourceOnSurfaceError):
+                _focal_quadratic(ast, field, *args_got, h, 1e-6)
+            continue
+        got = _focal_quadratic(ast, field, *args_got, h, 1e-6)
+        for g, w in zip(got[0], want[0]):
+            assert np.array_equal(_bits(g), _bits(w))
+        for g, w in zip(got[1:3], want[1:3]):
+            assert np.array_equal(_bits(g), _bits(w))
+        assert np.array_equal(got[3], want[3])
