@@ -428,7 +428,7 @@ def test_degenerate_rows_in_later_blocks_report_the_whole_grid():
 
 def test_vanishing_partial_is_degenerate_not_grazing():
     # r_v = 0 along u = 0: the regularity test once read 0 >= 0 there and
-    # flagged the row grazing, with divide-by-zero warnings from det g = 0
+    # flagged the row grazing, with invalid-value warnings from det g = 0
     ast = parse_surface("[u*cos(v), u*sin(v), u^2/2]")
     grid = GridSpec(5, 8, (0.0, 1.0, 0.0, 2.0 * np.pi))
     with warnings.catch_warnings():
