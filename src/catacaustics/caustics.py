@@ -30,8 +30,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .diffgeo import (DegenerateSurfaceError, FrameData, SurfaceForms, dot,
-                      frame_at, fundamental_forms, norm)
+from .diffgeo import (_DISC_DOUBLE_RTOL, DegenerateSurfaceError, FrameData,
+                      SurfaceForms, dot, frame_at, fundamental_forms, norm)
 from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
@@ -60,10 +60,6 @@ EPS_GRAZING_DEFAULT = 1e-6      # |cos theta| at or below this is grazing
 EPS_INF_DEFAULT = 1e-9          # |k*| at or below this has no finite caustic point
 SOURCE_MIN_DISTANCE = 1e-12     # a point source this close to a surface point is on it
 
-# relative discriminant handling for the characteristic quadratic: round-off
-# can push an analytically zero (double-root) discriminant slightly off zero,
-# and taking sqrt of that noise would smear the roots by its square root.
-_DISC_DOUBLE_RTOL = 2e-13       # |disc| below this times scale collapses to a double root
 _DISC_NEGATIVE_RTOL = 1e-12     # disc below minus this times scale is an internal error
 
 # Cross-check of the roots against W* = g*^-1 B*.  For a 2x2 matrix the
@@ -174,33 +170,18 @@ class ReflectionData:
     a: np.ndarray            # unit incident direction
     cos_theta: np.ndarray    # (a, n); negative on lit points
     b: np.ndarray            # unit reflected direction
-    k_n_at: np.ndarray       # normal curvature along a_t (0 at normal incidence)
-    B_at_at: np.ndarray      # B(a_t, a_t), well-behaved through normal incidence
+    w1: np.ndarray           # (r_u, a)
+    w2: np.ndarray           # (r_v, a)
     r_dist: Optional[np.ndarray]  # |r - O| for a point source, None for flat
 
 
-def reflection_data(frame: FrameData, forms: SurfaceForms,
-                    field: IncidentField) -> ReflectionData:
-    a = incident_direction(field, frame.r)
-    cos_theta = dot(a, frame.n)
-    b = reflect_direction(a, frame.n)
-
-    # contravariant components of the tangential part a_t of a: solve g X = w
-    # with w_i = (d_i r, a)
-    w1 = dot(frame.r_u, a)
-    w2 = dot(frame.r_v, a)
-    X1 = (forms.g22 * w1 - forms.g12 * w2) / forms.det_g
-    X2 = (forms.g11 * w2 - forms.g12 * w1) / forms.det_g
-
-    BXX = forms.B11 * X1 * X1 + 2.0 * forms.B12 * X1 * X2 + forms.B22 * X2 * X2
-    gXX = w1 * X1 + w2 * X2  # equals g(a_t, a_t) = sin^2(theta)
-    with np.errstate(all="ignore"):
-        k_n = np.where(gXX > 0.0, BXX / np.where(gXX > 0.0, gXX, 1.0), 0.0)
-
+def reflection_data(frame: FrameData, a, field: IncidentField) -> ReflectionData:
+    """cos theta, b, w_i = (d_i r, a) and |r - O| for the direction a the frame was oriented by."""
     r_dist = None
     if isinstance(field, PointSource):
         r_dist = norm(frame.r - field.origin)
-    return ReflectionData(a, cos_theta, b, k_n, BXX, r_dist)
+    return ReflectionData(a, dot(a, frame.n), reflect_direction(a, frame.n),
+                          dot(frame.r_u, a), dot(frame.r_v, a), r_dist)
 
 
 @dataclass
@@ -228,15 +209,15 @@ class ModifiedForms:
         return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def modified_forms(forms: SurfaceForms, frame: FrameData, refl: ReflectionData,
+def modified_forms(forms: SurfaceForms, refl: ReflectionData,
                    field: IncidentField) -> ModifiedForms:
     """g* and B* of the reflected front; W* = g*^-1 B* is made on first use.
 
-    Valid away from grazing incidence (cos theta = 0), where g* degenerates;
-    grid-level code masks those points before use.
+    g*_ij = g_ij - w_i w_j with the w_i of refl.  Valid away from grazing
+    incidence (cos theta = 0), where g* degenerates; grid-level code masks
+    those points before use.
     """
-    w1 = dot(frame.r_u, refl.a)
-    w2 = dot(frame.r_v, refl.a)
+    w1, w2 = refl.w1, refl.w2
     gs11 = forms.g11 - w1 * w1
     gs12 = forms.g12 - w1 * w2
     gs22 = forms.g22 - w2 * w2
@@ -263,11 +244,16 @@ def caustic_coefficients(forms: SurfaceForms, refl: ReflectionData,
     mu = k* for a flat front and mu = k* + 1/|r - O| for a point source.
     The tangential term k_n(a_t) tan^2(theta) is computed as
     B(a_t, a_t)/cos^2(theta), its analytic continuation through normal
-    incidence where a_t = 0.
+    incidence where a_t = 0; the (u,v) components X of a_t solve
+    g X = (w1, w2).
     """
+    w1, w2 = refl.w1, refl.w2
+    X1 = (forms.g22 * w1 - forms.g12 * w2) / forms.det_g
+    X2 = (forms.g11 * w2 - forms.g12 * w1) / forms.det_g
+    B_at_at = forms.B11 * X1 * X1 + 2.0 * forms.B12 * X1 * X2 + forms.B22 * X2 * X2
     c = refl.cos_theta
     with np.errstate(all="ignore"):
-        p = 4.0 * forms.H * c + 2.0 * refl.B_at_at / c
+        p = 4.0 * forms.H * c + 2.0 * B_at_at / c
     q = 4.0 * forms.K
     return p, q
 
@@ -659,6 +645,19 @@ def _order_roots_by_continuity(k_a, k_b, usable):
     return s1, s2
 
 
+def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
+    """Mirror frame, reflection data and shadow/grazing flag byte on grid points.
+
+    The ray stages shared by compute and front; returns (frame, refl, flags).
+    """
+    jet = eval_surface(surface, U, V)
+    # orientation hint needs the incident direction, which needs positions
+    a = incident_direction(field, jet.value())
+    frame = frame_at(jet, a)
+    refl = reflection_data(frame, a, field)
+    return frame, refl, incidence_flags(refl.cos_theta, eps_grazing)
+
+
 def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
     """The pointwise stages of the closed-form route on one block of grid points.
 
@@ -666,16 +665,10 @@ def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: f
     the shadow/grazing flag byte and the unordered front curvatures, which
     are NaN off the lit region.  The roots are cross-checked on the block.
     """
-    jet = eval_surface(surface, U, V)
-    # orientation hint needs the incident direction, which needs positions
-    a = incident_direction(field, jet.value())
-    frame = frame_at(jet, a)
-    forms = fundamental_forms(frame)
-    refl = reflection_data(frame, forms, field)
-    base_flags = incidence_flags(refl.cos_theta, eps_grazing)
+    frame, refl, base_flags = _ray_block(surface, field, U, V, eps_grazing)
     lit = base_flags == 0
-
-    mods = modified_forms(forms, frame, refl, field)
+    forms = fundamental_forms(frame)
+    mods = modified_forms(forms, refl, field)
     p, q = caustic_coefficients(forms, refl, field)
     p = np.where(lit, p, np.nan)
     q = np.where(lit, q, np.nan)

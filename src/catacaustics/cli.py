@@ -25,13 +25,12 @@ import numpy as np
 from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
                        FLAG_VALID, FlatFront, GridSpec,
                        InternalConsistencyError, PointSource,
-                       SourceOnSurfaceError, compute_caustic_sheets,
-                       incidence_flags, incident_direction, reflection_data,
+                       SourceOnSurfaceError, _ray_block, compute_caustic_sheets,
                        reflected_front_point)
-from .diffgeo import DegenerateSurfaceError, frame_at, fundamental_forms
+from .diffgeo import DegenerateSurfaceError
 from .meshio import FORMATS, MaskedGrid, clip_sheet, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
-from .surfacelang import (EvalDomainError, SurfaceLangError, eval_surface,
+from .surfacelang import (EvalDomainError, SurfaceLangError,
                           parse_surface_definition)
 from .surfaces import build_surface, builtin_listing
 
@@ -266,14 +265,11 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
     if h <= 0.0 or tol < 0.0:
         raise SceneError("--fd-step must be positive and --tol non-negative")
     ast, grid = scene.resolve()
-    sheet1, sheet2, stats = compute_caustic_sheets(
+    sheet1, sheet2, _ = compute_caustic_sheets(
         ast, scene.field, grid,
         eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf)
-    max_radius = scene.max_radius
-    if max_radius is None:
-        max_radius = 10.0 * max(stats.surface_diameter, 1e-300)
     report = validate_sheets((sheet1, sheet2), ast, scene.field, grid, h=h, tol=tol,
-                             max_radius=max_radius, eps_grazing=scene.eps_grazing)
+                             max_radius=scene.max_radius, eps_grazing=scene.eps_grazing)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAIL
 
@@ -281,17 +277,8 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
 def cmd_front(scene: SceneSpec, L: float) -> int:
     """Export the reflected front rho(u, v; L) as a mesh."""
     ast, grid = scene.resolve()
-    U, V = grid.block()
-    jet = eval_surface(ast, U, V)
-    r = jet.value()
-    a = incident_direction(scene.field, r)
-    frame = frame_at(jet, a)
-    forms = fundamental_forms(frame)
-    refl = reflection_data(frame, forms, scene.field)
-
+    frame, refl, flags = _ray_block(ast, scene.field, *grid.block(), scene.eps_grazing)
     front = reflected_front_point(frame.r, refl.a, refl.b, L, refl.r_dist)
-
-    flags = incidence_flags(refl.cos_theta, scene.eps_grazing)
     # the front has not reached points with lambda < 0; mask them like a clip
     flags |= np.where(~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
     valid = flags == 0

@@ -26,6 +26,7 @@ __all__ = [
 
 REGULARITY_RTOL = 1e-12     # |r_u x r_v| below this times |r_u||r_v| is degenerate
 UMBILIC_RTOL = 1e-9         # |k1 - k2| below this times max(1, |k1|) is umbilic
+_DISC_DOUBLE_RTOL = 2e-13   # |disc| below this times scale collapses to a double root
 
 
 class DegenerateSurfaceError(ValueError):
@@ -42,7 +43,11 @@ def norm(a):
 
 @dataclass
 class FrameData:
-    """Position, partials and the oriented unit normal at surface points."""
+    """Position, partials and the oriented unit normal at surface points.
+
+    All fields share one shape; r and the partials may be read-only
+    broadcast views of the jet's arrays.
+    """
 
     r: np.ndarray
     r_u: np.ndarray
@@ -51,7 +56,6 @@ class FrameData:
     r_uv: np.ndarray
     r_vv: np.ndarray
     n: np.ndarray
-    orientation_flipped: np.ndarray
 
 
 @dataclass
@@ -102,28 +106,6 @@ class SurfaceForms:
         return _principal_directions(self)
 
 
-def _frame_arrays(jet: Jet2Vec3, incident_hint):
-    r = jet.value()
-    r_u = jet.d_u()
-    r_v = jet.d_v()
-    shape = np.broadcast_shapes(r.shape, r_u.shape, r_v.shape)
-    r, r_u, r_v = (np.broadcast_to(x, shape).astype(float) for x in (r, r_u, r_v))
-    r_uu = np.broadcast_to(jet.d_uu(), shape).astype(float)
-    r_uv = np.broadcast_to(jet.d_uv(), shape).astype(float)
-    r_vv = np.broadcast_to(jet.d_vv(), shape).astype(float)
-    hint = np.broadcast_to(np.asarray(incident_hint, dtype=float), shape)
-
-    c = np.cross(r_u, r_v)
-    cn = norm(c)
-    # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
-    ok = cn > REGULARITY_RTOL * norm(r_u) * norm(r_v)
-    with np.errstate(all="ignore"):
-        n = c / np.where(cn > 0.0, cn, 1.0)[..., None]
-    flip = dot(hint, n) > 0.0
-    n = np.where(flip[..., None], -n, n)
-    return FrameData(r, r_u, r_v, r_uu, r_uv, r_vv, n, flip), ok
-
-
 def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
     """Build the oriented frame at surface points.
 
@@ -134,13 +116,21 @@ def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
     DegenerateSurfaceError if the chart is singular anywhere in the batch,
     including where r_u or r_v vanishes.
     """
-    frame, ok = _frame_arrays(jet, incident_hint)
+    r, r_u, r_v, r_uu, r_uv, r_vv, hint = np.broadcast_arrays(
+        jet.value(), jet.d_u(), jet.d_v(), jet.d_uu(), jet.d_uv(), jet.d_vv(),
+        np.asarray(incident_hint, dtype=float))
+    c = np.cross(r_u, r_v)
+    cn = norm(c)
+    # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
+    ok = cn > REGULARITY_RTOL * norm(r_u) * norm(r_v)
     if not np.all(ok):
         idx = np.argwhere(~np.atleast_1d(ok))
         raise DegenerateSurfaceError(
             f"degenerate parameterization (r_u x r_v ~ 0) at {idx.shape[0]} "
-            f"point(s), first at grid index {tuple(idx[0])}")
-    return frame
+            f"point(s), first at grid index {tuple(int(i) for i in idx[0])}")
+    n = c / cn[..., None]
+    n = np.where((dot(hint, n) > 0.0)[..., None], -n, n)
+    return FrameData(r, r_u, r_v, r_uu, r_uv, r_vv, n)
 
 
 def fundamental_forms(frame: FrameData) -> SurfaceForms:
@@ -160,12 +150,10 @@ def fundamental_forms(frame: FrameData) -> SurfaceForms:
 
 def _principal_curvatures(H, K):
     """(k1, k2, umbilic) with k1 = H - sqrt(H^2 - K) <= k2 = H + sqrt(H^2 - K)."""
-    # The discriminant of a genuine umbilic lands at round-off rather than
-    # exactly 0 and the sqrt would smear the pair by its square root, so
-    # sub-round-off discriminants collapse to a clean double root.
+    # a double root's discriminant lands at round-off, which sqrt would smear
     disc = H * H - K
     scale = np.maximum(1.0, np.maximum(H * H, np.abs(K)))
-    disc = np.where(np.abs(disc) <= 2e-13 * scale, 0.0, np.maximum(disc, 0.0))
+    disc = np.where(np.abs(disc) <= _DISC_DOUBLE_RTOL * scale, 0.0, np.maximum(disc, 0.0))
     sq = np.sqrt(disc)
     k1 = H - sq
     k2 = H + sq

@@ -297,6 +297,3 @@ class Jet2Vec3:
 
     def components(self):
         return (self.x, self.y, self.z)
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(s)) for j in self.components() for s in j.slots())

@@ -260,11 +260,11 @@ def test_criterion_09_algebraic_property_suite():
         a = incident_direction(field, jet.value())
         frame = frame_at(jet, a)
         forms = fundamental_forms(frame)
-        refl = reflection_data(frame, forms, field)
+        refl = reflection_data(frame, a, field)
         lit = np.abs(refl.cos_theta) > 1e-6
         if not np.all(lit):
             continue
-        mods = modified_forms(forms, frame, refl, field)
+        mods = modified_forms(forms, refl, field)
         p, q = caustic_coefficients(forms, refl, field)
         k_a, k_b, resid = solve_sheet_curvatures(mods, (p, q), field, refl.r_dist)
         n_points += int(U.size)

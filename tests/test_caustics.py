@@ -2,7 +2,6 @@
 
 import dataclasses
 import inspect
-import re
 import warnings
 from unittest import mock
 
@@ -27,7 +26,7 @@ from catacaustics.caustics import (_CROSSCHECK_RTOL, FLAG_AT_INFINITY,
                                    SourceOnSurfaceError, _column_extrema,
                                    _order_roots_by_continuity,
                                    _stable_quadratic_roots, row_blocks)
-from catacaustics.diffgeo import DegenerateSurfaceError
+from catacaustics.diffgeo import DegenerateSurfaceError, normal_curvature
 from catacaustics.surfacelang import EvalDomainError
 from catacaustics.surfaces import BUILTINS
 from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
@@ -44,7 +43,7 @@ def _pipeline(text, field, u, v, params=None):
     a = incident_direction(field, r)
     frame = frame_at(jet, a)
     forms = fundamental_forms(frame)
-    refl = reflection_data(frame, forms, field)
+    refl = reflection_data(frame, a, field)
     return frame, forms, refl
 
 
@@ -107,7 +106,7 @@ class TestModifiedForms:
     def test_hyperbolic_paraboloid_displayed_forms(self):
         for u, v in [(1.0, 1.0), (0.5, -1.5), (-2.0, 0.3)]:
             frame, forms, refl = _pipeline("[u, v, u^2/2 - v^2/2]", AXIAL, u, v)
-            mods = modified_forms(forms, frame, refl, AXIAL)
+            mods = modified_forms(forms, refl, AXIAL)
             assert np.allclose([mods.gs11, mods.gs12, mods.gs22], [1.0, 0.0, 1.0], atol=1e-13)
             W2 = 1.0 + u**2 + v**2
             assert mods.Bs11 == pytest.approx(-2.0 / W2, rel=1e-12)
@@ -116,13 +115,13 @@ class TestModifiedForms:
 
     def test_plane_mirror_keeps_rays_parallel(self):
         frame, forms, refl = _pipeline("[u, v, 0]", FlatFront((0.2, 0.1, -1.0)), 0.7, 0.7)
-        mods = modified_forms(forms, frame, refl, FlatFront((0.2, 0.1, -1.0)))
+        mods = modified_forms(forms, refl, FlatFront((0.2, 0.1, -1.0)))
         assert np.allclose([mods.Bs11, mods.Bs12, mods.Bs22], 0.0, atol=1e-15)
 
     def test_central_source_sphere_weingarten_is_identity(self):
         field = PointSource((0.0, 0.0, 0.0))
         frame, forms, refl = _pipeline(SPHERE, field, 0.7, 0.4)
-        mods = modified_forms(forms, frame, refl, field)
+        mods = modified_forms(forms, refl, field)
         assert np.allclose(mods.weingarten, np.eye(2), atol=1e-12)
 
     def test_det_identity_random_points(self):
@@ -135,8 +134,8 @@ class TestModifiedForms:
             a = incident_direction(field, jet.value())
             frame = frame_at(jet, a)
             forms = fundamental_forms(frame)
-            refl = reflection_data(frame, forms, field)
-            mods = modified_forms(forms, frame, refl, field)
+            refl = reflection_data(frame, a, field)
+            mods = modified_forms(forms, refl, field)
             want = forms.det_g * refl.cos_theta**2
             assert mods.det_gs == pytest.approx(want, rel=1e-10)
 
@@ -168,7 +167,7 @@ class TestSolveSheetCurvatures:
     def test_sphere_roots_and_product_identity(self):
         u = np.pi / 6
         frame, forms, refl = _pipeline(SPHERE, AXIAL, u, 0.0)
-        mods = modified_forms(forms, frame, refl, AXIAL)
+        mods = modified_forms(forms, refl, AXIAL)
         coeffs = caustic_coefficients(forms, refl, AXIAL)
         k_a, k_b, residual = solve_sheet_curvatures(mods, coeffs, AXIAL)
         assert sorted([float(k_a), float(k_b)]) == pytest.approx([1.0, 4.0], rel=1e-12)
@@ -199,7 +198,7 @@ class TestCausticPoint:
     def test_hyperbolic_paraboloid_both_sheets(self):
         field = AXIAL
         frame, forms, refl = _pipeline("[u, v, u^2/2 - v^2/2]", field, 1.0, 1.0)
-        mods = modified_forms(forms, frame, refl, field)
+        mods = modified_forms(forms, refl, field)
         k_a, k_b, _ = solve_sheet_curvatures(mods, caustic_coefficients(forms, refl, field), field)
         lo, hi = sorted([float(k_a), float(k_b)])
         xi_lo = caustic_point(frame.r, refl.b, lo).xi
@@ -320,18 +319,24 @@ class TestRootIdentities:
             a = incident_direction(field, jet.value())
             frame = frame_at(jet, a)
             forms = fundamental_forms(frame)
-            refl = reflection_data(frame, forms, field)
-            mods = modified_forms(forms, frame, refl, field)
+            refl = reflection_data(frame, a, field)
+            mods = modified_forms(forms, refl, field)
             p, q = caustic_coefficients(forms, refl, field)
             k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field)
             K = float(forms.K)
             assert abs(float(k_a * k_b) - 4 * K) <= 1e-9 * max(1.0, abs(K))
             assert abs(float(k_a + k_b) + float(p)) <= 1e-9 * max(1.0, abs(float(p)))
-            # B(a_t, a_t) = k_n(a_t) sin^2(theta) away from normal incidence
-            s2 = 1.0 - float(refl.cos_theta) ** 2
+            # B(a_t, a_t) = k_n(a_t) sin^2(theta) away from normal incidence,
+            # with B(a_t, a_t) read back from p = 4 H cos + 2 B(a_t, a_t)/cos
+            # and a_t = X^i d_i r from g X = (w1, w2)
+            c = float(refl.cos_theta)
+            s2 = 1.0 - c ** 2
             if s2 > 1e-2:
-                assert float(refl.B_at_at) == pytest.approx(
-                    float(refl.k_n_at) * s2, rel=1e-9, abs=1e-12)
+                g = np.array([[forms.g11, forms.g12], [forms.g12, forms.g22]], dtype=float)
+                X = np.linalg.solve(g, [float(refl.w1), float(refl.w2)])
+                B_at_at = 0.5 * c * (float(p) - 4.0 * float(forms.H) * c)
+                assert B_at_at == pytest.approx(
+                    float(normal_curvature(forms, X)) * s2, rel=1e-9, abs=1e-12)
 
 
 def order_roots_reference(k_a, k_b, usable):
@@ -437,7 +442,7 @@ def test_vanishing_partial_is_degenerate_not_grazing():
             compute_caustic_sheets(ast, AXIAL, grid)
     message = str(err.value)
     assert "at 8 point(s)" in message
-    assert re.search(r"first at grid index \((np\.int64\()?0\b", message)
+    assert "first at grid index (0, 0)" in message
 
 
 STENCIL_SHIFTS = [(0.0, 0.0), (1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)]
@@ -519,7 +524,7 @@ def _halve_q(coeffs):
 
 def _drop_shift(real):
     # B* = m B, as if the point-source branch of modified_forms were missing
-    return lambda forms, frame, refl, field: real(forms, frame, refl, AXIAL)
+    return lambda forms, refl, field: real(forms, refl, AXIAL)
 
 
 @pytest.mark.parametrize("scene, stage, plant", [
@@ -560,7 +565,7 @@ def test_clamped_double_roots_pass_the_crosscheck():
                                    {"cx": 1e-4, "cy": 1.00001e-4})
     p, q = caustic_coefficients(forms, refl, field)
     assert np.all(_stable_quadratic_roots(p, q)[2])
-    mods = modified_forms(forms, frame, refl, field)
+    mods = modified_forms(forms, refl, field)
     assert solve_sheet_curvatures(mods, (p, q), field)[2] <= _CROSSCHECK_RTOL / 100
 
 
@@ -588,10 +593,11 @@ def test_near_grazing_routes_differ_only_by_the_conditioning():
     ast, dom = build_surface("revolution")
     U, V = GridSpec(100, 100, dom).mesh()
     jet = eval_surface(ast, U[10, 2], V[10, 2])
-    frame = frame_at(jet, incident_direction(field, jet.value()))
+    a = incident_direction(field, jet.value())
+    frame = frame_at(jet, a)
     forms = fundamental_forms(frame)
-    refl = reflection_data(frame, forms, field)
-    mods = modified_forms(forms, frame, refl, field)
+    refl = reflection_data(frame, a, field)
+    mods = modified_forms(forms, refl, field)
     p, q = caustic_coefficients(forms, refl, field)
     cos = float(refl.cos_theta)
     assert cos == pytest.approx(-1.8e-4, rel=1e-2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from catacaustics import caustics
+from catacaustics import caustics, cli
 from catacaustics.cli import main
 
 
@@ -197,6 +197,18 @@ class TestFront:
                            "--grid", "6,6", "--out", str(tmp_path / "early"))
         assert code == 2
         assert "front not arrived" in out
+
+    def test_front_reads_no_fundamental_forms(self, tmp_path, capsys, monkeypatch):
+        def unread(frame):
+            raise AssertionError("front computed the fundamental forms")
+
+        monkeypatch.setattr(caustics, "fundamental_forms", unread)
+        monkeypatch.setattr(cli, "fundamental_forms", unread, raising=False)
+        code, out, err = run(capsys, "front", "--surface", "ellipsoid",
+                             "--source", "0.2,0.1,0.1", "--grid", "12,12",
+                             "--travel", "0.9", "--out", str(tmp_path / "front"))
+        assert (code, err) == (0, "")
+        assert "wrote" in out
 
     def test_compute_takes_no_travel_flag(self, capsys):
         code, _, err = run(capsys, "compute", "--surface", "sphere", "--travel", "2")
