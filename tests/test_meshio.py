@@ -252,6 +252,10 @@ def golden_files(out_dir):
                                  "--source", "0.2,0.1,0.1", "--grid", "40,40",
                                  "--travel", "0.9", "--format", fmt],
                                 out_dir, f"front-point-{fmt}"))
+        # cos theta depends on u alone here, so per-point planes keep shape (rows, 1)
+        files.update(_cli_files(["front", "--surface", "cylinder", "--flat", "1,0,0",
+                                 "--grid", "12,8", "--travel", "0.8", "--format", fmt],
+                                out_dir, f"front-cylinder-{fmt}"))
     ast, dom = build_surface("cylinder")
     sheets = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), GridSpec(8, 4, dom))[:2]
     flat = next(s for s in sheets if np.all(s.flags & FLAG_AT_INFINITY))
@@ -274,6 +278,7 @@ GOLDEN_SHA256 = {
     "ellipsoid-obj-stats.txt": "88e2c8ad7e94932e2973a599f3cb6e593d4e85ccae3c14febc3d5d069639c49c",
     "front-obj-front.obj": "52b7ba13227d5a417a2a47d489ad922761ddc0fb3f2cfd611281ebc137442172",
     "front-point-obj-front.obj": "0a808182e04eb39160268d2564a311fa1a940b151e4530248fee3cc502f74dfe",
+    "front-cylinder-obj-front.obj": "cb4b6c64577206825dc1d01b0539224473502b92e29890eafe8352c83402132d",
     "sphere-csv-sheet1.csv": "b6eba090f40a8c5ebd73eb1a330e2db564cee0c45e400ab8dd905e85d7901041",
     "sphere-csv-sheet2.csv": "ac3778ba9d4b0d6d15846ac5988edf72eb31929332a5115734b43fab4684cfe5",
     "sphere-csv-stats.txt": "568669e75959ebd9c436bc0a9e272f0b3b4c1cbd65dd62f39e8f229a82b3a3c2",
@@ -282,6 +287,7 @@ GOLDEN_SHA256 = {
     "ellipsoid-csv-stats.txt": "88e2c8ad7e94932e2973a599f3cb6e593d4e85ccae3c14febc3d5d069639c49c",
     "front-csv-front.csv": "7f59677f15e4c0dab514531358dbcf8ce4cd3c97d912a8c4775eaea8649b695b",
     "front-point-csv-front.csv": "52e997171cfe296f87f782a01e5497df7c6c9547ecf3ca5ec4f02eb8803dfefe",
+    "front-cylinder-csv-front.csv": "1592f37d42c6c2d0fb2705c93dd9bac54253f10558c4b266780ef8a6ff28e1df",
     "sphere-ply-sheet1.ply": "fce5f06375599f62180ef0cd8f7fb8c2116de28c83ac97eac0b33ab23029a59d",
     "sphere-ply-sheet2.ply": "88cdf436bb3afa85f555e6f733db00fdd89face2819818d9e6737d837dc15ca8",
     "sphere-ply-stats.txt": "568669e75959ebd9c436bc0a9e272f0b3b4c1cbd65dd62f39e8f229a82b3a3c2",
@@ -290,6 +296,7 @@ GOLDEN_SHA256 = {
     "ellipsoid-ply-stats.txt": "88e2c8ad7e94932e2973a599f3cb6e593d4e85ccae3c14febc3d5d069639c49c",
     "front-ply-front.ply": "1e6fae746d37feb8c9e8cf2ceebff6069c7ab1bcbfc494ad46686b766bbc08c6",
     "front-point-ply-front.ply": "6e41bc8b502a19b8cc91881022e8647720442c84c242d78f7214ac48e47bf0e5",
+    "front-cylinder-ply-front.ply": "32fd7c4f313e08b47a07d7e15e6ef2953c62c9a301b44e415f123a5e6403cf06",
     "empty.obj": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "empty.csv": "5ffe3fbe3707555af4cead82d20cf258e04821e67d423037a0d378ec3e6e39a2",
     "empty.ply": "e41fea06110bba6bc17e5e9506a7b275f0e48d51b9591f92580d517081b45a63",
