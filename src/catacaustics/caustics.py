@@ -41,7 +41,7 @@ __all__ = [
     "InternalConsistencyError", "SourceOnSurfaceError",
     "FLAG_VALID", "FLAG_SHADOW", "FLAG_GRAZING", "FLAG_AT_INFINITY",
     "FLAG_CLIPPED", "FLAG_EXCLUDED_ZERO_ROOT",
-    "BLOCK_POINTS", "row_blocks", "incidence_flags",
+    "BLOCK_POINTS", "row_blocks", "default_max_radius", "incidence_flags",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "caustic_radius", "reflected_front_point",
@@ -125,15 +125,14 @@ class PointSource:
 IncidentField = Union[FlatFront, PointSource]
 
 
-def incident_direction(field: IncidentField, r) -> np.ndarray:
-    """Unit incident direction at surface points r."""
-    r = np.asarray(r, dtype=float)
+def incident_direction(field: IncidentField, r) -> tuple:
+    """Unit incident direction at surface points r; both are (x, y, z) planes."""
     if isinstance(field, FlatFront):
-        return np.broadcast_to(field.direction, r.shape).copy()
-    d = r - field.origin
+        return tuple(field.direction)
+    d = tuple(ri - oi for ri, oi in zip(r, field.origin))
     dist = norm(d)
     _check_source_distance(dist)
-    return d / dist[..., None]
+    return tuple(di / dist for di in d)
 
 
 def _check_source_distance(dist):
@@ -142,11 +141,10 @@ def _check_source_distance(dist):
         raise SourceOnSurfaceError("point source coincides with a surface point")
 
 
-def reflect_direction(a, n) -> np.ndarray:
-    """Mirror law: b = a - 2 (a, n) n."""
-    a = np.asarray(a, dtype=float)
-    n = np.asarray(n, dtype=float)
-    return a - 2.0 * dot(a, n)[..., None] * n
+def reflect_direction(a, n) -> tuple:
+    """Mirror law b = a - 2 (a, n) n on (x, y, z) planes."""
+    s = 2.0 * dot(a, n)
+    return tuple(ai - s * ni for ai, ni in zip(a, n))
 
 
 def incidence_flags(cos_theta, eps_grazing: float = EPS_GRAZING_DEFAULT) -> np.ndarray:
@@ -165,11 +163,11 @@ def incidence_flags(cos_theta, eps_grazing: float = EPS_GRAZING_DEFAULT) -> np.n
 
 @dataclass
 class ReflectionData:
-    """Incidence/reflection quantities at surface points."""
+    """Incidence/reflection quantities at surface points; a and b are (x, y, z) planes."""
 
-    a: np.ndarray            # unit incident direction
+    a: tuple                 # unit incident direction
     cos_theta: np.ndarray    # (a, n); negative on lit points
-    b: np.ndarray            # unit reflected direction
+    b: tuple                 # unit reflected direction
     w1: np.ndarray           # (r_u, a)
     w2: np.ndarray           # (r_v, a)
     r_dist: Optional[np.ndarray]  # |r - O| for a point source, None for flat
@@ -179,7 +177,7 @@ def reflection_data(frame: FrameData, a, field: IncidentField) -> ReflectionData
     """cos theta, b, w_i = (d_i r, a) and |r - O| for the direction a the frame was oriented by."""
     r_dist = None
     if isinstance(field, PointSource):
-        r_dist = norm(frame.r - field.origin)
+        r_dist = norm(tuple(ri - oi for ri, oi in zip(frame.r, field.origin)))
     return ReflectionData(a, dot(a, frame.n), reflect_direction(a, frame.n),
                           dot(frame.r_u, a), dot(frame.r_v, a), r_dist)
 
@@ -423,11 +421,11 @@ def caustic_radius(k_star) -> np.ndarray:
 
 @dataclass
 class FrontPoint:
-    """Reflected front samples rho = r + lambda b at total travel L."""
+    """Reflected front samples rho = r + lambda b at total travel L, as (x, y, z) planes."""
 
     lam: np.ndarray      # post-reflection travel; negative where not yet reached
     L: float
-    rho: np.ndarray
+    rho: tuple
 
     @property
     def arrived(self):
@@ -437,16 +435,12 @@ class FrontPoint:
 def reflected_front_point(r, a, b, L, r_dist=None) -> FrontPoint:
     """Propagate the front: lambda = L - (r, a) (flat) or L - |r - O| (point).
 
+    r, a and b are (x, y, z) planes, and so is the returned rho = r + lambda b.
     Points with lambda < 0 have not been reached by the front yet; consumers
     exclude them from export.
     """
-    r = np.asarray(r, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if r_dist is None:
-        lam = L - dot(r, np.asarray(a, dtype=float))
-    else:
-        lam = L - np.asarray(r_dist, dtype=float)
-    rho = r + lam[..., None] * b
+    lam = L - (dot(r, a) if r_dist is None else np.asarray(r_dist, dtype=float))
+    rho = tuple(ri + lam * bi for ri, bi in zip(r, b))
     return FrontPoint(lam, float(L), rho)
 
 
@@ -486,6 +480,11 @@ class GridSpec:
         """
         us, vs = self.axes()
         return us[rows, None], vs[None, :]
+
+
+def default_max_radius(surface_diameter: float) -> float:
+    """The default caustic radius cap: 10 surface diameters, positive even at 0."""
+    return 10.0 * max(surface_diameter, 1e-300)
 
 
 def row_blocks(nu: int, nv: int) -> list:
@@ -649,6 +648,8 @@ def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: flo
     """Mirror frame, reflection data and shadow/grazing flag byte on grid points.
 
     The ray stages shared by compute and front; returns (frame, refl, flags).
+    Vectors are (x, y, z) planes, and every result keeps the shape of what it
+    depends on: broadcast it to the block before writing into it.
     """
     jet = eval_surface(surface, U, V)
     # orientation hint needs the incident direction, which needs positions
@@ -661,9 +662,10 @@ def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: flo
 def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
     """The pointwise stages of the closed-form route on one block of grid points.
 
-    Returns (r, b, base_flags, k_a, k_b): mirror points, reflected directions,
-    the shadow/grazing flag byte and the unordered front curvatures, which
-    are NaN off the lit region.  The roots are cross-checked on the block.
+    Returns (r, b, base_flags, k_a, k_b): mirror points and reflected
+    directions as (x, y, z) planes, the shadow/grazing flag byte and the
+    unordered front curvatures, which are NaN off the lit region.  The roots
+    are cross-checked on the block.
     """
     frame, refl, base_flags = _ray_block(surface, field, U, V, eps_grazing)
     lit = base_flags == 0
@@ -698,8 +700,11 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     blocks = row_blocks(grid.nu, grid.nv)
     try:
         for rows in blocks:
-            r[rows], b[rows], base_flags[rows], k_a[rows], k_b[rows] = _sheet_block(
+            r_rows, b_rows, base_flags[rows], k_a[rows], k_b[rows] = _sheet_block(
                 surface, field, *grid.block(rows), eps_grazing)
+            for i in range(3):
+                r[rows, :, i] = r_rows[i]
+                b[rows, :, i] = b_rows[i]
     except (EvalDomainError, SourceOnSurfaceError, DegenerateSurfaceError,
             InternalConsistencyError):
         if len(blocks) > 1:

@@ -26,7 +26,7 @@ from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
                        FLAG_VALID, FlatFront, GridSpec,
                        InternalConsistencyError, PointSource,
                        SourceOnSurfaceError, _ray_block, compute_caustic_sheets,
-                       reflected_front_point)
+                       default_max_radius, reflected_front_point)
 from .diffgeo import DegenerateSurfaceError
 from .meshio import FORMATS, MaskedGrid, clip_sheet, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
@@ -242,7 +242,7 @@ def cmd_compute(scene: SceneSpec) -> int:
 
     max_radius = scene.max_radius
     if max_radius is None:
-        max_radius = 10.0 * max(stats.surface_diameter, 1e-300)
+        max_radius = default_max_radius(stats.surface_diameter)
 
     for sheet in (sheet1, sheet2):
         grid_mesh = clip_sheet(sheet, max_radius)
@@ -280,12 +280,14 @@ def cmd_front(scene: SceneSpec, L: float) -> int:
     frame, refl, flags = _ray_block(ast, scene.field, *grid.block(), scene.eps_grazing)
     front = reflected_front_point(frame.r, refl.a, refl.b, L, refl.r_dist)
     # the front has not reached points with lambda < 0; mask them like a clip
-    flags |= np.where(~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
+    flags = np.broadcast_to(flags, (grid.nu, grid.nv)) | np.where(
+        ~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
     valid = flags == 0
     flags |= np.where(valid, np.uint8(FLAG_VALID), np.uint8(0))
 
     us, vs = grid.axes()
-    points = np.where(valid[..., None], front.rho, np.nan)
+    rho = np.stack(np.broadcast_arrays(*front.rho), axis=-1)
+    points = np.where(valid[..., None], rho, np.nan)
     mesh = MaskedGrid(us, vs, points, flags)
     path = f"{scene.out}-front.{scene.fmt}"
     export_mesh(mesh, scene.fmt, path)

@@ -1,7 +1,8 @@
 """Pointwise differential geometry of a parametric surface.
 
-Everything here is vectorized: inputs may carry arbitrary leading batch axes
-(a full parameter grid is one call).  Conventions used throughout:
+Everything here is vectorized on 3-vectors given as (x, y, z) component
+planes: tuples of three arrays (or scalars) that broadcast together, each
+keeping the shape of what it depends on.  Conventions used throughout:
 
 * the unit normal n is oriented per evaluation so that the incident direction
   satisfies (a, n) <= 0 (the mirror faces the light);
@@ -21,7 +22,7 @@ from .jets import Jet2Vec3
 __all__ = [
     "FrameData", "SurfaceForms", "DegenerateSurfaceError",
     "frame_at", "fundamental_forms", "shape_frame", "normal_curvature",
-    "dot", "norm",
+    "dot", "cross", "norm",
 ]
 
 REGULARITY_RTOL = 1e-12     # |r_u x r_v| below this times |r_u||r_v| is degenerate
@@ -33,29 +34,41 @@ class DegenerateSurfaceError(ValueError):
     """The parameterization is singular: r_u x r_v vanishes."""
 
 
-def dot(a, b):
-    return np.einsum("...i,...i->...", a, b)
+def dot(x, y):
+    """(x, y) of component planes, rounded as numpy's einsum on (..., 3) arrays.
+
+    einsum sums a length-3 axis as (x0 y0 + x2 y2) + x1 y1 starting from
+    +0.0, so three -0.0 products give +0.0; the pinned output bytes rest on it.
+    """
+    return (x[0] * y[0] + x[2] * y[2]) + x[1] * y[1] + 0.0
 
 
-def norm(a):
-    return np.sqrt(dot(a, a))
+def cross(x, y):
+    """x cross y of 3-vectors given as component planes (np.cross's rounding)."""
+    return (x[1] * y[2] - x[2] * y[1],
+            x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0])
+
+
+def norm(x):
+    return np.sqrt(dot(x, x))
 
 
 @dataclass
 class FrameData:
     """Position, partials and the oriented unit normal at surface points.
 
-    All fields share one shape; r and the partials may be read-only
-    broadcast views of the jet's arrays.
+    Each field is a tuple of (x, y, z) planes; r and the partials are the
+    jet's own slot arrays, not copies.
     """
 
-    r: np.ndarray
-    r_u: np.ndarray
-    r_v: np.ndarray
-    r_uu: np.ndarray
-    r_uv: np.ndarray
-    r_vv: np.ndarray
-    n: np.ndarray
+    r: tuple
+    r_u: tuple
+    r_v: tuple
+    r_uu: tuple
+    r_uv: tuple
+    r_vv: tuple
+    n: tuple
 
 
 @dataclass
@@ -116,21 +129,22 @@ def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
     DegenerateSurfaceError if the chart is singular anywhere in the batch,
     including where r_u or r_v vanishes.
     """
-    r, r_u, r_v, r_uu, r_uv, r_vv, hint = np.broadcast_arrays(
-        jet.value(), jet.d_u(), jet.d_v(), jet.d_uu(), jet.d_uv(), jet.d_vv(),
-        np.asarray(incident_hint, dtype=float))
-    c = np.cross(r_u, r_v)
+    r, r_u, r_v = jet.value(), jet.d_u(), jet.d_v()
+    c = cross(r_u, r_v)
     cn = norm(c)
     # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
     ok = cn > REGULARITY_RTOL * norm(r_u) * norm(r_v)
     if not np.all(ok):
+        # count and locate on the block's grid, not on the shape of the normal
+        ok = np.broadcast_to(ok, np.broadcast(*r, *r_u, *r_v, *incident_hint).shape)
         idx = np.argwhere(~np.atleast_1d(ok))
         raise DegenerateSurfaceError(
             f"degenerate parameterization (r_u x r_v ~ 0) at {idx.shape[0]} "
             f"point(s), first at grid index {tuple(int(i) for i in idx[0])}")
-    n = c / cn[..., None]
-    n = np.where((dot(hint, n) > 0.0)[..., None], -n, n)
-    return FrameData(r, r_u, r_v, r_uu, r_uv, r_vv, n)
+    n = tuple(ci / cn for ci in c)
+    flip = dot(incident_hint, n) > 0.0
+    n = tuple(np.where(flip, -ni, ni) for ni in n)
+    return FrameData(r, r_u, r_v, jet.d_uu(), jet.d_uv(), jet.d_vv(), n)
 
 
 def fundamental_forms(frame: FrameData) -> SurfaceForms:
@@ -178,8 +192,8 @@ def _principal_directions(forms: SurfaceForms):
         # better-conditioned of the two null-space candidates
         c1 = np.stack([S12, k - S11], axis=-1)
         c2 = np.stack([k - S22, S21], axis=-1)
-        n1 = dot(c1, c1)
-        n2 = dot(c2, c2)
+        n1 = c1[..., 0] ** 2 + c1[..., 1] ** 2
+        n2 = c2[..., 0] ** 2 + c2[..., 1] ** 2
         X = np.where((n1 >= n2)[..., None], c1, c2)
         good = np.maximum(n1, n2) > 0.0
         return X, good
@@ -206,16 +220,15 @@ def _principal_directions(forms: SurfaceForms):
 
 
 def shape_frame(frame: FrameData, forms: SurfaceForms):
-    """Right-handed orthonormal frame (e1, e2, n) with e1, e2 principal."""
+    """Right-handed orthonormal frame (e1, e2, n) of component planes; e1, e2 principal."""
 
     def embed(X):
-        return X[..., 0, None] * frame.r_u + X[..., 1, None] * frame.r_v
+        return tuple(X[..., 0] * ru + X[..., 1] * rv for ru, rv in zip(frame.r_u, frame.r_v))
 
     e1 = embed(forms.dir1)
     e2 = embed(forms.dir2)
-    handed = dot(np.cross(e1, e2), frame.n)
-    e2 = np.where((handed < 0.0)[..., None], -e2, e2)
-    return e1, e2, frame.n
+    flip = dot(cross(e1, e2), frame.n) < 0.0
+    return e1, tuple(np.where(flip, -c, c) for c in e2), frame.n
 
 
 def normal_curvature(forms: SurfaceForms, X) -> np.ndarray:

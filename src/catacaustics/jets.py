@@ -262,38 +262,34 @@ def _int_power(x: Jet2, c) -> Jet2:
     return _chain(x, f0, f1, f2)
 
 
-def _stack3(a, b, c) -> np.ndarray:
-    parts = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                np.asarray(b, dtype=float),
-                                np.asarray(c, dtype=float))
-    return np.stack(parts, axis=-1)
-
-
 @dataclass(frozen=True)
 class Jet2Vec3:
-    """A point of 3-space with exact first and second (u, v) partials."""
+    """A point of 3-space with exact first and second (u, v) partials.
+
+    The accessors return the component jets' slots as (x, y, z) planes, not copies.
+    """
 
     x: Jet2
     y: Jet2
     z: Jet2
 
-    def value(self) -> np.ndarray:
-        return _stack3(self.x.f, self.y.f, self.z.f)
+    def value(self) -> tuple:
+        return (self.x.f, self.y.f, self.z.f)
 
-    def d_u(self) -> np.ndarray:
-        return _stack3(self.x.fu, self.y.fu, self.z.fu)
+    def d_u(self) -> tuple:
+        return (self.x.fu, self.y.fu, self.z.fu)
 
-    def d_v(self) -> np.ndarray:
-        return _stack3(self.x.fv, self.y.fv, self.z.fv)
+    def d_v(self) -> tuple:
+        return (self.x.fv, self.y.fv, self.z.fv)
 
-    def d_uu(self) -> np.ndarray:
-        return _stack3(self.x.fuu, self.y.fuu, self.z.fuu)
+    def d_uu(self) -> tuple:
+        return (self.x.fuu, self.y.fuu, self.z.fuu)
 
-    def d_uv(self) -> np.ndarray:
-        return _stack3(self.x.fuv, self.y.fuv, self.z.fuv)
+    def d_uv(self) -> tuple:
+        return (self.x.fuv, self.y.fuv, self.z.fuv)
 
-    def d_vv(self) -> np.ndarray:
-        return _stack3(self.x.fvv, self.y.fvv, self.z.fvv)
+    def d_vv(self) -> tuple:
+        return (self.x.fvv, self.y.fvv, self.z.fvv)
 
     def components(self):
         return (self.x, self.y, self.z)

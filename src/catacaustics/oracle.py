@@ -22,8 +22,9 @@ import numpy as np
 
 from .caustics import (EPS_GRAZING_DEFAULT, FLAG_VALID, GridSpec,
                        IncidentField, PointSource, _check_source_distance,
-                       _column_extrema, caustic_radius, row_blocks)
-from .diffgeo import REGULARITY_RTOL
+                       _column_extrema, caustic_radius, default_max_radius,
+                       row_blocks)
+from .diffgeo import REGULARITY_RTOL, cross, dot, norm
 from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
@@ -50,23 +51,6 @@ class RaySample:
     v: float
 
 
-def _dot3(x, y):
-    """(x, y) of 3-vectors given as (x, y, z) component planes.
-
-    Summed as (x0 y0 + x2 y2) + x1 y1: that is the order in which numpy's
-    einsum reduces a length-3 axis (diffgeo.dot), so the planes round
-    exactly as the (..., 3) arrays of the closed-form route do.
-    """
-    return (x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]
-
-
-def _cross3(x, y):
-    """x cross y of 3-vectors given as component planes (np.cross's rounding)."""
-    return (x[1] * y[2] - x[2] * y[1],
-            x[2] * y[0] - x[0] * y[2],
-            x[0] * y[1] - x[1] * y[0])
-
-
 def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
                 eps_grazing: float = EPS_GRAZING_DEFAULT):
     """Vectorized rays with a lit-mask; silently masks degenerate points.
@@ -79,25 +63,23 @@ def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
     V = np.asarray(V, dtype=float)
     shape = np.broadcast_shapes(U.shape, V.shape)
     jet = eval_surface(surface, U, V)
-    r = tuple(c.f for c in jet.components())
-    ru = tuple(c.fu for c in jet.components())
-    rv = tuple(c.fv for c in jet.components())
+    r, ru, rv = jet.value(), jet.d_u(), jet.d_v()
 
-    c = _cross3(ru, rv)
-    cn = np.sqrt(_dot3(c, c))
+    c = cross(ru, rv)
+    cn = norm(c)
     # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
-    regular = cn > REGULARITY_RTOL * np.sqrt(_dot3(ru, ru)) * np.sqrt(_dot3(rv, rv))
+    regular = cn > REGULARITY_RTOL * norm(ru) * norm(rv)
     with np.errstate(all="ignore"):
         inv = np.where(cn > 0.0, cn, 1.0)
         n_raw = tuple(ci / inv for ci in c)
     if isinstance(field, PointSource):
         d = tuple(ri - oi for ri, oi in zip(r, field.origin))
-        dist = np.sqrt(_dot3(d, d))
+        dist = norm(d)
         _check_source_distance(dist)
         a = tuple(di / dist for di in d)
     else:
         a = tuple(field.direction)
-    side = _dot3(a, n_raw)
+    side = dot(a, n_raw)
     flipped = side > 0.0
     # the mirror law b = a - 2 (a, n) n is even in n and IEEE negation is
     # exact, so reflecting in n_raw gives the same bits as in the oriented n
@@ -170,7 +152,7 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     bu, bv = central(bpu, bmu), central(bpv, bmv)
 
     def det3(x, y, z):
-        return _dot3(_cross3(x, y), z)
+        return dot(cross(x, y), z)
 
     c0 = det3(ru, rv, b0)
     c1 = det3(bu, rv, b0) + det3(ru, bv, b0)
@@ -330,7 +312,7 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
 
     if max_radius is None:
         lo, hi = _column_extrema(r0.reshape(-1, 3))
-        max_radius = 10.0 * float(np.linalg.norm(hi - lo))
+        max_radius = default_max_radius(float(np.linalg.norm(hi - lo)))
     max_radius = float(max_radius)
 
     # per-point errors into sheet-major arrays, so that err[both] lists the

@@ -239,9 +239,9 @@ class TestReflectedFrontPoint:
         r = jet.value()
         a = np.array([0.0, 0.0, -1.0])
         frame = frame_at(jet, a)
-        b = reflect_direction(np.broadcast_to(a, r.shape), frame.n)
+        b = reflect_direction(a, frame.n)
         fp = reflected_front_point(r, a, b, L=2.0)
-        assert np.allclose(fp.rho[..., 2], 2.0)
+        assert np.allclose(fp.rho[2], 2.0)
         assert np.all(fp.arrived)
 
     def test_not_arrived_is_flagged_not_raised(self):

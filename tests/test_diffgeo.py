@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from catacaustics import (build_surface, eval_surface, frame_at,
                           fundamental_forms, normal_curvature, parse_surface,
                           shape_frame)
-from catacaustics.diffgeo import DegenerateSurfaceError, dot
+from catacaustics.diffgeo import DegenerateSurfaceError, cross, dot, norm
 from catacaustics.jets import Jet2, Jet2Vec3
 
 
@@ -207,3 +210,54 @@ def test_normal_curvature_rejects_zero_direction():
     _, forms = _forms_at(SPHERE, 0.5, 0.5, (0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         normal_curvature(forms, (0.0, 0.0))
+
+
+# -- the component-plane primitives against numpy on (..., 3) arrays ---------
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+_ENTRY = st.one_of(_SPECIAL, st.floats(width=64))
+
+
+@st.composite
+def _vector_planes(draw, rows, cols):
+    """Three planes of shapes (rows, 1), (1, cols) or () that broadcast together."""
+    planes = []
+    for _ in range(3):
+        shape = draw(st.sampled_from([(rows, 1), (1, cols), ()]))
+        plane = draw(arrays(np.float64, shape, elements=_ENTRY))
+        planes.append(float(plane) if shape == () else plane)
+    return tuple(planes)
+
+
+def _bits(x):
+    # NaN payloads carry no information; every other value must match bit for bit
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+@st.composite
+def _plane_pairs(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(_vector_planes(rows, cols)), draw(_vector_planes(rows, cols))
+
+
+# three -0.0 products: einsum sums from +0.0 and returns +0.0
+@example(((0.0, 0.0, 0.0), (-1.0, -1.0, -1.0)))
+@example(((-0.0, 0.0, -0.0), (1.0, -1.0, 1.0)))
+@given(_plane_pairs())
+@settings(max_examples=300, deadline=None)
+def test_plane_primitives_are_bitwise_numpy_on_stacked_arrays(pair):
+    x, y = pair
+    shape = np.broadcast(*x, *y).shape
+    xs = np.stack([np.broadcast_to(c, shape) for c in x], axis=-1)
+    ys = np.stack([np.broadcast_to(c, shape) for c in y], axis=-1)
+    with np.errstate(all="ignore"):
+        want_dot = np.einsum("...i,...i->...", xs, ys)
+        want_norm = np.sqrt(np.einsum("...i,...i->...", xs, xs))
+        want_cross = np.cross(xs, ys)
+        got_dot, got_norm, got_cross = dot(x, y), norm(x), cross(x, y)
+    assert np.array_equal(_bits(np.broadcast_to(got_dot, shape)), _bits(want_dot))
+    assert np.array_equal(_bits(np.broadcast_to(got_norm, shape)), _bits(want_norm))
+    for i in range(3):
+        assert np.array_equal(_bits(np.broadcast_to(got_cross[i], shape)),
+                              _bits(want_cross[..., i]))

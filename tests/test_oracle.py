@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           compute_caustic_sheets, eval_surface,
-                          focal_distances_bruteforce, incident_direction,
-                          parse_surface, reflect_direction, reflected_ray,
-                          validate_sheets)
+                          focal_distances_bruteforce, parse_surface,
+                          reflected_ray, validate_sheets)
 from catacaustics import caustics
 from catacaustics.caustics import SourceOnSurfaceError
-from catacaustics.diffgeo import REGULARITY_RTOL, dot, norm
+from catacaustics.diffgeo import REGULARITY_RTOL
 from catacaustics.oracle import (GrazingIncidenceError, _focal_quadratic,
                                  _roots_of_focal_quadratic)
 from catacaustics.surfacelang import EvalDomainError
@@ -205,26 +204,46 @@ def test_validate_working_set_is_bounded():
 
 # -- the oracle's stencil on (..., 3) arrays, the reference for the planes ---
 
+def stacked_dot(x, y):
+    return np.einsum("...i,...i->...", x, y)
+
+
+def stacked_norm(x):
+    return np.sqrt(stacked_dot(x, x))
+
+
+def stacked(planes, shape):
+    return np.stack([np.broadcast_to(np.asarray(p, dtype=float), shape) for p in planes],
+                    axis=-1)
+
+
 def ray_bundle_reference(surface, field, U, V, eps_grazing):
     """Rays of the stencil on stacked (..., 3) arrays with np.cross and einsum."""
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
     jet = eval_surface(surface, U, V)
-    r, ru, rv = jet.value(), jet.d_u(), jet.d_v()
-    shape = np.broadcast_shapes(r.shape, ru.shape, rv.shape)
-    r, ru, rv = (np.broadcast_to(x, shape) for x in (r, ru, rv))
+    planes = (jet.value(), jet.d_u(), jet.d_v())
+    shape = np.broadcast(U, V, *(p for vec in planes for p in vec)).shape
+    r, ru, rv = (stacked(vec, shape) for vec in planes)
 
     c = np.cross(ru, rv)
-    cn = norm(c)
-    regular = cn > REGULARITY_RTOL * norm(ru) * norm(rv)
+    cn = stacked_norm(c)
+    regular = cn > REGULARITY_RTOL * stacked_norm(ru) * stacked_norm(rv)
     with np.errstate(all="ignore"):
         n_raw = c / np.where(cn > 0.0, cn, 1.0)[..., None]
-    a = incident_direction(field, r)
-    side = dot(a, n_raw)
+    if isinstance(field, PointSource):
+        d = r - field.origin
+        dist = stacked_norm(d)
+        if np.any(dist <= caustics.SOURCE_MIN_DISTANCE):
+            raise SourceOnSurfaceError("point source coincides with a surface point")
+        a = d / dist[..., None]
+    else:
+        a = np.broadcast_to(field.direction, shape + (3,))
+    side = stacked_dot(a, n_raw)
     flipped = side > 0.0
     n = np.where(flipped[..., None], -n_raw, n_raw)
     cos_theta = np.where(flipped, -side, side)
-    b = reflect_direction(a, n)
+    b = a - 2.0 * stacked_dot(a, n)[..., None] * n
     lit = regular & (np.abs(cos_theta) > eps_grazing)
     return r, b, lit, flipped
 
@@ -265,7 +284,7 @@ def focal_quadratic_reference(surface, field, U, V, h, eps_grazing):
     bu, bv = (bpu - bmu) * inv2h, (bpv - bmv) * inv2h
 
     def det3(x, y, z):
-        return dot(np.cross(x, y), z)
+        return stacked_dot(np.cross(x, y), z)
 
     c0 = det3(ru, rv, b0)
     c1 = det3(bu, rv, b0) + det3(ru, bv, b0)
