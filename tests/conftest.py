@@ -94,6 +94,12 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def stack_planes(planes, shape):
+    """The (..., 3) array of three (x, y, z) planes broadcast to shape."""
+    return np.stack([np.broadcast_to(np.asarray(p, dtype=float), shape) for p in planes],
+                    axis=-1)
+
+
 # -- block sizes of the pointwise stages ------------------------------------
 
 HUGE_BLOCK = 10**9      # BLOCK_POINTS that makes any test grid one block

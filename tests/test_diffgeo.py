@@ -11,6 +11,7 @@ from catacaustics import (build_surface, eval_surface, frame_at,
                           shape_frame)
 from catacaustics.diffgeo import DegenerateSurfaceError, cross, dot, norm
 from catacaustics.jets import Jet2, Jet2Vec3
+from conftest import stack_planes
 
 
 def _forms_at(text, u, v, hint, params=None):
@@ -249,8 +250,7 @@ def _plane_pairs(draw):
 def test_plane_primitives_are_bitwise_numpy_on_stacked_arrays(pair):
     x, y = pair
     shape = np.broadcast(*x, *y).shape
-    xs = np.stack([np.broadcast_to(c, shape) for c in x], axis=-1)
-    ys = np.stack([np.broadcast_to(c, shape) for c in y], axis=-1)
+    xs, ys = stack_planes(x, shape), stack_planes(y, shape)
     with np.errstate(all="ignore"):
         want_dot = np.einsum("...i,...i->...", xs, ys)
         want_norm = np.sqrt(np.einsum("...i,...i->...", xs, xs))

@@ -19,7 +19,7 @@ from catacaustics.oracle import (GrazingIncidenceError, _focal_quadratic,
 from catacaustics.surfacelang import EvalDomainError
 from catacaustics.surfaces import BUILTINS
 from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
-                      random_field, random_graph_surface,
+                      random_field, random_graph_surface, stack_planes,
                       traced_peak_per_point)
 
 SPHERE_TEXT = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
@@ -212,11 +212,6 @@ def stacked_norm(x):
     return np.sqrt(stacked_dot(x, x))
 
 
-def stacked(planes, shape):
-    return np.stack([np.broadcast_to(np.asarray(p, dtype=float), shape) for p in planes],
-                    axis=-1)
-
-
 def ray_bundle_reference(surface, field, U, V, eps_grazing):
     """Rays of the stencil on stacked (..., 3) arrays with np.cross and einsum."""
     U = np.asarray(U, dtype=float)
@@ -224,7 +219,7 @@ def ray_bundle_reference(surface, field, U, V, eps_grazing):
     jet = eval_surface(surface, U, V)
     planes = (jet.value(), jet.d_u(), jet.d_v())
     shape = np.broadcast(U, V, *(p for vec in planes for p in vec)).shape
-    r, ru, rv = (stacked(vec, shape) for vec in planes)
+    r, ru, rv = (stack_planes(vec, shape) for vec in planes)
 
     c = np.cross(ru, rv)
     cn = stacked_norm(c)
