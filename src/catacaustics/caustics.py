@@ -125,14 +125,14 @@ class PointSource:
 IncidentField = Union[FlatFront, PointSource]
 
 
-def incident_direction(field: IncidentField, r) -> tuple:
-    """Unit incident direction at surface points r; both are (x, y, z) planes."""
+def incident_direction(field: IncidentField, r):
+    """(a, |r - O|) at surface points r, as (x, y, z) planes; |r - O| is None if flat."""
     if isinstance(field, FlatFront):
-        return tuple(field.direction)
+        return tuple(field.direction), None
     d = tuple(ri - oi for ri, oi in zip(r, field.origin))
     dist = norm(d)
     _check_source_distance(dist)
-    return tuple(di / dist for di in d)
+    return tuple(di / dist for di in d), dist
 
 
 def _check_source_distance(dist):
@@ -173,11 +173,8 @@ class ReflectionData:
     r_dist: Optional[np.ndarray]  # |r - O| for a point source, None for flat
 
 
-def reflection_data(frame: FrameData, a, field: IncidentField) -> ReflectionData:
-    """cos theta, b, w_i = (d_i r, a) and |r - O| for the direction a the frame was oriented by."""
-    r_dist = None
-    if isinstance(field, PointSource):
-        r_dist = norm(tuple(ri - oi for ri, oi in zip(frame.r, field.origin)))
+def reflection_data(frame: FrameData, a, r_dist=None) -> ReflectionData:
+    """cos theta, b and w_i = (d_i r, a) for the (a, r_dist) of incident_direction."""
     return ReflectionData(a, dot(a, frame.n), reflect_direction(a, frame.n),
                           dot(frame.r_u, a), dot(frame.r_v, a), r_dist)
 
@@ -298,11 +295,12 @@ def _crosscheck_errors(mods: ModifiedForms, S, P, S_size, P_size):
     gs11, gs12, gs22 = mods.gs11, mods.gs12, mods.gs22
     Bs11, Bs12, Bs22 = mods.Bs11, mods.Bs12, mods.Bs22
     with np.errstate(all="ignore"):
-        err_S = np.abs(S * mods.det_gs - (gs22 * Bs11 - 2.0 * gs12 * Bs12 + gs11 * Bs22))
-        size_S = (S_size * mods.det_gs_scale + np.abs(gs22 * Bs11)
-                  + 2.0 * np.abs(gs12 * Bs12) + np.abs(gs11 * Bs22))
-        err_P = np.abs(P * mods.det_gs - (Bs11 * Bs22 - Bs12 * Bs12))
-        size_P = P_size * mods.det_gs_scale + np.abs(Bs11 * Bs22) + Bs12 * Bs12
+        t11, t12, t22 = gs22 * Bs11, gs12 * Bs12, gs11 * Bs22
+        err_S = np.abs(S * mods.det_gs - (t11 - 2.0 * t12 + t22))
+        size_S = S_size * mods.det_gs_scale + np.abs(t11) + 2.0 * np.abs(t12) + np.abs(t22)
+        det_B, B12_sq = Bs11 * Bs22, Bs12 * Bs12
+        err_P = np.abs(P * mods.det_gs - (det_B - B12_sq))
+        size_P = P_size * mods.det_gs_scale + np.abs(det_B) + B12_sq
         # a zero size means every term is zero, and so is the error
         return np.maximum(err_S / np.where(size_S > 0.0, size_S, 1.0),
                           err_P / np.where(size_P > 0.0, size_P, 1.0))
@@ -653,9 +651,9 @@ def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: flo
     """
     jet = eval_surface(surface, U, V)
     # orientation hint needs the incident direction, which needs positions
-    a = incident_direction(field, jet.value())
+    a, r_dist = incident_direction(field, jet.value())
     frame = frame_at(jet, a)
-    refl = reflection_data(frame, a, field)
+    refl = reflection_data(frame, a, r_dist)
     return frame, refl, incidence_flags(refl.cos_theta, eps_grazing)
 
 

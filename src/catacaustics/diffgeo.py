@@ -126,8 +126,8 @@ def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
     positive dot product with the incident hint, so (hint, n) <= 0 holds
     pointwise: the mirror is two-sided, and every point faces the light (no
     point is in shadow; see caustics.incidence_flags).  Raises
-    DegenerateSurfaceError if the chart is singular anywhere in the batch,
-    including where r_u or r_v vanishes.
+    DegenerateSurfaceError, counted and located on jet.shape, if the chart
+    is singular anywhere in the batch, including where r_u or r_v vanishes.
     """
     r, r_u, r_v = jet.value(), jet.d_u(), jet.d_v()
     c = cross(r_u, r_v)
@@ -135,8 +135,8 @@ def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
     # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
     ok = cn > REGULARITY_RTOL * norm(r_u) * norm(r_v)
     if not np.all(ok):
-        # count and locate on the block's grid, not on the shape of the normal
-        ok = np.broadcast_to(ok, np.broadcast(*r, *r_u, *r_v, *incident_hint).shape)
+        # count and locate on the evaluated points, not on the shape of the normal
+        ok = np.broadcast_to(ok, np.broadcast_shapes(jet.shape, np.shape(ok)))
         idx = np.argwhere(~np.atleast_1d(ok))
         raise DegenerateSurfaceError(
             f"degenerate parameterization (r_u x r_v ~ 0) at {idx.shape[0]} "

@@ -7,6 +7,12 @@ up to floating round-off -- no symbolic algebra, no truncation error.
 
 Slots may hold plain floats or numpy arrays of a common broadcastable shape,
 which is how whole parameter grids are differentiated in one pass.
+
+The domain-checked operations (division, log, sqrt, abs, non-integer and
+variable powers) compute every point, garbage at the bad ones, and then
+raise a JetDomainError that carries the result and the mask of bad points.
+Run them under np.errstate(all="ignore"), as eval_surface does, to silence
+the floating-point warnings of the bad points.
 """
 
 from __future__ import annotations
@@ -25,11 +31,19 @@ __all__ = [
 
 
 class JetDomainError(ArithmeticError):
-    """An operation left the real domain (log of non-positive, 0^-n, ...)."""
+    """An operation left the real domain; jet is its result, garbage where bad."""
+
+    def __init__(self, message: str, jet=None, bad=None):
+        super().__init__(message)
+        self.jet = jet
+        self.bad = bad
 
 
-def _all_zero(x) -> bool:
-    return np.all(np.asarray(x) == 0.0)
+def _checked(jet, bad, message):
+    """jet, or a JetDomainError carrying it if any point is bad."""
+    if np.any(bad):
+        raise JetDomainError(message, jet, bad)
+    return jet
 
 
 class Jet2:
@@ -64,7 +78,7 @@ class Jet2:
 
     def is_constant(self) -> bool:
         """True when every derivative slot is identically zero."""
-        return all(_all_zero(s) for s in (self.fu, self.fv, self.fuu, self.fuv, self.fvv))
+        return all(np.all(np.asarray(s) == 0.0) for s in self.slots()[1:])
 
     def __repr__(self):
         return (f"Jet2(f={self.f!r}, fu={self.fu!r}, fv={self.fv!r}, "
@@ -107,20 +121,18 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, Jet2):
-            return self * (1.0 / other)
-        g = other
-        if np.any(np.asarray(g.f) == 0.0):
-            raise JetDomainError("division by zero")
+    def __truediv__(self, g):
+        if not isinstance(g, Jet2):
+            return self * (1.0 / g)
+        gf = np.asarray(g.f, dtype=float)  # x/0 is inf, not a ZeroDivisionError
         # quotient rule solved for h = f/g:  f = h*g  =>  derivatives of h
-        h = self.f / g.f
-        hu = (self.fu - h * g.fu) / g.f
-        hv = (self.fv - h * g.fv) / g.f
-        huu = (self.fuu - 2.0 * hu * g.fu - h * g.fuu) / g.f
-        huv = (self.fuv - hu * g.fv - hv * g.fu - h * g.fuv) / g.f
-        hvv = (self.fvv - 2.0 * hv * g.fv - h * g.fvv) / g.f
-        return Jet2(h, hu, hv, huu, huv, hvv)
+        h = self.f / gf
+        hu = (self.fu - h * g.fu) / gf
+        hv = (self.fv - h * g.fv) / gf
+        huu = (self.fuu - 2.0 * hu * g.fu - h * g.fuu) / gf
+        huv = (self.fuv - hu * g.fv - hv * g.fu - h * g.fuv) / gf
+        hvv = (self.fvv - 2.0 * hv * g.fv - h * g.fvv) / gf
+        return _checked(Jet2(h, hu, hv, huu, huv, hvv), gf == 0.0, "division by zero")
 
     def __rtruediv__(self, other):
         return Jet2(other) / self
@@ -194,38 +206,39 @@ def exp(x):
     return _chain(x, e, e, e)
 
 
+def _log(x: Jet2) -> Jet2:
+    f = np.asarray(x.f, dtype=float)  # 1/0 is inf, not a ZeroDivisionError
+    return _chain(x, np.log(f), 1.0 / f, -1.0 / (f * f))
+
+
 def log(x):
     if not isinstance(x, Jet2):
         return np.log(x)
-    if np.any(np.asarray(x.f) <= 0.0):
-        raise JetDomainError("log of non-positive value")
-    return _chain(x, np.log(x.f), 1.0 / x.f, -1.0 / (x.f * x.f))
+    return _checked(_log(x), x.f <= 0.0, "log of non-positive value")
 
 
 def sqrt(x):
     if not isinstance(x, Jet2):
         return np.sqrt(x)
-    if np.any(np.asarray(x.f) <= 0.0):
-        # at 0 the derivative is unbounded, below 0 the value leaves the reals
-        raise JetDomainError("sqrt of non-positive value")
     s = np.sqrt(x.f)
-    return _chain(x, s, 0.5 / s, -0.25 / (s * x.f))
+    jet = _chain(x, s, 0.5 / s, -0.25 / (s * x.f))
+    # at 0 the derivative is unbounded, below 0 the value leaves the reals
+    return _checked(jet, x.f <= 0.0, "sqrt of non-positive value")
 
 
 def absolute(x):
     if not isinstance(x, Jet2):
         return np.abs(x)
-    if np.any(np.asarray(x.f) == 0.0):
-        raise JetDomainError("abs is not differentiable at zero")
-    sg = np.sign(x.f)
-    return _chain(x, np.abs(x.f), sg, 0.0)
+    jet = _chain(x, np.abs(x.f), np.sign(x.f), 0.0)
+    return _checked(jet, x.f == 0.0, "abs is not differentiable at zero")
 
 
 def power(base, expo):
     """base ** expo on jets, real-valued semantics.
 
     Integer exponents are valid for any base; non-integer or genuinely variable
-    exponents require a strictly positive base.
+    exponents require a strictly positive base.  Whether the exponent is
+    constant and integer is decided for the whole batch.
     """
     if not isinstance(base, Jet2):
         base = Jet2.constant(base)
@@ -233,45 +246,35 @@ def power(base, expo):
         if expo.is_constant():
             expo = expo.f
         else:
-            if np.any(np.asarray(base.f) <= 0.0):
-                raise JetDomainError("variable exponent requires a positive base")
-            return exp(expo * log(base))
+            return _checked(exp(expo * _log(base)), base.f <= 0.0,
+                            "variable exponent requires a positive base")
     c = np.asarray(expo, dtype=float)
-    if np.all(np.isfinite(c)) and np.all(c == np.floor(c)):
-        return _int_power(base, c)
-    if np.any(np.asarray(base.f) <= 0.0):
-        raise JetDomainError("non-integer exponent requires a positive base")
+    if np.ndim(c) == 0 and c == 0.0:
+        return Jet2(np.ones_like(np.asarray(base.f, dtype=float)) if np.ndim(base.f) else 1.0)
+    if np.ndim(c) == 0 and c == 1.0:
+        return Jet2(*base.slots())
     with np.errstate(all="ignore"):
         f0 = np.power(base.f, c)
         f1 = c * np.power(base.f, c - 1.0)
         f2 = c * (c - 1.0) * np.power(base.f, c - 2.0)
-    return _chain(base, f0, f1, f2)
-
-
-def _int_power(x: Jet2, c) -> Jet2:
-    if np.ndim(c) == 0:
-        n = float(c)
-        if n == 0.0:
-            return Jet2(np.ones_like(np.asarray(x.f, dtype=float)) if np.ndim(x.f) else 1.0)
-        if n == 1.0:
-            return Jet2(*x.slots())
-    with np.errstate(all="ignore"):
-        f0 = np.power(x.f, c)
-        f1 = c * np.power(x.f, c - 1.0)
-        f2 = c * (c - 1.0) * np.power(x.f, c - 2.0)
-    return _chain(x, f0, f1, f2)
+        jet = _chain(base, f0, f1, f2)
+    if np.all(np.isfinite(c)) and np.all(c == np.floor(c)):
+        return jet
+    return _checked(jet, base.f <= 0.0, "non-integer exponent requires a positive base")
 
 
 @dataclass(frozen=True)
 class Jet2Vec3:
     """A point of 3-space with exact first and second (u, v) partials.
 
-    The accessors return the component jets' slots as (x, y, z) planes, not copies.
+    The accessors return the component jets' slots as (x, y, z) planes, not
+    copies; shape is that of the (u, v) points the jet was evaluated at.
     """
 
     x: Jet2
     y: Jet2
     z: Jet2
+    shape: tuple = ()
 
     def value(self) -> tuple:
         return (self.x.f, self.y.f, self.z.f)

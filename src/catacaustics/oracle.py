@@ -11,6 +11,10 @@ determinant is an explicit quadratic polynomial in lambda, so its two roots --
 the signed focal distances along each ray -- come out in closed form.  None of
 the fundamental-form machinery is touched, which makes this an independent
 check of the curvature route.
+
+Each stencil point is evaluated once per block of rows.  Where it leaves the
+chart, eval_surface's error carries the evaluated jet and the outside mask,
+and those points get no ray.
 """
 
 from __future__ import annotations
@@ -52,44 +56,51 @@ class RaySample:
 
 
 def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
-                eps_grazing: float = EPS_GRAZING_DEFAULT):
+                eps_grazing: float = EPS_GRAZING_DEFAULT, mask_outside: bool = False):
     """Vectorized rays with a lit-mask; silently masks degenerate points.
 
     Returns (r, b, lit, flipped): the mirror points and unit reflected
     directions as (x, y, z) planes of the broadcast shape of U and V, the
-    lit mask and where the raw normal r_u x r_v faces the light.
+    lit mask and where the raw normal r_u x r_v faces the light.  With
+    mask_outside, points off the chart get r = b = 0, unlit and unflipped,
+    instead of raising EvalDomainError.
     """
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    shape = np.broadcast_shapes(U.shape, V.shape)
-    jet = eval_surface(surface, U, V)
+    outside = None
+    try:
+        jet = eval_surface(surface, U, V)
+    except EvalDomainError as err:
+        if not mask_outside:
+            raise
+        jet, outside = err.jet, err.outside
     r, ru, rv = jet.value(), jet.d_u(), jet.d_v()
-
-    c = cross(ru, rv)
-    cn = norm(c)
-    # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
-    regular = cn > REGULARITY_RTOL * norm(ru) * norm(rv)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # off the chart the jet holds garbage
+        c = cross(ru, rv)
+        cn = norm(c)
+        # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
+        regular = cn > REGULARITY_RTOL * norm(ru) * norm(rv)
         inv = np.where(cn > 0.0, cn, 1.0)
         n_raw = tuple(ci / inv for ci in c)
-    if isinstance(field, PointSource):
-        d = tuple(ri - oi for ri, oi in zip(r, field.origin))
-        dist = norm(d)
-        _check_source_distance(dist)
-        a = tuple(di / dist for di in d)
-    else:
-        a = tuple(field.direction)
-    side = dot(a, n_raw)
+        if isinstance(field, PointSource):
+            d = tuple(ri - oi for ri, oi in zip(r, field.origin))
+            dist = norm(d)
+            _check_source_distance(dist if outside is None else np.where(outside, np.inf, dist))
+            a = tuple(di / dist for di in d)
+        else:
+            a = tuple(field.direction)
+        side = dot(a, n_raw)
+        # the mirror law b = a - 2 (a, n) n is even in n and IEEE negation is
+        # exact, so reflecting in n_raw gives the same bits as in the oriented n
+        b = tuple(ai - 2.0 * side * ni for ai, ni in zip(a, n_raw))
     flipped = side > 0.0
-    # the mirror law b = a - 2 (a, n) n is even in n and IEEE negation is
-    # exact, so reflecting in n_raw gives the same bits as in the oriented n
-    b = tuple(ai - 2.0 * side * ni for ai, ni in zip(a, n_raw))
     lit = regular & (np.abs(side) > eps_grazing)
+    if outside is not None:
+        r, b = ([np.where(outside, 0.0, x) for x in planes] for planes in (r, b))
+        lit, flipped = lit & ~outside, flipped & ~outside
 
-    def full(planes):
-        return tuple(np.broadcast_to(x, shape) for x in planes)
+    def full(x):
+        return np.broadcast_to(x, jet.shape)
 
-    return full(r), full(b), np.broadcast_to(lit, shape), np.broadcast_to(flipped, shape)
+    return tuple(map(full, r)), tuple(map(full, b)), full(lit), full(flipped)
 
 
 def reflected_ray(surface: SurfaceAST, field: IncidentField, u: float, v: float,
@@ -102,46 +113,22 @@ def reflected_ray(surface: SurfaceAST, field: IncidentField, u: float, v: float,
     return RaySample(np.array(r, dtype=float), np.array(b, dtype=float), float(u), float(v))
 
 
-def _bundle_or_mask(surface, field, U, V, eps_grazing):
-    """Ray bundle that degrades to per-point evaluation on domain errors."""
-    try:
-        return _ray_bundle(surface, field, U, V, eps_grazing)
-    except EvalDomainError:
-        pass
-    shape = np.broadcast_shapes(np.shape(U), np.shape(V))
-    U = np.broadcast_to(np.asarray(U, dtype=float), shape)
-    V = np.broadcast_to(np.asarray(V, dtype=float), shape)
-    r = np.zeros((3,) + shape)
-    b = np.zeros((3,) + shape)
-    lit = np.zeros(shape, dtype=bool)
-    flipped = np.zeros(shape, dtype=bool)
-    for idx in np.ndindex(shape):
-        try:
-            ri, bi, li, fi = _ray_bundle(surface, field, U[idx], V[idx], eps_grazing)
-        except EvalDomainError:
-            continue
-        r[(slice(None),) + idx], b[(slice(None),) + idx] = ri, bi
-        lit[idx], flipped[idx] = li, fi
-    return tuple(r), tuple(b), lit, flipped
-
-
 def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     """FD-assembled coefficients (c0, c1, c2) of det[d_u F, d_v F, b](lambda).
 
     Returns (coeffs, r0, b0, ok) with r0 and b0 the (..., 3) mirror points
-    and reflected directions at (U, V).
+    and reflected directions at (U, V); a point whose stencil leaves the
+    chart is not ok.
     """
-    r0, b0, lit0, flip0 = _bundle_or_mask(surface, field, U, V, eps_grazing)
-    rpu, bpu, lpu, fpu = _bundle_or_mask(surface, field, U + h, V, eps_grazing)
-    rmu, bmu, lmu, fmu = _bundle_or_mask(surface, field, U - h, V, eps_grazing)
-    rpv, bpv, lpv, fpv = _bundle_or_mask(surface, field, U, V + h, eps_grazing)
-    rmv, bmv, lmv, fmv = _bundle_or_mask(surface, field, U, V - h, eps_grazing)
-
-    ok = lit0 & lpu & lmu & lpv & lmv
-    # a stencil straddling an orientation fold would difference two normals of
-    # opposite sign; treat such points as unusable rather than produce garbage
-    consistent = (fpu == flip0) & (fmu == flip0) & (fpv == flip0) & (fmv == flip0)
-    ok &= consistent
+    r0, b0, ok, flip0 = _ray_bundle(surface, field, U, V, eps_grazing, mask_outside=True)
+    stencil = []
+    for u, v in ((U + h, V), (U - h, V), (U, V + h), (U, V - h)):
+        r, b, lit, flipped = _ray_bundle(surface, field, u, v, eps_grazing, mask_outside=True)
+        # a stencil straddling an orientation fold would difference two normals
+        # of opposite sign; treat such points as unusable rather than produce garbage
+        ok = ok & lit & (flipped == flip0)
+        stencil.append((r, b))
+    (rpu, bpu), (rmu, bmu), (rpv, bpv), (rmv, bmv) = stencil
 
     inv2h = 1.0 / (2.0 * h)
 

@@ -21,6 +21,8 @@ An optional domain declaration may follow the surface:
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -68,10 +70,12 @@ class ArityError(SurfaceLangError):
 
 
 class EvalDomainError(ArithmeticError):
-    """Evaluation hit an undefined real operation; carries the offending node."""
+    """An undefined real operation; carries the node and eval_surface's jet and outside."""
 
-    def __init__(self, node, message: str):
+    def __init__(self, node, message: str, jet=None, outside=None):
         self.node = node
+        self.jet = jet
+        self.outside = outside
         super().__init__(f"{message} in '{format_expr(node)}'")
 
 
@@ -433,7 +437,12 @@ def to_text(ast: SurfaceAST) -> str:
 # evaluation
 # --------------------------------------------------------------------------
 
-def _eval_node(node: Node, ju: Jet2, jv: Jet2, params: dict) -> Jet2:
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": jets.power}
+
+
+def _eval_node(node: Node, ju: Jet2, jv: Jet2, params: dict, failed: list) -> Jet2:
+    """The jet of node; domain errors go to failed as (node, message, bad points)."""
     if isinstance(node, Const):
         return Jet2(node.value)
     if isinstance(node, Var):
@@ -441,48 +450,51 @@ def _eval_node(node: Node, ju: Jet2, jv: Jet2, params: dict) -> Jet2:
     if isinstance(node, Param):
         return Jet2(params[node.name])
     if isinstance(node, Neg):
-        return -_eval_node(node.operand, ju, jv, params)
+        return -_eval_node(node.operand, ju, jv, params, failed)
     if isinstance(node, Call):
-        arg = _eval_node(node.arg, ju, jv, params)
-        try:
-            return _FUNC_TABLE[node.func](arg)
-        except JetDomainError as e:
-            raise EvalDomainError(node, str(e)) from None
-    if isinstance(node, BinOp):
-        left = _eval_node(node.left, ju, jv, params)
-        right = _eval_node(node.right, ju, jv, params)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            return jets.power(left, right)
-        except JetDomainError as e:
-            raise EvalDomainError(node, str(e)) from None
-    raise TypeError(f"not an expression node: {node!r}")
+        op, operands = _FUNC_TABLE[node.func], (node.arg,)
+    elif isinstance(node, BinOp):
+        op, operands = _BINOPS[node.op], (node.left, node.right)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    args = [_eval_node(x, ju, jv, params, failed) for x in operands]
+    try:
+        return op(*args)
+    except JetDomainError as e:
+        failed.append((node, str(e), e.bad))
+        return e.jet
 
 
 def eval_surface(ast: SurfaceAST, u, v) -> Jet2Vec3:
     """Evaluate a surface at (u, v) as a jet of position and partials.
 
     u and v may be scalars or broadcastable numpy arrays; results carry the
-    broadcast shape.  Raises EvalDomainError when an undefined real operation
-    or a non-finite value is hit.
+    broadcast shape.  All points are evaluated in one pass, which a bad one
+    does not stop.  Raises EvalDomainError when an undefined real operation
+    or a non-finite value is hit, naming the first failing node in
+    evaluation order (each component's non-finite check after its
+    operations).  The error carries the jet and the mask outside, True
+    exactly where evaluating that point alone raises; elsewhere the jet is
+    bit for bit that point's evaluation.
     """
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     ju = Jet2.var_u(u)
     jv = Jet2.var_v(v)
+    failed = []
     out = []
     with np.errstate(all="ignore"):
         for label, tree in zip("xyz", ast.components()):
-            j = _eval_node(tree, ju, jv, ast.params)
-            if not all(np.all(np.isfinite(s)) for s in j.slots()):
-                raise EvalDomainError(tree, f"non-finite value in {label}-component")
+            j = _eval_node(tree, ju, jv, ast.params, failed)
+            finite = functools.reduce(np.logical_and, map(np.isfinite, j.slots()))
+            if not np.all(finite):
+                failed.append((tree, f"non-finite value in {label}-component", ~finite))
             out.append(j)
-    return Jet2Vec3(*out)
+    jet = Jet2Vec3(*out, shape=shape)
+    if failed:
+        outside = functools.reduce(np.logical_or, [bad for *_, bad in failed],
+                                   np.zeros(shape, dtype=bool))
+        raise EvalDomainError(*failed[0][:2], jet, outside)
+    return jet
 
 
 # --------------------------------------------------------------------------

@@ -257,10 +257,10 @@ def test_criterion_09_algebraic_property_suite():
         grid = GridSpec(20, 20, GRAPH_DOMAIN)
         U, V = grid.mesh()
         jet = eval_surface(ast, U, V)
-        a = incident_direction(field, jet.value())
+        a, r_dist = incident_direction(field, jet.value())
         frame = frame_at(jet, a)
         forms = fundamental_forms(frame)
-        refl = reflection_data(frame, a, field)
+        refl = reflection_data(frame, a, r_dist)
         lit = np.abs(refl.cos_theta) > 1e-6
         if not np.all(lit):
             continue

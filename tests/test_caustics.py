@@ -40,25 +40,25 @@ AXIAL = FlatFront((0.0, 0.0, 1.0))
 def _pipeline(text, field, u, v, params=None):
     jet = eval_surface(parse_surface(text, params), u, v)
     r = jet.value()
-    a = incident_direction(field, r)
+    a, r_dist = incident_direction(field, r)
     frame = frame_at(jet, a)
     forms = fundamental_forms(frame)
-    refl = reflection_data(frame, a, field)
+    refl = reflection_data(frame, a, r_dist)
     return frame, forms, refl
 
 
 class TestIncidentDirection:
     def test_flat_is_constant(self):
-        a = incident_direction(AXIAL, np.array([3.0, -1.0, 2.0]))
+        a, _ = incident_direction(AXIAL, np.array([3.0, -1.0, 2.0]))
         assert np.allclose(a, [0, 0, 1])
 
     def test_point_source_at_origin_on_unit_sphere(self):
         r = np.array([np.cos(0.5), 0.0, np.sin(0.5)])
-        a = incident_direction(PointSource((0, 0, 0)), r)
+        a, _ = incident_direction(PointSource((0, 0, 0)), r)
         assert np.allclose(a, r, atol=1e-15)
 
     def test_point_source_off_origin(self):
-        a = incident_direction(PointSource((0, 0, 0.1)), np.array([0.0, 0.0, 1.0]))
+        a, _ = incident_direction(PointSource((0, 0, 0.1)), np.array([0.0, 0.0, 1.0]))
         assert np.allclose(a, [0, 0, 1])
 
     def test_source_on_surface_is_error(self):
@@ -131,10 +131,10 @@ class TestModifiedForms:
             field = random_field(rng)
             u, v = rng.uniform(-0.9, 0.9, size=2)
             jet = eval_surface(ast, u, v)
-            a = incident_direction(field, jet.value())
+            a, r_dist = incident_direction(field, jet.value())
             frame = frame_at(jet, a)
             forms = fundamental_forms(frame)
-            refl = reflection_data(frame, a, field)
+            refl = reflection_data(frame, a, r_dist)
             mods = modified_forms(forms, refl, field)
             want = forms.det_g * refl.cos_theta**2
             assert mods.det_gs == pytest.approx(want, rel=1e-10)
@@ -316,10 +316,10 @@ class TestRootIdentities:
             field = FlatFront((rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), 1.0))
             u, v = rng.uniform(-0.9, 0.9, size=2)
             jet = eval_surface(ast, u, v)
-            a = incident_direction(field, jet.value())
+            a, r_dist = incident_direction(field, jet.value())
             frame = frame_at(jet, a)
             forms = fundamental_forms(frame)
-            refl = reflection_data(frame, a, field)
+            refl = reflection_data(frame, a, r_dist)
             mods = modified_forms(forms, refl, field)
             p, q = caustic_coefficients(forms, refl, field)
             k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field)
@@ -442,6 +442,18 @@ def test_vanishing_partial_is_degenerate_not_grazing():
             compute_caustic_sheets(ast, AXIAL, grid)
     message = str(err.value)
     assert "at 8 point(s)" in message
+    assert "first at grid index (0, 0)" in message
+
+
+@pytest.mark.parametrize("text", ["[u, u^2, u^3]", "[v, v^2, v^3]"])
+def test_degenerate_count_is_taken_on_the_grid(text):
+    # a chart in u (or v) alone has planes of shape (nu, 1) (or (1, nv)); every
+    # one of the 5 x 8 grid points is singular, not just one per plane entry
+    grid = GridSpec(5, 8, (0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(DegenerateSurfaceError) as err:
+        compute_caustic_sheets(parse_surface(text), AXIAL, grid)
+    message = str(err.value)
+    assert "at 40 point(s)" in message
     assert "first at grid index (0, 0)" in message
 
 
@@ -593,10 +605,10 @@ def test_near_grazing_routes_differ_only_by_the_conditioning():
     ast, dom = build_surface("revolution")
     U, V = GridSpec(100, 100, dom).mesh()
     jet = eval_surface(ast, U[10, 2], V[10, 2])
-    a = incident_direction(field, jet.value())
+    a, r_dist = incident_direction(field, jet.value())
     frame = frame_at(jet, a)
     forms = fundamental_forms(frame)
-    refl = reflection_data(frame, a, field)
+    refl = reflection_data(frame, a, r_dist)
     mods = modified_forms(forms, refl, field)
     p, q = caustic_coefficients(forms, refl, field)
     cos = float(refl.cos_theta)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from catacaustics import Jet2, parse_surface
 from catacaustics.jets import JetDomainError
-from catacaustics.surfacelang import (Const, EvalDomainError, SurfaceAST,
-                                      eval_surface)
+from catacaustics.surfacelang import (BinOp, Call, Const, EvalDomainError, Neg,
+                                      SurfaceAST, eval_surface)
 from conftest import random_scalar_expr
 
 H_FD = 1e-4
@@ -162,3 +162,94 @@ def test_jet_constant_detection():
     assert not Jet2.var_u(1.0).is_constant()
     two = Jet2.var_v(2.5) - Jet2.var_v(2.5) + 2.0
     assert two.is_constant()
+
+
+# -- one-pass evaluation: a batch with bad points is its points one at a time --
+
+EDGES = ("sqrt(u)", "log(v)", "1/u", "abs(u)", "u^2.5", "sqrt(u)^0")
+
+
+def random_edge_expr(rng: np.random.Generator, depth: int = 2):
+    """A random_scalar_expr tree with operations at the edge of the real domain mixed in."""
+
+    def make(d):
+        if d <= 0 or rng.random() < 0.3:
+            if rng.random() < 0.5:
+                return parse_surface(f"[{rng.choice(EDGES)}, 0, 0]").x
+            return random_scalar_expr(rng, depth=1)
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            return BinOp(str(rng.choice(["+", "-", "*", "/"])), make(d - 1), make(d - 1))
+        if kind == 1:
+            return Call(str(rng.choice(["sin", "exp", "sqrt", "log", "abs"])), make(d - 1))
+        if kind == 2:
+            return BinOp("^", make(d - 1), Const(float(rng.choice([0.0, 2.0, 2.5, -1.0]))))
+        return Neg(make(d - 1))
+
+    return make(depth)
+
+
+def _failure_sites(ast):
+    """Where eval_surface can fail, in its order: (node id, non-finite check?)."""
+    sites = []
+
+    def walk(node):
+        for name in ("operand", "arg", "left", "right"):
+            if hasattr(node, name):
+                walk(getattr(node, name))
+        sites.append((id(node), False))
+
+    for tree in ast.components():
+        walk(tree)
+        sites.append((id(tree), True))
+    return sites
+
+
+@given(seed=st.integers(0, 2**32 - 1), ku=st.integers(1, 3), kv=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_batch_evaluation_is_the_per_point_evaluation(seed, ku, kv):
+    rng = np.random.default_rng(seed)
+    ast = SurfaceAST(*(random_edge_expr(rng) for _ in range(3)))
+    # odd counts put a sample at 0, the edge of sqrt, log, 1/u and abs
+    us, vs = np.linspace(-1.0, 1.0, 2 * ku + 1), np.linspace(-1.0, 1.0, 2 * kv + 1)
+    shape = (us.size, vs.size)
+    sites = _failure_sites(ast)
+
+    def site(err):
+        return sites.index((id(err.node), "non-finite value" in str(err)))
+
+    points, errors = {}, {}
+    for i, j in np.ndindex(shape):
+        try:
+            points[i, j] = eval_surface(ast, us[i], vs[j])
+        except EvalDomainError as err:
+            errors[i, j] = err
+    try:
+        jet, outside = eval_surface(ast, us[:, None], vs[None, :]), np.zeros(shape, bool)
+        assert not errors
+    except EvalDomainError as err:
+        first = min(errors.values(), key=site)
+        assert err.node is first.node and str(err) == str(first)
+        jet, outside = err.jet, err.outside
+    assert np.array_equal(outside, [[(i, j) in errors for j in range(shape[1])]
+                                    for i in range(shape[0])])
+    for (i, j), point in points.items():
+        for comp_b, comp_p in zip(jet.components(), point.components()):
+            for slot_b, slot_p in zip(comp_b.slots(), comp_p.slots()):
+                got = np.broadcast_to(np.asarray(slot_b, dtype=float), shape)[i, j]
+                assert got.view(np.uint64) == np.float64(slot_p).view(np.uint64)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[sqrt(u)^0, v, 0]", "sqrt of non-positive value in 'sqrt(u)'"),
+    ("[u^2.5, v, 0]", "non-integer exponent requires a positive base in 'u^2.5'"),
+    ("[abs(u), v, 0]", "abs is not differentiable at zero in 'abs(u)'"),
+])
+def test_outside_holds_failures_with_finite_values(text, message):
+    # at u = 0 each of these evaluates to finite values, yet leaves the chart
+    us, vs = np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.4])
+    with pytest.raises(EvalDomainError) as err:
+        eval_surface(parse_surface(text), us[:, None], vs[None, :])
+    assert str(err.value) == message
+    assert np.array_equal(err.value.outside, [[True, True], [False, False], [False, False]])
+    assert all(np.all(np.isfinite(s)) for c in err.value.jet.components() for s in c.slots())

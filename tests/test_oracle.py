@@ -11,7 +11,7 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           compute_caustic_sheets, eval_surface,
                           focal_distances_bruteforce, parse_surface,
                           reflected_ray, validate_sheets)
-from catacaustics import caustics
+from catacaustics import caustics, oracle
 from catacaustics.caustics import SourceOnSurfaceError
 from catacaustics.diffgeo import REGULARITY_RTOL
 from catacaustics.oracle import (GrazingIncidenceError, _focal_quadratic,
@@ -326,3 +326,17 @@ def test_planes_oracle_is_bitwise_the_stacked_reference(name, seed, point, nu, n
         for g, w in zip(got[1:3], want[1:3]):
             assert np.array_equal(_bits(g), _bits(w))
         assert np.array_equal(got[3], want[3])
+
+
+def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
+    # every row block has stencils at u - h < 0, off the chart of sqrt(u); they
+    # are masked in the batch instead of re-evaluating the block point by point
+    ast, dom = parse_surface(SQRT_APEX[0]), SQRT_APEX[1]
+    grid = GridSpec(200, 200, dom)
+    assert len(caustics.row_blocks(grid.nu, grid.nv)) == 2
+    sheets = compute_caustic_sheets(ast, AXIAL, grid)[:2]
+    with mock.patch.object(oracle, "eval_surface", wraps=eval_surface) as spy:
+        report = validate_sheets(sheets, ast, AXIAL, grid)
+    assert spy.call_count == 10
+    assert report.passed
+    assert report.n_flag_disagreements == grid.nv  # row u0: its stencil leaves the chart
