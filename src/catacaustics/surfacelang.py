@@ -469,13 +469,13 @@ def eval_surface(ast: SurfaceAST, u, v) -> Jet2Vec3:
     """Evaluate a surface at (u, v) as a jet of position and partials.
 
     u and v may be scalars or broadcastable numpy arrays; results carry the
-    broadcast shape.  All points are evaluated in one pass, which a bad one
-    does not stop.  Raises EvalDomainError when an undefined real operation
-    or a non-finite value is hit, naming the first failing node in
-    evaluation order (each component's non-finite check after its
-    operations).  The error carries the jet and the mask outside, True
-    exactly where evaluating that point alone raises; elsewhere the jet is
-    bit for bit that point's evaluation.
+    broadcast shape.  All points are evaluated in one pass; a bad one does
+    not stop it.  Raises EvalDomainError at an undefined real operation or a
+    non-finite value, naming the first failing node in evaluation order (a
+    component's non-finite check after its operations), with the jet and
+    the mask outside: True exactly where evaluating that point alone raises,
+    and elsewhere the jet is bit for bit that point's evaluation (unless a
+    power's exponent differs between points; see jets.power).
     """
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     ju = Jet2.var_u(u)
