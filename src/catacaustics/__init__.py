@@ -3,7 +3,21 @@
 The package computes, in closed form, the two focal sheets (caustics) of a
 flat or spherical wavefront after reflection from a mirror r(u, v), and
 validates them against an independent brute-force ray-envelope oracle.
+
+Importing the package sets OPENBLAS_NUM_THREADS to 1 in os.environ unless it
+is already set, so processes started from this one inherit it too.  It
+takes effect only when numpy has not been imported yet.
 """
+
+import os
+
+# Pinned before numpy loads OpenBLAS.  On a 2-vCPU host, median of 8
+# alternating runs each: `catacaustics builtins` (start-up plus import) took
+# 0.337 s with 2 threads and 0.272 s pinned, and `compute` on the ellipsoid
+# with a point source at 400x400 (OBJ) 0.993 s and 0.717 s; the threaded
+# BLAS stalls at start-up in the sheet statistics' SVD and projection.
+# Pinning changes no output byte.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .caustics import (CausticPoint, CausticSheet, FlatFront, FrontPoint,
                        FrontStatistics, GridSpec, IncidentField,

@@ -250,7 +250,7 @@ def cmd_compute(scene: SceneSpec) -> int:
         export_mesh(grid_mesh, scene.fmt, path)
         print(f"wrote {path}")
     stats_path = f"{scene.out}-stats.txt"
-    write_ascii(stats_path, (stats.to_text(),))
+    write_ascii(stats_path, (stats.to_text().encode("ascii"),))
     print(f"wrote {stats_path}")
 
     if stats.empty:

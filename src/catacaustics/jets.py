@@ -17,6 +17,7 @@ the floating-point warnings of the bad points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,34 +234,49 @@ def absolute(x):
     return _checked(jet, x.f == 0.0, "abs is not differentiable at zero")
 
 
-def power(base, expo):
-    """base ** expo on jets, real-valued semantics.
+def _select(mask, a: Jet2, b: Jet2) -> Jet2:
+    """The jet that is a where mask holds and b elsewhere."""
+    return Jet2(*(np.where(mask, x, y) for x, y in zip(a.slots(), b.slots())))
 
-    Integer exponents are valid for any base; non-integer or genuinely variable
-    exponents require a strictly positive base.  Whether the exponent is
-    constant and integer is decided for the whole batch.
+
+def power(base, expo):
+    """base ** expo on jets, real-valued semantics, decided at each point.
+
+    Where the exponent is constant (every derivative zero) and an integer,
+    any base is valid; elsewhere the base must be strictly positive.  Where a
+    constant exponent is 0 the result is exactly 1, and where it is 1 exactly
+    the base, so each point gets what evaluating it alone gives.
     """
     if not isinstance(base, Jet2):
         base = Jet2.constant(base)
-    if isinstance(expo, Jet2):
-        if expo.is_constant():
-            expo = expo.f
-        else:
-            return _checked(exp(expo * _log(base)), base.f <= 0.0,
-                            "variable exponent requires a positive base")
-    c = np.asarray(expo, dtype=float)
-    if np.ndim(c) == 0 and c == 0.0:
-        return Jet2(np.ones_like(np.asarray(base.f, dtype=float)) if np.ndim(base.f) else 1.0)
-    if np.ndim(c) == 0 and c == 1.0:
-        return Jet2(*base.slots())
+    if not isinstance(expo, Jet2):
+        expo = Jet2(expo)
+    c = expo.f
+    const = functools.reduce(np.logical_and, [np.asarray(s) == 0.0 for s in expo.slots()[1:]])
+    if np.ndim(c) == 0 and np.ndim(const) == 0 and const:
+        if c == 0.0:
+            return Jet2(np.ones_like(np.asarray(base.f, dtype=float)) if np.ndim(base.f) else 1.0)
+        if c == 1.0:
+            return Jet2(*base.slots())
     with np.errstate(all="ignore"):
-        f0 = np.power(base.f, c)
-        f1 = c * np.power(base.f, c - 1.0)
-        f2 = c * (c - 1.0) * np.power(base.f, c - 2.0)
-        jet = _chain(base, f0, f1, f2)
-    if np.all(np.isfinite(c)) and np.all(c == np.floor(c)):
+        jet = None
+        if np.any(const):
+            jet = _chain(base, np.power(base.f, c), c * np.power(base.f, c - 1.0),
+                         c * (c - 1.0) * np.power(base.f, c - 2.0))
+            if np.ndim(c) or np.ndim(const):   # the exponent differs between points
+                jet = _select(const & (c == 0.0), Jet2(1.0),
+                              _select(const & (c == 1.0), base, jet))
+        if not np.all(const):
+            variable = exp(expo * _log(base))
+            jet = variable if jet is None else _select(const, jet, variable)
+        integer = const & np.isfinite(c) & (c == np.floor(c))
+    bad = (base.f <= 0.0) & ~integer
+    if not np.any(bad):
         return jet
-    return _checked(jet, base.f <= 0.0, "non-integer exponent requires a positive base")
+    # the message of the first bad point, as evaluating the points one by one finds it
+    first_const = np.broadcast_to(const, np.shape(bad)).flat[np.argmax(bad)]
+    raise JetDomainError("non-integer exponent requires a positive base" if first_const
+                         else "variable exponent requires a positive base", jet, bad)
 
 
 @dataclass(frozen=True)

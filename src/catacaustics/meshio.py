@@ -7,9 +7,20 @@ and platform.  Tests pin the SHA-256 of reference scenes.  Invalid vertices
 are dropped (together with their incident faces) instead of emitting NaN,
 which many mesh viewers reject.
 
-The writers format blocks of CHUNK_ROWS lines with one C-level ``%`` call per
-block and write each block to the file as soon as it is formatted; no Python
-statement runs per vertex or face, and no whole-file string is built.
+The writers build blocks of CHUNK_ROWS lines with numpy and write each block
+to the file as soon as it is built; no Python statement runs per vertex or
+face, and no whole-file string is built.  A block is a (width, lines) stack
+of byte planes, one row per byte position: literals are constant rows, and
+each number field is its rows of ASCII digits.  A %.9f field is the exactly
+rounded integer x * 10**9 (an error-free product settles the products that
+land on a half-integer, so it rounds as the decimal conversion does); its
+digits come from a table of 0..999.  The sign of a non-negative value and
+leading zeros are NUL bytes, and one bytes.translate per block deletes them,
+so fields take their natural width.  A %d field (face index, CSV flags) takes
+the same digit path.  Values formatted together (the coordinates of a block,
+or a CSV axis) that include a non-finite value, or one beyond
+|x| = 2**51 / 10**9, are printed by the "%" operator instead; that is the
+only route for such values.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from .caustics import FLAG_CLIPPED, FLAG_VALID, CausticSheet, caustic_radius
 
 __all__ = ["MaskedGrid", "clip_sheet", "export_mesh", "write_ascii", "FORMATS"]
 
-CHUNK_ROWS = 32768      # lines formatted by one % call and written at once
+CHUNK_ROWS = 32768      # lines built as one block and written at once
 
 
 @dataclass
@@ -69,22 +80,123 @@ def clip_sheet(sheet: CausticSheet, max_radius: float = None) -> MaskedGrid:
     return MaskedGrid(sheet.u, sheet.v, sheet.xi, flags)
 
 
-_NEG_ZERO = "-0.000000000"
+# ASCII digits of 0..999: rows hundreds, tens, units; one column per value
+_DIGITS = np.array([list(f"{k:03d}".encode()) for k in range(1000)], np.uint8).T.copy()
+
+# |x| <= 2**51 / 1e9 keeps |x * 1e9| below 2**52, where every half-integer is a
+# double: a product that does not land on a half-integer then rounds to the
+# same integer as the exact product, and one that does is settled by its error
+_FAST_LIMIT = 2.0 ** 51 / 1e9
 
 
-def _normalise_zero(text: str) -> str:
-    return text.replace(_NEG_ZERO, _NEG_ZERO[1:]) if _NEG_ZERO in text else text
+def _product_error(x):
+    """x * 1e9 - fl(x * 1e9), exactly (Dekker's two-product).
 
-
-def _blocks(template: str, rows: np.ndarray):
-    """Yield `template` filled from each row of the 2-D array `rows`.
-
-    Each block of CHUNK_ROWS rows is formatted by one ``%`` call; "%.9f" prints
-    exactly as f"{x:.9f}" does, inf and nan included.
+    1e9 has 21 significant bits, so it needs no split and both halves of x
+    times 1e9 are exact.  Exact while no product underflows, which holds for
+    the |x * 1e9| >= 0.5 it is called on.
     """
-    for start in range(0, len(rows), CHUNK_ROWS):
-        block = rows[start:start + CHUNK_ROWS]
-        yield _normalise_zero((template * len(block)) % tuple(block.ravel().tolist()))
+    c = 134217729.0 * x     # 2**27 + 1: Veltkamp's split into two 26-bit halves
+    hi = c - (c - x)
+    return (hi * 1e9 - x * 1e9) + (x - hi) * 1e9
+
+
+def _digits(a, out):
+    """Write the decimal digits of the non-negative integers a into the rows of out.
+
+    Row k of out gets the digit of place len(out) - 1 - k of every value (one
+    column per value); a holds no more digits than out has rows.
+    """
+    width = len(out)
+    for place in range(0, width, 3):
+        group = a // 10 ** place % 1000 if place else a % 1000
+        rows = out[max(width - place - 3, 0):width - place]
+        np.take(_DIGITS[3 - len(rows):], group, axis=1, out=rows)
+
+
+def _blank_leading_zeros(a, out):
+    """NUL the leading zero digits that _digits wrote; the units digit stays."""
+    for place in range(1, len(out)):
+        out[-1 - place] *= a >= 10 ** place
+
+
+def _integers(k) -> np.ndarray:
+    """The byte planes of f"{k:d}" for non-negative integers k: (width, n), NUL-padded."""
+    top = int(k.max(initial=0))
+    a = k.astype(np.uint32 if top < 2 ** 32 else np.uint64)
+    planes = np.empty((len(str(top)), len(k)), np.uint8)
+    _digits(a, planes)
+    _blank_leading_zeros(a, planes)
+    return planes
+
+
+def _fixed9_exact(x) -> np.ndarray:
+    """Byte planes of f"{x:.9f}" for |x| <= _FAST_LIMIT, from the integer x * 10**9."""
+    p = x * 1e9
+    r = np.rint(p)
+    tie = np.flatnonzero(np.abs(p - r) == 0.5)
+    if tie.size:   # p is a half-integer: the exact product's error decides
+        err = _product_error(x[tie])
+        r[tie] = np.where(err == 0.0, r[tie], p[tie] + np.copysign(0.5, err))
+    whole, frac = np.divmod(np.abs(r.astype(np.int64)), 10 ** 9)
+    whole, frac = whole.astype(np.uint32), frac.astype(np.uint32)
+    width = len(str(int(whole.max(initial=0))))
+    planes = np.empty((width + 11, len(x)), np.uint8)
+    planes[0] = (r < 0.0) * ord("-")    # a value that rounds to zero is unsigned
+    _digits(whole, planes[1:width + 1])
+    _blank_leading_zeros(whole, planes[1:width + 1])
+    planes[width + 1] = ord(".")
+    _digits(frac, planes[width + 2:])
+    return planes
+
+
+def _fixed9_percent(x) -> np.ndarray:
+    """Byte planes of "%.9f" % x: the route for non-finite and large values."""
+    x = np.where(np.abs(x) < 5e-10, 0.0, x)    # values printing as zero print unsigned
+    text = ("%.9f\n" * len(x)) % tuple(x.tolist())
+    lines = np.array(text.encode("ascii").split(b"\n")[:-1])
+    return lines.view(np.uint8).reshape(len(x), -1).T
+
+
+def _fixed9(x, present=None) -> np.ndarray:
+    """The byte planes of f"{x:.9f}" (never -0.000000000): (width, n), NUL-padded.
+
+    Values where present is False get an empty (all-NUL) field.
+    """
+    if present is not None:
+        x = np.where(present, x, 0.0)
+    # checked before multiplying: NaN fails the test, and no product can overflow
+    planes = _fixed9_exact(x) if np.all(np.abs(x) <= _FAST_LIMIT) else _fixed9_percent(x)
+    if present is not None:
+        planes *= present
+    return planes
+
+
+def _lines(n: int, fields) -> bytes:
+    """n text lines from fields: bytes literals, the same on every line, and
+    (width, n) byte planes; every NUL byte is dropped."""
+    out = np.empty((sum(len(f) for f in fields), n), np.uint8)
+    row = 0
+    for field in fields:
+        if isinstance(field, bytes):
+            field = np.frombuffer(field, np.uint8)[:, None]
+        out[row:row + len(field)] = field
+        row += len(field)
+    return out.T.tobytes().translate(None, b"\0")
+
+
+def _table_lines(prefix: bytes, table, planes):
+    """Yield prefix and the columns of table as planes formats them, joined by
+    spaces, one line per row and CHUNK_ROWS lines at a time."""
+    for start in range(0, len(table), CHUNK_ROWS):
+        block = table[start:start + CHUNK_ROWS]
+        n = len(block)
+        cells = planes(block.T.ravel())     # one column after the other
+        fields = [prefix]
+        for k in range(block.shape[1]):
+            fields += [cells[:, k * n:(k + 1) * n], b" "]
+        fields[-1] = b"\n"
+        yield _lines(n, fields)
 
 
 def _vertex_index_map(grid: MaskedGrid):
@@ -104,38 +216,24 @@ def _quad_faces(idx, valid) -> np.ndarray:
 
 def _obj_chunks(grid: MaskedGrid):
     idx, valid = _vertex_index_map(grid)
-    yield from _blocks("v %.9f %.9f %.9f\n", grid.points[valid])
-    yield from _blocks("f %d %d %d %d\n", _quad_faces(idx, valid) + 1)
-
-
-def _axis_strings(values) -> np.ndarray:
-    """The formatted string of each axis value, as an object array."""
-    text = "".join(_blocks("%.9f\n", np.reshape(values, (-1, 1))))
-    return np.array(text.split("\n")[:-1], dtype=object)
-
-
-# CSV line templates, indexed by validity: invalid points keep empty coordinates
-_CSV_LINES = np.array(["%s,%s,,,,%d\n", "%s,%s,%.9f,%.9f,%.9f,%d\n"], dtype=object)
+    yield from _table_lines(b"v ", grid.points[valid], _fixed9)
+    yield from _table_lines(b"f ", _quad_faces(idx, valid) + 1, _integers)
 
 
 def _csv_chunks(grid: MaskedGrid):
-    yield "u,v,x,y,z,flags\n"
-    us, vs = _axis_strings(grid.u), _axis_strings(grid.v)
-    grid_valid = grid.valid
-    step = max(1, CHUNK_ROWS // max(len(vs), 1))
-    for i in range(0, len(us), step):
-        rows = slice(i, i + step)
-        valid = grid_valid[rows].ravel()
-        n = valid.size
-        fields = np.empty((n, 6), dtype=object)
-        fields[:, 0] = np.repeat(us[rows], len(vs))
-        fields[:, 1] = np.tile(vs, len(us[rows]))
-        fields[:, 2:5] = grid.points[rows].reshape(n, 3)
-        fields[:, 5] = grid.flags[rows].ravel()
-        used = np.ones((n, 6), dtype=bool)
-        used[:, 2:5] = valid[:, None]
-        template = "".join(_CSV_LINES[valid.astype(np.intp)].tolist())
-        yield _normalise_zero(template % tuple(fields[used].tolist()))
+    yield b"u,v,x,y,z,flags\n"
+    nu, nv = grid.flags.shape
+    u, v = _fixed9(grid.u), _fixed9(grid.v)
+    step = max(1, CHUNK_ROWS // max(nv, 1))
+    for start in range(0, nu, step):
+        rows = slice(start, start + step)
+        valid = grid.valid[rows].ravel()
+        n = len(valid)
+        xyz = _fixed9(grid.points[rows].reshape(n, 3).T.ravel(), np.tile(valid, 3))
+        yield _lines(n, [
+            np.repeat(u[:, rows], nv, axis=1), b",", np.tile(v, (1, min(step, nu - start))), b",",
+            xyz[:, :n], b",", xyz[:, n:2 * n], b",", xyz[:, 2 * n:], b",",
+            _integers(grid.flags[rows].ravel()), b"\n"])
 
 
 def _ply_chunks(grid: MaskedGrid):
@@ -149,9 +247,9 @@ def _ply_chunks(grid: MaskedGrid):
            "property float z\n"
            f"element face {len(faces)}\n"
            "property list uchar int vertex_indices\n"
-           "end_header\n")
-    yield from _blocks("%.9f %.9f %.9f\n", grid.points[valid])
-    yield from _blocks("4 %d %d %d %d\n", faces)
+           "end_header\n").encode("ascii")
+    yield from _table_lines(b"", grid.points[valid], _fixed9)
+    yield from _table_lines(b"4 ", faces, _integers)
 
 
 _WRITERS = {"obj": _obj_chunks, "csv": _csv_chunks, "ply": _ply_chunks}
@@ -159,7 +257,7 @@ FORMATS = tuple(_WRITERS)
 
 
 def write_ascii(path, chunks) -> int:
-    """Write each string of `chunks` to path as it arrives; returns the byte count.
+    """Write each bytes object of `chunks` to path as it arrives; returns the byte count.
 
     Missing parent directories are created.
     """
@@ -169,9 +267,8 @@ def write_ascii(path, chunks) -> int:
     n_bytes = 0
     with open(path, "wb") as fh:
         for chunk in chunks:
-            data = chunk.encode("ascii")
-            fh.write(data)
-            n_bytes += len(data)
+            fh.write(chunk)
+            n_bytes += len(chunk)
     return n_bytes
 
 

@@ -59,13 +59,14 @@ def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
                 eps_grazing: float = EPS_GRAZING_DEFAULT, mask_outside: bool = False):
     """Vectorized rays with a lit-mask; silently masks degenerate points.
 
-    Returns (r, b, lit, flipped): the mirror points and unit reflected
-    directions as (x, y, z) planes of the broadcast shape of U and V, the
-    lit mask and where the raw normal r_u x r_v faces the light.  With
-    mask_outside, points off the chart get r = b = 0, unlit and unflipped,
-    instead of raising EvalDomainError.
+    Returns (r, b, lit, flipped, outside): the mirror points and unit
+    reflected directions as (x, y, z) planes of the broadcast shape of U and
+    V, the lit mask, where the raw normal r_u x r_v faces the light, and
+    where the point is off the chart.  With mask_outside, points off the
+    chart get r = b = 0, unlit and unflipped, instead of raising
+    EvalDomainError.
     """
-    outside = None
+    outside = False
     try:
         jet = eval_surface(surface, U, V)
     except EvalDomainError as err:
@@ -83,7 +84,7 @@ def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
         if isinstance(field, PointSource):
             d = tuple(ri - oi for ri, oi in zip(r, field.origin))
             dist = norm(d)
-            _check_source_distance(dist if outside is None else np.where(outside, np.inf, dist))
+            _check_source_distance(np.where(outside, np.inf, dist))
             a = tuple(di / dist for di in d)
         else:
             a = tuple(field.direction)
@@ -93,20 +94,20 @@ def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
         b = tuple(ai - 2.0 * side * ni for ai, ni in zip(a, n_raw))
     flipped = side > 0.0
     lit = regular & (np.abs(side) > eps_grazing)
-    if outside is not None:
+    if np.any(outside):
         r, b = ([np.where(outside, 0.0, x) for x in planes] for planes in (r, b))
         lit, flipped = lit & ~outside, flipped & ~outside
 
     def full(x):
         return np.broadcast_to(x, jet.shape)
 
-    return tuple(map(full, r)), tuple(map(full, b)), full(lit), full(flipped)
+    return tuple(map(full, r)), tuple(map(full, b)), full(lit), full(flipped), full(outside)
 
 
 def reflected_ray(surface: SurfaceAST, field: IncidentField, u: float, v: float,
                   eps_grazing: float = EPS_GRAZING_DEFAULT) -> RaySample:
     """The reflected ray at a single lit parameter point."""
-    r, b, lit, _ = _ray_bundle(surface, field, float(u), float(v), eps_grazing)
+    r, b, lit, _, _ = _ray_bundle(surface, field, float(u), float(v), eps_grazing)
     if not bool(np.all(lit)):
         raise GrazingIncidenceError(f"no reflected ray at (u, v) = ({u}, {v}): "
                                     "grazing incidence or degenerate chart")
@@ -116,17 +117,21 @@ def reflected_ray(surface: SurfaceAST, field: IncidentField, u: float, v: float,
 def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     """FD-assembled coefficients (c0, c1, c2) of det[d_u F, d_v F, b](lambda).
 
-    Returns (coeffs, r0, b0, ok) with r0 and b0 the (..., 3) mirror points
-    and reflected directions at (U, V); a point whose stencil leaves the
-    chart is not ok.
+    Returns (coeffs, r0, b0, ok, charted) with r0 and b0 the (..., 3) mirror
+    points and reflected directions at (U, V).  A point is ok where the
+    coefficients hold; charted where no stencil point leaves the chart, so
+    the oracle can decide the point (a charted point that is not ok has an
+    unlit or folded stencil).
     """
-    r0, b0, ok, flip0 = _ray_bundle(surface, field, U, V, eps_grazing, mask_outside=True)
+    r0, b0, ok, flip0, off = _ray_bundle(surface, field, U, V, eps_grazing, mask_outside=True)
     stencil = []
     for u, v in ((U + h, V), (U - h, V), (U, V + h), (U, V - h)):
-        r, b, lit, flipped = _ray_bundle(surface, field, u, v, eps_grazing, mask_outside=True)
+        r, b, lit, flipped, outside = _ray_bundle(surface, field, u, v, eps_grazing,
+                                                  mask_outside=True)
         # a stencil straddling an orientation fold would difference two normals
         # of opposite sign; treat such points as unusable rather than produce garbage
         ok = ok & lit & (flipped == flip0)
+        off = off | outside
         stencil.append((r, b))
     (rpu, bpu), (rmu, bmu), (rpv, bpv), (rmv, bmv) = stencil
 
@@ -144,7 +149,7 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     c0 = det3(ru, rv, b0)
     c1 = det3(bu, rv, b0) + det3(ru, bv, b0)
     c2 = det3(bu, bv, b0)
-    return (c0, c1, c2), np.stack(r0, axis=-1), np.stack(b0, axis=-1), ok
+    return (c0, c1, c2), np.stack(r0, axis=-1), np.stack(b0, axis=-1), ok, ~off
 
 
 def _roots_of_focal_quadratic(c0, c1, c2):
@@ -183,7 +188,7 @@ def focal_distances_bruteforce(surface: SurfaceAST, field: IncidentField,
     lo, hi = FD_STEP_RANGE
     if not (lo <= h <= hi):
         raise ValueError(f"finite-difference step must lie in [{lo}, {hi}]")
-    coeffs, _, _, ok = _focal_quadratic(surface, field, float(u), float(v), h, eps_grazing)
+    coeffs, _, _, ok, _ = _focal_quadratic(surface, field, float(u), float(v), h, eps_grazing)
     if not bool(np.all(ok)):
         raise GrazingIncidenceError(
             f"focal distances undefined at (u, v) = ({u}, {v}): grazing point "
@@ -233,12 +238,13 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _point_errors(sheets, rows, r0, b0, ok, lam, max_radius):
+def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
     """Caustic-point errors of both sheets on a block of grid rows.
 
     Returns (err, both, n_disagree): the (2, rows, nv) distances between the
     closed-form and the oracle caustic points, the mask of points both sides
-    call valid, and the number of sheet-points only one side calls valid.
+    call valid, and the number of charted sheet-points only one side calls
+    valid (off the chart the oracle has no verdict).
     """
     def sheet_side(sheet):
         radius = caustic_radius(sheet.k_star[rows])
@@ -260,7 +266,7 @@ def _point_errors(sheets, rows, r0, b0, ok, lam, max_radius):
 
         cf_ok = np.stack([use1, use2])
         both = cf_ok & oracle_ok
-        disagree = int(np.count_nonzero(cf_ok != oracle_ok))
+        disagree = int(np.count_nonzero((cf_ok != oracle_ok) & charted))
 
         xi_cf = np.stack([sheets[0].xi[rows], sheets[1].xi[rows]])
         xi_or = r0[None] + orc[..., None] * b0[None]
@@ -290,10 +296,11 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
     r0 = np.empty(shape + (3,))
     b0 = np.empty(shape + (3,))
     ok = np.empty(shape, dtype=bool)
+    charted = np.empty(shape, dtype=bool)
     lam = np.empty((2,) + shape)       # the two oracle roots, sheet-major
     blocks = row_blocks(grid.nu, grid.nv)
     for rows in blocks:
-        coeffs, r0[rows], b0[rows], ok[rows] = _focal_quadratic(
+        coeffs, r0[rows], b0[rows], ok[rows], charted[rows] = _focal_quadratic(
             surface, field, *grid.block(rows), h, eps_grazing)
         lam[0, rows], lam[1, rows] = _roots_of_focal_quadratic(*coeffs)
 
@@ -309,7 +316,8 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
     disagree = 0
     for rows in blocks:
         err[:, rows], both[:, rows], n = _point_errors(
-            (sheet1, sheet2), rows, r0[rows], b0[rows], ok[rows], lam[:, rows], max_radius)
+            (sheet1, sheet2), rows, r0[rows], b0[rows], ok[rows], charted[rows],
+            lam[:, rows], max_radius)
         disagree += n
     errors = err[both]
 

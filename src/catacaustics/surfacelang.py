@@ -474,8 +474,7 @@ def eval_surface(ast: SurfaceAST, u, v) -> Jet2Vec3:
     non-finite value, naming the first failing node in evaluation order (a
     component's non-finite check after its operations), with the jet and
     the mask outside: True exactly where evaluating that point alone raises,
-    and elsewhere the jet is bit for bit that point's evaluation (unless a
-    power's exponent differs between points; see jets.power).
+    and elsewhere the jet is bit for bit that point's evaluation.
     """
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     ju = Jet2.var_u(u)

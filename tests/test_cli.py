@@ -1,8 +1,13 @@
 """Command-line interface: scenes, exit codes, output files."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import catacaustics
 from catacaustics import caustics, cli
 from catacaustics.cli import main
 
@@ -16,6 +21,18 @@ def run(capsys, *argv):
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+def test_import_pins_openblas_threads_unless_set(preset, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(catacaustics.__file__))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, catacaustics; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == seen + "\n"
 
 
 class TestBuiltinsCommand:

@@ -166,7 +166,9 @@ def test_jet_constant_detection():
 
 # -- one-pass evaluation: a batch with bad points is its points one at a time --
 
-EDGES = ("sqrt(u)", "log(v)", "1/u", "abs(u)", "u^2.5", "sqrt(u)^0")
+# the last two have exponents that are 0 (so any base is fine) at some points only
+EDGES = ("sqrt(u)", "log(v)", "1/u", "abs(u)", "u^2.5", "sqrt(u)^0",
+         "v^((abs(u)/u + 1)*0.25)", "v^(u^3)")
 
 
 def random_edge_expr(rng: np.random.Generator, depth: int = 2):
@@ -253,3 +255,22 @@ def test_outside_holds_failures_with_finite_values(text, message):
     assert str(err.value) == message
     assert np.array_equal(err.value.outside, [[True, True], [False, False], [False, False]])
     assert all(np.all(np.isfinite(s)) for c in err.value.jet.components() for s in c.slots())
+
+
+@pytest.mark.parametrize("text, us, message, outside", [
+    # a constant exponent, 0 at u = -1 and 0.5 at u = 1
+    ("[u, v, v^((abs(u)/u + 1)*0.25)]", [-1.0, 1.0],
+     "non-integer exponent requires a positive base", [[False, False], [True, False]]),
+    # an exponent whose derivatives all vanish at u = 0 only, where it is 0
+    ("[u, v, v^(u^3)]", [-1.0, 0.0, 1.0],
+     "variable exponent requires a positive base", [[True, False], [False, False], [True, False]]),
+])
+def test_power_decides_its_branch_per_point(text, us, message, outside):
+    ast = parse_surface(text)
+    us, vs = np.array(us), np.array([-1.0, 1.0])
+    with pytest.raises(EvalDomainError) as err:
+        eval_surface(ast, us[:, None], vs[None, :])
+    assert str(err.value).startswith(message)
+    assert np.array_equal(err.value.outside, outside)
+    for i, j in zip(*np.nonzero(~np.asarray(outside))):
+        assert err.value.jet.z.f[i, j] == eval_surface(ast, us[i], vs[j]).z.f

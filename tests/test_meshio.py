@@ -351,11 +351,31 @@ def reference_bytes(grid: MaskedGrid, fmt: str) -> bytes:
     return "".join(line + "\n" for line in lines).encode("ascii")
 
 
+def _signed(values):
+    return st.tuples(values, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+_FAST = meshio._FAST_LIMIT
+_in_range = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-_FAST, _FAST),
+    # x * 1e9 rounds onto a half-integer while the exact product is not one
+    _signed(st.integers(0, 2**50).map(lambda m: (m + 0.5) / 1e9)),
+    # exact ties of x * 1e9, which print half to even, and one ulp either side
+    _signed(st.tuples(st.integers(0, 2**30).map(lambda k: (2 * k + 1) * 2.0**-10),
+                      st.sampled_from([0.0, np.inf, -np.inf]))
+            .map(lambda t: float(np.nextafter(t[0], t[1])) if t[1] else t[0])),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+)
 _values = st.one_of(
+    _in_range, _in_range, _in_range,
     st.floats(-5e-10, 0.0, exclude_min=True, exclude_max=True),  # prints as -0.000000000
     st.just(-0.0),
     st.floats(-1e12, 1e12),
     st.sampled_from([np.inf, -np.inf, np.nan]),
+    # either side of the fast path's bound
+    _signed(st.sampled_from([_FAST, np.nextafter(_FAST, 0.0), np.nextafter(_FAST, np.inf)])),
+    _signed(st.floats(_FAST / 2, _FAST * 2)),
 )
 _reasons = st.sampled_from([FLAG_GRAZING, FLAG_CLIPPED, FLAG_AT_INFINITY, 0x02, 0x20])
 

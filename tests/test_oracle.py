@@ -1,5 +1,6 @@
 """Brute-force ray-envelope oracle and sheet validation."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           focal_distances_bruteforce, parse_surface,
                           reflected_ray, validate_sheets)
 from catacaustics import caustics, oracle
-from catacaustics.caustics import SourceOnSurfaceError
+from catacaustics.caustics import FLAG_GRAZING, FLAG_VALID, SourceOnSurfaceError
 from catacaustics.diffgeo import REGULARITY_RTOL
 from catacaustics.oracle import (GrazingIncidenceError, _focal_quadratic,
                                  _roots_of_focal_quadratic)
@@ -80,7 +81,7 @@ class TestFocalDistances:
             field = random_field(rng)
             U = rng.uniform(-0.8, 0.8)
             V = rng.uniform(-0.8, 0.8)
-            coeffs, _, _, ok = _focal_quadratic(ast, field, U, V, 1e-4, 1e-6)
+            coeffs, _, _, ok, _ = _focal_quadratic(ast, field, U, V, 1e-4, 1e-6)
             c0, c1, c2 = (float(c) for c in coeffs)
             if not bool(ok) or abs(c2) < 1e-12 or c1 * c1 - 4 * c2 * c0 <= 0:
                 continue
@@ -339,3 +340,31 @@ def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
         report = validate_sheets(sheets, ast, AXIAL, grid)
     assert spy.call_count == 10
     assert report.passed
+    assert report.n_flag_disagreements == 0
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_off_chart_stencils_are_no_flag_mismatches(n):
+    # row u0 has stencils at u0 - h < 0, where the oracle has no verdict; the
+    # closed form has both sheets valid there
+    ast, dom = parse_surface(SQRT_APEX[0]), SQRT_APEX[1]
+    grid = GridSpec(n, n, dom)
+    sheets = compute_caustic_sheets(ast, AXIAL, grid)[:2]
+    assert np.all(sheets[0].valid[0]) and np.all(sheets[1].valid[0])
+    report = validate_sheets(sheets, ast, AXIAL, grid)
+    assert report.n_flag_disagreements == 0
+    assert report.n_compared == 2 * (n - 1) * n
+
+
+def test_unlit_oracle_centre_still_counts_as_a_flag_mismatch():
+    # planted bug: a grazing point of sheet 1 (on the equator) marked valid; the
+    # oracle decides that point, its centre ray being unlit, so the mismatch counts
+    ast = parse_surface(SPHERE_TEXT)
+    grid = GridSpec(7, 8, (-0.6, 0.6, 0.0, 6.0))
+    sheet1, sheet2 = compute_caustic_sheets(ast, AXIAL, grid)[:2]
+    i, j = np.argwhere(sheet1.flags & FLAG_GRAZING)[0]
+    before = validate_sheets((sheet1, sheet2), ast, AXIAL, grid).n_flag_disagreements
+    planted = dataclasses.replace(sheet1, flags=sheet1.flags.copy(), k_star=sheet1.k_star.copy())
+    planted.flags[i, j], planted.k_star[i, j] = FLAG_VALID, 1.0
+    after = validate_sheets((planted, sheet2), ast, AXIAL, grid).n_flag_disagreements
+    assert after == before + 1
