@@ -101,23 +101,21 @@ def _product_error(x):
     return (hi * 1e9 - x * 1e9) + (x - hi) * 1e9
 
 
-def _digits(a, out):
+def _digits(a, out, leading_zeros=False):
     """Write the decimal digits of the non-negative integers a into the rows of out.
 
     Row k of out gets the digit of place len(out) - 1 - k of every value (one
-    column per value); a holds no more digits than out has rows.
+    column per value); a holds no more digits than out has rows.  Leading
+    zeros are NUL unless leading_zeros; the units digit always stays.
     """
     width = len(out)
     for place in range(0, width, 3):
         group = a // 10 ** place % 1000 if place else a % 1000
         rows = out[max(width - place - 3, 0):width - place]
         np.take(_DIGITS[3 - len(rows):], group, axis=1, out=rows)
-
-
-def _blank_leading_zeros(a, out):
-    """NUL the leading zero digits that _digits wrote; the units digit stays."""
-    for place in range(1, len(out)):
-        out[-1 - place] *= a >= 10 ** place
+    if not leading_zeros:
+        for place in range(1, width):
+            out[-1 - place] *= a >= 10 ** place
 
 
 def _integers(k) -> np.ndarray:
@@ -126,7 +124,6 @@ def _integers(k) -> np.ndarray:
     a = k.astype(np.uint32 if top < 2 ** 32 else np.uint64)
     planes = np.empty((len(str(top)), len(k)), np.uint8)
     _digits(a, planes)
-    _blank_leading_zeros(a, planes)
     return planes
 
 
@@ -144,9 +141,8 @@ def _fixed9_exact(x) -> np.ndarray:
     planes = np.empty((width + 11, len(x)), np.uint8)
     planes[0] = (r < 0.0) * ord("-")    # a value that rounds to zero is unsigned
     _digits(whole, planes[1:width + 1])
-    _blank_leading_zeros(whole, planes[1:width + 1])
     planes[width + 1] = ord(".")
-    _digits(frac, planes[width + 2:])
+    _digits(frac, planes[width + 2:], leading_zeros=True)
     return planes
 
 

@@ -340,20 +340,10 @@ def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
         report = validate_sheets(sheets, ast, AXIAL, grid)
     assert spy.call_count == 10
     assert report.passed
-    assert report.n_flag_disagreements == 0
-
-
-@pytest.mark.parametrize("n", [20, 50])
-def test_off_chart_stencils_are_no_flag_mismatches(n):
-    # row u0 has stencils at u0 - h < 0, where the oracle has no verdict; the
-    # closed form has both sheets valid there
-    ast, dom = parse_surface(SQRT_APEX[0]), SQRT_APEX[1]
-    grid = GridSpec(n, n, dom)
-    sheets = compute_caustic_sheets(ast, AXIAL, grid)[:2]
+    # row u0, whose stencils leave the chart, has both closed-form sheets valid
+    # and no oracle verdict: no flag mismatch
     assert np.all(sheets[0].valid[0]) and np.all(sheets[1].valid[0])
-    report = validate_sheets(sheets, ast, AXIAL, grid)
     assert report.n_flag_disagreements == 0
-    assert report.n_compared == 2 * (n - 1) * n
 
 
 def test_unlit_oracle_centre_still_counts_as_a_flag_mismatch():
