@@ -19,10 +19,9 @@ import os
 # Pinning changes no output byte.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .caustics import (CausticPoint, CausticSheet, FlatFront, FrontPoint,
-                       FrontStatistics, GridSpec, IncidentField,
-                       ModifiedForms, PointSource, ReflectionData,
-                       caustic_coefficients, caustic_point,
+from .caustics import (CausticSheet, FlatFront, FrontPoint, FrontStatistics,
+                       GridSpec, IncidentField, ModifiedForms, PointSource,
+                       ReflectionData, caustic_coefficients, caustic_point,
                        compute_caustic_sheets, incident_direction,
                        modified_forms, reflect_direction, reflected_front_point,
                        reflection_data, solve_sheet_curvatures)
@@ -30,8 +29,7 @@ from .diffgeo import (FrameData, SurfaceForms, frame_at, fundamental_forms,
                       normal_curvature, shape_frame)
 from .jets import Jet2, Jet2Vec3
 from .meshio import MaskedGrid, clip_sheet, export_mesh
-from .oracle import (RaySample, ValidationReport, focal_distances_bruteforce,
-                     reflected_ray, validate_sheets)
+from .oracle import ValidationReport, validate_sheets
 from .surfacelang import (SurfaceAST, SurfaceDefinition, affine_transform,
                           eval_surface, parse_surface,
                           parse_surface_definition, to_text)
@@ -47,12 +45,11 @@ __all__ = [
     "FrameData", "SurfaceForms", "frame_at", "fundamental_forms",
     "shape_frame", "normal_curvature",
     "FlatFront", "PointSource", "IncidentField", "GridSpec",
-    "ReflectionData", "ModifiedForms", "CausticPoint", "CausticSheet",
+    "ReflectionData", "ModifiedForms", "CausticSheet",
     "FrontPoint", "FrontStatistics",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "reflected_front_point", "compute_caustic_sheets",
-    "RaySample", "ValidationReport", "reflected_ray",
-    "focal_distances_bruteforce", "validate_sheets",
+    "ValidationReport", "validate_sheets",
     "MaskedGrid", "clip_sheet", "export_mesh",
 ]

@@ -36,7 +36,7 @@ from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
     "FlatFront", "PointSource", "IncidentField",
-    "ReflectionData", "ModifiedForms", "CausticPoint", "CausticSheet",
+    "ReflectionData", "ModifiedForms", "CausticSheet",
     "FrontPoint", "GridSpec", "SheetStatistics", "FrontStatistics",
     "InternalConsistencyError", "SourceOnSurfaceError",
     "FLAG_VALID", "FLAG_SHADOW", "FLAG_GRAZING", "FLAG_AT_INFINITY",
@@ -346,72 +346,33 @@ def solve_sheet_curvatures(mods: ModifiedForms, coeffs, field: IncidentField,
     return k_a, k_b, residual
 
 
-@dataclass
-class CausticPoint:
-    """Caustic points xi = r + b/k* of one sheet, with validity flags."""
+def caustic_point(r, b, k_star, field: IncidentField, eps_inf: float = EPS_INF_DEFAULT,
+                  base_flags=np.uint8(0)):
+    """Caustic points xi = r + b/k* of one sheet and their flag byte.
 
-    k_star: np.ndarray
-    radius: np.ndarray       # signed distance 1/k* along the reflected ray
-    xi: np.ndarray
-    sheet_id: int
-    flags: np.ndarray        # uint8 bit field, see FLAG_* constants
-
-    @property
-    def valid(self):
-        return (self.flags & FLAG_VALID) != 0
-
-    @property
-    def shadow(self):
-        return (self.flags & FLAG_SHADOW) != 0
-
-    @property
-    def grazing(self):
-        return (self.flags & FLAG_GRAZING) != 0
-
-    @property
-    def at_infinity(self):
-        return (self.flags & FLAG_AT_INFINITY) != 0
-
-    @property
-    def excluded_zero_root(self):
-        return (self.flags & FLAG_EXCLUDED_ZERO_ROOT) != 0
-
-
-def caustic_point(r, b, k_star, *, field: IncidentField = None, sheet_id: int = 1,
-                  eps_inf: float = EPS_INF_DEFAULT, base_flags=None) -> CausticPoint:
-    """Place caustic points xi = r + b/k* and set validity flags.
-
-    Roots with |k*| <= eps_inf have no finite caustic point: for a flat front
-    they are flagged at_infinity, for a point source excluded_zero_root.
-    base_flags (uint8) carries upstream shadow/grazing reasons.
+    r and b are (..., 3) arrays.  Roots with |k*| <= eps_inf have no finite
+    caustic point: for a flat front they are flagged at_infinity, for a point
+    source excluded_zero_root.  base_flags (uint8) carries upstream
+    shadow/grazing reasons.  Returns (xi, flags); xi is NaN off the valid points.
     """
-    r = np.asarray(r, dtype=float)
-    b = np.asarray(b, dtype=float)
     k = np.asarray(k_star, dtype=float)
-    shape = np.broadcast_shapes(k.shape, r.shape[:-1])
-    k = np.broadcast_to(k, shape)
-
-    flags = np.zeros(shape, dtype=np.uint8)
-    if base_flags is not None:
-        flags |= np.broadcast_to(np.asarray(base_flags, dtype=np.uint8), shape)
-
     finite_root = np.isfinite(k) & (np.abs(k) > eps_inf)
-    no_point = np.isfinite(k) & ~finite_root
     zero_bit = FLAG_EXCLUDED_ZERO_ROOT if isinstance(field, PointSource) else FLAG_AT_INFINITY
-    flags = flags | np.where(no_point, np.uint8(zero_bit), np.uint8(0))
-
+    flags = base_flags | np.where(np.isfinite(k) & ~finite_root, np.uint8(zero_bit), np.uint8(0))
     valid = finite_root & (flags == 0)
-    flags = flags | np.where(valid, np.uint8(FLAG_VALID), np.uint8(0))
-
+    flags |= np.where(valid, np.uint8(FLAG_VALID), np.uint8(0))
     with np.errstate(all="ignore"):
-        radius = np.where(finite_root, 1.0 / np.where(finite_root, k, 1.0), np.inf)
-        radius = np.where(np.isfinite(k), radius, np.nan)
-        xi = np.where(valid[..., None], r + b * np.where(valid, radius, 0.0)[..., None], np.nan)
-    return CausticPoint(k.copy(), radius, xi, sheet_id, flags)
+        radius = np.where(valid, caustic_radius(k), 0.0)
+        xi = np.where(valid[..., None], r + b * radius[..., None], np.nan)
+    return xi, flags
 
 
 def caustic_radius(k_star) -> np.ndarray:
-    """Signed distance 1/k* from the mirror to the caustic point; inf where k* = 0."""
+    """Signed distance 1/k* from the mirror to the caustic point; inf where k* = 0.
+
+    The one 1/k* helper: placement, the radius clip (meshio.clip_sheet) and
+    the oracle's comparison all read it.
+    """
     k = np.asarray(k_star)
     with np.errstate(all="ignore"):
         return np.where(k != 0.0, 1.0 / np.where(k != 0.0, k, 1.0), np.inf)
@@ -716,9 +677,8 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     del k_a, k_b  # the placement below is the peak of the working set
     sheets = []
     for sheet_id, k in ((1, k1), (2, k2)):
-        cp = caustic_point(r, b, k, field=field, sheet_id=sheet_id,
-                           eps_inf=eps_inf, base_flags=base_flags)
-        sheets.append(CausticSheet(sheet_id, us, vs, cp.k_star, cp.xi, cp.flags))
+        xi, flags = caustic_point(r, b, k, field, eps_inf, base_flags)
+        sheets.append(CausticSheet(sheet_id, us, vs, k, xi, flags))
 
     surf_min, surf_max = _column_extrema(r.reshape(-1, 3))
     stats = FrontStatistics(

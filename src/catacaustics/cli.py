@@ -74,6 +74,8 @@ class SceneSpec:
         if bool(self.surface) == bool(self.expr_file):
             raise SceneError("exactly one surface source is required: "
                              "a built-in name or an expression file")
+        if self.max_radius is not None and not self.max_radius > 0.0:
+            raise SceneError("max radius must be positive")
         domain = self.domain
         if self.surface:
             ast, default_domain = build_surface(self.surface, self.params)
@@ -89,15 +91,20 @@ class SceneSpec:
             domain = default_domain
         if domain is None:
             raise SceneError("no domain: declare one in the surface file or pass --domain")
-        nu, nv = self.grid
-        if nu < 2 or nv < 2:
-            raise SceneError("grid must be at least 2 x 2")
-        return ast, GridSpec(nu, nv, domain)
+        return ast, _scene_value(GridSpec, *self.grid, domain)
 
 
 # --------------------------------------------------------------------------
 # scene-file and value parsing
 # --------------------------------------------------------------------------
+
+def _scene_value(make, *args):
+    """make(*args); the ValueError of its own checks is raised as a SceneError."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise SceneError(str(e)) from None
+
 
 def _parse_floats(text: str, n: int, what: str):
     parts = [p for p in text.replace(",", " ").split() if p]
@@ -167,7 +174,7 @@ def _apply_scene_file(scene: SceneSpec, path: str):
                 raise SceneError(f"scene file line {lineno}: field is "
                                  "'flat ax,ay,az' or 'point ox,oy,oz'")
             vec = _parse_floats(parts[1], 3, "field vector")
-            scene.field = FlatFront(vec) if parts[0] == "flat" else PointSource(vec)
+            scene.field = _scene_value(FlatFront if parts[0] == "flat" else PointSource, vec)
         elif key == "thresholds":
             for k, v in _parse_kv_pairs(value, "thresholds").items():
                 if k == "eps-grazing":
@@ -211,9 +218,9 @@ def _scene_from_args(args) -> SceneSpec:
     if args.flat and args.source:
         raise SceneError("--flat and --source are mutually exclusive")
     if args.flat:
-        scene.field = FlatFront(_parse_floats(args.flat, 3, "--flat"))
+        scene.field = _scene_value(FlatFront, _parse_floats(args.flat, 3, "--flat"))
     if args.source:
-        scene.field = PointSource(_parse_floats(args.source, 3, "--source"))
+        scene.field = _scene_value(PointSource, _parse_floats(args.source, 3, "--source"))
     if args.eps_grazing is not None:
         scene.eps_grazing = args.eps_grazing
     if args.eps_inf is not None:
@@ -262,7 +269,7 @@ def cmd_compute(scene: SceneSpec) -> int:
 def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
                  tol: float = VALIDATION_TOL_DEFAULT) -> int:
     """Check the closed-form sheets against the ray-envelope oracle."""
-    if h <= 0.0 or tol < 0.0:
+    if not (h > 0.0 and tol >= 0.0):
         raise SceneError("--fd-step must be positive and --tol non-negative")
     ast, grid = scene.resolve()
     sheet1, sheet2, _ = compute_caustic_sheets(

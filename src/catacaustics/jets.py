@@ -77,10 +77,6 @@ class Jet2:
     def slots(self):
         return (self.f, self.fu, self.fv, self.fuu, self.fuv, self.fvv)
 
-    def is_constant(self) -> bool:
-        """True when every derivative slot is identically zero."""
-        return all(np.all(np.asarray(s) == 0.0) for s in self.slots()[1:])
-
     def __repr__(self):
         return (f"Jet2(f={self.f!r}, fu={self.fu!r}, fv={self.fv!r}, "
                 f"fuu={self.fuu!r}, fuv={self.fuv!r}, fvv={self.fvv!r})")

@@ -12,9 +12,12 @@ the signed focal distances along each ray -- come out in closed form.  None of
 the fundamental-form machinery is touched, which makes this an independent
 check of the curvature route.
 
-Each stencil point is evaluated once per block of rows.  Where it leaves the
-chart, eval_surface's error carries the evaluated jet and the outside mask,
-and those points get no ray.
+validate_sheets is the entry point: it runs the oracle over blocks of grid
+rows and compares its caustic points with the closed-form sheets.  Each
+stencil point is evaluated once per block.  Where it leaves the chart,
+eval_surface's error carries the evaluated jet and the outside mask, and
+those points are always masked: they get no ray, and the oracle gives no
+verdict on a grid point whose stencil leaves the chart.
 """
 
 from __future__ import annotations
@@ -31,47 +34,25 @@ from .caustics import (EPS_GRAZING_DEFAULT, FLAG_VALID, GridSpec,
 from .diffgeo import REGULARITY_RTOL, cross, dot, norm
 from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
-__all__ = [
-    "RaySample", "ValidationReport", "GrazingIncidenceError",
-    "reflected_ray", "focal_distances_bruteforce", "validate_sheets",
-]
+__all__ = ["ValidationReport", "validate_sheets"]
 
 FD_STEP_DEFAULT = 1e-4
-FD_STEP_RANGE = (1e-6, 1e-3)
 VALIDATION_TOL_DEFAULT = 1e-4
 
 
-class GrazingIncidenceError(ValueError):
-    """The requested point is grazing or shadowed; no reflected ray exists."""
-
-
-@dataclass
-class RaySample:
-    """One reflected ray: origin on the mirror, unit direction, parameter tag."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    u: float
-    v: float
-
-
-def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
-                eps_grazing: float = EPS_GRAZING_DEFAULT, mask_outside: bool = False):
+def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
     """Vectorized rays with a lit-mask; silently masks degenerate points.
 
     Returns (r, b, lit, flipped, outside): the mirror points and unit
     reflected directions as (x, y, z) planes of the broadcast shape of U and
     V, the lit mask, where the raw normal r_u x r_v faces the light, and
-    where the point is off the chart.  With mask_outside, points off the
-    chart get r = b = 0, unlit and unflipped, instead of raising
-    EvalDomainError.
+    where the point is off the chart.  Points off the chart get r = b = 0,
+    unlit and unflipped.
     """
     outside = False
     try:
         jet = eval_surface(surface, U, V)
     except EvalDomainError as err:
-        if not mask_outside:
-            raise
         jet, outside = err.jet, err.outside
     r, ru, rv = jet.value(), jet.d_u(), jet.d_v()
     with np.errstate(all="ignore"):  # off the chart the jet holds garbage
@@ -104,16 +85,6 @@ def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V,
     return tuple(map(full, r)), tuple(map(full, b)), full(lit), full(flipped), full(outside)
 
 
-def reflected_ray(surface: SurfaceAST, field: IncidentField, u: float, v: float,
-                  eps_grazing: float = EPS_GRAZING_DEFAULT) -> RaySample:
-    """The reflected ray at a single lit parameter point."""
-    r, b, lit, _, _ = _ray_bundle(surface, field, float(u), float(v), eps_grazing)
-    if not bool(np.all(lit)):
-        raise GrazingIncidenceError(f"no reflected ray at (u, v) = ({u}, {v}): "
-                                    "grazing incidence or degenerate chart")
-    return RaySample(np.array(r, dtype=float), np.array(b, dtype=float), float(u), float(v))
-
-
 def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     """FD-assembled coefficients (c0, c1, c2) of det[d_u F, d_v F, b](lambda).
 
@@ -123,11 +94,10 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     the oracle can decide the point (a charted point that is not ok has an
     unlit or folded stencil).
     """
-    r0, b0, ok, flip0, off = _ray_bundle(surface, field, U, V, eps_grazing, mask_outside=True)
+    r0, b0, ok, flip0, off = _ray_bundle(surface, field, U, V, eps_grazing)
     stencil = []
     for u, v in ((U + h, V), (U - h, V), (U, V + h), (U, V - h)):
-        r, b, lit, flipped, outside = _ray_bundle(surface, field, u, v, eps_grazing,
-                                                  mask_outside=True)
+        r, b, lit, flipped, outside = _ray_bundle(surface, field, u, v, eps_grazing)
         # a stencil straddling an orientation fold would difference two normals
         # of opposite sign; treat such points as unusable rather than produce garbage
         ok = ok & lit & (flipped == flip0)
@@ -175,26 +145,6 @@ def _roots_of_focal_quadratic(c0, c1, c2):
         lam_a = np.where(none_, np.inf, lam_a)
         lam_b = np.where(none_, np.inf, lam_b)
     return lam_a, lam_b
-
-
-def focal_distances_bruteforce(surface: SurfaceAST, field: IncidentField,
-                               u: float, v: float, h: float = FD_STEP_DEFAULT,
-                               eps_grazing: float = EPS_GRAZING_DEFAULT):
-    """The two signed focal distances along the reflected ray at (u, v).
-
-    Distances are the lambda-roots of the rank-drop determinant; either may be
-    negative (virtual caustic behind the mirror) or infinite (no focusing).
-    """
-    lo, hi = FD_STEP_RANGE
-    if not (lo <= h <= hi):
-        raise ValueError(f"finite-difference step must lie in [{lo}, {hi}]")
-    coeffs, _, _, ok, _ = _focal_quadratic(surface, field, float(u), float(v), h, eps_grazing)
-    if not bool(np.all(ok)):
-        raise GrazingIncidenceError(
-            f"focal distances undefined at (u, v) = ({u}, {v}): grazing point "
-            "or finite-difference stencil left the chart")
-    lam_a, lam_b = _roots_of_focal_quadratic(*coeffs)
-    return float(lam_a), float(lam_b)
 
 
 @dataclass

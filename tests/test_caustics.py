@@ -21,7 +21,7 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           solve_sheet_curvatures)
 from catacaustics import caustics
 from catacaustics.caustics import (_CROSSCHECK_RTOL, FLAG_AT_INFINITY,
-                                   FLAG_EXCLUDED_ZERO_ROOT,
+                                   FLAG_EXCLUDED_ZERO_ROOT, FLAG_VALID,
                                    InternalConsistencyError,
                                    SourceOnSurfaceError, _column_extrema,
                                    _order_roots_by_continuity,
@@ -189,11 +189,11 @@ class TestCausticPoint:
         u = np.pi / 6
         r = np.array([np.cos(u), 0.0, np.sin(u)])
         b = np.array([-np.sqrt(3) / 2, 0.0, 0.5])
-        cp1 = caustic_point(r, b, 1.0, sheet_id=1)
-        assert np.allclose(cp1.xi, [0, 0, 1], atol=1e-15)
-        cp2 = caustic_point(r, b, 4.0, sheet_id=2)
-        assert np.allclose(cp2.xi, [3 * np.sqrt(3) / 8, 0, 5 / 8], atol=1e-15)
-        assert cp1.valid.all() if cp1.valid.shape else cp1.valid
+        xi1, flags1 = caustic_point(r, b, 1.0, AXIAL)
+        assert np.allclose(xi1, [0, 0, 1], atol=1e-15)
+        xi2, _ = caustic_point(r, b, 4.0, AXIAL)
+        assert np.allclose(xi2, [3 * np.sqrt(3) / 8, 0, 5 / 8], atol=1e-15)
+        assert flags1 & FLAG_VALID
 
     def test_hyperbolic_paraboloid_both_sheets(self):
         field = AXIAL
@@ -201,19 +201,20 @@ class TestCausticPoint:
         mods = modified_forms(forms, refl, field)
         k_a, k_b, _ = solve_sheet_curvatures(mods, caustic_coefficients(forms, refl, field), field)
         lo, hi = sorted([float(k_a), float(k_b)])
-        xi_lo = caustic_point(frame.r, refl.b, lo).xi
-        xi_hi = caustic_point(frame.r, refl.b, hi).xi
+        r, b = np.array(frame.r), np.array(refl.b)
+        xi_lo, _ = caustic_point(r, b, lo, field)
+        xi_hi, _ = caustic_point(r, b, hi, field)
         assert np.allclose(xi_lo, [0, 2, -0.5], atol=1e-13)
         assert np.allclose(xi_hi, [2, 0, 0.5], atol=1e-13)
 
     def test_zero_root_flags_by_field_kind(self):
         r = np.zeros(3)
         b = np.array([0.0, 0.0, 1.0])
-        flat = caustic_point(r, b, 1e-12, field=FlatFront((0, 0, 1)))
-        assert flat.at_infinity and not flat.valid
-        assert np.isinf(flat.radius)
-        point = caustic_point(r, b, 1e-12, field=PointSource((0, 0, 5)))
-        assert point.excluded_zero_root and not point.valid
+        xi, flags = caustic_point(r, b, 1e-12, FlatFront((0, 0, 1)))
+        assert flags & FLAG_AT_INFINITY and not flags & FLAG_VALID
+        assert np.isnan(xi).all()
+        _, flags = caustic_point(r, b, 1e-12, PointSource((0, 0, 5)))
+        assert flags & FLAG_EXCLUDED_ZERO_ROOT and not flags & FLAG_VALID
 
 
 class TestReflectedFrontPoint:

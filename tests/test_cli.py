@@ -137,6 +137,32 @@ class TestSceneFile:
         assert "scene" in err
 
 
+# each value fails a check of FlatFront, PointSource, GridSpec, SceneSpec.resolve
+# or cmd_validate
+BAD_SCENE_VALUES = {
+    "zero-flat": ("compute", "--flat", "0,0,0"),
+    "nan-source": ("compute", "--source", "nan,0,0"),
+    "empty-domain": ("compute", "--domain", "1,0,0,1"),
+    "one-row-grid": ("compute", "--grid", "1,5"),
+    "zero-flat-in-file": ("compute", "--scene", "{scene}"),
+    "negative-max-radius": ("compute", "--max-radius", "-1"),
+    "validate-negative-max-radius": ("validate", "--max-radius", "-1"),
+    "validate-nan-max-radius": ("validate", "--max-radius", "nan"),
+    "validate-nan-fd-step": ("validate", "--fd-step", "nan"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_SCENE_VALUES.values(), ids=BAD_SCENE_VALUES.keys())
+def test_bad_scene_value_is_input_error(argv, tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text("field = flat 0,0,0\n")
+    argv = [arg.format(scene=scene) for arg in argv]
+    code, _, err = run(capsys, *argv, "--surface", "sphere", "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert any(line.startswith("scene: ") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
 class TestValidate:
     def test_sphere_pass_exit_0(self, tmp_path, capsys):
         code, out, _ = run(capsys, "validate", "--surface", "sphere",

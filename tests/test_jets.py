@@ -157,13 +157,6 @@ def test_vectorized_eval_matches_scalar():
                     assert got == pytest.approx(float(np.asarray(slot_p)), rel=1e-15, abs=1e-15)
 
 
-def test_jet_constant_detection():
-    assert Jet2.constant(3.0).is_constant()
-    assert not Jet2.var_u(1.0).is_constant()
-    two = Jet2.var_v(2.5) - Jet2.var_v(2.5) + 2.0
-    assert two.is_constant()
-
-
 # -- one-pass evaluation: a batch with bad points is its points one at a time --
 
 # the last two have exponents that are 0 (so any base is fine) at some points only
