@@ -30,8 +30,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .diffgeo import (_DISC_DOUBLE_RTOL, DegenerateSurfaceError, FrameData,
-                      SurfaceForms, dot, frame_at, fundamental_forms, norm)
+from .diffgeo import (_DISC_DOUBLE_RTOL, FrameData, SurfaceForms, dot,
+                      flat_stand_in, frame_at, fundamental_forms, norm)
 from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
@@ -40,8 +40,9 @@ __all__ = [
     "FrontPoint", "GridSpec", "SheetStatistics", "FrontStatistics",
     "InternalConsistencyError", "SourceOnSurfaceError",
     "FLAG_VALID", "FLAG_SHADOW", "FLAG_GRAZING", "FLAG_AT_INFINITY",
-    "FLAG_CLIPPED", "FLAG_EXCLUDED_ZERO_ROOT",
-    "BLOCK_POINTS", "row_blocks", "default_max_radius", "incidence_flags",
+    "FLAG_CLIPPED", "FLAG_EXCLUDED_ZERO_ROOT", "FLAG_DOMAIN", "FLAG_DEGENERATE",
+    "BLOCK_POINTS", "row_blocks", "default_max_radius", "surface_extent",
+    "masked_points_text", "incidence_flags",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "caustic_radius", "reflected_front_point",
@@ -55,6 +56,8 @@ FLAG_GRAZING = 0x04             # bit 2
 FLAG_AT_INFINITY = 0x08        # bit 3
 FLAG_CLIPPED = 0x10             # bit 4
 FLAG_EXCLUDED_ZERO_ROOT = 0x20  # bit 5
+FLAG_DOMAIN = 0x40              # bit 6: the chart is undefined at the point
+FLAG_DEGENERATE = 0x80          # bit 7: the chart is singular at the point
 
 EPS_GRAZING_DEFAULT = 1e-6      # |cos theta| at or below this is grazing
 EPS_INF_DEFAULT = 1e-9          # |k*| at or below this has no finite caustic point
@@ -125,25 +128,24 @@ class PointSource:
 IncidentField = Union[FlatFront, PointSource]
 
 
-def incident_direction(field: IncidentField, r):
-    """(a, |r - O|) at surface points r, as (x, y, z) planes; |r - O| is None if flat."""
+def incident_direction(field: IncidentField, r, outside=False):
+    """(a, |r - O|) at surface points r, as (x, y, z) planes; |r - O| is None if flat.
+
+    Where outside is set, r is a stand-in for a point off the chart: no
+    source lies on it, and |r - O| reads 1.
+    """
     if isinstance(field, FlatFront):
         return tuple(field.direction), None
     d = tuple(ri - oi for ri, oi in zip(r, field.origin))
-    dist = norm(d)
-    _check_source_distance(dist)
+    dist = np.where(outside, 1.0, norm(d))
+    if np.any(dist <= SOURCE_MIN_DISTANCE):
+        raise SourceOnSurfaceError("point source coincides with a surface point")
     return tuple(di / dist for di in d), dist
 
 
-def _check_source_distance(dist):
-    """Raise SourceOnSurfaceError where a point source lies on the mirror."""
-    if np.any(dist <= SOURCE_MIN_DISTANCE):
-        raise SourceOnSurfaceError("point source coincides with a surface point")
-
-
-def reflect_direction(a, n) -> tuple:
-    """Mirror law b = a - 2 (a, n) n on (x, y, z) planes."""
-    s = 2.0 * dot(a, n)
+def reflect_direction(a, n, cos_theta=None) -> tuple:
+    """Mirror law b = a - 2 (a, n) n on (x, y, z) planes; cos_theta is (a, n) if known."""
+    s = 2.0 * (dot(a, n) if cos_theta is None else cos_theta)
     return tuple(ai - s * ni for ai, ni in zip(a, n))
 
 
@@ -168,15 +170,19 @@ class ReflectionData:
     a: tuple                 # unit incident direction
     cos_theta: np.ndarray    # (a, n); negative on lit points
     b: tuple                 # unit reflected direction
-    w1: np.ndarray           # (r_u, a)
-    w2: np.ndarray           # (r_v, a)
     r_dist: Optional[np.ndarray]  # |r - O| for a point source, None for flat
+    frame: FrameData = dc_field(repr=False)
+
+    @functools.cached_property
+    def w(self) -> tuple:
+        """(w1, w2) = ((r_u, a), (r_v, a)), made on first use: the oracle reads no w."""
+        return dot(self.frame.r_u, self.a), dot(self.frame.r_v, self.a)
 
 
 def reflection_data(frame: FrameData, a, r_dist=None) -> ReflectionData:
-    """cos theta, b and w_i = (d_i r, a) for the (a, r_dist) of incident_direction."""
-    return ReflectionData(a, dot(a, frame.n), reflect_direction(a, frame.n),
-                          dot(frame.r_u, a), dot(frame.r_v, a), r_dist)
+    """cos theta and b for the (a, r_dist) of incident_direction; w_i = (d_i r, a) on demand."""
+    cos_theta = dot(a, frame.n)
+    return ReflectionData(a, cos_theta, reflect_direction(a, frame.n, cos_theta), r_dist, frame)
 
 
 @dataclass
@@ -212,7 +218,7 @@ def modified_forms(forms: SurfaceForms, refl: ReflectionData,
     incidence (cos theta = 0), where g* degenerates; grid-level code masks
     those points before use.
     """
-    w1, w2 = refl.w1, refl.w2
+    w1, w2 = refl.w
     gs11 = forms.g11 - w1 * w1
     gs12 = forms.g12 - w1 * w2
     gs22 = forms.g22 - w2 * w2
@@ -224,8 +230,7 @@ def modified_forms(forms: SurfaceForms, refl: ReflectionData,
     Bs12 = m * forms.B12
     Bs22 = m * forms.B22
     if isinstance(field, PointSource):
-        with np.errstate(all="ignore"):
-            shift = 1.0 / refl.r_dist
+        shift = 1.0 / refl.r_dist
         Bs11 = Bs11 - shift * gs11
         Bs12 = Bs12 - shift * gs12
         Bs22 = Bs22 - shift * gs22
@@ -242,7 +247,7 @@ def caustic_coefficients(forms: SurfaceForms, refl: ReflectionData,
     incidence where a_t = 0; the (u,v) components X of a_t solve
     g X = (w1, w2).
     """
-    w1, w2 = refl.w1, refl.w2
+    w1, w2 = refl.w
     X1 = (forms.g22 * w1 - forms.g12 * w2) / forms.det_g
     X2 = (forms.g11 * w2 - forms.g12 * w1) / forms.det_g
     B_at_at = forms.B11 * X1 * X1 + 2.0 * forms.B12 * X1 * X2 + forms.B22 * X2 * X2
@@ -294,25 +299,24 @@ def _crosscheck_errors(mods: ModifiedForms, S, P, S_size, P_size):
     """
     gs11, gs12, gs22 = mods.gs11, mods.gs12, mods.gs22
     Bs11, Bs12, Bs22 = mods.Bs11, mods.Bs12, mods.Bs22
-    with np.errstate(all="ignore"):
-        t11, t12, t22 = gs22 * Bs11, gs12 * Bs12, gs11 * Bs22
-        err_S = np.abs(S * mods.det_gs - (t11 - 2.0 * t12 + t22))
-        size_S = S_size * mods.det_gs_scale + np.abs(t11) + 2.0 * np.abs(t12) + np.abs(t22)
-        det_B, B12_sq = Bs11 * Bs22, Bs12 * Bs12
-        err_P = np.abs(P * mods.det_gs - (det_B - B12_sq))
-        size_P = P_size * mods.det_gs_scale + np.abs(det_B) + B12_sq
-        # a zero size means every term is zero, and so is the error
-        return np.maximum(err_S / np.where(size_S > 0.0, size_S, 1.0),
-                          err_P / np.where(size_P > 0.0, size_P, 1.0))
+    t11, t12, t22 = gs22 * Bs11, gs12 * Bs12, gs11 * Bs22
+    err_S = np.abs(S * mods.det_gs - (t11 - 2.0 * t12 + t22))
+    size_S = S_size * mods.det_gs_scale + np.abs(t11) + 2.0 * np.abs(t12) + np.abs(t22)
+    det_B, B12_sq = Bs11 * Bs22, Bs12 * Bs12
+    err_P = np.abs(P * mods.det_gs - (det_B - B12_sq))
+    size_P = P_size * mods.det_gs_scale + np.abs(det_B) + B12_sq
+    # a zero size means every term is zero, and so is the error
+    return np.maximum(err_S / np.where(size_S > 0.0, size_S, 1.0),
+                      err_P / np.where(size_P > 0.0, size_P, 1.0))
 
 
-def solve_sheet_curvatures(mods: ModifiedForms, coeffs, field: IncidentField,
-                           r_dist=None, lit_mask=None):
+def solve_sheet_curvatures(mods: ModifiedForms, coeffs, field: IncidentField, r_dist=None):
     """The two front principal curvatures k*, from the quadratic, cross-checked.
 
     Returns (k_a, k_b, residual): the unordered root pair per point and the
     worst relative error of the root sum and product against the trace and
-    determinant of the Weingarten matrix W* = g*^-1 B* on lit points.  The
+    determinant of the Weingarten matrix W* = g*^-1 B* where both roots are
+    finite (the lit points, once the caller sets p and q to NaN elsewhere).  The
     two routes share no arithmetic beyond the raw forms, so agreement
     validates both.  Raises InternalConsistencyError where the error exceeds
     _CROSSCHECK_RTOL.
@@ -321,23 +325,17 @@ def solve_sheet_curvatures(mods: ModifiedForms, coeffs, field: IncidentField,
     mu_a, mu_b, clamped = _stable_quadratic_roots(p, q)
     shift = 0.0
     if isinstance(field, PointSource):
-        with np.errstate(all="ignore"):
-            shift = 1.0 / np.asarray(r_dist, dtype=float)
+        shift = 1.0 / np.asarray(r_dist, dtype=float)
     k_a = mu_a - shift
     k_b = mu_b - shift
 
-    lit = np.isfinite(k_a) & np.isfinite(k_b)
-    if lit_mask is not None:
-        lit = lit & lit_mask
-
-    with np.errstate(all="ignore"):
-        # a clamped double root keeps the sum -p and moves the product by disc/4
-        P = k_a * k_b - np.where(clamped, 0.25 * (p * p - 4.0 * q), 0.0)
-        # each root counts with its magnitude before the shift, |mu| + 1/rho
-        mag_a = np.abs(mu_a) + shift
-        mag_b = np.abs(mu_b) + shift
-        err = _crosscheck_errors(mods, k_a + k_b, P, mag_a + mag_b, mag_a * mag_b)
-    err = np.where(lit, err, 0.0)
+    # a clamped double root keeps the sum -p and moves the product by disc/4
+    P = k_a * k_b - np.where(clamped, 0.25 * (p * p - 4.0 * q), 0.0)
+    # each root counts with its magnitude before the shift, |mu| + 1/rho
+    mag_a = np.abs(mu_a) + shift
+    mag_b = np.abs(mu_b) + shift
+    err = _crosscheck_errors(mods, k_a + k_b, P, mag_a + mag_b, mag_a * mag_b)
+    err = np.where(np.isfinite(k_a) & np.isfinite(k_b), err, 0.0)
     residual = float(np.max(err)) if err.size else 0.0
     if residual > _CROSSCHECK_RTOL:
         raise InternalConsistencyError(
@@ -352,8 +350,8 @@ def caustic_point(r, b, k_star, field: IncidentField, eps_inf: float = EPS_INF_D
 
     r and b are (..., 3) arrays.  Roots with |k*| <= eps_inf have no finite
     caustic point: for a flat front they are flagged at_infinity, for a point
-    source excluded_zero_root.  base_flags (uint8) carries upstream
-    shadow/grazing reasons.  Returns (xi, flags); xi is NaN off the valid points.
+    source excluded_zero_root.  base_flags (uint8) carries the upstream
+    reasons of the ray stage.  Returns (xi, flags); xi is NaN off the valid points.
     """
     k = np.asarray(k_star, dtype=float)
     finite_root = np.isfinite(k) & (np.abs(k) > eps_inf)
@@ -361,9 +359,8 @@ def caustic_point(r, b, k_star, field: IncidentField, eps_inf: float = EPS_INF_D
     flags = base_flags | np.where(np.isfinite(k) & ~finite_root, np.uint8(zero_bit), np.uint8(0))
     valid = finite_root & (flags == 0)
     flags |= np.where(valid, np.uint8(FLAG_VALID), np.uint8(0))
-    with np.errstate(all="ignore"):
-        radius = np.where(valid, caustic_radius(k), 0.0)
-        xi = np.where(valid[..., None], r + b * radius[..., None], np.nan)
+    radius = np.where(valid, caustic_radius(k), 0.0)
+    xi = np.where(valid[..., None], r + b * radius[..., None], np.nan)
     return xi, flags
 
 
@@ -444,6 +441,36 @@ class GridSpec:
 def default_max_radius(surface_diameter: float) -> float:
     """The default caustic radius cap: 10 surface diameters, positive even at 0."""
     return 10.0 * max(surface_diameter, 1e-300)
+
+
+def surface_extent(r, flags):
+    """(bbox min, bbox max, diameter) of the mirror points r on the chart; NaN if none."""
+    on_chart = (flags & FLAG_DOMAIN) == 0
+    pts = r.reshape(-1, 3) if np.all(on_chart) else r[on_chart]
+    lo, hi = _column_extrema(pts) if len(pts) else (np.full(3, np.nan),) * 2
+    return lo, hi, float(np.linalg.norm(hi - lo))
+
+
+def masked_points_text(flags, surface: SurfaceAST, grid: GridSpec) -> str:
+    """A "masked:" line per point-defect bit set in flags: its count and first grid index.
+
+    A line ends with the error of evaluating that one point, if any, so it
+    reads the same at every block size.
+    """
+    text = ""
+    us, vs = grid.axes()
+    for bit, what in ((FLAG_DOMAIN, "off the chart"),
+                      (FLAG_DEGENERATE, "singular (r_u x r_v ~ 0)")):
+        hits = np.argwhere(flags & bit)
+        if len(hits):
+            i, j = map(int, hits[0])
+            text += f"masked: {len(hits)} point(s) {what}, first at grid index ({i}, {j})"
+            try:
+                eval_surface(surface, us[i], vs[j])
+            except EvalDomainError as err:
+                text += f": {err}"
+            text += "\n"
+    return text
 
 
 def row_blocks(nu: int, nv: int) -> list:
@@ -604,36 +631,42 @@ def _order_roots_by_continuity(k_a, k_b, usable):
 
 
 def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
-    """Mirror frame, reflection data and shadow/grazing flag byte on grid points.
+    """Mirror frame, reflection data and flag byte on grid points.
 
-    The ray stages shared by compute and front; returns (frame, refl, flags).
-    Vectors are (x, y, z) planes, and every result keeps the shape of what it
-    depends on: broadcast it to the block before writing into it.
+    The one ray stage, shared by compute, front and the oracle; returns
+    (frame, refl, flags).  A bad point is flagged where it is and gets the
+    frame of diffgeo.flat_stand_in: FLAG_DOMAIN off the chart (r = 0 there),
+    FLAG_DEGENERATE where it is singular; elsewhere the flags are the
+    shadow/grazing byte.  Vectors are (x, y, z) planes, and every result
+    keeps the shape of what it depends on: broadcast it before writing it.
     """
-    jet = eval_surface(surface, U, V)
+    outside = False
+    try:
+        jet = eval_surface(surface, U, V)
+    except EvalDomainError as err:
+        jet, outside = flat_stand_in(err.jet, err.outside), err.outside
     # orientation hint needs the incident direction, which needs positions
-    a, r_dist = incident_direction(field, jet.value())
+    a, r_dist = incident_direction(field, jet.value(), outside)
     frame = frame_at(jet, a)
     refl = reflection_data(frame, a, r_dist)
-    return frame, refl, incidence_flags(refl.cos_theta, eps_grazing)
+    flags = np.where(frame.regular, incidence_flags(refl.cos_theta, eps_grazing),
+                     np.uint8(FLAG_DEGENERATE))
+    return frame, refl, np.where(outside, np.uint8(FLAG_DOMAIN), flags)
 
 
 def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
     """The pointwise stages of the closed-form route on one block of grid points.
 
     Returns (r, b, base_flags, k_a, k_b): mirror points and reflected
-    directions as (x, y, z) planes, the shadow/grazing flag byte and the
+    directions as (x, y, z) planes, the flag byte of _ray_block and the
     unordered front curvatures, which are NaN off the lit region.  The roots
     are cross-checked on the block.
     """
     frame, refl, base_flags = _ray_block(surface, field, U, V, eps_grazing)
-    lit = base_flags == 0
     forms = fundamental_forms(frame)
     mods = modified_forms(forms, refl, field)
-    p, q = caustic_coefficients(forms, refl, field)
-    p = np.where(lit, p, np.nan)
-    q = np.where(lit, q, np.nan)
-    k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field, refl.r_dist, lit)
+    p, q = (np.where(base_flags == 0, x, np.nan) for x in caustic_coefficients(forms, refl, field))
+    k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field, refl.r_dist)
     return frame.r, refl.b, base_flags, k_a, k_b
 
 
@@ -642,8 +675,9 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
                            eps_inf: float = EPS_INF_DEFAULT):
     """Both caustic sheets of the reflected front over a parameter grid.
 
-    Returns (sheet1, sheet2, statistics).  Shadowed and grazing points are
-    masked, not errors; roots without a finite caustic point are flagged.
+    Returns (sheet1, sheet2, statistics).  Grazing, off-chart and singular
+    points are masked, not errors; roots without a finite caustic point are
+    flagged.
     The flat-front result is independent of any front offset by construction
     (no travel parameter enters the computation).  The pointwise stages run
     over blocks of whole grid rows (see row_blocks); the result does not
@@ -656,22 +690,12 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     base_flags = np.empty(shape, dtype=np.uint8)
     k_a = np.empty(shape)
     k_b = np.empty(shape)
-    blocks = row_blocks(grid.nu, grid.nv)
-    try:
-        for rows in blocks:
-            r_rows, b_rows, base_flags[rows], k_a[rows], k_b[rows] = _sheet_block(
-                surface, field, *grid.block(rows), eps_grazing)
-            for i in range(3):
-                r[rows, :, i] = r_rows[i]
-                b[rows, :, i] = b_rows[i]
-    except (EvalDomainError, SourceOnSurfaceError, DegenerateSurfaceError,
-            InternalConsistencyError):
-        if len(blocks) > 1:
-            # every stage is pointwise, so the whole grid fails as well; run as
-            # one block it raises the grid-level error (class, count, first
-            # index, worst value) that the failing block only saw part of
-            _sheet_block(surface, field, *grid.block(), eps_grazing)
-        raise
+    for rows in row_blocks(grid.nu, grid.nv):
+        r_rows, b_rows, base_flags[rows], k_a[rows], k_b[rows] = _sheet_block(
+            surface, field, *grid.block(rows), eps_grazing)
+        for i in range(3):
+            r[rows, :, i] = r_rows[i]
+            b[rows, :, i] = b_rows[i]
 
     k1, k2 = _order_roots_by_continuity(k_a, k_b, base_flags == 0)
     del k_a, k_b  # the placement below is the peak of the working set
@@ -680,13 +704,12 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
         xi, flags = caustic_point(r, b, k, field, eps_inf, base_flags)
         sheets.append(CausticSheet(sheet_id, us, vs, k, xi, flags))
 
-    surf_min, surf_max = _column_extrema(r.reshape(-1, 3))
+    surf_min, surf_max, diameter = surface_extent(r, base_flags)
     stats = FrontStatistics(
         nu=grid.nu, nv=grid.nv, n_points=int(base_flags.size),
         n_shadow=int(np.count_nonzero(base_flags & FLAG_SHADOW)),
         n_grazing=int(np.count_nonzero(base_flags & FLAG_GRAZING)),
-        surface_bbox_min=surf_min, surface_bbox_max=surf_max,
-        surface_diameter=float(np.linalg.norm(surf_max - surf_min)),
+        surface_bbox_min=surf_min, surface_bbox_max=surf_max, surface_diameter=diameter,
         caustic_sheets=tuple(sheets),
     )
     return sheets[0], sheets[1], stats

@@ -26,12 +26,11 @@ from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
                        FLAG_VALID, FlatFront, GridSpec,
                        InternalConsistencyError, PointSource,
                        SourceOnSurfaceError, _ray_block, compute_caustic_sheets,
-                       default_max_radius, reflected_front_point)
-from .diffgeo import DegenerateSurfaceError
+                       default_max_radius, masked_points_text,
+                       reflected_front_point)
 from .meshio import FORMATS, MaskedGrid, clip_sheet, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
-from .surfacelang import (EvalDomainError, SurfaceLangError,
-                          parse_surface_definition)
+from .surfacelang import SurfaceLangError, parse_surface_definition
 from .surfaces import build_surface, builtin_listing
 
 __all__ = ["SceneSpec", "SceneError", "cmd_compute", "cmd_validate",
@@ -76,6 +75,8 @@ class SceneSpec:
                              "a built-in name or an expression file")
         if self.max_radius is not None and not self.max_radius > 0.0:
             raise SceneError("max radius must be positive")
+        if not (self.eps_grazing >= 0.0 and self.eps_inf >= 0.0):
+            raise SceneError("eps-grazing and eps-inf must be non-negative")
         domain = self.domain
         if self.surface:
             ast, default_domain = build_surface(self.surface, self.params)
@@ -246,6 +247,7 @@ def cmd_compute(scene: SceneSpec) -> int:
     sheet1, sheet2, stats = compute_caustic_sheets(
         ast, scene.field, grid,
         eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf)
+    sys.stdout.write(masked_points_text(sheet1.flags, ast, grid))
 
     max_radius = scene.max_radius
     if max_radius is None:
@@ -275,6 +277,7 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
     sheet1, sheet2, _ = compute_caustic_sheets(
         ast, scene.field, grid,
         eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf)
+    sys.stdout.write(masked_points_text(sheet1.flags, ast, grid))
     report = validate_sheets((sheet1, sheet2), ast, scene.field, grid, h=h, tol=tol,
                              max_radius=scene.max_radius, eps_grazing=scene.eps_grazing)
     sys.stdout.write(report.to_text())
@@ -289,6 +292,7 @@ def cmd_front(scene: SceneSpec, L: float) -> int:
     # the front has not reached points with lambda < 0; mask them like a clip
     flags = np.broadcast_to(flags, (grid.nu, grid.nv)) | np.where(
         ~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
+    sys.stdout.write(masked_points_text(flags, ast, grid))
     valid = flags == 0
     flags |= np.where(valid, np.uint8(FLAG_VALID), np.uint8(0))
 
@@ -385,10 +389,6 @@ def main(argv=None) -> int:
         print(f"scene: {e}", file=sys.stderr)
     except SurfaceLangError as e:
         print(f"surface parse: {e}", file=sys.stderr)
-    except EvalDomainError as e:
-        print(f"surface evaluation: {e}", file=sys.stderr)
-    except DegenerateSurfaceError as e:
-        print(f"geometry: {e}", file=sys.stderr)
     except SourceOnSurfaceError as e:
         print(f"field: {e}", file=sys.stderr)
     except InternalConsistencyError as e:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2Vec3
+from .jets import Jet2, Jet2Vec3
 
 __all__ = [
-    "FrameData", "SurfaceForms", "DegenerateSurfaceError",
+    "FrameData", "SurfaceForms", "flat_stand_in",
     "frame_at", "fundamental_forms", "shape_frame", "normal_curvature",
     "dot", "cross", "norm",
 ]
@@ -29,9 +29,8 @@ REGULARITY_RTOL = 1e-12     # |r_u x r_v| below this times |r_u||r_v| is degener
 UMBILIC_RTOL = 1e-9         # |k1 - k2| below this times max(1, |k1|) is umbilic
 _DISC_DOUBLE_RTOL = 2e-13   # |disc| below this times scale collapses to a double root
 
-
-class DegenerateSurfaceError(ValueError):
-    """The parameterization is singular: r_u x r_v vanishes."""
+# slots (f, fu, fv, fuu, fuv, fvv) of the x, y and z jets of the plane (u, v, 0)
+_PLANE_SLOTS = ((0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0, 0.0, 0.0), (0.0,) * 6)
 
 
 def dot(x, y):
@@ -58,8 +57,9 @@ def norm(x):
 class FrameData:
     """Position, partials and the oriented unit normal at surface points.
 
-    Each field is a tuple of (x, y, z) planes; r and the partials are the
-    jet's own slot arrays, not copies.
+    The vectors are tuples of (x, y, z) planes, the jet's own slot arrays on
+    a regular chart.  regular is False where the chart is singular, and
+    flipped is True where n is -(r_u x r_v)/|r_u x r_v|.
     """
 
     r: tuple
@@ -69,6 +69,8 @@ class FrameData:
     r_uv: tuple
     r_vv: tuple
     n: tuple
+    regular: np.ndarray
+    flipped: np.ndarray
 
 
 @dataclass
@@ -119,32 +121,40 @@ class SurfaceForms:
         return _principal_directions(self)
 
 
+def flat_stand_in(jet: Jet2Vec3, mask) -> Jet2Vec3:
+    """jet, with the jet of the plane (u, v, 0) at its origin where mask is set.
+
+    There r = 0, r_u = e_x, r_v = e_y and the second derivatives vanish: a
+    regular frame, n = +-e_z, on which every later stage computes finite numbers.
+    """
+    return Jet2Vec3(*(Jet2(*(np.where(mask, p, x) for p, x in zip(plane, c.slots())))
+                      for plane, c in zip(_PLANE_SLOTS, jet.components())), shape=jet.shape)
+
+
 def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
     """Build the oriented frame at surface points.
 
     The raw normal (r_u x r_v)/|r_u x r_v| is negated wherever it has a
     positive dot product with the incident hint, so (hint, n) <= 0 holds
     pointwise: the mirror is two-sided, and every point faces the light (no
-    point is in shadow; see caustics.incidence_flags).  Raises
-    DegenerateSurfaceError, counted and located on jet.shape, if the chart
-    is singular anywhere in the batch, including where r_u or r_v vanishes.
+    point is in shadow; see caustics.incidence_flags).  Where the chart is
+    singular, including where r_u or r_v vanishes, regular is False and the
+    frame is flat_stand_in's, with the point's own r.
     """
     r, r_u, r_v = jet.value(), jet.d_u(), jet.d_v()
     c = cross(r_u, r_v)
     cn = norm(c)
     # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
-    ok = cn > REGULARITY_RTOL * norm(r_u) * norm(r_v)
-    if not np.all(ok):
-        # count and locate on the evaluated points, not on the shape of the normal
-        ok = np.broadcast_to(ok, np.broadcast_shapes(jet.shape, np.shape(ok)))
-        idx = np.argwhere(~np.atleast_1d(ok))
-        raise DegenerateSurfaceError(
-            f"degenerate parameterization (r_u x r_v ~ 0) at {idx.shape[0]} "
-            f"point(s), first at grid index {tuple(int(i) for i in idx[0])}")
+    regular = cn > REGULARITY_RTOL * norm(r_u) * norm(r_v)
+    if not np.all(regular):
+        jet = flat_stand_in(jet, ~regular)
+        c = cross(jet.d_u(), jet.d_v())
+        cn = norm(c)
     n = tuple(ci / cn for ci in c)
-    flip = dot(incident_hint, n) > 0.0
-    n = tuple(np.where(flip, -ni, ni) for ni in n)
-    return FrameData(r, r_u, r_v, jet.d_uu(), jet.d_uv(), jet.d_vv(), n)
+    flipped = dot(incident_hint, n) > 0.0
+    n = tuple(np.where(flipped, -ni, ni) for ni in n)
+    return FrameData(r, jet.d_u(), jet.d_v(), jet.d_uu(), jet.d_uv(), jet.d_vv(),
+                     n, regular, flipped)
 
 
 def fundamental_forms(frame: FrameData) -> SurfaceForms:

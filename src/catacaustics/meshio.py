@@ -42,7 +42,8 @@ class MaskedGrid:
     """A nu x nv vertex grid with a per-vertex reason byte.
 
     Flag bits: 0 valid, 1 shadow, 2 grazing, 3 at_infinity, 4 clipped,
-    5 excluded_zero_root.  Every invalid vertex carries at least one reason.
+    5 excluded_zero_root, 6 domain (off the chart), 7 degenerate (singular
+    chart).  Every invalid vertex carries at least one reason.
     """
 
     u: np.ndarray        # (nu,)

@@ -13,11 +13,12 @@ the fundamental-form machinery is touched, which makes this an independent
 check of the curvature route.
 
 validate_sheets is the entry point: it runs the oracle over blocks of grid
-rows and compares its caustic points with the closed-form sheets.  Each
-stencil point is evaluated once per block.  Where it leaves the chart,
-eval_surface's error carries the evaluated jet and the outside mask, and
-those points are always masked: they get no ray, and the oracle gives no
-verdict on a grid point whose stencil leaves the chart.
+rows and compares its caustic points with the closed-form sheets.  The rays
+come from the ray stage that compute uses (caustics._ray_block), once per
+stencil point and block; the focal computation is the oracle's own.  A ray
+the stage flags (grazing, off the chart or singular) makes its stencil
+unusable, and the oracle gives no verdict on a grid point whose stencil
+leaves the chart.
 """
 
 from __future__ import annotations
@@ -27,62 +28,16 @@ from typing import Optional
 
 import numpy as np
 
-from .caustics import (EPS_GRAZING_DEFAULT, FLAG_VALID, GridSpec,
-                       IncidentField, PointSource, _check_source_distance,
-                       _column_extrema, caustic_radius, default_max_radius,
-                       row_blocks)
-from .diffgeo import REGULARITY_RTOL, cross, dot, norm
-from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
+from .caustics import (EPS_GRAZING_DEFAULT, FLAG_DOMAIN, FLAG_VALID, GridSpec,
+                       IncidentField, _ray_block, caustic_radius,
+                       default_max_radius, row_blocks, surface_extent)
+from .diffgeo import cross, dot
+from .surfacelang import SurfaceAST
 
 __all__ = ["ValidationReport", "validate_sheets"]
 
 FD_STEP_DEFAULT = 1e-4
 VALIDATION_TOL_DEFAULT = 1e-4
-
-
-def _ray_bundle(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
-    """Vectorized rays with a lit-mask; silently masks degenerate points.
-
-    Returns (r, b, lit, flipped, outside): the mirror points and unit
-    reflected directions as (x, y, z) planes of the broadcast shape of U and
-    V, the lit mask, where the raw normal r_u x r_v faces the light, and
-    where the point is off the chart.  Points off the chart get r = b = 0,
-    unlit and unflipped.
-    """
-    outside = False
-    try:
-        jet = eval_surface(surface, U, V)
-    except EvalDomainError as err:
-        jet, outside = err.jet, err.outside
-    r, ru, rv = jet.value(), jet.d_u(), jet.d_v()
-    with np.errstate(all="ignore"):  # off the chart the jet holds garbage
-        c = cross(ru, rv)
-        cn = norm(c)
-        # strict, so that a vanishing r_u or r_v (0 > 0 fails) is degenerate too
-        regular = cn > REGULARITY_RTOL * norm(ru) * norm(rv)
-        inv = np.where(cn > 0.0, cn, 1.0)
-        n_raw = tuple(ci / inv for ci in c)
-        if isinstance(field, PointSource):
-            d = tuple(ri - oi for ri, oi in zip(r, field.origin))
-            dist = norm(d)
-            _check_source_distance(np.where(outside, np.inf, dist))
-            a = tuple(di / dist for di in d)
-        else:
-            a = tuple(field.direction)
-        side = dot(a, n_raw)
-        # the mirror law b = a - 2 (a, n) n is even in n and IEEE negation is
-        # exact, so reflecting in n_raw gives the same bits as in the oriented n
-        b = tuple(ai - 2.0 * side * ni for ai, ni in zip(a, n_raw))
-    flipped = side > 0.0
-    lit = regular & (np.abs(side) > eps_grazing)
-    if np.any(outside):
-        r, b = ([np.where(outside, 0.0, x) for x in planes] for planes in (r, b))
-        lit, flipped = lit & ~outside, flipped & ~outside
-
-    def full(x):
-        return np.broadcast_to(x, jet.shape)
-
-    return tuple(map(full, r)), tuple(map(full, b)), full(lit), full(flipped), full(outside)
 
 
 def _focal_quadratic(surface, field, U, V, h, eps_grazing):
@@ -92,16 +47,26 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     points and reflected directions at (U, V).  A point is ok where the
     coefficients hold; charted where no stencil point leaves the chart, so
     the oracle can decide the point (a charted point that is not ok has an
-    unlit or folded stencil).
+    unlit, singular or folded stencil).
     """
-    r0, b0, ok, flip0, off = _ray_bundle(surface, field, U, V, eps_grazing)
+    shape = np.broadcast_shapes(np.shape(U), np.shape(V))
+
+    def full(x):
+        return np.broadcast_to(x, shape)
+
+    def rays(u, v):
+        frame, refl, flags = _ray_block(surface, field, u, v, eps_grazing)
+        return tuple(map(full, frame.r)), tuple(map(full, refl.b)), full(flags), frame.flipped
+
+    r0, b0, flags, flip0 = rays(U, V)
+    ok, off = flags == 0, (flags & FLAG_DOMAIN) != 0
     stencil = []
     for u, v in ((U + h, V), (U - h, V), (U, V + h), (U, V - h)):
-        r, b, lit, flipped, outside = _ray_bundle(surface, field, u, v, eps_grazing)
+        r, b, flags, flipped = rays(u, v)
         # a stencil straddling an orientation fold would difference two normals
         # of opposite sign; treat such points as unusable rather than produce garbage
-        ok = ok & lit & (flipped == flip0)
-        off = off | outside
+        ok = ok & (flags == 0) & (flipped == flip0)
+        off = off | ((flags & FLAG_DOMAIN) != 0)
         stencil.append((r, b))
     (rpu, bpu), (rmu, bmu), (rpv, bpv), (rmv, bmv) = stencil
 
@@ -255,8 +220,8 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
         lam[0, rows], lam[1, rows] = _roots_of_focal_quadratic(*coeffs)
 
     if max_radius is None:
-        lo, hi = _column_extrema(r0.reshape(-1, 3))
-        max_radius = default_max_radius(float(np.linalg.norm(hi - lo)))
+        # the closed form shares the flags of the rays, and so the chart
+        max_radius = default_max_radius(surface_extent(r0, sheet1.flags)[2])
     max_radius = float(max_radius)
 
     # per-point errors into sheet-major arrays, so that err[both] lists the

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 
-from catacaustics import FlatFront, PointSource, parse_surface
+from catacaustics import FlatFront, PointSource, build_surface, parse_surface
 from catacaustics.surfacelang import (BinOp, Call, Const, Neg, Param,
                                       SurfaceAST, Var)
 
@@ -104,11 +104,31 @@ def stack_planes(planes, shape):
 
 HUGE_BLOCK = 10**9      # BLOCK_POINTS that makes any test grid one block
 
-# (built-in, field, grid shape); nu is no multiple of 7 so blocks end ragged
+# surfaces with point defects: (text, domain)
+DEFECT_SURFACES = {
+    # r_u = r_v wherever d/du (u (u - 1/2))^2 = 0: rows u = 0, 1/4, 1/2 on a 9-row grid
+    "singular-rows": ("[u + v, (u+v)^2 + (u*(u-0.5))^2, (u+v)^3 + (u*(u-0.5))^2]",
+                      (-1.0, 1.0, -1.0, 1.0)),
+    # the apex (0, 0) is off the chart of sqrt: a grid point when both counts are odd
+    "cone": ("[u, v, sqrt(u^2+v^2)]", (-1.0, 1.0, -1.0, 1.0)),
+}
+
+
+def scene_surface(name):
+    """(ast, domain) of a built-in or of a DEFECT_SURFACES entry."""
+    if name in DEFECT_SURFACES:
+        text, domain = DEFECT_SURFACES[name]
+        return parse_surface(text), domain
+    return build_surface(name)
+
+
+# (surface, field, grid shape); nu is no multiple of 7 so blocks end ragged
 BLOCK_SCENES = [
     ("ellipsoid", PointSource((0.05, -0.03, 0.08)), (23, 17)),
     ("revolution", FlatFront((0.3, 0.1, -1.0)), (19, 24)),  # the normal flips across the grid
     ("cylinder", FlatFront((1.0, 0.0, 0.0)), (16, 9)),      # a sheet at infinity
+    ("singular-rows", FlatFront((0.0, 0.0, 1.0)), (9, 6)),
+    ("cone", FlatFront((0.1, 0.2, -1.0)), (19, 21)),
 ]
 
 

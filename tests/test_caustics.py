@@ -21,16 +21,16 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           solve_sheet_curvatures)
 from catacaustics import caustics
 from catacaustics.caustics import (_CROSSCHECK_RTOL, FLAG_AT_INFINITY,
-                                   FLAG_EXCLUDED_ZERO_ROOT, FLAG_VALID,
-                                   InternalConsistencyError,
+                                   FLAG_DEGENERATE, FLAG_DOMAIN,
+                                   FLAG_EXCLUDED_ZERO_ROOT, FLAG_GRAZING,
+                                   FLAG_VALID, InternalConsistencyError,
                                    SourceOnSurfaceError, _column_extrema,
                                    _order_roots_by_continuity,
                                    _stable_quadratic_roots, row_blocks)
-from catacaustics.diffgeo import DegenerateSurfaceError, normal_curvature
-from catacaustics.surfacelang import EvalDomainError
+from catacaustics.diffgeo import normal_curvature
 from catacaustics.surfaces import BUILTINS
 from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
-                      random_field, random_graph_surface,
+                      random_field, random_graph_surface, scene_surface,
                       traced_peak_per_point)
 
 SPHERE = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
@@ -334,7 +334,7 @@ class TestRootIdentities:
             s2 = 1.0 - c ** 2
             if s2 > 1e-2:
                 g = np.array([[forms.g11, forms.g12], [forms.g12, forms.g22]], dtype=float)
-                X = np.linalg.solve(g, [float(refl.w1), float(refl.w2)])
+                X = np.linalg.solve(g, [float(w) for w in refl.w])
                 B_at_at = 0.5 * c * (float(p) - 4.0 * float(forms.H) * c)
                 assert B_at_at == pytest.approx(
                     float(normal_curvature(forms, X)) * s2, rel=1e-9, abs=1e-12)
@@ -402,7 +402,7 @@ def test_row_blocks_cover_every_row_once():
 
 @pytest.mark.parametrize("name, field, shape", BLOCK_SCENES)
 def test_block_size_does_not_change_the_sheets(name, field, shape):
-    ast, dom = build_surface(name)
+    ast, dom = scene_surface(name)
     grid = GridSpec(*shape, dom)
     with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
         *want, want_stats = compute_caustic_sheets(ast, field, grid)
@@ -417,21 +417,6 @@ def test_block_size_does_not_change_the_sheets(name, field, shape):
             assert np.array_equal(g.flags, w.flags)
 
 
-def test_degenerate_rows_in_later_blocks_report_the_whole_grid():
-    # r_u = r_v wherever d/du (u (u - 1/2))^2 = 0: rows u = 0, 1/4, 1/2
-    ast = parse_surface("[u + v, (u+v)^2 + (u*(u-0.5))^2, (u+v)^3 + (u*(u-0.5))^2]")
-    grid = GridSpec(9, 6, (-1.0, 1.0, -1.0, 1.0))
-    with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
-        with pytest.raises(DegenerateSurfaceError) as whole:
-            compute_caustic_sheets(ast, AXIAL, grid)
-    assert "at 18 point(s)" in str(whole.value)
-    # two rows per block: the singular rows 4, 5 and 6 sit in blocks 2 and 3
-    with mock.patch.object(caustics, "BLOCK_POINTS", 2 * grid.nv):
-        with pytest.raises(DegenerateSurfaceError) as blocked:
-            compute_caustic_sheets(ast, AXIAL, grid)
-    assert str(blocked.value) == str(whole.value)
-
-
 def test_vanishing_partial_is_degenerate_not_grazing():
     # r_v = 0 along u = 0: the regularity test once read 0 >= 0 there and
     # flagged the row grazing, with invalid-value warnings from det g = 0
@@ -439,11 +424,12 @@ def test_vanishing_partial_is_degenerate_not_grazing():
     grid = GridSpec(5, 8, (0.0, 1.0, 0.0, 2.0 * np.pi))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DegenerateSurfaceError) as err:
-            compute_caustic_sheets(ast, AXIAL, grid)
-    message = str(err.value)
-    assert "at 8 point(s)" in message
-    assert "first at grid index (0, 0)" in message
+        sheet1, sheet2, stats = compute_caustic_sheets(ast, AXIAL, grid)
+    for sheet in (sheet1, sheet2):
+        assert np.all(sheet.flags[0] == FLAG_DEGENERATE)
+        assert not np.any(sheet.flags & FLAG_GRAZING)
+        assert np.all(sheet.valid[1:])
+    assert stats.n_grazing == 0
 
 
 @pytest.mark.parametrize("text", ["[u, u^2, u^3]", "[v, v^2, v^3]"])
@@ -451,11 +437,25 @@ def test_degenerate_count_is_taken_on_the_grid(text):
     # a chart in u (or v) alone has planes of shape (nu, 1) (or (1, nv)); every
     # one of the 5 x 8 grid points is singular, not just one per plane entry
     grid = GridSpec(5, 8, (0.0, 1.0, 0.0, 1.0))
-    with pytest.raises(DegenerateSurfaceError) as err:
-        compute_caustic_sheets(parse_surface(text), AXIAL, grid)
-    message = str(err.value)
-    assert "at 40 point(s)" in message
-    assert "first at grid index (0, 0)" in message
+    sheet1, sheet2, stats = compute_caustic_sheets(parse_surface(text), AXIAL, grid)
+    for sheet in (sheet1, sheet2):
+        assert sheet.flags.shape == (5, 8)
+        assert np.all(sheet.flags == FLAG_DEGENERATE)
+    assert stats.empty
+
+
+def test_off_chart_apex_is_flagged_where_it_is():
+    # the apex of the cone is off the chart of sqrt, and at 21 x 21 it is a
+    # grid point; every other point is computed as on the 20 x 20 grid
+    ast = parse_surface("[u, v, sqrt(u^2+v^2)]")
+    field = FlatFront((0.1, 0.2, -1.0))
+    sheet1, sheet2, stats = compute_caustic_sheets(ast, field, GridSpec(21, 21, GRAPH_DOMAIN))
+    for sheet in (sheet1, sheet2):
+        assert sheet.flags[10, 10] == FLAG_DOMAIN
+        assert np.count_nonzero(sheet.flags & FLAG_DOMAIN) == 1
+    assert np.count_nonzero(sheet1.valid | sheet2.valid) == 21 * 21 - 1
+    # the stand-in r = 0 of the apex is no surface point: z >= 0.1 elsewhere
+    assert stats.surface_bbox_min[2] == pytest.approx(0.1)
 
 
 STENCIL_SHIFTS = [(0.0, 0.0), (1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)]
@@ -594,8 +594,8 @@ def test_no_builtin_scene_fails_the_crosscheck(name, n, seed):
     ast, dom = build_surface(name)
     try:
         compute_caustic_sheets(ast, field, GridSpec(n, n, dom))
-    except (SourceOnSurfaceError, DegenerateSurfaceError, EvalDomainError):
-        pass  # input errors; InternalConsistencyError must not occur
+    except SourceOnSurfaceError:
+        pass  # an input error; point defects are flagged, and nothing else raises
 
 
 def test_near_grazing_routes_differ_only_by_the_conditioning():

@@ -149,6 +149,10 @@ BAD_SCENE_VALUES = {
     "validate-negative-max-radius": ("validate", "--max-radius", "-1"),
     "validate-nan-max-radius": ("validate", "--max-radius", "nan"),
     "validate-nan-fd-step": ("validate", "--fd-step", "nan"),
+    "negative-eps-inf": ("compute", "--eps-inf", "-1"),
+    "nan-eps-inf": ("compute", "--eps-inf", "nan"),
+    "negative-eps-grazing": ("compute", "--eps-grazing", "-1"),
+    "nan-eps-grazing": ("compute", "--eps-grazing", "nan"),
 }
 
 
@@ -256,6 +260,65 @@ class TestFront:
     def test_compute_takes_no_travel_flag(self, capsys):
         code, _, err = run(capsys, "compute", "--surface", "sphere", "--travel", "2")
         assert code == 1
+
+
+CONE = ("[u, v, sqrt(u^2+v^2)]\n", "--domain=-1,1,-1,1", "--flat", "0.1,0.2,-1")
+CONE_MASKED = ("masked: 1 point(s) off the chart, first at grid index (10, 10): "
+               "sqrt of non-positive value in 'sqrt(u^2.0 + v^2.0)'\n")
+
+
+class TestPointDefects:
+    """An off-chart or singular point is masked where it is; the grid runs on."""
+
+    def _run(self, capsys, tmp_path, command, text, *argv):
+        surface = tmp_path / "mirror.surf"
+        surface.write_text(text)
+        return run(capsys, *command, "--expr-file", str(surface), *argv,
+                   "--out", str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("command", [("compute",), ("validate",),
+                                         ("front", "--travel", "2")])
+    def test_cone_apex_on_the_grid(self, capsys, tmp_path, command):
+        # the apex (0, 0) is a grid point at 21 x 21 and not at 20 x 20
+        code, out, err = self._run(capsys, tmp_path, command, *CONE, "--grid", "21,21")
+        assert (code, err) == (0, "")
+        assert out.startswith(CONE_MASKED)
+        if command == ("validate",):
+            assert "result:            PASS" in out
+            # 10 diameters of the charted points; the apex's stand-in r = 0 is no point
+            assert "caustic radius cap: 31.1884\n" in out
+        code, out, err = self._run(capsys, tmp_path, command, *CONE, "--grid", "20,20")
+        assert (code, err) == (0, "")
+        assert "masked:" not in out
+
+    def test_masked_line_does_not_depend_on_the_block_size(self, capsys, tmp_path,
+                                                            monkeypatch):
+        for size in (1, 21, 10**9):
+            monkeypatch.setattr(caustics, "BLOCK_POINTS", size)
+            code, out, _ = self._run(capsys, tmp_path, ("compute",), *CONE, "--grid", "21,21")
+            assert code == 0
+            assert out.startswith(CONE_MASKED)
+
+    def test_singular_row_is_masked(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, ("compute",),
+                                   "[u*cos(v), u*sin(v), u^2/2]\n",
+                                   "--domain=0,1,0,6.28", "--grid", "5,8")
+        assert (code, err) == (0, "")
+        assert out.startswith("masked: 8 point(s) singular (r_u x r_v ~ 0), "
+                              "first at grid index (0, 0)\n")
+
+    @pytest.mark.parametrize("command", [("compute",), ("front", "--travel", "2")])
+    def test_chart_without_a_regular_point_is_empty(self, capsys, tmp_path, command):
+        code, out, err = self._run(capsys, tmp_path, command, "[u, u^2, u^3]\n",
+                                   "--domain=0,1,0,1", "--grid", "5,8")
+        assert (code, err) == (2, "")
+        assert out.startswith("masked: 40 point(s) singular")
+
+    def test_validate_without_a_regular_point_fails(self, capsys, tmp_path):
+        code, out, err = self._run(capsys, tmp_path, ("validate",), "[u, u^2, u^3]\n",
+                                   "--domain=0,1,0,1", "--grid", "5,8")
+        assert (code, err) == (3, "")
+        assert "compared:          0 sheet-points" in out
 
 
 class TestDeterminism:

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from catacaustics import (build_surface, eval_surface, frame_at,
                           fundamental_forms, normal_curvature, parse_surface,
                           shape_frame)
-from catacaustics.diffgeo import DegenerateSurfaceError, cross, dot, norm
+from catacaustics.diffgeo import cross, dot, norm
 from catacaustics.jets import Jet2, Jet2Vec3
 from conftest import stack_planes
 
@@ -197,14 +197,17 @@ class TestShapeFrame:
             assert a1**2 + a2**2 + a3**2 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_degenerate_parameterization_raises():
+def test_degenerate_parameterization_is_masked():
     ast = parse_surface("[u, u, v]")  # r_u parallel to (1,1,0), fine
     bad = parse_surface("[u*v, u*v, 0]")  # r_u parallel r_v everywhere
-    jet = eval_surface(bad, 0.5, 0.5)
-    with pytest.raises(DegenerateSurfaceError):
-        frame_at(jet, (0.0, 0.0, 1.0))
-    # sanity: the fine one does not raise
-    frame_at(eval_surface(ast, 0.5, 0.5), (0.0, 0.0, 1.0))
+    frame = frame_at(eval_surface(bad, 0.5, 0.5), (0.0, 0.0, 1.0))
+    assert not frame.regular
+    # the flat stand-in frame keeps the point: r_u = e_x, r_v = e_y, n faces the hint
+    assert frame.r == (0.25, 0.25, 0.0)
+    assert (frame.r_u, frame.r_v, frame.n) == ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    assert frame.flipped
+    assert all(x == 0.0 for vec in (frame.r_uu, frame.r_uv, frame.r_vv) for x in vec)
+    assert frame_at(eval_surface(ast, 0.5, 0.5), (0.0, 0.0, 1.0)).regular
 
 
 def test_normal_curvature_rejects_zero_direction():

@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           compute_caustic_sheets, eval_surface, parse_surface,
                           validate_sheets)
-from catacaustics import caustics, oracle
+from catacaustics import caustics
 from catacaustics.caustics import (EPS_GRAZING_DEFAULT, FLAG_GRAZING,
-                                   FLAG_VALID, SourceOnSurfaceError)
+                                   FLAG_VALID, SourceOnSurfaceError, _ray_block)
 from catacaustics.diffgeo import REGULARITY_RTOL
 from catacaustics.oracle import (FD_STEP_DEFAULT, _focal_quadratic,
-                                 _ray_bundle, _roots_of_focal_quadratic)
+                                 _roots_of_focal_quadratic)
 from catacaustics.surfacelang import EvalDomainError
 from catacaustics.surfaces import BUILTINS
-from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
-                      random_field, random_graph_surface, stack_planes,
-                      traced_peak_per_point)
+from conftest import (BLOCK_SCENES, DEFECT_SURFACES, GRAPH_DOMAIN, HUGE_BLOCK,
+                      block_sizes, random_field, random_graph_surface,
+                      scene_surface, stack_planes, traced_peak_per_point)
 
 SPHERE_TEXT = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
 AXIAL = FlatFront((0.0, 0.0, 1.0))
@@ -29,9 +29,9 @@ AXIAL = FlatFront((0.0, 0.0, 1.0))
 
 def reflected_ray(ast, field, u, v):
     """(origin, direction) of the reflected ray at one lit parameter point."""
-    r, b, lit, _, _ = _ray_bundle(ast, field, u, v, EPS_GRAZING_DEFAULT)
-    assert lit
-    return np.array(r), np.array(b)
+    frame, refl, flags = _ray_block(ast, field, u, v, EPS_GRAZING_DEFAULT)
+    assert flags == 0
+    return np.array(frame.r), np.array(refl.b)
 
 
 def focal_distances(ast, field, u, v, h=FD_STEP_DEFAULT):
@@ -61,8 +61,8 @@ class TestReflectedRay:
 
     def test_grazing_point_is_unlit(self):
         ast = parse_surface("[u, v, 0]")
-        _, _, lit, _, _ = _ray_bundle(ast, FlatFront((1, 0, 0)), 0.0, 0.0, EPS_GRAZING_DEFAULT)
-        assert not lit
+        _, _, flags = _ray_block(ast, FlatFront((1, 0, 0)), 0.0, 0.0, EPS_GRAZING_DEFAULT)
+        assert flags == FLAG_GRAZING
 
 
 class TestFocalDistances:
@@ -190,7 +190,7 @@ class TestValidateSheets:
 
 @pytest.mark.parametrize("name, field, shape", BLOCK_SCENES)
 def test_block_size_does_not_change_the_report(name, field, shape):
-    ast, dom = build_surface(name)
+    ast, dom = scene_surface(name)
     grid = GridSpec(*shape, dom)
     with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
         sheets = compute_caustic_sheets(ast, field, grid)[:2]
@@ -223,35 +223,45 @@ def stacked_norm(x):
     return np.sqrt(stacked_dot(x, x))
 
 
-def ray_bundle_reference(surface, field, U, V, eps_grazing):
-    """Rays of the stencil on stacked (..., 3) arrays with np.cross and einsum."""
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    jet = eval_surface(surface, U, V)
-    planes = (jet.value(), jet.d_u(), jet.d_v())
-    shape = np.broadcast(U, V, *(p for vec in planes for p in vec)).shape
-    r, ru, rv = (stack_planes(vec, shape) for vec in planes)
+def rays_reference(r, ru, rv, field, eps_grazing, outside=False):
+    """Rays at stacked (..., 3) points and partials, with np.cross and einsum.
 
+    Singular points take the flat stand-in partials r_u = e_x, r_v = e_y;
+    points off the chart (outside) hold r = 0 with those partials, and no
+    source lies on them.
+    """
     c = np.cross(ru, rv)
     cn = stacked_norm(c)
     regular = cn > REGULARITY_RTOL * stacked_norm(ru) * stacked_norm(rv)
-    with np.errstate(all="ignore"):
-        n_raw = c / np.where(cn > 0.0, cn, 1.0)[..., None]
+    ru = np.where(regular[..., None], ru, (1.0, 0.0, 0.0))
+    rv = np.where(regular[..., None], rv, (0.0, 1.0, 0.0))
+    c = np.cross(ru, rv)
+    n_raw = c / stacked_norm(c)[..., None]
     if isinstance(field, PointSource):
         d = r - field.origin
-        dist = stacked_norm(d)
+        dist = np.where(outside, 1.0, stacked_norm(d))
         if np.any(dist <= caustics.SOURCE_MIN_DISTANCE):
             raise SourceOnSurfaceError("point source coincides with a surface point")
         a = d / dist[..., None]
     else:
-        a = np.broadcast_to(field.direction, shape + (3,))
+        a = np.broadcast_to(field.direction, r.shape)
     side = stacked_dot(a, n_raw)
     flipped = side > 0.0
     n = np.where(flipped[..., None], -n_raw, n_raw)
     cos_theta = np.where(flipped, -side, side)
     b = a - 2.0 * stacked_dot(a, n)[..., None] * n
-    lit = regular & (np.abs(cos_theta) > eps_grazing)
+    lit = regular & (np.abs(cos_theta) > eps_grazing) & ~outside
     return r, b, lit, flipped
+
+
+def ray_bundle_reference(surface, field, U, V, eps_grazing):
+    """Rays of the stencil on stacked (..., 3) arrays; EvalDomainError off the chart."""
+    U = np.asarray(U, dtype=float)
+    V = np.asarray(V, dtype=float)
+    jet = eval_surface(surface, U, V)
+    planes = (jet.value(), jet.d_u(), jet.d_v())
+    shape = np.broadcast(U, V, *(p for vec in planes for p in vec)).shape
+    return rays_reference(*(stack_planes(vec, shape) for vec in planes), field, eps_grazing)
 
 
 def bundle_or_mask_reference(surface, field, U, V, eps_grazing):
@@ -259,20 +269,22 @@ def bundle_or_mask_reference(surface, field, U, V, eps_grazing):
         return ray_bundle_reference(surface, field, U, V, eps_grazing)
     except EvalDomainError:
         pass
+    # point by point: a point whose evaluation raises is off the chart
     shape = np.broadcast_shapes(np.shape(U), np.shape(V))
     U = np.broadcast_to(np.asarray(U, dtype=float), shape)
     V = np.broadcast_to(np.asarray(V, dtype=float), shape)
     r = np.zeros(shape + (3,))
-    b = np.zeros(shape + (3,))
-    lit = np.zeros(shape, dtype=bool)
-    flipped = np.zeros(shape, dtype=bool)
+    ru = np.broadcast_to((1.0, 0.0, 0.0), shape + (3,)).copy()
+    rv = np.broadcast_to((0.0, 1.0, 0.0), shape + (3,)).copy()
+    outside = np.zeros(shape, dtype=bool)
     for idx in np.ndindex(shape):
         try:
-            ri, bi, li, fi = ray_bundle_reference(surface, field, U[idx], V[idx], eps_grazing)
+            jet = eval_surface(surface, U[idx], V[idx])
         except EvalDomainError:
+            outside[idx] = True
             continue
-        r[idx], b[idx], lit[idx], flipped[idx] = ri, bi, li, fi
-    return r, b, lit, flipped
+        r[idx], ru[idx], rv[idx] = jet.value(), jet.d_u(), jet.d_v()
+    return rays_reference(r, ru, rv, field, eps_grazing, outside)
 
 
 def focal_quadratic_reference(surface, field, U, V, h, eps_grazing):
@@ -306,7 +318,7 @@ def _bits(x):
 SQRT_APEX = ("[u, v, sqrt(u) + 0.3*v^2]", (5e-5, 0.5, -1.0, 1.0))
 
 
-@given(name=st.sampled_from(sorted(BUILTINS) + ["random-graph", "sqrt-apex"]),
+@given(name=st.sampled_from(sorted(BUILTINS) + ["random-graph", "sqrt-apex", *DEFECT_SURFACES]),
        seed=st.integers(0, 2**32 - 1), point=st.booleans(),
        nu=st.integers(2, 7), nv=st.integers(2, 7),
        h=st.sampled_from([1e-4, 1e-2, 0.1]))
@@ -319,7 +331,7 @@ def test_planes_oracle_is_bitwise_the_stacked_reference(name, seed, point, nu, n
     elif name == "sqrt-apex":
         ast, dom = parse_surface(SQRT_APEX[0]), SQRT_APEX[1]
     else:
-        ast, dom = build_surface(name)
+        ast, dom = scene_surface(name)
     field = PointSource(rng.normal(scale=2.0, size=3)) if point else FlatFront(rng.normal(size=3))
     grid = GridSpec(nu, nv, dom)
     U, V = grid.mesh()
@@ -346,7 +358,7 @@ def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
     grid = GridSpec(200, 200, dom)
     assert len(caustics.row_blocks(grid.nu, grid.nv)) == 2
     sheets = compute_caustic_sheets(ast, AXIAL, grid)[:2]
-    with mock.patch.object(oracle, "eval_surface", wraps=eval_surface) as spy:
+    with mock.patch.object(caustics, "eval_surface", wraps=eval_surface) as spy:
         report = validate_sheets(sheets, ast, AXIAL, grid)
     assert spy.call_count == 10
     assert report.passed
