@@ -1,5 +1,6 @@
 """Command-line interface: scenes, exit codes, output files."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -210,6 +211,32 @@ class TestValidate:
         assert code == 3
         assert "FAIL" in out
         assert "max error" in out
+
+
+# SHA-256 of validate's stdout, the oracle's whole report; a surface text
+# stands for the file passed with --expr-file
+VALIDATE_STDOUT_SHA256 = {
+    "torus-axial": (("--surface", "revolution", "--flat", "0,0,1", "--grid", "120,100"),
+                    "7ceea1225cc4e17487688189918323b3a9df489dce5b7cf1be3b6ca58f92e561"),
+    "ellipsoid-point": (("--surface", "ellipsoid", "--source", "0.2,0.1,0.1", "--grid", "40,40"),
+                        "1e2a12f8eadfa5a4ba3eeb2597b773832737fe1b673eca7d1e9ae6090f156a97"),
+    # the second derivative of |u| ~ sqrt(u^2 + 1e-300) is NaN on the row u = 0
+    "trough": (("[u, v, sqrt(u^2 + 1e-300)]\n", "--domain=-1,1,-1,1", "--flat", "0.1,0.2,-1",
+                "--grid", "21,21"),
+               "e702a39ce64de729b4e7ce26d1f7c1e01cb897a4b4de7a46d32061a59a004e59"),
+}
+
+
+@pytest.mark.parametrize("scene, digest", VALIDATE_STDOUT_SHA256.values(),
+                         ids=VALIDATE_STDOUT_SHA256.keys())
+def test_validate_report_bytes(scene, digest, tmp_path, capsys):
+    if scene[0].startswith("["):
+        surface = tmp_path / "mirror.surf"
+        surface.write_text(scene[0])
+        scene = ("--expr-file", str(surface), *scene[1:])
+    code, out, err = run(capsys, "validate", *scene)
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFront:
