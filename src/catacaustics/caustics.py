@@ -451,11 +451,11 @@ def surface_extent(r, flags):
     return lo, hi, float(np.linalg.norm(hi - lo))
 
 
-def masked_points_text(flags, surface: SurfaceAST, grid: GridSpec) -> str:
+def masked_points_text(flags, surface: SurfaceAST, grid: GridSpec, order: int = 2) -> str:
     """A "masked:" line per point-defect bit set in flags: its count and first grid index.
 
-    A line ends with the error of evaluating that one point, if any, so it
-    reads the same at every block size.
+    A line ends with the error of evaluating that one point at the jet order
+    that made the flags, if any, so it reads the same at every block size.
     """
     text = ""
     us, vs = grid.axes()
@@ -466,7 +466,7 @@ def masked_points_text(flags, surface: SurfaceAST, grid: GridSpec) -> str:
             i, j = map(int, hits[0])
             text += f"masked: {len(hits)} point(s) {what}, first at grid index ({i}, {j})"
             try:
-                eval_surface(surface, us[i], vs[j])
+                eval_surface(surface, us[i], vs[j], order)
             except EvalDomainError as err:
                 text += f": {err}"
             text += "\n"
@@ -630,19 +630,23 @@ def _order_roots_by_continuity(k_a, k_b, usable):
     return s1, s2
 
 
-def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
+def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float,
+               order: int = 2):
     """Mirror frame, reflection data and flag byte on grid points.
 
     The one ray stage, shared by compute, front and the oracle; returns
-    (frame, refl, flags).  A bad point is flagged where it is and gets the
-    frame of diffgeo.flat_stand_in: FLAG_DOMAIN off the chart (r = 0 there),
-    FLAG_DEGENERATE where it is singular; elsewhere the flags are the
-    shadow/grazing byte.  Vectors are (x, y, z) planes, and every result
-    keeps the shape of what it depends on: broadcast it before writing it.
+    (frame, refl, flags).  The surface is evaluated at the jet order given
+    (see eval_surface): a ray reads r, r_u and r_v only, so front and the
+    oracle take order 1, and compute takes 2 for the curvature.  A bad point
+    is flagged where it is and gets the frame of diffgeo.flat_stand_in:
+    FLAG_DOMAIN off the chart (r = 0 there), FLAG_DEGENERATE where it is
+    singular; elsewhere the flags are the shadow/grazing byte.  Vectors are
+    (x, y, z) planes, and every result keeps the shape of what it depends
+    on: broadcast it before writing it.
     """
     outside = False
     try:
-        jet = eval_surface(surface, U, V)
+        jet = eval_surface(surface, U, V, order)
     except EvalDomainError as err:
         jet, outside = flat_stand_in(err.jet, err.outside), err.outside
     # orientation hint needs the incident direction, which needs positions
@@ -662,7 +666,7 @@ def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: f
     unordered front curvatures, which are NaN off the lit region.  The roots
     are cross-checked on the block.
     """
-    frame, refl, base_flags = _ray_block(surface, field, U, V, eps_grazing)
+    frame, refl, base_flags = _ray_block(surface, field, U, V, eps_grazing, order=2)
     forms = fundamental_forms(frame)
     mods = modified_forms(forms, refl, field)
     p, q = (np.where(base_flags == 0, x, np.nan) for x in caustic_coefficients(forms, refl, field))

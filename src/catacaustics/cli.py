@@ -42,6 +42,9 @@ EXIT_EMPTY = 2
 EXIT_VALIDATION_FAIL = 3
 
 SCENE_KEYS = ("surface", "domain", "grid", "field", "thresholds", "output")
+# scene-file threshold names and the SceneSpec fields they set
+THRESHOLD_KEYS = {"eps-grazing": "eps_grazing", "eps-inf": "eps_inf",
+                  "max-radius": "max_radius"}
 
 
 class SceneError(ValueError):
@@ -178,14 +181,13 @@ def _apply_scene_file(scene: SceneSpec, path: str):
             scene.field = _scene_value(FlatFront if parts[0] == "flat" else PointSource, vec)
         elif key == "thresholds":
             for k, v in _parse_kv_pairs(value, "thresholds").items():
-                if k == "eps-grazing":
-                    scene.eps_grazing = float(v)
-                elif k == "eps-inf":
-                    scene.eps_inf = float(v)
-                elif k == "max-radius":
-                    scene.max_radius = float(v)
-                else:
+                if k not in THRESHOLD_KEYS:
                     raise SceneError(f"scene file line {lineno}: unknown threshold {k!r}")
+                try:
+                    setattr(scene, THRESHOLD_KEYS[k], float(v))
+                except ValueError:
+                    raise SceneError(f"scene file line {lineno}: threshold {k} needs "
+                                     f"a number, got {v!r}") from None
         elif key == "output":
             for k, v in _parse_kv_pairs(value, "output").items():
                 if k == "format":
@@ -287,12 +289,12 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
 def cmd_front(scene: SceneSpec, L: float) -> int:
     """Export the reflected front rho(u, v; L) as a mesh."""
     ast, grid = scene.resolve()
-    frame, refl, flags = _ray_block(ast, scene.field, *grid.block(), scene.eps_grazing)
+    frame, refl, flags = _ray_block(ast, scene.field, *grid.block(), scene.eps_grazing, order=1)
     front = reflected_front_point(frame.r, refl.a, refl.b, L, refl.r_dist)
     # the front has not reached points with lambda < 0; mask them like a clip
     flags = np.broadcast_to(flags, (grid.nu, grid.nv)) | np.where(
         ~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
-    sys.stdout.write(masked_points_text(flags, ast, grid))
+    sys.stdout.write(masked_points_text(flags, ast, grid, order=1))
     valid = flags == 0
     flags |= np.where(valid, np.uint8(FLAG_VALID), np.uint8(0))
 

@@ -58,8 +58,9 @@ class FrameData:
     """Position, partials and the oriented unit normal at surface points.
 
     The vectors are tuples of (x, y, z) planes, the jet's own slot arrays on
-    a regular chart.  regular is False where the chart is singular, and
-    flipped is True where n is -(r_u x r_v)/|r_u x r_v|.
+    a regular chart; the second derivatives hold None where the jet is of
+    first order.  regular is False where the chart is singular, and flipped
+    is True where n is -(r_u x r_v)/|r_u x r_v|.
     """
 
     r: tuple
@@ -124,10 +125,11 @@ class SurfaceForms:
 def flat_stand_in(jet: Jet2Vec3, mask) -> Jet2Vec3:
     """jet, with the jet of the plane (u, v, 0) at its origin where mask is set.
 
-    There r = 0, r_u = e_x, r_v = e_y and the second derivatives vanish: a
-    regular frame, n = +-e_z, on which every later stage computes finite numbers.
+    There r = 0, r_u = e_x, r_v = e_y and the second derivatives, if the jet
+    has them, vanish: a regular frame, n = +-e_z, on which every later stage
+    computes finite numbers.
     """
-    return Jet2Vec3(*(Jet2(*(np.where(mask, p, x) for p, x in zip(plane, c.slots())))
+    return Jet2Vec3(*(Jet2.of([np.where(mask, p, x) for p, x in zip(plane, c.slots())])
                       for plane, c in zip(_PLANE_SLOTS, jet.components())), shape=jet.shape)
 
 

@@ -5,6 +5,10 @@ derivatives with respect to two independent parameters (u, v).  Arithmetic
 follows the Leibniz and chain rules to second order, so derivatives are exact
 up to floating round-off -- no symbolic algebra, no truncation error.
 
+A first-order jet has no second-order slots (None, not zero); an operation
+drops them when an operand lacks them, and its value and first partials are
+bit for bit those of second order.  Constants have zero second-order slots.
+
 Slots may hold plain floats or numpy arrays of a common broadcastable shape,
 which is how whole parameter grids are differentiated in one pass.
 
@@ -67,14 +71,21 @@ class Jet2:
         return cls(np.asarray(value, dtype=float) * 1.0 if np.ndim(value) else float(value))
 
     @classmethod
-    def var_u(cls, value) -> "Jet2":
-        return cls(np.asarray(value, dtype=float) * 1.0, fu=1.0)
+    def var_u(cls, value, order=2) -> "Jet2":
+        return cls.of((np.asarray(value, dtype=float) * 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)[:3 * order])
 
     @classmethod
-    def var_v(cls, value) -> "Jet2":
-        return cls(np.asarray(value, dtype=float) * 1.0, fv=1.0)
+    def var_v(cls, value, order=2) -> "Jet2":
+        return cls.of((np.asarray(value, dtype=float) * 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)[:3 * order])
+
+    @classmethod
+    def of(cls, slots) -> "Jet2":
+        """The jet of (f, fu, fv), first order, or of all six slots."""
+        return cls(*slots) if len(slots) == 6 else cls(*slots, None, None, None)
 
     def slots(self):
+        if self.fuu is None:
+            return (self.f, self.fu, self.fv)
         return (self.f, self.fu, self.fv, self.fuu, self.fuv, self.fvv)
 
     def __repr__(self):
@@ -85,36 +96,33 @@ class Jet2:
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.f + other.f, self.fu + other.fu, self.fv + other.fv,
-                        self.fuu + other.fuu, self.fuv + other.fuv, self.fvv + other.fvv)
+            return Jet2.of([x + y for x, y in zip(self.slots(), other.slots())])
         return Jet2(self.f + other, self.fu, self.fv, self.fuu, self.fuv, self.fvv)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.f - other.f, self.fu - other.fu, self.fv - other.fv,
-                        self.fuu - other.fuu, self.fuv - other.fuv, self.fvv - other.fvv)
+            return Jet2.of([x - y for x, y in zip(self.slots(), other.slots())])
         return Jet2(self.f - other, self.fu, self.fv, self.fuu, self.fuv, self.fvv)
 
     def __rsub__(self, other):
-        return Jet2(other - self.f, -self.fu, -self.fv, -self.fuu, -self.fuv, -self.fvv)
+        return Jet2.of([other - self.f, *(-x for x in self.slots()[1:])])
 
     def __neg__(self):
-        return Jet2(-self.f, -self.fu, -self.fv, -self.fuu, -self.fuv, -self.fvv)
+        return Jet2.of([-x for x in self.slots()])
 
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(
-                self.f * other.f,
-                self.fu * other.f + self.f * other.fu,
-                self.fv * other.f + self.f * other.fv,
-                self.fuu * other.f + 2.0 * self.fu * other.fu + self.f * other.fuu,
-                self.fuv * other.f + self.fu * other.fv + self.fv * other.fu + self.f * other.fuv,
-                self.fvv * other.f + 2.0 * self.fv * other.fv + self.f * other.fvv,
-            )
-        return Jet2(self.f * other, self.fu * other, self.fv * other,
-                    self.fuu * other, self.fuv * other, self.fvv * other)
+    def __mul__(self, g):
+        if not isinstance(g, Jet2):
+            return Jet2.of([x * g for x in self.slots()])
+        slots = (self.f * g.f,
+                 self.fu * g.f + self.f * g.fu,
+                 self.fv * g.f + self.f * g.fv)
+        if self.fuu is not None and g.fuu is not None:
+            slots += (self.fuu * g.f + 2.0 * self.fu * g.fu + self.f * g.fuu,
+                      self.fuv * g.f + self.fu * g.fv + self.fv * g.fu + self.f * g.fuv,
+                      self.fvv * g.f + 2.0 * self.fv * g.fv + self.f * g.fvv)
+        return Jet2.of(slots)
 
     __rmul__ = __mul__
 
@@ -126,10 +134,12 @@ class Jet2:
         h = self.f / gf
         hu = (self.fu - h * g.fu) / gf
         hv = (self.fv - h * g.fv) / gf
-        huu = (self.fuu - 2.0 * hu * g.fu - h * g.fuu) / gf
-        huv = (self.fuv - hu * g.fv - hv * g.fu - h * g.fuv) / gf
-        hvv = (self.fvv - 2.0 * hv * g.fv - h * g.fvv) / gf
-        return _checked(Jet2(h, hu, hv, huu, huv, hvv), gf == 0.0, "division by zero")
+        slots = (h, hu, hv)
+        if self.fuu is not None and g.fuu is not None:
+            slots += ((self.fuu - 2.0 * hu * g.fu - h * g.fuu) / gf,
+                      (self.fuv - hu * g.fv - hv * g.fu - h * g.fuv) / gf,
+                      (self.fvv - 2.0 * hv * g.fv - h * g.fvv) / gf)
+        return _checked(Jet2.of(slots), gf == 0.0, "division by zero")
 
     def __rtruediv__(self, other):
         return Jet2(other) / self
@@ -143,14 +153,12 @@ class Jet2:
 
 def _chain(x: Jet2, f0, f1, f2) -> Jet2:
     """Compose a scalar function (value f0, derivatives f1, f2 at x.f) with a jet."""
-    return Jet2(
-        f0,
-        f1 * x.fu,
-        f1 * x.fv,
-        f2 * x.fu * x.fu + f1 * x.fuu,
-        f2 * x.fu * x.fv + f1 * x.fuv,
-        f2 * x.fv * x.fv + f1 * x.fvv,
-    )
+    slots = (f0, f1 * x.fu, f1 * x.fv)
+    if x.fuu is not None:
+        slots += (f2 * x.fu * x.fu + f1 * x.fuu,
+                  f2 * x.fu * x.fv + f1 * x.fuv,
+                  f2 * x.fv * x.fv + f1 * x.fvv)
+    return Jet2.of(slots)
 
 
 def _sin_cos(x: Jet2):
@@ -232,7 +240,7 @@ def absolute(x):
 
 def _select(mask, a: Jet2, b: Jet2) -> Jet2:
     """The jet that is a where mask holds and b elsewhere."""
-    return Jet2(*(np.where(mask, x, y) for x, y in zip(a.slots(), b.slots())))
+    return Jet2.of([np.where(mask, x, y) for x, y in zip(a.slots(), b.slots())])
 
 
 def power(base, expo):
@@ -253,7 +261,7 @@ def power(base, expo):
         if c == 0.0:
             return Jet2(np.ones_like(np.asarray(base.f, dtype=float)) if np.ndim(base.f) else 1.0)
         if c == 1.0:
-            return Jet2(*base.slots())
+            return Jet2.of(base.slots())
     with np.errstate(all="ignore"):
         jet = None
         if np.any(const):
@@ -280,7 +288,8 @@ class Jet2Vec3:
     """A point of 3-space with exact first and second (u, v) partials.
 
     The accessors return the component jets' slots as (x, y, z) planes, not
-    copies; shape is that of the (u, v) points the jet was evaluated at.
+    copies; shape is that of the (u, v) points the jet was evaluated at.  A
+    component of first order has None for its second partials.
     """
 
     x: Jet2

@@ -15,10 +15,11 @@ check of the curvature route.
 validate_sheets is the entry point: it runs the oracle over blocks of grid
 rows and compares its caustic points with the closed-form sheets.  The rays
 come from the ray stage that compute uses (caustics._ray_block), once per
-stencil point and block; the focal computation is the oracle's own.  A ray
-the stage flags (grazing, off the chart or singular) makes its stencil
-unusable, and the oracle gives no verdict on a grid point whose stencil
-leaves the chart.
+stencil point and block, on first-order jets: a ray needs r, r_u and r_v
+only.  The focal computation is the oracle's own.  A ray the stage flags
+(grazing, off the chart or singular) makes its stencil unusable, and the
+oracle gives no verdict on a grid point whose stencil leaves the chart, nor
+where the closed form's evaluation did.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
         return np.broadcast_to(x, shape)
 
     def rays(u, v):
-        frame, refl, flags = _ray_block(surface, field, u, v, eps_grazing)
+        frame, refl, flags = _ray_block(surface, field, u, v, eps_grazing, order=1)
         return tuple(map(full, frame.r)), tuple(map(full, refl.b)), full(flags), frame.flipped
 
     r0, b0, flags, flip0 = rays(U, V)
@@ -159,7 +160,9 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
     Returns (err, both, n_disagree): the (2, rows, nv) distances between the
     closed-form and the oracle caustic points, the mask of points both sides
     call valid, and the number of charted sheet-points only one side calls
-    valid (off the chart the oracle has no verdict).
+    valid.  Off the chart the oracle has no verdict: where a stencil point
+    leaves it, and where the closed form's own evaluation did (FLAG_DOMAIN),
+    which at order 2 also covers a second derivative that is not finite.
     """
     def sheet_side(sheet):
         radius = caustic_radius(sheet.k_star[rows])
@@ -169,17 +172,19 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
     rad1, use1 = sheet_side(sheets[0])
     rad2, use2 = sheet_side(sheets[1])
     oracle_ok = ok[None] & (np.abs(lam) <= max_radius) & np.isfinite(lam)
+    charted = charted & ((sheets[0].flags[rows] & FLAG_DOMAIN) == 0)
 
-    # pair closed-form radii with oracle roots by least total |difference|
+    # pair closed-form radii with oracle roots by least total |difference| over
+    # the usable radii: a zero root's ~1e16 radius would leave it to rounding
     with np.errstate(all="ignore"):
         cf = np.stack([rad1, rad2])
-        keep = np.abs(cf[0] - lam[0]) + np.abs(cf[1] - lam[1])
-        swap = np.abs(cf[0] - lam[1]) + np.abs(cf[1] - lam[0])
-        swap_better = swap < keep
+        cf_ok = np.stack([use1, use2])
+        keep = np.where(cf_ok, np.abs(cf - lam), 0.0)
+        swap = np.where(cf_ok, np.abs(cf - lam[::-1]), 0.0)
+        swap_better = swap[0] + swap[1] < keep[0] + keep[1]
         orc = np.where(swap_better[None], lam[::-1], lam)
         oracle_ok = np.where(swap_better[None], oracle_ok[::-1], oracle_ok)
 
-        cf_ok = np.stack([use1, use2])
         both = cf_ok & oracle_ok
         disagree = int(np.count_nonzero((cf_ok != oracle_ok) & charted))
 
@@ -239,7 +244,7 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
     n_compared = int(errors.size)
     if n_compared:
         max_err = float(errors.max())
-        stats = (float(errors.mean()), *(float(np.percentile(errors, p)) for p in (50, 90, 99)))
+        stats = (float(errors.mean()), *map(float, np.percentile(errors, (50, 90, 99))))
         passed = max_err <= tol
     else:
         max_err = float("inf")

@@ -441,23 +441,28 @@ _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": jets.power}
 
 
-def _eval_node(node: Node, ju: Jet2, jv: Jet2, params: dict, failed: list) -> Jet2:
-    """The jet of node; domain errors go to failed as (node, message, bad points)."""
+def _eval_node(node: Node, uv: tuple, full: tuple, params: dict, failed: list) -> Jet2:
+    """The jet of node; domain errors go to failed as (node, message, bad points).
+
+    Exponents of ^ take the order-2 variables full, the rest uv: jets.power
+    picks its branch from every slot of the exponent, at either order alike.
+    """
     if isinstance(node, Const):
         return Jet2(node.value)
     if isinstance(node, Var):
-        return ju if node.name == "u" else jv
+        return uv[node.name == "v"]
     if isinstance(node, Param):
         return Jet2(params[node.name])
     if isinstance(node, Neg):
-        return -_eval_node(node.operand, ju, jv, params, failed)
+        return -_eval_node(node.operand, uv, full, params, failed)
     if isinstance(node, Call):
-        op, operands = _FUNC_TABLE[node.func], (node.arg,)
+        op, operands = _FUNC_TABLE[node.func], ((node.arg, uv),)
     elif isinstance(node, BinOp):
-        op, operands = _BINOPS[node.op], (node.left, node.right)
+        op = _BINOPS[node.op]
+        operands = ((node.left, uv), (node.right, full if node.op == "^" else uv))
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    args = [_eval_node(x, ju, jv, params, failed) for x in operands]
+    args = [_eval_node(x, x_uv, full, params, failed) for x, x_uv in operands]
     try:
         return op(*args)
     except JetDomainError as e:
@@ -465,25 +470,27 @@ def _eval_node(node: Node, ju: Jet2, jv: Jet2, params: dict, failed: list) -> Je
         return e.jet
 
 
-def eval_surface(ast: SurfaceAST, u, v) -> Jet2Vec3:
+def eval_surface(ast: SurfaceAST, u, v, order: int = 2) -> Jet2Vec3:
     """Evaluate a surface at (u, v) as a jet of position and partials.
 
     u and v may be scalars or broadcastable numpy arrays; results carry the
-    broadcast shape.  All points are evaluated in one pass; a bad one does
-    not stop it.  Raises EvalDomainError at an undefined real operation or a
-    non-finite value, naming the first failing node in evaluation order (a
+    broadcast shape.  order 1 computes only r, r_u and r_v, bit for bit those
+    of order 2.  All points are evaluated in one pass; a bad one does not
+    stop it.  Raises EvalDomainError at an undefined real operation or a
+    non-finite slot, naming the first failing node in evaluation order (a
     component's non-finite check after its operations), with the jet and
     the mask outside: True exactly where evaluating that point alone raises,
-    and elsewhere the jet is bit for bit that point's evaluation.
+    and elsewhere the jet is bit for bit that point's evaluation.  At order 1
+    it lacks the points where only a second partial is non-finite.
     """
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    ju = Jet2.var_u(u)
-    jv = Jet2.var_v(v)
+    full = (Jet2.var_u(u), Jet2.var_v(v))
+    uv = full if order == 2 else (Jet2.var_u(u, order), Jet2.var_v(v, order))
     failed = []
     out = []
     with np.errstate(all="ignore"):
         for label, tree in zip("xyz", ast.components()):
-            j = _eval_node(tree, ju, jv, ast.params, failed)
+            j = _eval_node(tree, uv, full, ast.params, failed)
             finite = functools.reduce(np.logical_and, map(np.isfinite, j.slots()))
             if not np.all(finite):
                 failed.append((tree, f"non-finite value in {label}-component", ~finite))

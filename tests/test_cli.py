@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import catacaustics
 from catacaustics import caustics, cli
 from catacaustics.cli import main
+from catacaustics.surfacelang import eval_surface
 
 
 def run(capsys, *argv):
@@ -154,6 +156,7 @@ BAD_SCENE_VALUES = {
     "nan-eps-inf": ("compute", "--eps-inf", "nan"),
     "negative-eps-grazing": ("compute", "--eps-grazing", "-1"),
     "nan-eps-grazing": ("compute", "--eps-grazing", "nan"),
+    "word-threshold-in-file": ("compute", "--scene", "{thresholds}"),
 }
 
 
@@ -161,7 +164,9 @@ BAD_SCENE_VALUES = {
 def test_bad_scene_value_is_input_error(argv, tmp_path, capsys):
     scene = tmp_path / "scene.txt"
     scene.write_text("field = flat 0,0,0\n")
-    argv = [arg.format(scene=scene) for arg in argv]
+    thresholds = tmp_path / "thresholds.txt"
+    thresholds.write_text("surface = sphere\nthresholds = eps-inf=abc\n")
+    argv = [arg.format(scene=scene, thresholds=thresholds) for arg in argv]
     code, _, err = run(capsys, *argv, "--surface", "sphere", "--out", str(tmp_path / "x"))
     assert code == 1
     assert any(line.startswith("scene: ") for line in err.splitlines())
@@ -290,6 +295,7 @@ class TestFront:
 
 
 CONE = ("[u, v, sqrt(u^2+v^2)]\n", "--domain=-1,1,-1,1", "--flat", "0.1,0.2,-1")
+TROUGH = "[u, v, sqrt(u^2 + 1e-300)]\n"
 CONE_MASKED = ("masked: 1 point(s) off the chart, first at grid index (10, 10): "
                "sqrt of non-positive value in 'sqrt(u^2.0 + v^2.0)'\n")
 
@@ -325,6 +331,46 @@ class TestPointDefects:
             code, out, _ = self._run(capsys, tmp_path, ("compute",), *CONE, "--grid", "21,21")
             assert code == 0
             assert out.startswith(CONE_MASKED)
+
+    def test_cone_pairs_only_usable_roots(self, capsys, tmp_path):
+        # a zero root's ~1e16 radius once decided the pairing by rounding: 24
+        # points paired crossed, 48 flag mismatches and 376 compared
+        code, out, err = self._run(capsys, tmp_path, ("validate",), *CONE, "--grid", "20,20")
+        assert (code, err) == (0, "")
+        assert "compared:          400 sheet-points\n  flag mismatches:   0\n" in out
+        assert "max error:         5.615409e-08\n" in out
+
+    def test_front_reads_no_second_derivative(self, capsys, tmp_path):
+        # the trough's second derivative is NaN on the row u = 0, its rays are fine
+        code, out, err = self._run(capsys, tmp_path, ("front", "--travel", "2"), TROUGH,
+                                   "--domain=-1,1,-1,1", "--flat", "0.1,0.2,-1",
+                                   "--grid", "21,21", "--format", "ply")
+        assert (code, err) == (0, "")
+        assert "masked:" not in out
+        assert b"element vertex 441\n" in read(str(tmp_path / "out-front.ply"))
+        code, out, err = self._run(capsys, tmp_path, ("compute",), TROUGH, "--domain=-1,1,-1,1",
+                                   "--flat", "0.1,0.2,-1", "--grid", "21,21")
+        assert out.startswith("masked: 21 point(s) off the chart, first at grid index (10, 0): "
+                              "non-finite value in z-component")
+        # the masked line gives the error of the order that flagged the point
+        code, out, err = self._run(capsys, tmp_path, ("front", "--travel", "2"),
+                                   "[sqrt(u^2 + 1e-300), v, log(u^2)]\n", "--domain=-1,1,-1,1",
+                                   "--flat", "0.1,0.2,-1", "--grid", "21,21")
+        assert out.startswith("masked: 21 point(s) off the chart, first at grid index (10, 0): "
+                              "log of non-positive value in 'log(u^2.0)'\n")
+
+    @pytest.mark.parametrize("command, orders", [
+        (("compute",), [2]),
+        (("validate",), [2, 1, 1, 1, 1, 1]),
+        (("front", "--travel", "2"), [1]),
+    ])
+    def test_rays_take_first_order_jets_and_curvature_second(self, capsys, tmp_path,
+                                                             command, orders):
+        with mock.patch.object(caustics, "eval_surface", wraps=eval_surface) as spy:
+            code, _, _ = run(capsys, *command, "--surface", "ellipsoid", "--source",
+                             "0.2,0.1,0.1", "--grid", "12,10", "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert [call.args[3] for call in spy.call_args_list] == orders
 
     def test_singular_row_is_masked(self, capsys, tmp_path):
         code, out, err = self._run(capsys, tmp_path, ("compute",),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catacaustics import Jet2, parse_surface
+from catacaustics import surfacelang
 from catacaustics.jets import JetDomainError
 from catacaustics.surfacelang import (BinOp, Call, Const, EvalDomainError, Neg,
                                       SurfaceAST, eval_surface)
@@ -267,3 +268,70 @@ def test_power_decides_its_branch_per_point(text, us, message, outside):
     assert np.array_equal(err.value.outside, outside)
     for i, j in zip(*np.nonzero(~np.asarray(outside))):
         assert err.value.jet.z.f[i, j] == eval_surface(ast, us[i], vs[j]).z.f
+
+
+# -- first-order evaluation: the order-2 value and first partials, bit for bit --
+
+# (text, us, vs) of the two cases where a naive first order parts from order 2
+ORDER_REPRODUCERS = {
+    # at u = 0 the exponent has fu = fv = 0 but fuu = 2: power's constant test
+    # must see every slot, or order 1 takes the integer branch there
+    "power-branch": ("[u, v, (v-1)^(u^2)]", np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 1.5, 5)),
+    # fuu underflows to NaN on the row u = 0, a slot order 1 never computes
+    "trough": ("[u, v, sqrt(u^2 + 1e-300)]", np.linspace(-1.0, 1.0, 21),
+               np.linspace(-1.0, 1.0, 21)),
+}
+
+
+def _evaluate(ast, us, vs, order):
+    """(jet, outside) of eval_surface at the given order on the grid us x vs."""
+    try:
+        jet = eval_surface(ast, us[:, None], vs[None, :], order)
+    except EvalDomainError as err:
+        return err.jet, err.outside
+    return jet, np.zeros((us.size, vs.size), bool)
+
+
+def check_first_order_is_order_two(ast, us, vs):
+    shape = (us.size, vs.size)
+    jet1, out1 = _evaluate(ast, us, vs, 1)
+    jet2, out2 = _evaluate(ast, us, vs, 2)
+    assert not np.any(out1 & ~out2)
+    # where only a second-order slot is non-finite, order 2 alone leaves the chart
+    second_only = np.zeros(shape, bool)
+    for comp in jet2.components():
+        finite = [np.broadcast_to(np.isfinite(s), shape) for s in comp.slots()]
+        second_only |= np.logical_and.reduce(finite[:3]) & ~np.logical_and.reduce(finite[3:])
+    assert np.array_equal(out1 & ~second_only, out2 & ~second_only)
+    for comp1, comp2 in zip(jet1.components(), jet2.components()):
+        for s1, s2 in zip(comp1.slots()[:3], comp2.slots()[:3]):
+            b1 = np.broadcast_to(np.asarray(s1, dtype=float), shape)[~out2]
+            b2 = np.broadcast_to(np.asarray(s2, dtype=float), shape)[~out2]
+            assert np.array_equal(b1.view(np.uint64), b2.view(np.uint64))
+
+
+@given(seed=st.integers(0, 2**32 - 1), ku=st.integers(1, 3), kv=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_first_order_is_the_order_two_value_and_partials(seed, ku, kv):
+    rng = np.random.default_rng(seed)
+    ast = SurfaceAST(*(random_edge_expr(rng) for _ in range(3)))
+    # odd counts put a sample at 0, the edge of sqrt, log, 1/u and abs
+    check_first_order_is_order_two(ast, np.linspace(-1.0, 1.0, 2 * ku + 1),
+                                   np.linspace(-1.0, 1.0, 2 * kv + 1))
+
+
+@pytest.mark.parametrize("text, us, vs", ORDER_REPRODUCERS.values(), ids=ORDER_REPRODUCERS.keys())
+def test_first_order_reproducers(text, us, vs):
+    ast = parse_surface(text)
+    check_first_order_is_order_two(ast, us, vs)
+    jet, _ = _evaluate(ast, us, vs, 1)
+    assert jet.z.slots()[3:] == () and jet.z.fuu is None
+
+
+def test_first_order_without_the_exponent_rule_fails_the_property(monkeypatch):
+    # planted: the exponent of ^ evaluated at the order of the result
+    real = surfacelang._eval_node
+    monkeypatch.setattr(surfacelang, "_eval_node",
+                        lambda node, uv, full, params, failed: real(node, uv, uv, params, failed))
+    with pytest.raises(AssertionError):
+        test_first_order_reproducers(*ORDER_REPRODUCERS["power-branch"])
