@@ -450,7 +450,7 @@ def _eval_node(node: Node, uv: tuple, full: tuple, params: dict, failed: list) -
     if isinstance(node, Const):
         return Jet2(node.value)
     if isinstance(node, Var):
-        return uv[node.name == "v"]
+        return uv[0] if node.name == "u" else uv[1]
     if isinstance(node, Param):
         return Jet2(params[node.name])
     if isinstance(node, Neg):
