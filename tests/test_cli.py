@@ -218,6 +218,9 @@ class TestValidate:
         assert "max error" in out
 
 
+# the second derivative of |u| ~ sqrt(u^2 + 1e-300) is NaN on the row u = 0
+TROUGH = "[u, v, sqrt(u^2 + 1e-300)]\n"
+
 # SHA-256 of validate's stdout, the oracle's whole report; a surface text
 # stands for the file passed with --expr-file
 VALIDATE_STDOUT_SHA256 = {
@@ -225,9 +228,7 @@ VALIDATE_STDOUT_SHA256 = {
                     "7ceea1225cc4e17487688189918323b3a9df489dce5b7cf1be3b6ca58f92e561"),
     "ellipsoid-point": (("--surface", "ellipsoid", "--source", "0.2,0.1,0.1", "--grid", "40,40"),
                         "1e2a12f8eadfa5a4ba3eeb2597b773832737fe1b673eca7d1e9ae6090f156a97"),
-    # the second derivative of |u| ~ sqrt(u^2 + 1e-300) is NaN on the row u = 0
-    "trough": (("[u, v, sqrt(u^2 + 1e-300)]\n", "--domain=-1,1,-1,1", "--flat", "0.1,0.2,-1",
-                "--grid", "21,21"),
+    "trough": ((TROUGH, "--domain=-1,1,-1,1", "--flat", "0.1,0.2,-1", "--grid", "21,21"),
                "e702a39ce64de729b4e7ce26d1f7c1e01cb897a4b4de7a46d32061a59a004e59"),
 }
 
@@ -295,7 +296,6 @@ class TestFront:
 
 
 CONE = ("[u, v, sqrt(u^2+v^2)]\n", "--domain=-1,1,-1,1", "--flat", "0.1,0.2,-1")
-TROUGH = "[u, v, sqrt(u^2 + 1e-300)]\n"
 CONE_MASKED = ("masked: 1 point(s) off the chart, first at grid index (10, 10): "
                "sqrt of non-positive value in 'sqrt(u^2.0 + v^2.0)'\n")
 
