@@ -418,6 +418,8 @@ class GridSpec:
         u0, u1, v0, v1 = map(float, self.domain)
         if not (u1 > u0 and v1 > v0):
             raise ValueError("grid domain rectangle is empty")
+        if not np.isfinite(u1 - u0) or not np.isfinite(v1 - v0):
+            raise ValueError("grid domain rectangle must be finite")
         self.domain = (u0, u1, v0, v1)
 
     def axes(self):

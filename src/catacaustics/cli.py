@@ -191,6 +191,9 @@ def _apply_scene_file(scene: SceneSpec, path: str):
         elif key == "output":
             for k, v in _parse_kv_pairs(value, "output").items():
                 if k == "format":
+                    if v not in FORMATS:
+                        raise SceneError(f"scene file line {lineno}: unknown format {v!r} "
+                                         f"(known: {', '.join(FORMATS)})")
                     scene.fmt = v
                 elif k == "prefix":
                     scene.out = v
@@ -231,8 +234,6 @@ def _scene_from_args(args) -> SceneSpec:
     if args.max_radius is not None:
         scene.max_radius = args.max_radius
     if args.format:
-        if args.format not in FORMATS:
-            raise SceneError(f"unknown format {args.format!r}")
         scene.fmt = args.format
     if args.out:
         scene.out = args.out
@@ -276,11 +277,11 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
     if not (h > 0.0 and tol >= 0.0):
         raise SceneError("--fd-step must be positive and --tol non-negative")
     ast, grid = scene.resolve()
-    sheet1, sheet2, _ = compute_caustic_sheets(
+    closed_form = compute_caustic_sheets(
         ast, scene.field, grid,
         eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf)
-    sys.stdout.write(masked_points_text(sheet1.flags, ast, grid))
-    report = validate_sheets((sheet1, sheet2), ast, scene.field, grid, h=h, tol=tol,
+    sys.stdout.write(masked_points_text(closed_form[0].flags, ast, grid))
+    report = validate_sheets(closed_form, ast, scene.field, grid, h=h, tol=tol,
                              max_radius=scene.max_radius, eps_grazing=scene.eps_grazing)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAIL

@@ -12,14 +12,16 @@ the signed focal distances along each ray -- come out in closed form.  None of
 the fundamental-form machinery is touched, which makes this an independent
 check of the curvature route.
 
-validate_sheets is the entry point: it runs the oracle over blocks of grid
-rows and compares its caustic points with the closed-form sheets.  The rays
-come from the ray stage that compute uses (caustics._ray_block), once per
-stencil point and block, on first-order jets: a ray needs r, r_u and r_v
-only.  The focal computation is the oracle's own.  A ray the stage flags
-(grazing, off the chart or singular) makes its stencil unusable, and the
-oracle gives no verdict on a grid point whose stencil leaves the chart, nor
-where the closed form's evaluation did.
+validate_sheets is the entry point: it takes what compute_caustic_sheets
+returns and, in one pass over blocks of grid rows, runs the oracle and keeps
+each point's error against the closed-form sheets.  The rays come from the
+ray stage that compute uses (caustics._ray_block), once per stencil point and
+block, on first-order jets: a ray needs r, r_u and r_v only.  The focal
+computation is the oracle's own; the default radius cap comes from the
+closed form's surface diameter, a property of the mirror samples.  A ray the
+stage flags (grazing, off the chart or singular) makes its stencil unusable,
+and the oracle gives no verdict on a grid point whose stencil leaves the
+chart, nor where the closed form's evaluation did.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .caustics import (EPS_GRAZING_DEFAULT, FLAG_DOMAIN, FLAG_VALID, GridSpec,
                        IncidentField, _ray_block, caustic_radius,
-                       default_max_radius, row_blocks, surface_extent)
+                       default_max_radius, row_blocks)
 from .diffgeo import cross, dot
 from .surfacelang import SurfaceAST
 
@@ -199,61 +201,52 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
                     tol: float = VALIDATION_TOL_DEFAULT,
                     max_radius: Optional[float] = None,
                     eps_grazing: float = EPS_GRAZING_DEFAULT) -> ValidationReport:
-    """Compare two closed-form CausticSheets against the brute-force oracle.
+    """Compare the closed-form caustic sheets against the brute-force oracle.
 
-    closed_form is the (sheet1, sheet2) pair computed on the same grid.  The
-    error at a point is the distance between the closed-form caustic point and
-    r + lambda_oracle * b after pairing the roots by least total difference.
-    Points whose caustic lies beyond max_radius (default: 10 surface diameters)
-    are excluded on both sides: far focal points amplify any derivative noise
+    closed_form is the (sheet1, sheet2, statistics) triple of
+    compute_caustic_sheets on the same grid.  One pass over the row blocks
+    compares the two; the error at a point is the distance between the
+    closed-form caustic point and r + lambda_oracle * b after pairing the
+    roots by least total difference.  Points whose caustic lies beyond
+    max_radius (default: 10 times the statistics' surface diameter) are
+    excluded on both sides: far focal points amplify any derivative noise
     linearly with distance and carry no geometric information here.
     """
-    sheet1, sheet2 = closed_form
+    sheet1, sheet2, stats = closed_form
     if sheet1.k_star.shape != (grid.nu, grid.nv) or sheet2.k_star.shape != (grid.nu, grid.nv):
         raise ValueError("closed-form sheets were not computed on the given grid")
-
-    shape = (grid.nu, grid.nv)
-    r0 = np.empty(shape + (3,))
-    b0 = np.empty(shape + (3,))
-    ok = np.empty(shape, dtype=bool)
-    charted = np.empty(shape, dtype=bool)
-    lam = np.empty((2,) + shape)       # the two oracle roots, sheet-major
-    blocks = row_blocks(grid.nu, grid.nv)
-    for rows in blocks:
-        coeffs, r0[rows], b0[rows], ok[rows], charted[rows] = _focal_quadratic(
-            surface, field, *grid.block(rows), h, eps_grazing)
-        lam[0, rows], lam[1, rows] = _roots_of_focal_quadratic(*coeffs)
-
     if max_radius is None:
-        # the closed form shares the flags of the rays, and so the chart
-        max_radius = default_max_radius(surface_extent(r0, sheet1.flags)[2])
+        max_radius = default_max_radius(stats.surface_diameter)
     max_radius = float(max_radius)
 
     # per-point errors into sheet-major arrays, so that err[both] lists the
     # compared points in the same order whatever the block size
-    err = np.empty((2,) + shape)
-    both = np.empty((2,) + shape, dtype=bool)
+    shape = (2, grid.nu, grid.nv)
+    err = np.empty(shape)
+    both = np.empty(shape, dtype=bool)
     disagree = 0
-    for rows in blocks:
+    for rows in row_blocks(grid.nu, grid.nv):
+        coeffs, r0, b0, ok, charted = _focal_quadratic(
+            surface, field, *grid.block(rows), h, eps_grazing)
+        lam = np.stack(_roots_of_focal_quadratic(*coeffs))
         err[:, rows], both[:, rows], n = _point_errors(
-            (sheet1, sheet2), rows, r0[rows], b0[rows], ok[rows], charted[rows],
-            lam[:, rows], max_radius)
+            (sheet1, sheet2), rows, r0, b0, ok, charted, lam, max_radius)
         disagree += n
     errors = err[both]
 
     n_compared = int(errors.size)
     if n_compared:
         max_err = float(errors.max())
-        stats = (float(errors.mean()), *map(float, np.percentile(errors, (50, 90, 99))))
+        summary = (float(errors.mean()), *map(float, np.percentile(errors, (50, 90, 99))))
         passed = max_err <= tol
     else:
         max_err = float("inf")
-        stats = (float("inf"),) * 4
+        summary = (float("inf"),) * 4
         passed = False
     return ValidationReport(
         nu=grid.nu, nv=grid.nv, fd_step=float(h), tol=float(tol), max_radius=max_radius,
         n_points=grid.nu * grid.nv, n_compared=n_compared, n_flag_disagreements=disagree,
-        max_error=max_err, mean_error=stats[0], p50=stats[1], p90=stats[2], p99=stats[3],
+        max_error=max_err, mean_error=summary[0], p50=summary[1], p90=summary[2], p99=summary[3],
         passed=passed,
     )
 

@@ -205,7 +205,7 @@ def test_criterion_08_oracle_equivalence():
     failures = []
     for name, params, grid, field in _builtin_validation_scenes():
         ast, _ = build_surface(name, params)
-        sheets = compute_caustic_sheets(ast, field, grid)[:2]
+        sheets = compute_caustic_sheets(ast, field, grid)
         rep = validate_sheets(sheets, ast, field, grid, h=1e-4, tol=1e-4)
         worst = max(worst, rep.max_error)
         if not rep.passed:
@@ -217,7 +217,7 @@ def test_criterion_08_oracle_equivalence():
         ast = random_graph_surface(rng)
         field = random_flat_field(rng) if i % 2 == 0 else random_point_field(rng)
         grid = GridSpec(15, 15, GRAPH_DOMAIN)
-        sheets = compute_caustic_sheets(ast, field, grid)[:2]
+        sheets = compute_caustic_sheets(ast, field, grid)
         rep = validate_sheets(sheets, ast, field, grid, h=1e-4, tol=1e-4)
         worst = max(worst, rep.max_error)
         if not rep.passed:
@@ -234,7 +234,7 @@ def test_criterion_08_oracle_equivalence():
     ast, _ = build_surface("ellipsoid")
     grid = GridSpec(15, 15, (-1.3, 1.3, 0.0, TWO_PI))
     field = PointSource((0.05, -0.03, 0.08))
-    convergence_cases.append((ast, field, grid, compute_caustic_sheets(ast, field, grid)[:2]))
+    convergence_cases.append((ast, field, grid, compute_caustic_sheets(ast, field, grid)))
     for ast, field, grid, sheets in convergence_cases:
         big = validate_sheets(sheets, ast, field, grid, h=4e-4).max_error
         small = validate_sheets(sheets, ast, field, grid, h=2e-4).max_error

@@ -140,8 +140,8 @@ class TestSceneFile:
         assert "scene" in err
 
 
-# each value fails a check of FlatFront, PointSource, GridSpec, SceneSpec.resolve
-# or cmd_validate
+# each value fails a check of FlatFront, PointSource, GridSpec, SceneSpec.resolve,
+# the scene-file parser or cmd_validate
 BAD_SCENE_VALUES = {
     "zero-flat": ("compute", "--flat", "0,0,0"),
     "nan-source": ("compute", "--source", "nan,0,0"),
@@ -157,16 +157,26 @@ BAD_SCENE_VALUES = {
     "negative-eps-grazing": ("compute", "--eps-grazing", "-1"),
     "nan-eps-grazing": ("compute", "--eps-grazing", "nan"),
     "word-threshold-in-file": ("compute", "--scene", "{thresholds}"),
+    "unknown-format-in-file": ("compute", "--scene", "{output}"),
+    "infinite-domain": ("compute", "--domain=0,1,0,inf"),
+    "overflowing-domain": ("compute", "--domain=0,1e308,-1e308,1e308"),
+}
+
+# the scene files that BAD_SCENE_VALUES name by {placeholder}
+BAD_SCENE_FILES = {
+    "scene": "field = flat 0,0,0\n",
+    "thresholds": "surface = sphere\nthresholds = eps-inf=abc\n",
+    "output": "surface = sphere\noutput = format=stl\n",
 }
 
 
 @pytest.mark.parametrize("argv", BAD_SCENE_VALUES.values(), ids=BAD_SCENE_VALUES.keys())
 def test_bad_scene_value_is_input_error(argv, tmp_path, capsys):
-    scene = tmp_path / "scene.txt"
-    scene.write_text("field = flat 0,0,0\n")
-    thresholds = tmp_path / "thresholds.txt"
-    thresholds.write_text("surface = sphere\nthresholds = eps-inf=abc\n")
-    argv = [arg.format(scene=scene, thresholds=thresholds) for arg in argv]
+    paths = {}
+    for name, text in BAD_SCENE_FILES.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
     code, _, err = run(capsys, *argv, "--surface", "sphere", "--out", str(tmp_path / "x"))
     assert code == 1
     assert any(line.startswith("scene: ") for line in err.splitlines())

@@ -13,7 +13,8 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           validate_sheets)
 from catacaustics import caustics
 from catacaustics.caustics import (EPS_GRAZING_DEFAULT, FLAG_GRAZING,
-                                   FLAG_VALID, SourceOnSurfaceError, _ray_block)
+                                   FLAG_VALID, SourceOnSurfaceError, _ray_block,
+                                   default_max_radius)
 from catacaustics.diffgeo import REGULARITY_RTOL
 from catacaustics.oracle import (FD_STEP_DEFAULT, _focal_quadratic,
                                  _roots_of_focal_quadratic)
@@ -107,7 +108,7 @@ class TestValidateSheets:
         else:
             ast, dom = build_surface(name_or_text, params)
         grid = grid or GridSpec(25, 25, dom)
-        sheets = compute_caustic_sheets(ast, field, grid)[:2]
+        sheets = compute_caustic_sheets(ast, field, grid)
         return validate_sheets(sheets, ast, field, grid, **kw)
 
     def test_sphere_axial(self):
@@ -130,7 +131,7 @@ class TestValidateSheets:
         text = "[u, v, c1*u^2 + c2*v^2]"
         ast = parse_surface(text, params)
         grid = GridSpec(21, 21, GRAPH_DOMAIN)
-        s1, s2, _ = compute_caustic_sheets(ast, AXIAL, grid)
+        s1, s2, stats = compute_caustic_sheets(ast, AXIAL, grid)
         U, V = grid.mesh()
         fx, hy = 2 * c1 * U, 2 * c2 * V
         fxx, hyy = 2 * c1, 2 * c2
@@ -142,7 +143,7 @@ class TestValidateSheets:
         d_keep = np.linalg.norm(s1.xi - xi_f, axis=-1) + np.linalg.norm(s2.xi - xi_h, axis=-1)
         d_swap = np.linalg.norm(s1.xi - xi_h, axis=-1) + np.linalg.norm(s2.xi - xi_f, axis=-1)
         assert np.all(np.minimum(d_keep, d_swap) <= 2e-9)
-        report = validate_sheets((s1, s2), ast, AXIAL, grid)
+        report = validate_sheets((s1, s2, stats), ast, AXIAL, grid)
         assert report.passed
 
     def test_ellipsoid_interior_point_source(self):
@@ -163,7 +164,7 @@ class TestValidateSheets:
     def test_grid_mismatch_is_error(self):
         ast, dom = build_surface("sphere")
         grid = GridSpec(10, 10, dom)
-        sheets = compute_caustic_sheets(ast, AXIAL, grid)[:2]
+        sheets = compute_caustic_sheets(ast, AXIAL, grid)
         other = GridSpec(11, 10, dom)
         with pytest.raises(ValueError):
             validate_sheets(sheets, ast, AXIAL, other)
@@ -173,7 +174,7 @@ class TestValidateSheets:
         ast = random_graph_surface(rng)
         field = FlatFront((0.1, -0.05, 1.0))
         grid = GridSpec(15, 15, GRAPH_DOMAIN)
-        sheets = compute_caustic_sheets(ast, field, grid)[:2]
+        sheets = compute_caustic_sheets(ast, field, grid)
         errs = [validate_sheets(sheets, ast, field, grid, h=h).max_error
                 for h in (8e-4, 4e-4, 2e-4)]
         floor = 1e-9
@@ -193,24 +194,28 @@ def test_block_size_does_not_change_the_report(name, field, shape):
     ast, dom = scene_surface(name)
     grid = GridSpec(*shape, dom)
     with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
-        sheets = compute_caustic_sheets(ast, field, grid)[:2]
-        want = validate_sheets(sheets, ast, field, grid)
+        closed_form = compute_caustic_sheets(ast, field, grid)
+        want = validate_sheets(closed_form, ast, field, grid)
     assert want.n_compared
+    assert want.max_radius == default_max_radius(closed_form[2].surface_diameter)
     for size in block_sizes(grid.nv):
         with mock.patch.object(caustics, "BLOCK_POINTS", size):
-            got = validate_sheets(sheets, ast, field, grid)
+            got = validate_sheets(closed_form, ast, field, grid)
         assert got.to_text() == want.to_text()
         assert repr(got) == repr(want)
 
 
 def test_validate_working_set_is_bounded():
+    # one pass over the row blocks holds only err and both (18 B per point) plus
+    # one block's temporaries, ~78 B per point here; whole-grid copies of the
+    # rays or roots would read ~127
     ast, dom = build_surface("revolution")
-    grid = GridSpec(300, 300, dom)
-    sheets = compute_caustic_sheets(ast, AXIAL, grid)[:2]
+    grid = GridSpec(500, 500, dom)
+    closed_form = compute_caustic_sheets(ast, AXIAL, grid)
     per_point, report = traced_peak_per_point(
-        lambda: validate_sheets(sheets, ast, AXIAL, grid), grid.nu * grid.nv)
+        lambda: validate_sheets(closed_form, ast, AXIAL, grid), grid.nu * grid.nv)
     assert report.passed
-    assert per_point <= 400, f"{per_point:.0f} B per grid point"
+    assert per_point <= 100, f"{per_point:.0f} B per grid point"
 
 
 # -- the oracle's stencil on (..., 3) arrays, the reference for the planes ---
@@ -357,7 +362,7 @@ def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
     ast, dom = parse_surface(SQRT_APEX[0]), SQRT_APEX[1]
     grid = GridSpec(200, 200, dom)
     assert len(caustics.row_blocks(grid.nu, grid.nv)) == 2
-    sheets = compute_caustic_sheets(ast, AXIAL, grid)[:2]
+    sheets = compute_caustic_sheets(ast, AXIAL, grid)
     with mock.patch.object(caustics, "eval_surface", wraps=eval_surface) as spy:
         report = validate_sheets(sheets, ast, AXIAL, grid)
     assert spy.call_count == 10
@@ -373,10 +378,10 @@ def test_unlit_oracle_centre_still_counts_as_a_flag_mismatch():
     # oracle decides that point, its centre ray being unlit, so the mismatch counts
     ast = parse_surface(SPHERE_TEXT)
     grid = GridSpec(7, 8, (-0.6, 0.6, 0.0, 6.0))
-    sheet1, sheet2 = compute_caustic_sheets(ast, AXIAL, grid)[:2]
+    sheet1, sheet2, stats = compute_caustic_sheets(ast, AXIAL, grid)
     i, j = np.argwhere(sheet1.flags & FLAG_GRAZING)[0]
-    before = validate_sheets((sheet1, sheet2), ast, AXIAL, grid).n_flag_disagreements
+    before = validate_sheets((sheet1, sheet2, stats), ast, AXIAL, grid).n_flag_disagreements
     planted = dataclasses.replace(sheet1, flags=sheet1.flags.copy(), k_star=sheet1.k_star.copy())
     planted.flags[i, j], planted.k_star[i, j] = FLAG_VALID, 1.0
-    after = validate_sheets((planted, sheet2), ast, AXIAL, grid).n_flag_disagreements
+    after = validate_sheets((planted, sheet2, stats), ast, AXIAL, grid).n_flag_disagreements
     assert after == before + 1
