@@ -25,8 +25,7 @@ from .caustics import (CausticSheet, FlatFront, FrontPoint, FrontStatistics,
                        compute_caustic_sheets, incident_direction,
                        modified_forms, reflect_direction, reflected_front_point,
                        reflection_data, solve_sheet_curvatures)
-from .diffgeo import (FrameData, SurfaceForms, frame_at, fundamental_forms,
-                      normal_curvature, shape_frame)
+from .diffgeo import FrameData, SurfaceForms, frame_at, fundamental_forms
 from .jets import Jet2, Jet2Vec3
 from .meshio import MaskedGrid, clip_sheet, export_mesh
 from .oracle import ValidationReport, validate_sheets
@@ -43,7 +42,6 @@ __all__ = [
     "parse_surface_definition", "eval_surface", "to_text", "affine_transform",
     "BUILTINS", "build_surface", "builtin_listing",
     "FrameData", "SurfaceForms", "frame_at", "fundamental_forms",
-    "shape_frame", "normal_curvature",
     "FlatFront", "PointSource", "IncidentField", "GridSpec",
     "ReflectionData", "ModifiedForms", "CausticSheet",
     "FrontPoint", "FrontStatistics",

@@ -30,8 +30,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .diffgeo import (_DISC_DOUBLE_RTOL, FrameData, SurfaceForms, dot,
-                      flat_stand_in, frame_at, fundamental_forms, norm)
+from .diffgeo import (FrameData, SurfaceForms, dot, flat_stand_in, frame_at,
+                      fundamental_forms, norm)
 from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
@@ -64,6 +64,7 @@ EPS_INF_DEFAULT = 1e-9          # |k*| at or below this has no finite caustic po
 SOURCE_MIN_DISTANCE = 1e-12     # a point source this close to a surface point is on it
 
 _DISC_NEGATIVE_RTOL = 1e-12     # disc below minus this times scale is an internal error
+_DISC_DOUBLE_RTOL = 2e-13       # |disc| below this times scale collapses to a double root
 
 # Cross-check of the roots against W* = g*^-1 B*.  For a 2x2 matrix the
 # eigenvalues carry the same information as (trace, det), so the root sum S and
@@ -180,8 +181,11 @@ class ReflectionData:
 
 
 def reflection_data(frame: FrameData, a, r_dist=None) -> ReflectionData:
-    """cos theta and b for the (a, r_dist) of incident_direction; w_i = (d_i r, a) on demand."""
-    cos_theta = dot(a, frame.n)
+    """cos theta and b for the (a, r_dist) of incident_direction; w_i = (d_i r, a) on demand.
+
+    frame must be oriented by a (frame_at(jet, a)): cos theta = (a, n) is its hint_n.
+    """
+    cos_theta = frame.hint_n
     return ReflectionData(a, cos_theta, reflect_direction(a, frame.n, cos_theta), r_dist, frame)
 
 
@@ -198,21 +202,10 @@ class ModifiedForms:
     det_gs: np.ndarray
     det_gs_scale: np.ndarray  # g11 g22 + g12^2: the terms det g* cancels from
 
-    @functools.cached_property
-    def weingarten(self) -> np.ndarray:
-        """(..., 2, 2) matrix W* = g*^-1 B*; its eigenvalues are the front curvatures k*."""
-        gs11, gs12, gs22 = self.gs11, self.gs12, self.gs22
-        Bs11, Bs12, Bs22 = self.Bs11, self.Bs12, self.Bs22
-        with np.errstate(all="ignore"):
-            inv = 1.0 / self.det_gs
-            rows = [[(gs22 * Bs11 - gs12 * Bs12) * inv, (gs22 * Bs12 - gs12 * Bs22) * inv],
-                    [(gs11 * Bs12 - gs12 * Bs11) * inv, (gs11 * Bs22 - gs12 * Bs12) * inv]]
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
 
 def modified_forms(forms: SurfaceForms, refl: ReflectionData,
                    field: IncidentField) -> ModifiedForms:
-    """g* and B* of the reflected front; W* = g*^-1 B* is made on first use.
+    """g* and B* of the reflected front, whose Weingarten matrix W* = g*^-1 B* has the k*.
 
     g*_ij = g_ij - w_i w_j with the w_i of refl.  Valid away from grazing
     incidence (cos theta = 0), where g* degenerates; grid-level code masks
@@ -237,8 +230,7 @@ def modified_forms(forms: SurfaceForms, refl: ReflectionData,
     return ModifiedForms(gs11, gs12, gs22, Bs11, Bs12, Bs22, det_gs, det_gs_scale)
 
 
-def caustic_coefficients(forms: SurfaceForms, refl: ReflectionData,
-                         field: IncidentField):
+def caustic_coefficients(forms: SurfaceForms, refl: ReflectionData):
     """Coefficients (p, q) of mu^2 + p mu + q = 0 on the front curvatures.
 
     mu = k* for a flat front and mu = k* + 1/|r - O| for a point source.
@@ -671,7 +663,7 @@ def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: f
     frame, refl, base_flags = _ray_block(surface, field, U, V, eps_grazing, order=2)
     forms = fundamental_forms(frame)
     mods = modified_forms(forms, refl, field)
-    p, q = (np.where(base_flags == 0, x, np.nan) for x in caustic_coefficients(forms, refl, field))
+    p, q = (np.where(base_flags == 0, x, np.nan) for x in caustic_coefficients(forms, refl))
     k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field, refl.r_dist)
     return frame.r, refl.b, base_flags, k_a, k_b
 

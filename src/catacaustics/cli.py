@@ -276,6 +276,8 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
     """Check the closed-form sheets against the ray-envelope oracle."""
     if not (h > 0.0 and tol >= 0.0):
         raise SceneError("--fd-step must be positive and --tol non-negative")
+    if not 0.0 < 1.0 / (2.0 * h) < np.inf:  # the oracle's central differences scale by it
+        raise SceneError("--fd-step must have a finite positive 1/(2 h)")
     ast, grid = scene.resolve()
     closed_form = compute_caustic_sheets(
         ast, scene.field, grid,

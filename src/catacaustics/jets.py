@@ -9,7 +9,8 @@ A first-order jet has no second-order slots (None, not zero); an operation
 drops them when an operand lacks them, and its value and first partials are
 bit for bit those of second order.  Constants have zero second-order slots.
 
-Slots may hold plain floats or numpy arrays of a common broadcastable shape,
+Every operation takes jets only: a constant c enters as the jet Jet2(c).
+Slots may hold floats or numpy arrays of a common broadcastable shape,
 which is how whole parameter grids are differentiated in one pass.
 
 The domain-checked operations (division, log, sqrt, abs, non-integer and
@@ -67,10 +68,6 @@ class Jet2:
         self.sin_cos = None
 
     @classmethod
-    def constant(cls, value) -> "Jet2":
-        return cls(np.asarray(value, dtype=float) * 1.0 if np.ndim(value) else float(value))
-
-    @classmethod
     def var_u(cls, value, order=2) -> "Jet2":
         return cls.of((np.asarray(value, dtype=float) * 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)[:3 * order])
 
@@ -95,26 +92,15 @@ class Jet2:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2.of([x + y for x, y in zip(self.slots(), other.slots())])
-        return Jet2(self.f + other, self.fu, self.fv, self.fuu, self.fuv, self.fvv)
-
-    __radd__ = __add__
+        return Jet2.of([x + y for x, y in zip(self.slots(), other.slots())])
 
     def __sub__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2.of([x - y for x, y in zip(self.slots(), other.slots())])
-        return Jet2(self.f - other, self.fu, self.fv, self.fuu, self.fuv, self.fvv)
-
-    def __rsub__(self, other):
-        return Jet2.of([other - self.f, *(-x for x in self.slots()[1:])])
+        return Jet2.of([x - y for x, y in zip(self.slots(), other.slots())])
 
     def __neg__(self):
         return Jet2.of([-x for x in self.slots()])
 
     def __mul__(self, g):
-        if not isinstance(g, Jet2):
-            return Jet2.of([x * g for x in self.slots()])
         slots = (self.f * g.f,
                  self.fu * g.f + self.f * g.fu,
                  self.fv * g.f + self.f * g.fv)
@@ -124,11 +110,7 @@ class Jet2:
                       self.fvv * g.f + 2.0 * self.fv * g.fv + self.f * g.fvv)
         return Jet2.of(slots)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, g):
-        if not isinstance(g, Jet2):
-            return self * (1.0 / g)
         gf = np.asarray(g.f, dtype=float)  # x/0 is inf, not a ZeroDivisionError
         # quotient rule solved for h = f/g:  f = h*g  =>  derivatives of h
         h = self.f / gf
@@ -140,15 +122,6 @@ class Jet2:
                       (self.fuv - hu * g.fv - hv * g.fu - h * g.fuv) / gf,
                       (self.fvv - 2.0 * hv * g.fv - h * g.fvv) / gf)
         return _checked(Jet2.of(slots), gf == 0.0, "division by zero")
-
-    def __rtruediv__(self, other):
-        return Jet2(other) / self
-
-    def __pow__(self, other, modulo=None):
-        return power(self, other)
-
-    def __abs__(self):
-        return absolute(self)
 
 
 def _chain(x: Jet2, f0, f1, f2) -> Jet2:
@@ -168,45 +141,33 @@ def _sin_cos(x: Jet2):
     return x.sin_cos
 
 
-def sin(x):
-    if not isinstance(x, Jet2):
-        return np.sin(x)
+def sin(x: Jet2) -> Jet2:
     s, c = _sin_cos(x)
     return _chain(x, s, c, -s)
 
 
-def cos(x):
-    if not isinstance(x, Jet2):
-        return np.cos(x)
+def cos(x: Jet2) -> Jet2:
     s, c = _sin_cos(x)
     return _chain(x, c, -s, -c)
 
 
-def tan(x):
-    if not isinstance(x, Jet2):
-        return np.tan(x)
+def tan(x: Jet2) -> Jet2:
     t = np.tan(x.f)
     d = 1.0 + t * t
     return _chain(x, t, d, 2.0 * t * d)
 
 
-def sinh(x):
-    if not isinstance(x, Jet2):
-        return np.sinh(x)
+def sinh(x: Jet2) -> Jet2:
     s, c = np.sinh(x.f), np.cosh(x.f)
     return _chain(x, s, c, s)
 
 
-def cosh(x):
-    if not isinstance(x, Jet2):
-        return np.cosh(x)
+def cosh(x: Jet2) -> Jet2:
     s, c = np.sinh(x.f), np.cosh(x.f)
     return _chain(x, c, s, c)
 
 
-def exp(x):
-    if not isinstance(x, Jet2):
-        return np.exp(x)
+def exp(x: Jet2) -> Jet2:
     e = np.exp(x.f)
     return _chain(x, e, e, e)
 
@@ -216,24 +177,18 @@ def _log(x: Jet2) -> Jet2:
     return _chain(x, np.log(f), 1.0 / f, -1.0 / (f * f))
 
 
-def log(x):
-    if not isinstance(x, Jet2):
-        return np.log(x)
+def log(x: Jet2) -> Jet2:
     return _checked(_log(x), x.f <= 0.0, "log of non-positive value")
 
 
-def sqrt(x):
-    if not isinstance(x, Jet2):
-        return np.sqrt(x)
+def sqrt(x: Jet2) -> Jet2:
     s = np.sqrt(x.f)
     jet = _chain(x, s, 0.5 / s, -0.25 / (s * x.f))
     # at 0 the derivative is unbounded, below 0 the value leaves the reals
     return _checked(jet, x.f <= 0.0, "sqrt of non-positive value")
 
 
-def absolute(x):
-    if not isinstance(x, Jet2):
-        return np.abs(x)
+def absolute(x: Jet2) -> Jet2:
     jet = _chain(x, np.abs(x.f), np.sign(x.f), 0.0)
     return _checked(jet, x.f == 0.0, "abs is not differentiable at zero")
 
@@ -243,7 +198,7 @@ def _select(mask, a: Jet2, b: Jet2) -> Jet2:
     return Jet2.of([np.where(mask, x, y) for x, y in zip(a.slots(), b.slots())])
 
 
-def power(base, expo):
+def power(base: Jet2, expo: Jet2) -> Jet2:
     """base ** expo on jets, real-valued semantics, decided at each point.
 
     Where the exponent is constant (every derivative zero) and an integer,
@@ -251,10 +206,6 @@ def power(base, expo):
     constant exponent is 0 the result is exactly 1, and where it is 1 exactly
     the base, so each point gets what evaluating it alone gives.
     """
-    if not isinstance(base, Jet2):
-        base = Jet2.constant(base)
-    if not isinstance(expo, Jet2):
-        expo = Jet2(expo)
     c = expo.f
     const = functools.reduce(np.logical_and, [np.asarray(s) == 0.0 for s in expo.slots()[1:]])
     if np.ndim(c) == 0 and np.ndim(const) == 0 and const:

@@ -94,6 +94,15 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def normal_curvature(forms, X):
+    """Normal curvature B(X, X)/g(X, X) of the tangent direction with (u,v) components X."""
+    X = np.asarray(X, dtype=float)
+    x0, x1 = X[..., 0], X[..., 1]
+    gXX = forms.g11 * x0 * x0 + 2.0 * forms.g12 * x0 * x1 + forms.g22 * x1 * x1
+    BXX = forms.B11 * x0 * x0 + 2.0 * forms.B12 * x0 * x1 + forms.B22 * x1 * x1
+    return BXX / gXX
+
+
 def stack_planes(planes, shape):
     """The (..., 3) array of three (x, y, z) planes broadcast to shape."""
     return np.stack([np.broadcast_to(np.asarray(p, dtype=float), shape) for p in planes],

@@ -265,7 +265,7 @@ def test_criterion_09_algebraic_property_suite():
         if not np.all(lit):
             continue
         mods = modified_forms(forms, refl, field)
-        p, q = caustic_coefficients(forms, refl, field)
+        p, q = caustic_coefficients(forms, refl)
         k_a, k_b, resid = solve_sheet_curvatures(mods, (p, q), field, refl.r_dist)
         n_points += int(U.size)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import re
 import warnings
 from unittest import mock
 
@@ -18,20 +19,21 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           fundamental_forms, incident_direction,
                           modified_forms, parse_surface, reflect_direction,
                           reflected_front_point, reflection_data,
-                          solve_sheet_curvatures)
+                          solve_sheet_curvatures, to_text)
 from catacaustics import caustics
-from catacaustics.caustics import (_CROSSCHECK_RTOL, FLAG_AT_INFINITY,
-                                   FLAG_DEGENERATE, FLAG_DOMAIN,
-                                   FLAG_EXCLUDED_ZERO_ROOT, FLAG_GRAZING,
-                                   FLAG_VALID, InternalConsistencyError,
+from catacaustics.caustics import (_CROSSCHECK_RTOL, EPS_GRAZING_DEFAULT,
+                                   FLAG_AT_INFINITY, FLAG_DEGENERATE,
+                                   FLAG_DOMAIN, FLAG_EXCLUDED_ZERO_ROOT,
+                                   FLAG_GRAZING, FLAG_VALID,
+                                   InternalConsistencyError,
                                    SourceOnSurfaceError, _column_extrema,
                                    _order_roots_by_continuity,
                                    _stable_quadratic_roots, row_blocks)
-from catacaustics.diffgeo import normal_curvature
+from catacaustics.diffgeo import dot
 from catacaustics.surfaces import BUILTINS
 from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
-                      random_field, random_graph_surface, scene_surface,
-                      traced_peak_per_point)
+                      normal_curvature, random_field, random_graph_surface,
+                      scene_surface, stack_planes, traced_peak_per_point)
 
 SPHERE = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
 AXIAL = FlatFront((0.0, 0.0, 1.0))
@@ -45,6 +47,16 @@ def _pipeline(text, field, u, v, params=None):
     forms = fundamental_forms(frame)
     refl = reflection_data(frame, a, r_dist)
     return frame, forms, refl
+
+
+def weingarten(mods):
+    """W* = g*^-1 B* at one point, by the adjugate of g*; its eigenvalues are the k*."""
+    gs11, gs12, gs22 = mods.gs11, mods.gs12, mods.gs22
+    Bs11, Bs12, Bs22 = mods.Bs11, mods.Bs12, mods.Bs22
+    inv = 1.0 / mods.det_gs
+    return np.array([[(gs22 * Bs11 - gs12 * Bs12) * inv, (gs22 * Bs12 - gs12 * Bs22) * inv],
+                     [(gs11 * Bs12 - gs12 * Bs11) * inv, (gs11 * Bs22 - gs12 * Bs12) * inv]],
+                    dtype=float)
 
 
 class TestIncidentDirection:
@@ -122,7 +134,7 @@ class TestModifiedForms:
         field = PointSource((0.0, 0.0, 0.0))
         frame, forms, refl = _pipeline(SPHERE, field, 0.7, 0.4)
         mods = modified_forms(forms, refl, field)
-        assert np.allclose(mods.weingarten, np.eye(2), atol=1e-12)
+        assert np.allclose(weingarten(mods), np.eye(2), atol=1e-12)
 
     def test_det_identity_random_points(self):
         rng = np.random.default_rng(21)
@@ -138,27 +150,29 @@ class TestModifiedForms:
             mods = modified_forms(forms, refl, field)
             want = forms.det_g * refl.cos_theta**2
             assert mods.det_gs == pytest.approx(want, rel=1e-10)
+            # the frame's (a, n) is the dot product on its oriented normal, bit for bit
+            assert refl.cos_theta == dot(a, frame.n)
 
 
 class TestCausticCoefficients:
     def test_sphere_half_angle(self):
         u = np.pi / 6  # cos theta = -1/2
         frame, forms, refl = _pipeline(SPHERE, AXIAL, u, 0.0)
-        p, q = caustic_coefficients(forms, refl, AXIAL)
+        p, q = caustic_coefficients(forms, refl)
         assert p == pytest.approx(-5.0, rel=1e-12)
         assert q == pytest.approx(4.0, rel=1e-12)
 
     def test_cylinder_has_zero_constant_term(self):
         field = FlatFront((1.0, 0.0, 0.0))
         frame, forms, refl = _pipeline("[cos(u), sin(u), v]", field, 0.4, 0.2)
-        p, q = caustic_coefficients(forms, refl, field)
+        p, q = caustic_coefficients(forms, refl)
         assert q == 0.0
         assert p == pytest.approx(2.0 / refl.cos_theta, rel=1e-12)
 
     def test_central_source_sphere(self):
         field = PointSource((0.0, 0.0, 0.0))
         frame, forms, refl = _pipeline(SPHERE, field, 0.9, 2.2)
-        p, q = caustic_coefficients(forms, refl, field)
+        p, q = caustic_coefficients(forms, refl)
         assert p == pytest.approx(-4.0, rel=1e-12)
         assert q == pytest.approx(4.0, rel=1e-12)
 
@@ -168,7 +182,7 @@ class TestSolveSheetCurvatures:
         u = np.pi / 6
         frame, forms, refl = _pipeline(SPHERE, AXIAL, u, 0.0)
         mods = modified_forms(forms, refl, AXIAL)
-        coeffs = caustic_coefficients(forms, refl, AXIAL)
+        coeffs = caustic_coefficients(forms, refl)
         k_a, k_b, residual = solve_sheet_curvatures(mods, coeffs, AXIAL)
         assert sorted([float(k_a), float(k_b)]) == pytest.approx([1.0, 4.0], rel=1e-12)
         assert float(k_a) * float(k_b) == pytest.approx(4.0 * float(forms.K), rel=1e-12)
@@ -199,7 +213,7 @@ class TestCausticPoint:
         field = AXIAL
         frame, forms, refl = _pipeline("[u, v, u^2/2 - v^2/2]", field, 1.0, 1.0)
         mods = modified_forms(forms, refl, field)
-        k_a, k_b, _ = solve_sheet_curvatures(mods, caustic_coefficients(forms, refl, field), field)
+        k_a, k_b, _ = solve_sheet_curvatures(mods, caustic_coefficients(forms, refl), field)
         lo, hi = sorted([float(k_a), float(k_b)])
         r, b = np.array(frame.r), np.array(refl.b)
         xi_lo, _ = caustic_point(r, b, lo, field)
@@ -322,7 +336,7 @@ class TestRootIdentities:
             forms = fundamental_forms(frame)
             refl = reflection_data(frame, a, r_dist)
             mods = modified_forms(forms, refl, field)
-            p, q = caustic_coefficients(forms, refl, field)
+            p, q = caustic_coefficients(forms, refl)
             k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field)
             K = float(forms.K)
             assert abs(float(k_a * k_b) - 4 * K) <= 1e-9 * max(1.0, abs(K))
@@ -576,7 +590,7 @@ def test_clamped_double_roots_pass_the_crosscheck():
     U, V = GridSpec(41, 41, (-1.0, 1.0, -1.0, 1.0)).mesh()
     frame, forms, refl = _pipeline("[u, v, cx*u^2 + cy*v^2]", field, U, V,
                                    {"cx": 1e-4, "cy": 1.00001e-4})
-    p, q = caustic_coefficients(forms, refl, field)
+    p, q = caustic_coefficients(forms, refl)
     assert np.all(_stable_quadratic_roots(p, q)[2])
     mods = modified_forms(forms, refl, field)
     assert solve_sheet_curvatures(mods, (p, q), field)[2] <= _CROSSCHECK_RTOL / 100
@@ -611,11 +625,11 @@ def test_near_grazing_routes_differ_only_by_the_conditioning():
     forms = fundamental_forms(frame)
     refl = reflection_data(frame, a, r_dist)
     mods = modified_forms(forms, refl, field)
-    p, q = caustic_coefficients(forms, refl, field)
+    p, q = caustic_coefficients(forms, refl)
     cos = float(refl.cos_theta)
     assert cos == pytest.approx(-1.8e-4, rel=1e-2)
     roots = sorted([float(k) for k in solve_sheet_curvatures(mods, (p, q), field)[:2]])
-    eigs = sorted(np.linalg.eigvals(mods.weingarten).real)
+    eigs = sorted(np.linalg.eigvals(weingarten(mods)).real)
 
     mp = mpmath.mpf
     with mpmath.workdps(50):
@@ -657,3 +671,57 @@ def test_column_extrema_is_bitwise_axis0(pts):
         want_lo, want_hi = pts.min(axis=0), pts.max(axis=0)
     assert lo.view(np.uint64).tolist() == want_lo.view(np.uint64).tolist()
     assert hi.view(np.uint64).tolist() == want_hi.view(np.uint64).tolist()
+
+
+# -- chart invariance: the caustic belongs to the mirror, not to r(u, v) ------
+
+# (u, v) of the original chart as surface text in the new chart's (u, v), the
+# same map on arrays, rounded as the jets evaluate that text, and its inverse
+CHARTS = {
+    "swap": ("v", "u", lambda s, t: (t, s), lambda u, v: (v, u)),
+    # g12 = 0.5 g11 + g12 of the old chart: nonzero on the orthogonal charts
+    "shear": ("u + 0.5*v", "v", lambda s, t: (s + 0.5 * t, t), lambda u, v: (u - 0.5 * v, v)),
+}
+CHART_FIELDS = {
+    "axial": AXIAL,
+    "oblique": FlatFront((0.3, 0.1, -1.0)),
+    "point": PointSource((0.3, 0.2, 3.0)),
+}
+
+
+def rechart(ast, u_text, v_text):
+    """The surface r(u_text, v_text): the chart substituted into the surface text."""
+    subs = {"u": f"({u_text})", "v": f"({v_text})"}
+    return parse_surface(re.sub(r"\b[uv]\b", lambda m: subs[m.group()], to_text(ast)),
+                         ast.params)
+
+
+def _sheet_block_at(ast, field, U, V):
+    """_sheet_block's (r, b) as (..., 3) arrays, its flags and sorted root pair."""
+    r, b, flags, k_a, k_b = caustics._sheet_block(ast, field, U, V, EPS_GRAZING_DEFAULT)
+    return (stack_planes(r, U.shape), stack_planes(b, U.shape),
+            np.broadcast_to(flags, U.shape), np.fmin(k_a, k_b), np.fmax(k_a, k_b))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_sheet_block_is_chart_invariant(name):
+    ast, (u0, u1, v0, v1) = build_surface(name)
+    U, V = np.meshgrid(np.linspace(u0, u1, 37), np.linspace(v0, v1, 29), indexing="ij")
+    for chart, (u_text, v_text, to_old, to_new) in CHARTS.items():
+        new = rechart(ast, u_text, v_text)
+        # points of the new chart near (U, V) of the old one, and those old
+        # points as the new chart's text computes them, bit for bit
+        S, T = to_new(U, V)
+        U_old, V_old = to_old(S, T)
+        for field_name, field in CHART_FIELDS.items():
+            want = _sheet_block_at(ast, field, U_old, V_old)
+            got = _sheet_block_at(new, field, S, T)
+            where = f"{chart}, {field_name}"
+            assert np.array_equal(got[0], want[0]), where
+            assert np.allclose(got[1], want[1], rtol=0.0, atol=1e-13), where
+            assert np.array_equal(got[2], want[2]), where
+            lit = want[2] == 0
+            scale = np.maximum(np.abs(want[3]), np.abs(want[4]))[lit]
+            for g, w in zip(got[3:], want[3:]):
+                assert np.array_equal(np.isnan(g), ~lit), where
+                assert np.all(np.abs(g[lit] - w[lit]) <= 1e-10 * scale), where

@@ -152,6 +152,9 @@ BAD_SCENE_VALUES = {
     "validate-negative-max-radius": ("validate", "--max-radius", "-1"),
     "validate-nan-max-radius": ("validate", "--max-radius", "nan"),
     "validate-nan-fd-step": ("validate", "--fd-step", "nan"),
+    "validate-subnormal-fd-step": ("validate", "--fd-step", "1e-320"),
+    "validate-infinite-fd-step": ("validate", "--fd-step", "inf"),
+    "validate-huge-fd-step": ("validate", "--fd-step", "1e308"),
     "negative-eps-inf": ("compute", "--eps-inf", "-1"),
     "nan-eps-inf": ("compute", "--eps-inf", "nan"),
     "negative-eps-grazing": ("compute", "--eps-grazing", "-1"),
