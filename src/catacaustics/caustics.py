@@ -38,11 +38,11 @@ __all__ = [
     "FlatFront", "PointSource", "IncidentField",
     "ReflectionData", "ModifiedForms", "CausticSheet",
     "FrontPoint", "GridSpec", "SheetStatistics", "FrontStatistics",
-    "InternalConsistencyError", "SourceOnSurfaceError",
-    "FLAG_VALID", "FLAG_SHADOW", "FLAG_GRAZING", "FLAG_AT_INFINITY",
+    "InternalConsistencyError",
+    "FLAG_VALID", "FLAG_AT_SOURCE", "FLAG_GRAZING", "FLAG_AT_INFINITY",
     "FLAG_CLIPPED", "FLAG_EXCLUDED_ZERO_ROOT", "FLAG_DOMAIN", "FLAG_DEGENERATE",
     "BLOCK_POINTS", "row_blocks", "default_max_radius", "surface_extent",
-    "masked_points_text", "incidence_flags",
+    "masked_points_text",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "caustic_radius", "reflected_front_point",
@@ -51,7 +51,7 @@ __all__ = [
 
 # per-vertex flag byte, shared with the mesh writer:
 FLAG_VALID = 0x01               # bit 0
-FLAG_SHADOW = 0x02              # bit 1
+FLAG_AT_SOURCE = 0x02           # bit 1: the point lies on the point source
 FLAG_GRAZING = 0x04             # bit 2
 FLAG_AT_INFINITY = 0x08        # bit 3
 FLAG_CLIPPED = 0x10             # bit 4
@@ -95,10 +95,6 @@ class InternalConsistencyError(RuntimeError):
     """The two computation routes disagree; indicates a bug, not bad input."""
 
 
-class SourceOnSurfaceError(ValueError):
-    """The point source coincides with a surface point."""
-
-
 @dataclass
 class FlatFront:
     """Flat incident front: all rays travel along the unit direction a."""
@@ -107,6 +103,11 @@ class FlatFront:
 
     def __post_init__(self):
         a = np.asarray(self.direction, dtype=float).reshape(3)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("flat front direction must be finite")
+        # scaling by a power of two is exact and keeps the norm's squares
+        # from overflowing or underflowing
+        a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
         length = float(np.linalg.norm(a))
         if length == 0.0:
             raise ValueError("flat front direction must be non-zero")
@@ -130,38 +131,26 @@ IncidentField = Union[FlatFront, PointSource]
 
 
 def incident_direction(field: IncidentField, r, outside=False):
-    """(a, |r - O|) at surface points r, as (x, y, z) planes; |r - O| is None if flat.
+    """(a, |r - O|, at_source) at surface points r; a is (x, y, z) planes.
 
-    Where outside is set, r is a stand-in for a point off the chart: no
-    source lies on it, and |r - O| reads 1.
+    |r - O| is None and at_source False for a flat front.  at_source marks
+    the points within SOURCE_MIN_DISTANCE of the point source, which have no
+    incident direction.  There, and where outside is set (r is a stand-in
+    for a point off the chart), |r - O| reads 1.
     """
     if isinstance(field, FlatFront):
-        return tuple(field.direction), None
+        return tuple(field.direction), None, False
     d = tuple(ri - oi for ri, oi in zip(r, field.origin))
     dist = np.where(outside, 1.0, norm(d))
-    if np.any(dist <= SOURCE_MIN_DISTANCE):
-        raise SourceOnSurfaceError("point source coincides with a surface point")
-    return tuple(di / dist for di in d), dist
+    at_source = dist <= SOURCE_MIN_DISTANCE
+    dist = np.where(at_source, 1.0, dist)
+    return tuple(di / dist for di in d), dist, at_source
 
 
 def reflect_direction(a, n, cos_theta=None) -> tuple:
     """Mirror law b = a - 2 (a, n) n on (x, y, z) planes; cos_theta is (a, n) if known."""
     s = 2.0 * (dot(a, n) if cos_theta is None else cos_theta)
     return tuple(ai - s * ni for ai, ni in zip(a, n))
-
-
-def incidence_flags(cos_theta, eps_grazing: float = EPS_GRAZING_DEFAULT) -> np.ndarray:
-    """The shadow/grazing flag byte of each point; 0 where the point is lit.
-
-    FLAG_GRAZING where |cos theta| <= eps_grazing, FLAG_SHADOW where
-    cos theta > eps_grazing (the mirror faces away from the light).  The
-    mirror is two-sided: frame_at orients n so that cos theta = (a, n) <= 0
-    at every point, so on the grid routes (compute, front) FLAG_SHADOW is
-    never set and only grazing points are masked.
-    """
-    flags = np.where(np.abs(cos_theta) <= eps_grazing, np.uint8(FLAG_GRAZING), np.uint8(0))
-    flags |= np.where(cos_theta > eps_grazing, np.uint8(FLAG_SHADOW), np.uint8(0))
-    return flags
 
 
 @dataclass
@@ -372,7 +361,6 @@ class FrontPoint:
     """Reflected front samples rho = r + lambda b at total travel L, as (x, y, z) planes."""
 
     lam: np.ndarray      # post-reflection travel; negative where not yet reached
-    L: float
     rho: tuple
 
     @property
@@ -389,7 +377,7 @@ def reflected_front_point(r, a, b, L, r_dist=None) -> FrontPoint:
     """
     lam = L - (dot(r, a) if r_dist is None else np.asarray(r_dist, dtype=float))
     rho = tuple(ri + lam * bi for ri, bi in zip(r, b))
-    return FrontPoint(lam, float(L), rho)
+    return FrontPoint(lam, rho)
 
 
 # --------------------------------------------------------------------------
@@ -454,7 +442,8 @@ def masked_points_text(flags, surface: SurfaceAST, grid: GridSpec, order: int = 
     text = ""
     us, vs = grid.axes()
     for bit, what in ((FLAG_DOMAIN, "off the chart"),
-                      (FLAG_DEGENERATE, "singular (r_u x r_v ~ 0)")):
+                      (FLAG_DEGENERATE, "singular (r_u x r_v ~ 0)"),
+                      (FLAG_AT_SOURCE, "at the point source")):
         hits = np.argwhere(flags & bit)
         if len(hits):
             i, j = map(int, hits[0])
@@ -508,7 +497,6 @@ class FrontStatistics:
     nu: int
     nv: int
     n_points: int
-    n_shadow: int
     n_grazing: int
     surface_bbox_min: np.ndarray
     surface_bbox_max: np.ndarray
@@ -527,7 +515,7 @@ class FrontStatistics:
     def to_text(self) -> str:
         lines = [
             f"grid: {self.nu} x {self.nv} ({self.n_points} points)",
-            f"shadow points: {self.n_shadow}",
+            "shadow points: 0",  # the mirror is two-sided: every point faces the light
             f"grazing points: {self.n_grazing}",
             f"surface bbox min: {_fmt_vec(self.surface_bbox_min)}",
             f"surface bbox max: {_fmt_vec(self.surface_bbox_max)}",
@@ -632,11 +620,12 @@ def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: flo
     (frame, refl, flags).  The surface is evaluated at the jet order given
     (see eval_surface): a ray reads r, r_u and r_v only, so front and the
     oracle take order 1, and compute takes 2 for the curvature.  A bad point
-    is flagged where it is and gets the frame of diffgeo.flat_stand_in:
-    FLAG_DOMAIN off the chart (r = 0 there), FLAG_DEGENERATE where it is
-    singular; elsewhere the flags are the shadow/grazing byte.  Vectors are
-    (x, y, z) planes, and every result keeps the shape of what it depends
-    on: broadcast it before writing it.
+    is flagged where it is, with one bit: FLAG_DOMAIN off the chart (the
+    frame of diffgeo.flat_stand_in, r = 0 there), FLAG_AT_SOURCE on the
+    point source (|r - O| reads 1 there), FLAG_DEGENERATE where the chart is
+    singular, and FLAG_GRAZING where |cos theta| <= eps_grazing.  Vectors
+    are (x, y, z) planes, and every result keeps the shape of what it
+    depends on: broadcast it before writing it.
     """
     outside = False
     try:
@@ -644,11 +633,12 @@ def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: flo
     except EvalDomainError as err:
         jet, outside = flat_stand_in(err.jet, err.outside), err.outside
     # orientation hint needs the incident direction, which needs positions
-    a, r_dist = incident_direction(field, jet.value(), outside)
+    a, r_dist, at_source = incident_direction(field, jet.value(), outside)
     frame = frame_at(jet, a)
     refl = reflection_data(frame, a, r_dist)
-    flags = np.where(frame.regular, incidence_flags(refl.cos_theta, eps_grazing),
-                     np.uint8(FLAG_DEGENERATE))
+    flags = np.where(np.abs(refl.cos_theta) <= eps_grazing, np.uint8(FLAG_GRAZING), np.uint8(0))
+    flags = np.where(frame.regular, flags, np.uint8(FLAG_DEGENERATE))
+    flags = np.where(at_source, np.uint8(FLAG_AT_SOURCE), flags)
     return frame, refl, np.where(outside, np.uint8(FLAG_DOMAIN), flags)
 
 
@@ -673,9 +663,9 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
                            eps_inf: float = EPS_INF_DEFAULT):
     """Both caustic sheets of the reflected front over a parameter grid.
 
-    Returns (sheet1, sheet2, statistics).  Grazing, off-chart and singular
-    points are masked, not errors; roots without a finite caustic point are
-    flagged.
+    Returns (sheet1, sheet2, statistics).  Grazing, off-chart, singular and
+    at-source points are masked, not errors; roots without a finite caustic
+    point are flagged.
     The flat-front result is independent of any front offset by construction
     (no travel parameter enters the computation).  The pointwise stages run
     over blocks of whole grid rows (see row_blocks); the result does not
@@ -705,7 +695,6 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     surf_min, surf_max, diameter = surface_extent(r, base_flags)
     stats = FrontStatistics(
         nu=grid.nu, nv=grid.nv, n_points=int(base_flags.size),
-        n_shadow=int(np.count_nonzero(base_flags & FLAG_SHADOW)),
         n_grazing=int(np.count_nonzero(base_flags & FLAG_GRAZING)),
         surface_bbox_min=surf_min, surface_bbox_max=surf_max, surface_diameter=diameter,
         caustic_sheets=tuple(sheets),

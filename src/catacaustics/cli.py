@@ -24,10 +24,9 @@ import numpy as np
 
 from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
                        FLAG_VALID, FlatFront, GridSpec,
-                       InternalConsistencyError, PointSource,
-                       SourceOnSurfaceError, _ray_block, compute_caustic_sheets,
-                       default_max_radius, masked_points_text,
-                       reflected_front_point)
+                       InternalConsistencyError, PointSource, _ray_block,
+                       compute_caustic_sheets, default_max_radius,
+                       masked_points_text, reflected_front_point)
 from .meshio import FORMATS, MaskedGrid, clip_sheet, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
 from .surfacelang import SurfaceLangError, parse_surface_definition
@@ -266,7 +265,7 @@ def cmd_compute(scene: SceneSpec) -> int:
     print(f"wrote {stats_path}")
 
     if stats.empty:
-        print("no caustic: every grid point is masked (shadow, grazing or no finite root)")
+        print("no caustic: every grid point is masked (grazing, a point defect or no finite root)")
         return EXIT_EMPTY
     return EXIT_OK
 
@@ -291,6 +290,8 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
 
 def cmd_front(scene: SceneSpec, L: float) -> int:
     """Export the reflected front rho(u, v; L) as a mesh."""
+    if not np.isfinite(L):
+        raise SceneError("--travel must be finite")
     ast, grid = scene.resolve()
     frame, refl, flags = _ray_block(ast, scene.field, *grid.block(), scene.eps_grazing, order=1)
     front = reflected_front_point(frame.r, refl.a, refl.b, L, refl.r_dist)
@@ -394,8 +395,6 @@ def main(argv=None) -> int:
         print(f"scene: {e}", file=sys.stderr)
     except SurfaceLangError as e:
         print(f"surface parse: {e}", file=sys.stderr)
-    except SourceOnSurfaceError as e:
-        print(f"field: {e}", file=sys.stderr)
     except InternalConsistencyError as e:
         print(f"internal: {e}", file=sys.stderr)
     except OSError as e:

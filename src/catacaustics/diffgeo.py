@@ -107,7 +107,7 @@ def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
     The raw normal (r_u x r_v)/|r_u x r_v| is negated wherever it has a
     positive dot product with the incident hint, so (hint, n) <= 0 holds
     pointwise: the mirror is two-sided, and every point faces the light (no
-    point is in shadow; see caustics.incidence_flags).  Where the chart is
+    point is in shadow).  Where the chart is
     singular, including where r_u or r_v vanishes, regular is False and the
     frame is flat_stand_in's, with the point's own r.
     """

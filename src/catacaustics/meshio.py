@@ -41,9 +41,10 @@ CHUNK_ROWS = 32768      # lines built as one block and written at once
 class MaskedGrid:
     """A nu x nv vertex grid with a per-vertex reason byte.
 
-    Flag bits: 0 valid, 1 shadow, 2 grazing, 3 at_infinity, 4 clipped,
-    5 excluded_zero_root, 6 domain (off the chart), 7 degenerate (singular
-    chart).  Every invalid vertex carries at least one reason.
+    Flag bits: 0 valid, 1 at_source (on the point source), 2 grazing,
+    3 at_infinity, 4 clipped, 5 excluded_zero_root, 6 domain (off the
+    chart), 7 degenerate (singular chart).  Every invalid vertex carries at
+    least one reason.
     """
 
     u: np.ndarray        # (nu,)

@@ -257,7 +257,7 @@ def test_criterion_09_algebraic_property_suite():
         grid = GridSpec(20, 20, GRAPH_DOMAIN)
         U, V = grid.mesh()
         jet = eval_surface(ast, U, V)
-        a, r_dist = incident_direction(field, jet.value())
+        a, r_dist, _ = incident_direction(field, jet.value())
         frame = frame_at(jet, a)
         forms = fundamental_forms(frame)
         refl = reflection_data(frame, a, r_dist)

@@ -22,13 +22,14 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           solve_sheet_curvatures, to_text)
 from catacaustics import caustics
 from catacaustics.caustics import (_CROSSCHECK_RTOL, EPS_GRAZING_DEFAULT,
-                                   FLAG_AT_INFINITY, FLAG_DEGENERATE,
+                                   FLAG_AT_INFINITY, FLAG_AT_SOURCE,
+                                   FLAG_CLIPPED, FLAG_DEGENERATE,
                                    FLAG_DOMAIN, FLAG_EXCLUDED_ZERO_ROOT,
                                    FLAG_GRAZING, FLAG_VALID,
-                                   InternalConsistencyError,
-                                   SourceOnSurfaceError, _column_extrema,
+                                   InternalConsistencyError, _column_extrema,
                                    _order_roots_by_continuity,
-                                   _stable_quadratic_roots, row_blocks)
+                                   _stable_quadratic_roots,
+                                   masked_points_text, row_blocks)
 from catacaustics.diffgeo import dot
 from catacaustics.surfaces import BUILTINS
 from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
@@ -42,7 +43,7 @@ AXIAL = FlatFront((0.0, 0.0, 1.0))
 def _pipeline(text, field, u, v, params=None):
     jet = eval_surface(parse_surface(text, params), u, v)
     r = jet.value()
-    a, r_dist = incident_direction(field, r)
+    a, r_dist, _ = incident_direction(field, r)
     frame = frame_at(jet, a)
     forms = fundamental_forms(frame)
     refl = reflection_data(frame, a, r_dist)
@@ -59,23 +60,49 @@ def weingarten(mods):
                     dtype=float)
 
 
+class TestFlatFront:
+    @pytest.mark.parametrize("direction, unit", [((1e308, 1e308, 0.0), (1.0, 1.0, 0.0)),
+                                                 ((1e-170, 0.0, 1e-170), (1.0, 0.0, 1.0))],
+                             ids=["overflowing", "underflowing"])
+    def test_direction_is_normalized_at_any_scale(self, direction, unit):
+        # the norm's squares once overflowed to a direction (0, 0, 0), every
+        # point grazing, and underflowed to "must be non-zero"
+        want = np.array(unit) / np.sqrt(2.0)
+        got = FlatFront(direction).direction
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+
+    def test_scaling_keeps_the_bits_of_a_representable_norm(self):
+        rng = np.random.default_rng(1601)
+        for _ in range(2000):
+            a = rng.normal(size=3) * 10.0 ** rng.uniform(-100, 100, size=3)
+            want = a / np.linalg.norm(a)
+            assert FlatFront(a).direction.tobytes() == want.tobytes()
+
+
 class TestIncidentDirection:
     def test_flat_is_constant(self):
-        a, _ = incident_direction(AXIAL, np.array([3.0, -1.0, 2.0]))
+        a, _, _ = incident_direction(AXIAL, np.array([3.0, -1.0, 2.0]))
         assert np.allclose(a, [0, 0, 1])
 
     def test_point_source_at_origin_on_unit_sphere(self):
         r = np.array([np.cos(0.5), 0.0, np.sin(0.5)])
-        a, _ = incident_direction(PointSource((0, 0, 0)), r)
+        a, _, _ = incident_direction(PointSource((0, 0, 0)), r)
         assert np.allclose(a, r, atol=1e-15)
 
     def test_point_source_off_origin(self):
-        a, _ = incident_direction(PointSource((0, 0, 0.1)), np.array([0.0, 0.0, 1.0]))
+        a, _, _ = incident_direction(PointSource((0, 0, 0.1)), np.array([0.0, 0.0, 1.0]))
         assert np.allclose(a, [0, 0, 1])
 
-    def test_source_on_surface_is_error(self):
-        with pytest.raises(SourceOnSurfaceError):
-            incident_direction(PointSource((1, 2, 3)), np.array([1.0, 2.0, 3.0]))
+    def test_source_on_surface_is_masked(self):
+        # the first point is the source, the third an off-chart stand-in that
+        # happens to lie on it; both read the stand-in distance 1
+        r = (np.array([1.0, 0.0, 1.0]), np.array([2.0, 0.0, 2.0]), np.array([3.0, 0.0, 3.0]))
+        a, r_dist, at_source = incident_direction(PointSource((1, 2, 3)), r,
+                                                  np.array([False, False, True]))
+        assert at_source.tolist() == [True, False, False]
+        assert r_dist.tolist() == [1.0, np.sqrt(14.0), 1.0]
+        assert [ai[0] for ai in a] == [0.0, 0.0, 0.0]
+        assert incident_direction(AXIAL, r)[2] is False
 
 
 class TestReflectDirection:
@@ -143,7 +170,7 @@ class TestModifiedForms:
             field = random_field(rng)
             u, v = rng.uniform(-0.9, 0.9, size=2)
             jet = eval_surface(ast, u, v)
-            a, r_dist = incident_direction(field, jet.value())
+            a, r_dist, _ = incident_direction(field, jet.value())
             frame = frame_at(jet, a)
             forms = fundamental_forms(frame)
             refl = reflection_data(frame, a, r_dist)
@@ -331,7 +358,7 @@ class TestRootIdentities:
             field = FlatFront((rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), 1.0))
             u, v = rng.uniform(-0.9, 0.9, size=2)
             jet = eval_surface(ast, u, v)
-            a, r_dist = incident_direction(field, jet.value())
+            a, r_dist, _ = incident_direction(field, jet.value())
             frame = frame_at(jet, a)
             forms = fundamental_forms(frame)
             refl = reflection_data(frame, a, r_dist)
@@ -596,6 +623,28 @@ def test_clamped_double_roots_pass_the_crosscheck():
     assert solve_sheet_curvatures(mods, (p, q), field)[2] <= _CROSSCHECK_RTOL / 100
 
 
+def test_flag_bits_fill_the_byte_once():
+    bits = [getattr(caustics, name) for name in caustics.__all__ if name.startswith("FLAG_")]
+    assert sorted(bits) == [1 << i for i in range(8)]
+
+
+def test_masked_points_text_reports_every_point_defect_bit():
+    # bit k at grid point k; the statistics count grazing and the zero roots,
+    # the mesh writers carry valid and clipped, and a line names each other bit
+    grid = GridSpec(2, 4, (0.0, 1.0, 0.0, 1.0))
+    flags = (1 << np.arange(8, dtype=np.uint8)).reshape(2, 4)
+    text = masked_points_text(flags, parse_surface("[u, v, 0]"), grid)
+    named = set()
+    for line in text.splitlines():
+        i, j = map(int, re.fullmatch(r"masked: 1 point\(s\) .*, first at grid index "
+                                     r"\((\d), (\d)\)", line).groups())
+        named.add(int(flags[i, j]))
+    assert named == {FLAG_DOMAIN, FLAG_DEGENERATE, FLAG_AT_SOURCE}
+    assert len(text.splitlines()) == 3
+    counted = {FLAG_VALID, FLAG_GRAZING, FLAG_AT_INFINITY, FLAG_CLIPPED, FLAG_EXCLUDED_ZERO_ROOT}
+    assert named | counted == {1 << k for k in range(8)}
+
+
 @given(name=st.sampled_from(sorted(BUILTINS)), n=st.sampled_from([20, 50, 100, 200]),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
@@ -606,10 +655,7 @@ def test_no_builtin_scene_fails_the_crosscheck(name, n, seed):
     else:
         field = PointSource(rng.normal(scale=2.0, size=3))
     ast, dom = build_surface(name)
-    try:
-        compute_caustic_sheets(ast, field, GridSpec(n, n, dom))
-    except SourceOnSurfaceError:
-        pass  # an input error; point defects are flagged, and nothing else raises
+    compute_caustic_sheets(ast, field, GridSpec(n, n, dom))  # point defects are flagged
 
 
 def test_near_grazing_routes_differ_only_by_the_conditioning():
@@ -620,7 +666,7 @@ def test_near_grazing_routes_differ_only_by_the_conditioning():
     ast, dom = build_surface("revolution")
     U, V = GridSpec(100, 100, dom).mesh()
     jet = eval_surface(ast, U[10, 2], V[10, 2])
-    a, r_dist = incident_direction(field, jet.value())
+    a, r_dist, _ = incident_direction(field, jet.value())
     frame = frame_at(jet, a)
     forms = fundamental_forms(frame)
     refl = reflection_data(frame, a, r_dist)

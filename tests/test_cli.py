@@ -163,6 +163,9 @@ BAD_SCENE_VALUES = {
     "unknown-format-in-file": ("compute", "--scene", "{output}"),
     "infinite-domain": ("compute", "--domain=0,1,0,inf"),
     "overflowing-domain": ("compute", "--domain=0,1e308,-1e308,1e308"),
+    "infinite-flat": ("compute", "--flat", "inf,0,0"),
+    "front-infinite-travel": ("front", "--travel", "inf"),
+    "front-nan-travel": ("front", "--travel", "nan"),
 }
 
 # the scene files that BAD_SCENE_VALUES name by {placeholder}
@@ -405,6 +408,44 @@ class TestPointDefects:
                                    "--domain=0,1,0,1", "--grid", "5,8")
         assert (code, err) == (3, "")
         assert "compared:          0 sheet-points" in out
+
+
+# the sphere passes through the source (1, 0, 0) at (u, v) = (0, 0)
+SOURCE_ON_MIRROR = ("--surface", "sphere", "--source", "1,0,0", "--grid", "6,6")
+AT_SOURCE_MASKED = "masked: 1 point(s) at the point source, first at grid index (0, 0)\n"
+
+
+class TestSourceOnMirror:
+    """A grid point on the point source is masked where it is; the grid runs on."""
+
+    def test_compute_masks_the_grid_point_on_the_source(self, capsys, tmp_path):
+        # this once aborted the whole grid with "field: point source coincides
+        # with a surface point", exit 1
+        code, out, err = run(capsys, "compute", *SOURCE_ON_MIRROR, "--domain", "0,0.5,0,1",
+                             "--format", "csv", "--out", str(tmp_path / "out"))
+        assert (code, err) == (0, "")
+        assert out.startswith(AT_SOURCE_MASKED)
+        for sheet, counts in ((1, {1: 29, 16: 6, 2: 1}), (2, {1: 35, 2: 1})):
+            rows = read(str(tmp_path / f"out-sheet{sheet}.csv")).decode().splitlines()[1:]
+            flags = [int(row.rsplit(",", 1)[1]) for row in rows]
+            assert flags[0] == caustics.FLAG_AT_SOURCE
+            assert {f: flags.count(f) for f in set(flags)} == counts
+
+    def test_front_masks_the_grid_point_on_the_source(self, capsys, tmp_path):
+        code, out, err = run(capsys, "front", *SOURCE_ON_MIRROR, "--domain", "0,0.5,0,1",
+                             "--travel", "2", "--out", str(tmp_path / "out"))
+        assert (code, err) == (0, "")
+        assert out.startswith(AT_SOURCE_MASKED)
+
+    def test_validate_stencil_on_the_source(self, capsys):
+        # no grid point lies on the source, but the stencil point u - h of the
+        # grid point (0, 0) does, which once aborted validate as well
+        code, out, err = run(capsys, "validate", *SOURCE_ON_MIRROR,
+                             "--domain", "0.0001,0.5,0,1", "--fd-step", "1e-4")
+        assert (code, err) == (0, "")
+        assert "masked:" not in out
+        assert "compared:          64 sheet-points\n" in out
+        assert "result:            PASS\n" in out
 
 
 class TestDeterminism:

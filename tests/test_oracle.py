@@ -13,8 +13,7 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           validate_sheets)
 from catacaustics import caustics
 from catacaustics.caustics import (EPS_GRAZING_DEFAULT, FLAG_GRAZING,
-                                   FLAG_VALID, SourceOnSurfaceError, _ray_block,
-                                   default_max_radius)
+                                   FLAG_VALID, _ray_block, default_max_radius)
 from catacaustics.diffgeo import REGULARITY_RTOL
 from catacaustics.oracle import (FD_STEP_DEFAULT, _focal_quadratic,
                                  _roots_of_focal_quadratic)
@@ -232,8 +231,9 @@ def rays_reference(r, ru, rv, field, eps_grazing, outside=False):
     """Rays at stacked (..., 3) points and partials, with np.cross and einsum.
 
     Singular points take the flat stand-in partials r_u = e_x, r_v = e_y;
-    points off the chart (outside) hold r = 0 with those partials, and no
-    source lies on them.
+    points off the chart (outside) hold r = 0 with those partials.  There
+    and on the point source the source distance reads 1, and no such point
+    is lit.
     """
     c = np.cross(ru, rv)
     cn = stacked_norm(c)
@@ -245,17 +245,17 @@ def rays_reference(r, ru, rv, field, eps_grazing, outside=False):
     if isinstance(field, PointSource):
         d = r - field.origin
         dist = np.where(outside, 1.0, stacked_norm(d))
-        if np.any(dist <= caustics.SOURCE_MIN_DISTANCE):
-            raise SourceOnSurfaceError("point source coincides with a surface point")
-        a = d / dist[..., None]
+        at_source = dist <= caustics.SOURCE_MIN_DISTANCE
+        a = d / np.where(at_source, 1.0, dist)[..., None]
     else:
         a = np.broadcast_to(field.direction, r.shape)
+        at_source = np.zeros(r.shape[:-1], dtype=bool)
     side = stacked_dot(a, n_raw)
     flipped = side > 0.0
     n = np.where(flipped[..., None], -n_raw, n_raw)
     cos_theta = np.where(flipped, -side, side)
     b = a - 2.0 * stacked_dot(a, n)[..., None] * n
-    lit = regular & (np.abs(cos_theta) > eps_grazing) & ~outside
+    lit = regular & (np.abs(cos_theta) > eps_grazing) & ~outside & ~at_source
     return r, b, lit, flipped
 
 
@@ -342,18 +342,26 @@ def test_planes_oracle_is_bitwise_the_stacked_reference(name, seed, point, nu, n
     U, V = grid.mesh()
     for args_want, args_got in (((U, V), grid.block()),
                                 ((U[0, -1], V[0, -1]), (float(U[0, -1]), float(V[0, -1])))):
-        try:
-            want = focal_quadratic_reference(ast, field, *args_want, h, 1e-6)
-        except SourceOnSurfaceError:
-            with pytest.raises(SourceOnSurfaceError):
-                _focal_quadratic(ast, field, *args_got, h, 1e-6)
-            continue
+        want = focal_quadratic_reference(ast, field, *args_want, h, 1e-6)
         got = _focal_quadratic(ast, field, *args_got, h, 1e-6)
         for g, w in zip(got[0], want[0]):
             assert np.array_equal(_bits(g), _bits(w))
         for g, w in zip(got[1:3], want[1:3]):
             assert np.array_equal(_bits(g), _bits(w))
         assert np.array_equal(got[3], want[3])
+
+
+def test_stencil_on_the_source_is_bitwise_the_stacked_reference():
+    # the stencil point u - h of the grid point (0, 0) is the source (1, 0, 0)
+    ast, _ = build_surface("sphere")
+    field = PointSource((1.0, 0.0, 0.0))
+    grid = GridSpec(6, 6, (1e-4, 0.5, 0.0, 1.0))
+    want = focal_quadratic_reference(ast, field, *grid.mesh(), 1e-4, 1e-6)
+    got = _focal_quadratic(ast, field, *grid.block(), 1e-4, 1e-6)
+    for g, w in zip((*got[0], *got[1:3]), (*want[0], *want[1:3])):
+        assert np.array_equal(_bits(g), _bits(w))
+    assert np.array_equal(got[3], want[3])
+    assert not got[3][0, 0] and np.count_nonzero(~got[3]) == 1
 
 
 def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
