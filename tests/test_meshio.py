@@ -256,6 +256,10 @@ def golden_files(out_dir):
         files.update(_cli_files(["front", "--surface", "cylinder", "--flat", "1,0,0",
                                  "--grid", "12,8", "--travel", "0.8", "--format", fmt],
                                 out_dir, f"front-cylinder-{fmt}"))
+    # a binding cap clips part of both sheets: the flags column shows it
+    files.update(_cli_files(["compute", "--surface", "ellipsoid", "--source", "0.2,0.1,0.1",
+                             "--grid", "40,40", "--format", "csv", "--max-radius", "1"],
+                            out_dir, "ellipsoid-capped"))
     ast, dom = build_surface("cylinder")
     sheets = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), GridSpec(8, 4, dom))[:2]
     flat = next(s for s in sheets if np.all(s.flags & FLAG_AT_INFINITY))
@@ -285,6 +289,9 @@ GOLDEN_SHA256 = {
     "ellipsoid-csv-sheet1.csv": "8c5d0f6bb9a83fbf1ea07e524a61fc07e7997f40cbf7efab5e992f3cffbc5fab",
     "ellipsoid-csv-sheet2.csv": "30e8c718c9a026d24d0f30fa9239973cb11e257a69efcf29105e2e55ff917711",
     "ellipsoid-csv-stats.txt": "88e2c8ad7e94932e2973a599f3cb6e593d4e85ccae3c14febc3d5d069639c49c",
+    "ellipsoid-capped-sheet1.csv": "80dfcf288c86cfcf5d6ae6ee7d8b1dceddb85af1be5ca6cbe6b88ac71268fbcc",
+    "ellipsoid-capped-sheet2.csv": "ca9e55c098bba81092f62c6fd419f596fe1c70202ffbb9cfb25df7600b22b1bf",
+    "ellipsoid-capped-stats.txt": "88e2c8ad7e94932e2973a599f3cb6e593d4e85ccae3c14febc3d5d069639c49c",
     "front-csv-front.csv": "7f59677f15e4c0dab514531358dbcf8ce4cd3c97d912a8c4775eaea8649b695b",
     "front-point-csv-front.csv": "52e997171cfe296f87f782a01e5497df7c6c9547ecf3ca5ec4f02eb8803dfefe",
     "front-cylinder-csv-front.csv": "1592f37d42c6c2d0fb2705c93dd9bac54253f10558c4b266780ef8a6ff28e1df",
