@@ -27,7 +27,7 @@ from .caustics import (CausticSheet, FlatFront, FrontPoint, FrontStatistics,
                        reflection_data, solve_sheet_curvatures)
 from .diffgeo import FrameData, SurfaceForms, frame_at, fundamental_forms
 from .jets import Jet2, Jet2Vec3
-from .meshio import MaskedGrid, clip_sheet, export_mesh
+from .meshio import MaskedGrid, export_mesh
 from .oracle import ValidationReport, validate_sheets
 from .surfacelang import (SurfaceAST, SurfaceDefinition, affine_transform,
                           eval_surface, parse_surface,
@@ -49,5 +49,5 @@ __all__ = [
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "reflected_front_point", "compute_caustic_sheets",
     "ValidationReport", "validate_sheets",
-    "MaskedGrid", "clip_sheet", "export_mesh",
+    "MaskedGrid", "export_mesh",
 ]

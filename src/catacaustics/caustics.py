@@ -192,13 +192,13 @@ class ModifiedForms:
     det_gs_scale: np.ndarray  # g11 g22 + g12^2: the terms det g* cancels from
 
 
-def modified_forms(forms: SurfaceForms, refl: ReflectionData,
-                   field: IncidentField) -> ModifiedForms:
+def modified_forms(forms: SurfaceForms, refl: ReflectionData) -> ModifiedForms:
     """g* and B* of the reflected front, whose Weingarten matrix W* = g*^-1 B* has the k*.
 
-    g*_ij = g_ij - w_i w_j with the w_i of refl.  Valid away from grazing
-    incidence (cos theta = 0), where g* degenerates; grid-level code masks
-    those points before use.
+    g*_ij = g_ij - w_i w_j with the w_i of refl; B* takes the point-source
+    shift -g*_ij / rho where refl has a source distance rho.  Valid away from
+    grazing incidence (cos theta = 0), where g* degenerates; grid-level code
+    masks those points before use.
     """
     w1, w2 = refl.w
     gs11 = forms.g11 - w1 * w1
@@ -211,7 +211,7 @@ def modified_forms(forms: SurfaceForms, refl: ReflectionData,
     Bs11 = m * forms.B11
     Bs12 = m * forms.B12
     Bs22 = m * forms.B22
-    if isinstance(field, PointSource):
+    if refl.r_dist is not None:
         shift = 1.0 / refl.r_dist
         Bs11 = Bs11 - shift * gs11
         Bs12 = Bs12 - shift * gs12
@@ -291,22 +291,22 @@ def _crosscheck_errors(mods: ModifiedForms, S, P, S_size, P_size):
                       err_P / np.where(size_P > 0.0, size_P, 1.0))
 
 
-def solve_sheet_curvatures(mods: ModifiedForms, coeffs, field: IncidentField, r_dist=None):
+def solve_sheet_curvatures(mods: ModifiedForms, coeffs, r_dist=None):
     """The two front principal curvatures k*, from the quadratic, cross-checked.
 
-    Returns (k_a, k_b, residual): the unordered root pair per point and the
-    worst relative error of the root sum and product against the trace and
-    determinant of the Weingarten matrix W* = g*^-1 B* where both roots are
-    finite (the lit points, once the caller sets p and q to NaN elsewhere).  The
-    two routes share no arithmetic beyond the raw forms, so agreement
-    validates both.  Raises InternalConsistencyError where the error exceeds
-    _CROSSCHECK_RTOL.
+    r_dist is |r - O| for a point source, whose roots are shifted to
+    k* = mu - 1/r_dist, and None for a flat front: pass the r_dist of the
+    ReflectionData that made mods.  Returns (k_a, k_b, residual): the
+    unordered root pair per point and the worst relative error of the root
+    sum and product against the trace and determinant of the Weingarten
+    matrix W* = g*^-1 B* where both roots are finite (the lit points, once
+    the caller sets p and q to NaN elsewhere).  The two routes share no
+    arithmetic beyond the raw forms, so agreement validates both.  Raises
+    InternalConsistencyError where the error exceeds _CROSSCHECK_RTOL.
     """
     p, q = coeffs
     mu_a, mu_b, clamped = _stable_quadratic_roots(p, q)
-    shift = 0.0
-    if isinstance(field, PointSource):
-        shift = 1.0 / np.asarray(r_dist, dtype=float)
+    shift = 0.0 if r_dist is None else 1.0 / np.asarray(r_dist, dtype=float)
     k_a = mu_a - shift
     k_b = mu_b - shift
 
@@ -348,8 +348,8 @@ def caustic_point(r, b, k_star, field: IncidentField, eps_inf: float = EPS_INF_D
 def caustic_radius(k_star) -> np.ndarray:
     """Signed distance 1/k* from the mirror to the caustic point; inf where k* = 0.
 
-    The one 1/k* helper: placement, the radius clip (meshio.clip_sheet) and
-    the oracle's comparison all read it.
+    The one 1/k* helper: placement, the radius cap of compute_caustic_sheets
+    and the oracle's comparison all read it.
     """
     k = np.asarray(k_star)
     with np.errstate(all="ignore"):
@@ -501,6 +501,7 @@ class FrontStatistics:
     surface_bbox_min: np.ndarray
     surface_bbox_max: np.ndarray
     surface_diameter: float
+    max_radius: float        # the caustic radius cap the sheets were clipped to
     caustic_sheets: tuple = dc_field(repr=False)  # the two CausticSheets
 
     @functools.cached_property
@@ -556,7 +557,9 @@ def _column_extrema(pts):
 
 
 def _sheet_statistics(sheet: CausticSheet) -> SheetStatistics:
-    valid = sheet.valid
+    # the statistics describe the sheet as placed, before the radius cap, so
+    # stats.txt reads the same whatever the cap
+    valid = (sheet.flags & (FLAG_VALID | FLAG_CLIPPED)) != 0
     n_inf = int(np.count_nonzero(sheet.flags & FLAG_AT_INFINITY))
     n_zero = int(np.count_nonzero(sheet.flags & FLAG_EXCLUDED_ZERO_ROOT))
     if not np.any(valid):
@@ -652,25 +655,31 @@ def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: f
     """
     frame, refl, base_flags = _ray_block(surface, field, U, V, eps_grazing, order=2)
     forms = fundamental_forms(frame)
-    mods = modified_forms(forms, refl, field)
+    mods = modified_forms(forms, refl)
     p, q = (np.where(base_flags == 0, x, np.nan) for x in caustic_coefficients(forms, refl))
-    k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field, refl.r_dist)
+    k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), refl.r_dist)
     return frame.r, refl.b, base_flags, k_a, k_b
 
 
 def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: GridSpec,
                            *, eps_grazing: float = EPS_GRAZING_DEFAULT,
-                           eps_inf: float = EPS_INF_DEFAULT):
+                           eps_inf: float = EPS_INF_DEFAULT,
+                           max_radius: Optional[float] = None):
     """Both caustic sheets of the reflected front over a parameter grid.
 
     Returns (sheet1, sheet2, statistics).  Grazing, off-chart, singular and
     at-source points are masked, not errors; roots without a finite caustic
-    point are flagged.
+    point are flagged.  A caustic point farther than max_radius along its
+    ray is flagged clipped and keeps its xi: near-flat parts of a mirror send
+    the caustic off toward infinity.  max_radius None is default_max_radius
+    of the surface diameter and inf is no cap; the statistics record it.
     The flat-front result is independent of any front offset by construction
     (no travel parameter enters the computation).  The pointwise stages run
     over blocks of whole grid rows (see row_blocks); the result does not
     depend on the block size.
     """
+    if max_radius is not None and not max_radius > 0.0:
+        raise ValueError("max_radius must be positive")
     us, vs = grid.axes()
     shape = (grid.nu, grid.nv)
     r = np.empty(shape + (3,))
@@ -693,10 +702,15 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
         sheets.append(CausticSheet(sheet_id, us, vs, k, xi, flags))
 
     surf_min, surf_max, diameter = surface_extent(r, base_flags)
+    del r, b
+    max_radius = default_max_radius(diameter) if max_radius is None else float(max_radius)
+    for sheet in sheets:
+        far = np.abs(caustic_radius(sheet.k_star)) > max_radius
+        sheet.flags[sheet.valid & far] = FLAG_CLIPPED
     stats = FrontStatistics(
         nu=grid.nu, nv=grid.nv, n_points=int(base_flags.size),
         n_grazing=int(np.count_nonzero(base_flags & FLAG_GRAZING)),
         surface_bbox_min=surf_min, surface_bbox_max=surf_max, surface_diameter=diameter,
-        caustic_sheets=tuple(sheets),
+        max_radius=max_radius, caustic_sheets=tuple(sheets),
     )
     return sheets[0], sheets[1], stats

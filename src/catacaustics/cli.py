@@ -25,9 +25,9 @@ import numpy as np
 from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
                        FLAG_VALID, FlatFront, GridSpec,
                        InternalConsistencyError, PointSource, _ray_block,
-                       compute_caustic_sheets, default_max_radius,
-                       masked_points_text, reflected_front_point)
-from .meshio import FORMATS, MaskedGrid, clip_sheet, export_mesh, write_ascii
+                       compute_caustic_sheets, masked_points_text,
+                       reflected_front_point)
+from .meshio import FORMATS, MaskedGrid, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
 from .surfacelang import SurfaceLangError, parse_surface_definition
 from .surfaces import build_surface, builtin_listing
@@ -247,18 +247,13 @@ def cmd_compute(scene: SceneSpec) -> int:
     """Compute both caustic sheets and write meshes plus statistics."""
     ast, grid = scene.resolve()
     sheet1, sheet2, stats = compute_caustic_sheets(
-        ast, scene.field, grid,
-        eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf)
+        ast, scene.field, grid, eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf,
+        max_radius=scene.max_radius)
     sys.stdout.write(masked_points_text(sheet1.flags, ast, grid))
 
-    max_radius = scene.max_radius
-    if max_radius is None:
-        max_radius = default_max_radius(stats.surface_diameter)
-
-    for sheet in (sheet1, sheet2):
-        grid_mesh = clip_sheet(sheet, max_radius)
-        path = f"{scene.out}-sheet{sheet.sheet_id}.{scene.fmt}"
-        export_mesh(grid_mesh, scene.fmt, path)
+    for s in (sheet1, sheet2):
+        path = f"{scene.out}-sheet{s.sheet_id}.{scene.fmt}"
+        export_mesh(MaskedGrid(s.u, s.v, s.xi, s.flags), scene.fmt, path)
         print(f"wrote {path}")
     stats_path = f"{scene.out}-stats.txt"
     write_ascii(stats_path, (stats.to_text().encode("ascii"),))
@@ -279,11 +274,11 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
         raise SceneError("--fd-step must have a finite positive 1/(2 h)")
     ast, grid = scene.resolve()
     closed_form = compute_caustic_sheets(
-        ast, scene.field, grid,
-        eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf)
+        ast, scene.field, grid, eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf,
+        max_radius=scene.max_radius)
     sys.stdout.write(masked_points_text(closed_form[0].flags, ast, grid))
     report = validate_sheets(closed_form, ast, scene.field, grid, h=h, tol=tol,
-                             max_radius=scene.max_radius, eps_grazing=scene.eps_grazing)
+                             eps_grazing=scene.eps_grazing)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAIL
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caustics import FLAG_CLIPPED, FLAG_VALID, CausticSheet, caustic_radius
+from .caustics import FLAG_VALID
 
-__all__ = ["MaskedGrid", "clip_sheet", "export_mesh", "write_ascii", "FORMATS"]
+__all__ = ["MaskedGrid", "export_mesh", "write_ascii", "FORMATS"]
 
 CHUNK_ROWS = 32768      # lines built as one block and written at once
 
@@ -41,10 +41,8 @@ CHUNK_ROWS = 32768      # lines built as one block and written at once
 class MaskedGrid:
     """A nu x nv vertex grid with a per-vertex reason byte.
 
-    Flag bits: 0 valid, 1 at_source (on the point source), 2 grazing,
-    3 at_infinity, 4 clipped, 5 excluded_zero_root, 6 domain (off the
-    chart), 7 degenerate (singular chart).  Every invalid vertex carries at
-    least one reason.
+    The bits are the caustics.FLAG_* values.  Every invalid vertex carries
+    at least one reason.
     """
 
     u: np.ndarray        # (nu,)
@@ -63,23 +61,6 @@ class MaskedGrid:
     @property
     def valid(self) -> np.ndarray:
         return (self.flags & FLAG_VALID) != 0
-
-
-def clip_sheet(sheet: CausticSheet, max_radius: float = None) -> MaskedGrid:
-    """Mask caustic vertices farther than max_radius along the reflected ray.
-
-    max_radius = None (or inf) keeps every finite vertex; only the flags
-    already present on the sheet apply.  Clipping handles the near-flat parts
-    of a mirror whose caustic runs off toward infinity.
-    """
-    flags = sheet.flags.copy()
-    if max_radius is not None and np.isfinite(max_radius):
-        if max_radius <= 0.0:
-            raise ValueError("max_radius must be positive")
-        clip = sheet.valid & (np.abs(caustic_radius(sheet.k_star)) > max_radius)
-        flags[clip] |= FLAG_CLIPPED
-        flags[clip] &= np.uint8(~FLAG_VALID & 0xFF)
-    return MaskedGrid(sheet.u, sheet.v, sheet.xi, flags)
 
 
 # ASCII digits of 0..999: rows hundreds, tens, units; one column per value

@@ -17,23 +17,23 @@ returns and, in one pass over blocks of grid rows, runs the oracle and keeps
 each point's error against the closed-form sheets.  The rays come from the
 ray stage that compute uses (caustics._ray_block), once per stencil point and
 block, on first-order jets: a ray needs r, r_u and r_v only.  The focal
-computation is the oracle's own; the default radius cap comes from the
-closed form's surface diameter, a property of the mirror samples.  A ray the
-stage flags (grazing, off the chart or singular) makes its stencil unusable,
-and the oracle gives no verdict on a grid point whose stencil leaves the
-chart, nor where the closed form's evaluation did.
+computation is the oracle's own; the radius cap is the one the closed form
+was clipped to (its statistics' max_radius), applied to the oracle's focal
+distances as well.  A ray the stage flags (grazing, off the chart, singular
+or on the point source) makes its stencil unusable, and the oracle gives no
+verdict on a grid point whose stencil leaves the chart or meets the source,
+nor where the closed form's evaluation left the chart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .caustics import (EPS_GRAZING_DEFAULT, FLAG_DOMAIN, FLAG_VALID, GridSpec,
-                       IncidentField, _ray_block, caustic_radius,
-                       default_max_radius, row_blocks)
+from .caustics import (EPS_GRAZING_DEFAULT, FLAG_AT_SOURCE, FLAG_DOMAIN,
+                       FLAG_VALID, GridSpec, IncidentField, _ray_block,
+                       caustic_radius, row_blocks)
 from .diffgeo import cross, dot
 from .surfacelang import SurfaceAST
 
@@ -42,15 +42,19 @@ __all__ = ["ValidationReport", "validate_sheets"]
 FD_STEP_DEFAULT = 1e-4
 VALIDATION_TOL_DEFAULT = 1e-4
 
+# a stencil point with one of these bits has no ray to difference: the oracle
+# gives its grid point no verdict
+_NO_VERDICT = FLAG_DOMAIN | FLAG_AT_SOURCE
+
 
 def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     """FD-assembled coefficients (c0, c1, c2) of det[d_u F, d_v F, b](lambda).
 
     Returns (coeffs, r0, b0, ok, charted) with r0 and b0 the (..., 3) mirror
     points and reflected directions at (U, V).  A point is ok where the
-    coefficients hold; charted where no stencil point leaves the chart, so
-    the oracle can decide the point (a charted point that is not ok has an
-    unlit, singular or folded stencil).
+    coefficients hold; charted where no stencil point leaves the chart or
+    lies on the point source, so the oracle can decide the point (a charted
+    point that is not ok has an unlit, singular or folded stencil).
     """
     shape = np.broadcast_shapes(np.shape(U), np.shape(V))
 
@@ -62,14 +66,14 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
         return tuple(map(full, frame.r)), tuple(map(full, refl.b)), full(flags), frame.flipped
 
     r0, b0, flags, flip0 = rays(U, V)
-    ok, off = flags == 0, (flags & FLAG_DOMAIN) != 0
+    ok, off = flags == 0, (flags & _NO_VERDICT) != 0
     stencil = []
     for u, v in ((U + h, V), (U - h, V), (U, V + h), (U, V - h)):
         r, b, flags, flipped = rays(u, v)
         # a stencil straddling an orientation fold would difference two normals
         # of opposite sign; treat such points as unusable rather than produce garbage
         ok = ok & (flags == 0) & (flipped == flip0)
-        off = off | ((flags & FLAG_DOMAIN) != 0)
+        off = off | ((flags & _NO_VERDICT) != 0)
         stencil.append((r, b))
     (rpu, bpu), (rmu, bmu), (rpv, bpv), (rmv, bmv) = stencil
 
@@ -162,14 +166,14 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
     Returns (err, both, n_disagree): the (2, rows, nv) distances between the
     closed-form and the oracle caustic points, the mask of points both sides
     call valid, and the number of charted sheet-points only one side calls
-    valid.  Off the chart the oracle has no verdict: where a stencil point
-    leaves it, and where the closed form's own evaluation did (FLAG_DOMAIN),
+    valid.  The closed form's valid points are already inside max_radius;
+    the oracle's focal distances are held to it here.  Off the chart the
+    oracle has no verdict: where a stencil point leaves it or meets the
+    source, and where the closed form's own evaluation left it (FLAG_DOMAIN),
     which at order 2 also covers a second derivative that is not finite.
     """
     def sheet_side(sheet):
-        radius = caustic_radius(sheet.k_star[rows])
-        usable = ((sheet.flags[rows] & FLAG_VALID) != 0) & (np.abs(radius) <= max_radius)
-        return radius, usable
+        return caustic_radius(sheet.k_star[rows]), (sheet.flags[rows] & FLAG_VALID) != 0
 
     rad1, use1 = sheet_side(sheets[0])
     rad2, use2 = sheet_side(sheets[1])
@@ -199,7 +203,6 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
 def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
                     grid: GridSpec, h: float = FD_STEP_DEFAULT,
                     tol: float = VALIDATION_TOL_DEFAULT,
-                    max_radius: Optional[float] = None,
                     eps_grazing: float = EPS_GRAZING_DEFAULT) -> ValidationReport:
     """Compare the closed-form caustic sheets against the brute-force oracle.
 
@@ -207,17 +210,14 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
     compute_caustic_sheets on the same grid.  One pass over the row blocks
     compares the two; the error at a point is the distance between the
     closed-form caustic point and r + lambda_oracle * b after pairing the
-    roots by least total difference.  Points whose caustic lies beyond
-    max_radius (default: 10 times the statistics' surface diameter) are
+    roots by least total difference.  Points whose caustic lies beyond the
+    radius cap the sheets were clipped to (the statistics' max_radius) are
     excluded on both sides: far focal points amplify any derivative noise
     linearly with distance and carry no geometric information here.
     """
     sheet1, sheet2, stats = closed_form
     if sheet1.k_star.shape != (grid.nu, grid.nv) or sheet2.k_star.shape != (grid.nu, grid.nv):
         raise ValueError("closed-form sheets were not computed on the given grid")
-    if max_radius is None:
-        max_radius = default_max_radius(stats.surface_diameter)
-    max_radius = float(max_radius)
 
     # per-point errors into sheet-major arrays, so that err[both] lists the
     # compared points in the same order whatever the block size
@@ -230,7 +230,7 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
             surface, field, *grid.block(rows), h, eps_grazing)
         lam = np.stack(_roots_of_focal_quadratic(*coeffs))
         err[:, rows], both[:, rows], n = _point_errors(
-            (sheet1, sheet2), rows, r0, b0, ok, charted, lam, max_radius)
+            (sheet1, sheet2), rows, r0, b0, ok, charted, lam, stats.max_radius)
         disagree += n
     errors = err[both]
 
@@ -244,7 +244,7 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
         summary = (float("inf"),) * 4
         passed = False
     return ValidationReport(
-        nu=grid.nu, nv=grid.nv, fd_step=float(h), tol=float(tol), max_radius=max_radius,
+        nu=grid.nu, nv=grid.nv, fd_step=float(h), tol=float(tol), max_radius=stats.max_radius,
         n_points=grid.nu * grid.nv, n_compared=n_compared, n_flag_disagreements=disagree,
         max_error=max_err, mean_error=summary[0], p50=summary[1], p90=summary[2], p99=summary[3],
         passed=passed,

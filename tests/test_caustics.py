@@ -28,8 +28,9 @@ from catacaustics.caustics import (_CROSSCHECK_RTOL, EPS_GRAZING_DEFAULT,
                                    FLAG_GRAZING, FLAG_VALID,
                                    InternalConsistencyError, _column_extrema,
                                    _order_roots_by_continuity,
-                                   _stable_quadratic_roots,
-                                   masked_points_text, row_blocks)
+                                   _stable_quadratic_roots, caustic_radius,
+                                   default_max_radius, masked_points_text,
+                                   row_blocks)
 from catacaustics.diffgeo import dot
 from catacaustics.surfaces import BUILTINS
 from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
@@ -145,7 +146,7 @@ class TestModifiedForms:
     def test_hyperbolic_paraboloid_displayed_forms(self):
         for u, v in [(1.0, 1.0), (0.5, -1.5), (-2.0, 0.3)]:
             frame, forms, refl = _pipeline("[u, v, u^2/2 - v^2/2]", AXIAL, u, v)
-            mods = modified_forms(forms, refl, AXIAL)
+            mods = modified_forms(forms, refl)
             assert np.allclose([mods.gs11, mods.gs12, mods.gs22], [1.0, 0.0, 1.0], atol=1e-13)
             W2 = 1.0 + u**2 + v**2
             assert mods.Bs11 == pytest.approx(-2.0 / W2, rel=1e-12)
@@ -154,13 +155,13 @@ class TestModifiedForms:
 
     def test_plane_mirror_keeps_rays_parallel(self):
         frame, forms, refl = _pipeline("[u, v, 0]", FlatFront((0.2, 0.1, -1.0)), 0.7, 0.7)
-        mods = modified_forms(forms, refl, FlatFront((0.2, 0.1, -1.0)))
+        mods = modified_forms(forms, refl)
         assert np.allclose([mods.Bs11, mods.Bs12, mods.Bs22], 0.0, atol=1e-15)
 
     def test_central_source_sphere_weingarten_is_identity(self):
         field = PointSource((0.0, 0.0, 0.0))
         frame, forms, refl = _pipeline(SPHERE, field, 0.7, 0.4)
-        mods = modified_forms(forms, refl, field)
+        mods = modified_forms(forms, refl)
         assert np.allclose(weingarten(mods), np.eye(2), atol=1e-12)
 
     def test_det_identity_random_points(self):
@@ -174,7 +175,7 @@ class TestModifiedForms:
             frame = frame_at(jet, a)
             forms = fundamental_forms(frame)
             refl = reflection_data(frame, a, r_dist)
-            mods = modified_forms(forms, refl, field)
+            mods = modified_forms(forms, refl)
             want = forms.det_g * refl.cos_theta**2
             assert mods.det_gs == pytest.approx(want, rel=1e-10)
             # the frame's (a, n) is the dot product on its oriented normal, bit for bit
@@ -208,9 +209,9 @@ class TestSolveSheetCurvatures:
     def test_sphere_roots_and_product_identity(self):
         u = np.pi / 6
         frame, forms, refl = _pipeline(SPHERE, AXIAL, u, 0.0)
-        mods = modified_forms(forms, refl, AXIAL)
+        mods = modified_forms(forms, refl)
         coeffs = caustic_coefficients(forms, refl)
-        k_a, k_b, residual = solve_sheet_curvatures(mods, coeffs, AXIAL)
+        k_a, k_b, residual = solve_sheet_curvatures(mods, coeffs)
         assert sorted([float(k_a), float(k_b)]) == pytest.approx([1.0, 4.0], rel=1e-12)
         assert float(k_a) * float(k_b) == pytest.approx(4.0 * float(forms.K), rel=1e-12)
         assert residual <= 1e-8
@@ -239,8 +240,8 @@ class TestCausticPoint:
     def test_hyperbolic_paraboloid_both_sheets(self):
         field = AXIAL
         frame, forms, refl = _pipeline("[u, v, u^2/2 - v^2/2]", field, 1.0, 1.0)
-        mods = modified_forms(forms, refl, field)
-        k_a, k_b, _ = solve_sheet_curvatures(mods, caustic_coefficients(forms, refl), field)
+        mods = modified_forms(forms, refl)
+        k_a, k_b, _ = solve_sheet_curvatures(mods, caustic_coefficients(forms, refl))
         lo, hi = sorted([float(k_a), float(k_b)])
         r, b = np.array(frame.r), np.array(refl.b)
         xi_lo, _ = caustic_point(r, b, lo, field)
@@ -362,9 +363,9 @@ class TestRootIdentities:
             frame = frame_at(jet, a)
             forms = fundamental_forms(frame)
             refl = reflection_data(frame, a, r_dist)
-            mods = modified_forms(forms, refl, field)
+            mods = modified_forms(forms, refl)
             p, q = caustic_coefficients(forms, refl)
-            k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), field)
+            k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q))
             K = float(forms.K)
             assert abs(float(k_a * k_b) - 4 * K) <= 1e-9 * max(1.0, abs(K))
             assert abs(float(k_a + k_b) + float(p)) <= 1e-9 * max(1.0, abs(float(p)))
@@ -456,6 +457,30 @@ def test_block_size_does_not_change_the_sheets(name, field, shape):
             assert np.array_equal(g.k_star, w.k_star, equal_nan=True)
             assert np.array_equal(g.xi, w.xi, equal_nan=True)
             assert np.array_equal(g.flags, w.flags)
+
+
+@pytest.mark.parametrize("name, field, shape", BLOCK_SCENES)
+def test_radius_cap_only_clips(name, field, shape):
+    # the cap changes no root, no caustic point and no statistic, and flags
+    # clipped exactly the valid points farther than it along the ray
+    ast, dom = scene_surface(name)
+    grid = GridSpec(*shape, dom)
+    *uncapped, free_stats = compute_caustic_sheets(ast, field, grid, max_radius=np.inf)
+    radii = [np.abs(caustic_radius(s.k_star[s.valid])) for s in uncapped]
+    binding = float(np.median(np.concatenate(radii)))
+    for max_radius in (None, binding):
+        *capped, stats = compute_caustic_sheets(ast, field, grid, max_radius=max_radius)
+        cap = default_max_radius(stats.surface_diameter) if max_radius is None else binding
+        assert stats.max_radius == cap
+        assert stats.to_text() == free_stats.to_text()
+        n_clipped = 0
+        for c, u in zip(capped, uncapped):
+            assert np.array_equal(c.k_star, u.k_star, equal_nan=True)
+            assert np.array_equal(c.xi, u.xi, equal_nan=True)
+            far = u.valid & (np.abs(caustic_radius(u.k_star)) > cap)
+            assert np.array_equal(c.flags, np.where(far, np.uint8(FLAG_CLIPPED), u.flags))
+            n_clipped += np.count_nonzero(far)
+    assert n_clipped  # the median radius binds
 
 
 def test_vanishing_partial_is_degenerate_not_grazing():
@@ -578,7 +603,7 @@ def _halve_q(coeffs):
 
 def _drop_shift(real):
     # B* = m B, as if the point-source branch of modified_forms were missing
-    return lambda forms, refl, field: real(forms, refl, AXIAL)
+    return lambda forms, refl: real(forms, dataclasses.replace(refl, r_dist=None))
 
 
 @pytest.mark.parametrize("scene, stage, plant", [
@@ -619,8 +644,8 @@ def test_clamped_double_roots_pass_the_crosscheck():
                                    {"cx": 1e-4, "cy": 1.00001e-4})
     p, q = caustic_coefficients(forms, refl)
     assert np.all(_stable_quadratic_roots(p, q)[2])
-    mods = modified_forms(forms, refl, field)
-    assert solve_sheet_curvatures(mods, (p, q), field)[2] <= _CROSSCHECK_RTOL / 100
+    mods = modified_forms(forms, refl)
+    assert solve_sheet_curvatures(mods, (p, q))[2] <= _CROSSCHECK_RTOL / 100
 
 
 def test_flag_bits_fill_the_byte_once():
@@ -670,11 +695,11 @@ def test_near_grazing_routes_differ_only_by_the_conditioning():
     frame = frame_at(jet, a)
     forms = fundamental_forms(frame)
     refl = reflection_data(frame, a, r_dist)
-    mods = modified_forms(forms, refl, field)
+    mods = modified_forms(forms, refl)
     p, q = caustic_coefficients(forms, refl)
     cos = float(refl.cos_theta)
     assert cos == pytest.approx(-1.8e-4, rel=1e-2)
-    roots = sorted([float(k) for k in solve_sheet_curvatures(mods, (p, q), field)[:2]])
+    roots = sorted([float(k) for k in solve_sheet_curvatures(mods, (p, q))[:2]])
     eigs = sorted(np.linalg.eigvals(weingarten(mods)).real)
 
     mp = mpmath.mpf

@@ -449,6 +449,8 @@ class TestSourceOnMirror:
         assert (code, err) == (0, "")
         assert "masked:" not in out
         assert "compared:          64 sheet-points\n" in out
+        # the grid point whose stencil meets the source gets no verdict
+        assert "flag mismatches:   0\n" in out
         assert "result:            PASS\n" in out
 
 

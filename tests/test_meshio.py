@@ -9,13 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from catacaustics import (FlatFront, GridSpec, build_surface, cli, clip_sheet,
+from catacaustics import (FlatFront, GridSpec, build_surface, cli,
                           compute_caustic_sheets, export_mesh, meshio)
 from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
-                                   FLAG_GRAZING, FLAG_VALID, CausticSheet)
+                                   FLAG_GRAZING, FLAG_VALID)
 from catacaustics.meshio import MaskedGrid
 
 AXIAL = FlatFront((0.0, 0.0, 1.0))
+
+
+def sheet_mesh(sheet):
+    """The masked grid the compute command exports for a sheet."""
+    return MaskedGrid(sheet.u, sheet.v, sheet.xi, sheet.flags)
 
 
 def small_grid(flags=None):
@@ -67,9 +72,9 @@ class TestObj:
     def test_faces_reference_only_valid_vertices(self, tmp_path):
         ast, dom = build_surface("sphere")
         grid = GridSpec(12, 12, dom)
-        sheet2 = compute_caustic_sheets(ast, AXIAL, grid)[1]
+        sheet2 = compute_caustic_sheets(ast, AXIAL, grid, max_radius=np.inf)[1]
         path = tmp_path / "sheet.obj"
-        export_mesh(clip_sheet(sheet2), "obj", path)
+        export_mesh(sheet_mesh(sheet2), "obj", path)
         lines = read(path).splitlines()
         n_vertices = sum(l.startswith("v ") for l in lines)
         for line in lines:
@@ -80,45 +85,52 @@ class TestObj:
 
 
 class TestClip:
-    def sphere_sheets(self):
+    # the radius cap is applied where compute_caustic_sheets places the sheets
+    def sphere_sheets(self, max_radius=None):
         ast, dom = build_surface("sphere")
         grid = GridSpec(10, 10, (0.2, 1.4, 0.0, 6.2831853))
-        return compute_caustic_sheets(ast, AXIAL, grid)
+        return compute_caustic_sheets(ast, AXIAL, grid, max_radius=max_radius)
 
     def test_cylinder_flat_sheet_is_empty_mesh(self, tmp_path):
         ast, dom = build_surface("cylinder")
         s1, s2, _ = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)),
-                                           GridSpec(8, 4, dom))
+                                           GridSpec(8, 4, dom), max_radius=100.0)
         flat = s1 if np.all(s1.flags & FLAG_AT_INFINITY) else s2
         path = tmp_path / "inf.obj"
-        n = export_mesh(clip_sheet(flat, max_radius=100.0), "obj", path)
+        n = export_mesh(sheet_mesh(flat), "obj", path)
         assert n == 0
         assert read(path) == ""
 
     def test_sphere_sheet1_unclipped_in_range(self):
-        s1, _, _ = self.sphere_sheets()
-        grid = clip_sheet(s1, max_radius=10.0)  # radii 1/(2 sin u) <= 2.52
-        assert np.all(grid.valid)
+        s1, _, _ = self.sphere_sheets(max_radius=10.0)  # radii 1/(2 sin u) <= 2.52
+        assert np.all(sheet_mesh(s1).valid)
 
     def test_clip_radius_masks_far_points(self):
-        s1, _, _ = self.sphere_sheets()
-        grid = clip_sheet(s1, max_radius=1.0)  # radii span [0.507, 2.52]
-        clipped = (grid.flags & FLAG_CLIPPED) != 0
+        s1, _, stats = self.sphere_sheets(max_radius=1.0)  # radii span [0.507, 2.52]
+        assert stats.max_radius == 1.0
+        clipped = (s1.flags & FLAG_CLIPPED) != 0
         assert np.any(clipped)
-        assert not np.any(clipped & grid.valid)
+        assert not np.any(clipped & s1.valid)
         with np.errstate(all="ignore"):
             radii = np.abs(1.0 / s1.k_star)
         assert np.array_equal(clipped, radii > 1.0)
+        # a clipped point keeps its placed caustic point
+        assert np.all(np.isfinite(s1.xi[clipped]))
 
     def test_no_radius_keeps_core_flags_only(self):
-        s1, _, _ = self.sphere_sheets()
-        assert np.array_equal(clip_sheet(s1).flags, s1.flags)
-        assert np.array_equal(clip_sheet(s1, max_radius=np.inf).flags, s1.flags)
+        uncapped, _, stats = self.sphere_sheets(max_radius=np.inf)
+        assert stats.max_radius == np.inf
+        assert not np.any(uncapped.flags & FLAG_CLIPPED)
+        # the default cap, 10 surface diameters, is far beyond every radius here
+        assert np.array_equal(self.sphere_sheets()[0].flags, uncapped.flags)
+        capped = self.sphere_sheets(max_radius=1.0)[0]
+        clipped = (capped.flags & FLAG_CLIPPED) != 0
+        assert np.array_equal(capped.flags, np.where(clipped, FLAG_CLIPPED, uncapped.flags))
 
     def test_nonpositive_radius_rejected(self):
-        s1, _, _ = self.sphere_sheets()
-        with pytest.raises(ValueError):
-            clip_sheet(s1, max_radius=0.0)
+        for max_radius in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                self.sphere_sheets(max_radius=max_radius)
 
 
 class TestCsv:
@@ -166,8 +178,8 @@ class TestPly:
 
     def test_same_vertices_and_faces_as_obj(self, tmp_path):
         ast, dom = build_surface("hyperbolic-paraboloid")
-        sheet1 = compute_caustic_sheets(ast, AXIAL, GridSpec(9, 9, dom))[0]
-        grid = clip_sheet(sheet1, max_radius=50.0)
+        sheet1 = compute_caustic_sheets(ast, AXIAL, GridSpec(9, 9, dom), max_radius=50.0)[0]
+        grid = sheet_mesh(sheet1)
         export_mesh(grid, "obj", tmp_path / "s.obj")
         export_mesh(grid, "ply", tmp_path / "s.ply")
         obj = read(tmp_path / "s.obj").splitlines()
@@ -184,8 +196,8 @@ class TestPly:
 class TestDeterminismAndErrors:
     def test_byte_identical_reruns(self, tmp_path):
         ast, dom = build_surface("ellipsoid")
-        sheet1 = compute_caustic_sheets(ast, AXIAL, GridSpec(14, 14, dom))[0]
-        grid = clip_sheet(sheet1, max_radius=40.0)
+        sheet1 = compute_caustic_sheets(ast, AXIAL, GridSpec(14, 14, dom), max_radius=40.0)[0]
+        grid = sheet_mesh(sheet1)
         blobs = []
         for fmt in ("obj", "csv", "ply"):
             a = tmp_path / f"a.{fmt}"
@@ -261,9 +273,10 @@ def golden_files(out_dir):
                              "--grid", "40,40", "--format", "csv", "--max-radius", "1"],
                             out_dir, "ellipsoid-capped"))
     ast, dom = build_surface("cylinder")
-    sheets = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), GridSpec(8, 4, dom))[:2]
+    sheets = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), GridSpec(8, 4, dom),
+                                    max_radius=100.0)[:2]
     flat = next(s for s in sheets if np.all(s.flags & FLAG_AT_INFINITY))
-    files.update(_grid_files(clip_sheet(flat, max_radius=100.0), out_dir, "empty"))
+    files.update(_grid_files(sheet_mesh(flat), out_dir, "empty"))
     v = np.linspace(-1.0, 1.0, 5)
     pts = np.stack([np.full(5, 0.5), v, v * v - 0.25], axis=-1)[None]
     flags = np.full((1, 5), FLAG_VALID, dtype=np.uint8)

@@ -12,8 +12,9 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           compute_caustic_sheets, eval_surface, parse_surface,
                           validate_sheets)
 from catacaustics import caustics
-from catacaustics.caustics import (EPS_GRAZING_DEFAULT, FLAG_GRAZING,
-                                   FLAG_VALID, _ray_block, default_max_radius)
+from catacaustics.caustics import (EPS_GRAZING_DEFAULT, FLAG_CLIPPED,
+                                   FLAG_GRAZING, FLAG_VALID, _ray_block,
+                                   default_max_radius)
 from catacaustics.diffgeo import REGULARITY_RTOL
 from catacaustics.oracle import (FD_STEP_DEFAULT, _focal_quadratic,
                                  _roots_of_focal_quadratic)
@@ -196,6 +197,7 @@ def test_block_size_does_not_change_the_report(name, field, shape):
         closed_form = compute_caustic_sheets(ast, field, grid)
         want = validate_sheets(closed_form, ast, field, grid)
     assert want.n_compared
+    assert want.max_radius == closed_form[2].max_radius
     assert want.max_radius == default_max_radius(closed_form[2].surface_diameter)
     for size in block_sizes(grid.nv):
         with mock.patch.object(caustics, "BLOCK_POINTS", size):
@@ -375,9 +377,10 @@ def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
         report = validate_sheets(sheets, ast, AXIAL, grid)
     assert spy.call_count == 10
     assert report.passed
-    # row u0, whose stencils leave the chart, has both closed-form sheets valid
-    # and no oracle verdict: no flag mismatch
-    assert np.all(sheets[0].valid[0]) and np.all(sheets[1].valid[0])
+    # row u0, whose stencils leave the chart, has both closed-form sheets placed
+    # (valid or beyond the radius cap) and no oracle verdict: no flag mismatch
+    placed = FLAG_VALID | FLAG_CLIPPED
+    assert np.all(sheets[0].flags[0] & placed) and np.all(sheets[1].flags[0] & placed)
     assert report.n_flag_disagreements == 0
 
 
