@@ -702,7 +702,6 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
         sheets.append(CausticSheet(sheet_id, us, vs, k, xi, flags))
 
     surf_min, surf_max, diameter = surface_extent(r, base_flags)
-    del r, b
     max_radius = default_max_radius(diameter) if max_radius is None else float(max_radius)
     for sheet in sheets:
         far = np.abs(caustic_radius(sheet.k_star)) > max_radius

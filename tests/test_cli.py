@@ -246,7 +246,7 @@ VALIDATE_STDOUT_SHA256 = {
                         "1e2a12f8eadfa5a4ba3eeb2597b773832737fe1b673eca7d1e9ae6090f156a97"),
     "trough": ((TROUGH, "--domain=-1,1,-1,1", "--flat", "0.1,0.2,-1", "--grid", "21,21"),
                "e702a39ce64de729b4e7ce26d1f7c1e01cb897a4b4de7a46d32061a59a004e59"),
-    # a binding cap: the sheet nearer the tube's far side is clipped whole
+    # a binding cap: it clips all of sheet 1 (radii 2.7 to 7.7), none of sheet 2
     "torus-capped": (("--surface", "revolution", "--flat", "0,0,1", "--grid", "120,100",
                       "--max-radius", "0.7"),
                      "0eda862d717a4afe8d4c94d369629d18a85d1683b69a1a202fc509bf6162eb53"),

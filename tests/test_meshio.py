@@ -103,7 +103,7 @@ class TestClip:
 
     def test_sphere_sheet1_unclipped_in_range(self):
         s1, _, _ = self.sphere_sheets(max_radius=10.0)  # radii 1/(2 sin u) <= 2.52
-        assert np.all(sheet_mesh(s1).valid)
+        assert np.all(s1.valid)
 
     def test_clip_radius_masks_far_points(self):
         s1, _, stats = self.sphere_sheets(max_radius=1.0)  # radii span [0.507, 2.52]
