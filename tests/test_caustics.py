@@ -752,7 +752,18 @@ CHARTS = {
     "swap": ("v", "u", lambda s, t: (t, s), lambda u, v: (v, u)),
     # g12 = 0.5 g11 + g12 of the old chart: nonzero on the orthogonal charts
     "shear": ("u + 0.5*v", "v", lambda s, t: (s + 0.5 * t, t), lambda u, v: (u - 0.5 * v, v)),
+    # monotone and nonlinear: the second derivatives of the chart enter the forms
+    "cubic": ("u + 0.1*u^3", "v", lambda s, t: (s + 0.1 * np.power(s, 3.0), t),
+              lambda u, v: (_cubic_inverse(u), v)),
 }
+
+
+def _cubic_inverse(u, steps=8):
+    """s with s + 0.1 s^3 = u, by Newton steps from s = u; monotone, so one root."""
+    s = u
+    for _ in range(steps):
+        s = s - (s + 0.1 * s**3 - u) / (1.0 + 0.3 * s**2)
+    return s
 CHART_FIELDS = {
     "axial": AXIAL,
     "oblique": FlatFront((0.3, 0.1, -1.0)),

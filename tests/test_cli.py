@@ -109,6 +109,53 @@ class TestCompute:
                 assert float(line.split(":")[1]) > 4.0
 
 
+# a scene file, the flags given with it, and the flags alone that mean the
+# same; {surf} is a saddle's surface file
+SCENE_OVERRIDES = {
+    "point-field-vs-flat": ("surface = sphere\nfield = point 0.3,0.2,3\n",
+                            ("--flat", "0.1,0,1"), ("--surface", "sphere", "--flat", "0.1,0,1")),
+    "flat-field-vs-source": ("surface = sphere\nfield = flat 0.1,0,1\n",
+                             ("--source", "0.3,0.2,3"),
+                             ("--surface", "sphere", "--source", "0.3,0.2,3")),
+    "surface-vs-expr-file": ("surface = sphere\n", ("--expr-file", "{surf}"),
+                             ("--expr-file", "{surf}")),
+    "expr-file-vs-surface": ("surface = expr-file {surf}\n", ("--surface", "sphere"),
+                             ("--surface", "sphere")),
+    "expr-file": ("surface = expr-file {surf}\n", (), ("--expr-file", "{surf}")),
+    "eps-grazing": ("surface = sphere\nfield = flat 0.3,0,1\n"
+                    "thresholds = eps-grazing=0.3 max-radius=0.7\n",
+                    ("--eps-grazing", "0.05"),
+                    ("--surface", "sphere", "--flat", "0.3,0,1", "--eps-grazing", "0.05",
+                     "--max-radius", "0.7")),
+    "max-radius": ("surface = sphere\nfield = flat 0.3,0,1\n"
+                   "thresholds = eps-grazing=0.3 max-radius=0.7\n",
+                   ("--max-radius", "5"),
+                   ("--surface", "sphere", "--flat", "0.3,0,1", "--eps-grazing", "0.3",
+                    "--max-radius", "5")),
+    "eps-inf": ("surface = sphere\nthresholds = eps-inf=1e3\n", ("--eps-inf", "1e-9"),
+                ("--surface", "sphere", "--eps-inf", "1e-9")),
+    "format": ("surface = sphere\noutput = format=csv prefix=fromfile\n", ("--format", "ply"),
+               ("--surface", "sphere", "--format", "ply", "--out", "fromfile")),
+    "out": ("surface = sphere\noutput = format=csv prefix=fromfile\n", ("--out", "flag"),
+            ("--surface", "sphere", "--format", "csv", "--out", "flag")),
+    # the file's parameters merge with --param's, a flag's value winning per name
+    "params": ("surface = ellipsoid ax=2 ay=1.5\n", ("--param", "ay=0.5"),
+               ("--surface", "ellipsoid", "--param", "ax=2", "--param", "ay=0.5")),
+}
+
+# a scene file with a bad line and the number of that line
+SCENE_FILE_ERRORS = {
+    "no-equals-sign": ("surface = sphere\ngrid 8,8\n", 2),
+    "unknown-key": ("# a comment\n\nshape = sphere\n", 3),
+    "word-threshold": ("surface = sphere\nthresholds = eps-inf=abc\n", 2),
+    "unknown-threshold": ("surface = sphere\nthresholds = eps-flat=1\n", 2),
+    "unknown-format": ("surface = sphere\n# csv next\n\noutput = format=stl\n", 4),
+    "unknown-output-key": ("surface = sphere\noutput = suffix=x\n", 2),
+    "field-kind": ("surface = sphere\nfield = cone 0,0,1\n", 2),
+    "expr-file-without-path": ("surface = expr-file\n", 1),
+}
+
+
 class TestSceneFile:
     def test_scene_file_and_flag_override(self, tmp_path, capsys):
         scene = tmp_path / "scene.txt"
@@ -138,6 +185,39 @@ class TestSceneFile:
         code, _, err = run(capsys, "compute", "--scene", str(scene))
         assert code == 1
         assert "scene" in err
+
+    @pytest.mark.parametrize("text, flags, same", SCENE_OVERRIDES.values(),
+                             ids=SCENE_OVERRIDES.keys())
+    def test_flags_override_each_scene_file_key(self, text, flags, same, tmp_path, capsys,
+                                               monkeypatch):
+        surface = tmp_path / "saddle.surf"
+        surface.write_text("[u, v, u^2/2 - v^2/4]\nu in [-1, 1]; v in [-1, 1]\n")
+        scene = tmp_path / "scene.txt"
+        scene.write_text(text.format(surf=surface))
+
+        def outputs(run_dir, *argv):
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            code, _, err = run(capsys, "compute", *(a.format(surf=surface) for a in argv),
+                               "--grid", "12,12")
+            assert err == ""
+            return code, {name: read(name) for name in sorted(os.listdir(run_dir))}
+
+        got = outputs(tmp_path / "got", "--scene", str(scene), *flags)
+        assert got == outputs(tmp_path / "same", *same)
+        if flags:
+            assert got != outputs(tmp_path / "file-only", "--scene", str(scene))
+
+    @pytest.mark.parametrize("text, lineno", SCENE_FILE_ERRORS.values(),
+                             ids=SCENE_FILE_ERRORS.keys())
+    def test_scene_file_error_names_its_line(self, text, lineno, tmp_path, capsys):
+        scene = tmp_path / "bad.txt"
+        scene.write_text(text)
+        code, _, err = run(capsys, "compute", "--scene", str(scene),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert f"scene: scene file line {lineno}: " in err
+        assert "Traceback" not in err
 
 
 # each value fails a check of FlatFront, PointSource, GridSpec, SceneSpec.resolve,
