@@ -7,18 +7,33 @@ Subcommands:
 * ``front``    -- export the reflected wavefront at a given total travel L
 * ``builtins`` -- list the built-in mirror surfaces
 
-A scene comes from flags and/or a plain-text scene file of ``key = value``
-lines (keys: surface, domain, grid, field, thresholds, output; ``#`` starts a
-comment).  Flags override file entries.  Exit codes: 0 success/PASS, 1 input
-error, 2 empty result, 3 validation FAIL.
+A scene comes from flags and/or a scene file (``--scene FILE``) of
+``key = value`` lines; ``#`` starts a comment.  Each line stands for flags
+and is parsed by their definitions:
+
+    surface = NAME K=V ...         --surface=NAME --param=K=V ...
+    surface = expr-file PATH       --expr-file=PATH
+    domain = U0,U1,V0,V1           --domain=U0,U1,V0,V1
+    grid = NU,NV                   --grid=NU,NV
+    field = flat AX,AY,AZ          --flat=AX,AY,AZ
+    field = point OX,OY,OZ         --source=OX,OY,OZ
+    thresholds = NAME=X ...        --NAME=X ...  (eps-grazing, eps-inf, max-radius)
+    output = format=F prefix=P     --format=F --out=P
+
+Defaults < file < flags: a flag's value wins, then the file's last line
+that gives one; a --param wins over the file's parameter of its name.  An
+empty value is an error.  Attach a value that starts with a minus sign:
+argparse reads ``--flat -0.3,0.1,1`` as a flag without its value, and
+``--flat=-0.3,0.1,1`` as meant.  Exit codes: 0 success/PASS, 1 input error,
+2 empty result, 3 validation FAIL.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from functools import partial
 
 import numpy as np
 
@@ -32,8 +47,7 @@ from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
 from .surfacelang import SurfaceLangError, parse_surface_definition
 from .surfaces import build_surface, builtin_listing
 
-__all__ = ["SceneSpec", "SceneError", "cmd_compute", "cmd_validate",
-           "cmd_front", "cmd_builtins", "main", "run"]
+__all__ = ["SceneError", "cmd_compute", "cmd_validate", "cmd_front", "cmd_builtins", "main", "run"]
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -41,219 +55,160 @@ EXIT_EMPTY = 2
 EXIT_VALIDATION_FAIL = 3
 
 SCENE_KEYS = ("surface", "domain", "grid", "field", "thresholds", "output")
-# scene-file threshold names and the SceneSpec fields they set
-THRESHOLD_KEYS = {"eps-grazing": "eps_grazing", "eps-inf": "eps_inf",
-                  "max-radius": "max_radius"}
+# the scene-file keys of name=value words, and the flag each name stands for
+NAMED_FLAGS = {"thresholds": {n: f"--{n}" for n in ("eps-grazing", "eps-inf", "max-radius")},
+               "output": {"format": "--format", "prefix": "--out"}}
 
 
 class SceneError(ValueError):
     """The scene description is inconsistent or incomplete."""
 
 
-@dataclass
-class SceneSpec:
-    """Everything needed to compute one scene."""
-
-    surface: Optional[str] = None          # built-in name
-    expr_file: Optional[str] = None        # path to a surface-definition file
-    params: dict = dc_field(default_factory=dict)
-    domain: Optional[tuple] = None         # (u0, u1, v0, v1)
-    grid: tuple = (50, 50)
-    field: object = None                   # FlatFront | PointSource, default flat +z
-    eps_grazing: float = EPS_GRAZING_DEFAULT
-    eps_inf: float = EPS_INF_DEFAULT
-    max_radius: Optional[float] = None     # None: 10 x surface diameter
-    fmt: str = "obj"
-    out: str = "caustic"
-
-    def __post_init__(self):
-        if self.field is None:
-            self.field = FlatFront((0.0, 0.0, 1.0))
-
-    def resolve(self):
-        """Build the AST and grid; returns (ast, grid_spec)."""
-        if bool(self.surface) == bool(self.expr_file):
-            raise SceneError("exactly one surface source is required: "
-                             "a built-in name or an expression file")
-        if self.max_radius is not None and not self.max_radius > 0.0:
-            raise SceneError("max radius must be positive")
-        if not (self.eps_grazing >= 0.0 and self.eps_inf >= 0.0):
-            raise SceneError("eps-grazing and eps-inf must be non-negative")
-        domain = self.domain
-        if self.surface:
-            ast, default_domain = build_surface(self.surface, self.params)
-        else:
-            try:
-                with open(self.expr_file, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as e:
-                raise SceneError(f"cannot read surface file: {e}")
-            definition = parse_surface_definition(text, self.params)
-            ast, default_domain = definition.ast, definition.domain
-        if domain is None:
-            domain = default_domain
-        if domain is None:
-            raise SceneError("no domain: declare one in the surface file or pass --domain")
-        return ast, _scene_value(GridSpec, *self.grid, domain)
-
-
 # --------------------------------------------------------------------------
-# scene-file and value parsing
+# scene values: one argparse type parses and checks each
 # --------------------------------------------------------------------------
 
-def _scene_value(make, *args):
-    """make(*args); the ValueError of its own checks is raised as a SceneError."""
+def _scene_type(parse):
+    """The argparse type parse of a non-empty text; a ValueError's message is the error."""
+    def convert(text):
+        try:
+            if not text:
+                raise ValueError("needs a value")
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
+
+
+def _numbers(n, make=tuple, convert=float):
+    """An argparse type: n comma-separated numbers, passed to make as a tuple."""
+    @_scene_type
+    def parse(text):
+        parts = text.replace(",", " ").split()
+        if len(parts) != n:
+            raise ValueError(f"needs {n} comma-separated numbers, got {text!r}")
+        return make(tuple(map(convert, parts)))
+    return parse
+
+
+def _float_where(ok, must):
+    """An argparse type: a float x for which ok(x) holds."""
+    @_scene_type
+    def parse(text):
+        x = float(text)
+        if not ok(x):
+            raise ValueError(f"must be {must}, got {text!r}")
+        return x
+    return parse
+
+
+_non_negative = _float_where(lambda x: x >= 0.0, "non-negative")
+# the oracle's central differences scale by 1/(2 h)
+_fd_step = _float_where(lambda h: h > 0.0 and 0.0 < 1.0 / (2.0 * h) < math.inf,
+                        "positive with a finite 1/(2 H)")
+_word = _scene_type(str)
+
+
+@_scene_type
+def _param(text):
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ValueError(f"expects K=V, got {text!r}")
+    return key.strip(), value.strip()
+
+
+def _surface_file(path, params):
+    """(ast, default domain) of the surface file at path, like build_surface's."""
     try:
-        return make(*args)
-    except ValueError as e:
-        raise SceneError(str(e)) from None
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise SceneError(f"cannot read surface file: {e}")
+    definition = parse_surface_definition(text, params)
+    return definition.ast, definition.domain
 
 
-def _parse_floats(text: str, n: int, what: str):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != n:
-        raise SceneError(f"{what} needs {n} comma-separated numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise SceneError(f"{what}: could not parse numbers from {text!r}")
+def _line_flags(line: str) -> list:
+    """The flags that one scene-file line stands for."""
+    key, eq, value = (part.strip() for part in line.partition("="))
+    if not eq:
+        raise SceneError("expected 'key = value'")
+    words = value.split()
+    if key in ("domain", "grid"):
+        return [f"--{key}={value}"]
+    if key == "field":
+        flag = {"flat": "--flat", "point": "--source"}.get(words[0] if words else "")
+        if flag is None:
+            raise SceneError("field is 'flat AX,AY,AZ' or 'point OX,OY,OZ'")
+        return [f"{flag}={' '.join(words[1:])}"]
+    if key == "surface":
+        if words[:1] == ["expr-file"]:
+            if len(words) != 2:
+                raise SceneError("expr-file needs one path")
+            return [f"--expr-file={words[1]}"]
+        name, *params = words or [""]
+        return [f"--surface={name}", *(f"--param={p}" for p in params)]
+    if key not in NAMED_FLAGS:
+        raise SceneError(f"unknown key {key!r} (known: {', '.join(SCENE_KEYS)})")
+    flags = []
+    for word in words:
+        name, eq, v = word.partition("=")
+        if not eq or name not in NAMED_FLAGS[key]:
+            raise SceneError(f"{key} takes {', '.join(NAMED_FLAGS[key])} as name=value, "
+                             f"got {word!r}")
+        flags.append(f"{NAMED_FLAGS[key][name]}={v}")
+    return flags
 
 
-def _parse_grid(text: str):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    try:
-        nu, nv = (int(p) for p in parts)
-    except ValueError:
-        raise SceneError(f"grid needs two integers, got {text!r}")
-    return nu, nv
-
-
-def _parse_kv_pairs(text: str, what: str) -> dict:
-    out = {}
-    for chunk in text.split():
-        if "=" not in chunk:
-            raise SceneError(f"{what}: expected key=value, got {chunk!r}")
-        key, value = chunk.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _apply_scene_file(scene: SceneSpec, path: str):
+def _read_scene_file(path: str) -> dict:
+    """The scene values: defaults, then each scene-file line parsed as its flags."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as e:
         raise SceneError(f"cannot read scene file: {e}")
+    parser = _Parser(prog="scene file", add_help=False, exit_on_error=False)
+    _add_scene_flags(parser)
+    values = parser.parse_args([])
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SceneError(f"scene file line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SCENE_KEYS:
-            raise SceneError(f"scene file line {lineno}: unknown key {key!r} "
-                             f"(known: {', '.join(SCENE_KEYS)})")
-        if key == "surface":
-            parts = value.split()
-            if not parts:
-                raise SceneError(f"scene file line {lineno}: empty surface")
-            if parts[0] == "expr-file":
-                if len(parts) != 2:
-                    raise SceneError(f"scene file line {lineno}: expr-file needs one path")
-                scene.expr_file = parts[1]
-                scene.surface = None
-            else:
-                scene.surface = parts[0]
-                scene.expr_file = None
-                scene.params.update(_parse_kv_pairs(" ".join(parts[1:]), "surface parameters"))
-        elif key == "domain":
-            scene.domain = _parse_floats(value, 4, "domain")
-        elif key == "grid":
-            scene.grid = _parse_grid(value)
-        elif key == "field":
-            parts = value.split(None, 1)
-            if len(parts) != 2 or parts[0] not in ("flat", "point"):
-                raise SceneError(f"scene file line {lineno}: field is "
-                                 "'flat ax,ay,az' or 'point ox,oy,oz'")
-            vec = _parse_floats(parts[1], 3, "field vector")
-            scene.field = _scene_value(FlatFront if parts[0] == "flat" else PointSource, vec)
-        elif key == "thresholds":
-            for k, v in _parse_kv_pairs(value, "thresholds").items():
-                if k not in THRESHOLD_KEYS:
-                    raise SceneError(f"scene file line {lineno}: unknown threshold {k!r}")
-                try:
-                    setattr(scene, THRESHOLD_KEYS[k], float(v))
-                except ValueError:
-                    raise SceneError(f"scene file line {lineno}: threshold {k} needs "
-                                     f"a number, got {v!r}") from None
-        elif key == "output":
-            for k, v in _parse_kv_pairs(value, "output").items():
-                if k == "format":
-                    if v not in FORMATS:
-                        raise SceneError(f"scene file line {lineno}: unknown format {v!r} "
-                                         f"(known: {', '.join(FORMATS)})")
-                    scene.fmt = v
-                elif k == "prefix":
-                    scene.out = v
-                else:
-                    raise SceneError(f"scene file line {lineno}: unknown output key {k!r}")
-    return scene
+        if line:
+            try:
+                parser.parse_args(_line_flags(line), values)
+            except (SceneError, argparse.ArgumentError) as e:
+                raise SceneError(f"scene file line {lineno}: {e}") from None
+    return vars(values)
 
 
-def _scene_from_args(args) -> SceneSpec:
-    scene = SceneSpec()
-    if args.scene:
-        _apply_scene_file(scene, args.scene)
-    if args.surface:
-        scene.surface = args.surface
-        scene.expr_file = None
-    if args.expr_file:
-        scene.expr_file = args.expr_file
-        scene.surface = None
-    for item in args.param or ():
-        if "=" not in item:
-            raise SceneError(f"--param expects k=v, got {item!r}")
-        key, value = item.split("=", 1)
-        scene.params[key.strip()] = value.strip()
-    if args.domain:
-        scene.domain = _parse_floats(args.domain, 4, "--domain")
-    if args.grid:
-        scene.grid = _parse_grid(args.grid)
-    if args.flat and args.source:
-        raise SceneError("--flat and --source are mutually exclusive")
-    if args.flat:
-        scene.field = _scene_value(FlatFront, _parse_floats(args.flat, 3, "--flat"))
-    if args.source:
-        scene.field = _scene_value(PointSource, _parse_floats(args.source, 3, "--source"))
-    if args.eps_grazing is not None:
-        scene.eps_grazing = args.eps_grazing
-    if args.eps_inf is not None:
-        scene.eps_inf = args.eps_inf
-    if args.max_radius is not None:
-        scene.max_radius = args.max_radius
-    if args.format:
-        scene.fmt = args.format
-    if args.out:
-        scene.out = args.out
-    return scene
+def _resolve(scene):
+    """The scene's surface AST and grid."""
+    if scene.surface is None:
+        raise SceneError("no surface: pass --surface or --expr-file")
+    ast, domain = scene.surface(dict(scene.params or ()))
+    domain = domain if scene.domain is None else scene.domain
+    if domain is None:
+        raise SceneError("no domain: declare one in the surface file or pass --domain")
+    try:
+        return ast, GridSpec(*scene.grid, domain)
+    except ValueError as e:
+        raise SceneError(str(e)) from None
 
 
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_compute(scene: SceneSpec) -> int:
+def cmd_compute(scene) -> int:
     """Compute both caustic sheets and write meshes plus statistics."""
-    ast, grid = scene.resolve()
+    ast, grid = _resolve(scene)
     sheet1, sheet2, stats = compute_caustic_sheets(
         ast, scene.field, grid, eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf,
         max_radius=scene.max_radius)
     sys.stdout.write(masked_points_text(sheet1.flags, ast, grid))
 
     for s in (sheet1, sheet2):
-        path = f"{scene.out}-sheet{s.sheet_id}.{scene.fmt}"
-        export_mesh(MaskedGrid(s.u, s.v, s.xi, s.flags), scene.fmt, path)
+        path = f"{scene.out}-sheet{s.sheet_id}.{scene.format}"
+        export_mesh(MaskedGrid(s.u, s.v, s.xi, s.flags), scene.format, path)
         print(f"wrote {path}")
     stats_path = f"{scene.out}-stats.txt"
     write_ascii(stats_path, (stats.to_text().encode("ascii"),))
@@ -265,14 +220,10 @@ def cmd_compute(scene: SceneSpec) -> int:
     return EXIT_OK
 
 
-def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
+def cmd_validate(scene, h: float = FD_STEP_DEFAULT,
                  tol: float = VALIDATION_TOL_DEFAULT) -> int:
     """Check the closed-form sheets against the ray-envelope oracle."""
-    if not (h > 0.0 and tol >= 0.0):
-        raise SceneError("--fd-step must be positive and --tol non-negative")
-    if not 0.0 < 1.0 / (2.0 * h) < np.inf:  # the oracle's central differences scale by it
-        raise SceneError("--fd-step must have a finite positive 1/(2 h)")
-    ast, grid = scene.resolve()
+    ast, grid = _resolve(scene)
     closed_form = compute_caustic_sheets(
         ast, scene.field, grid, eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf,
         max_radius=scene.max_radius)
@@ -283,11 +234,9 @@ def cmd_validate(scene: SceneSpec, h: float = FD_STEP_DEFAULT,
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAIL
 
 
-def cmd_front(scene: SceneSpec, L: float) -> int:
+def cmd_front(scene, L: float) -> int:
     """Export the reflected front rho(u, v; L) as a mesh."""
-    if not np.isfinite(L):
-        raise SceneError("--travel must be finite")
-    ast, grid = scene.resolve()
+    ast, grid = _resolve(scene)
     frame, refl, flags = _ray_block(ast, scene.field, *grid.block(), scene.eps_grazing, order=1)
     front = reflected_front_point(frame.r, refl.a, refl.b, L, refl.r_dist)
     # the front has not reached points with lambda < 0; mask them like a clip
@@ -301,8 +250,8 @@ def cmd_front(scene: SceneSpec, L: float) -> int:
     rho = np.stack(np.broadcast_arrays(*front.rho), axis=-1)
     points = np.where(valid[..., None], rho, np.nan)
     mesh = MaskedGrid(us, vs, points, flags)
-    path = f"{scene.out}-front.{scene.fmt}"
-    export_mesh(mesh, scene.fmt, path)
+    path = f"{scene.out}-front.{scene.format}"
+    export_mesh(mesh, scene.format, path)
     print(f"wrote {path}")
     if not np.any(valid):
         print(f"front not arrived: L = {L} is below the travel to every lit grid point")
@@ -328,45 +277,54 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_scene_flags(p: argparse.ArgumentParser):
-    p.add_argument("--scene", metavar="FILE", help="scene file of key = value lines")
-    p.add_argument("--surface", metavar="NAME", help="built-in surface name")
-    p.add_argument("--expr-file", metavar="PATH", help="surface definition file")
-    p.add_argument("--param", metavar="K=V", action="append",
+    surface = p.add_mutually_exclusive_group()
+    # a surface value is a function of the parameters that returns (ast, default domain)
+    surface.add_argument("--surface", type=lambda name: partial(build_surface, _word(name)),
+                         metavar="NAME", help="built-in surface name")
+    surface.add_argument("--expr-file", dest="surface", metavar="PATH",
+                         type=lambda path: partial(_surface_file, _word(path)),
+                         help="surface definition file")
+    p.add_argument("--param", dest="params", type=_param, action="append", metavar="K=V",
                    help="surface parameter (repeatable)")
-    p.add_argument("--domain", metavar="U0,U1,V0,V1", help="parameter rectangle")
-    p.add_argument("--grid", metavar="NU,NV", help="grid resolution")
-    p.add_argument("--flat", metavar="AX,AY,AZ", help="flat front direction")
-    p.add_argument("--source", metavar="OX,OY,OZ", help="point source position")
-    p.add_argument("--eps-grazing", type=float, metavar="E",
+    p.add_argument("--domain", type=_numbers(4), metavar="U0,U1,V0,V1",
+                   help="parameter rectangle")
+    p.add_argument("--grid", type=_numbers(2, convert=int), default=(50, 50), metavar="NU,NV",
+                   help="grid resolution")
+    field = p.add_mutually_exclusive_group()
+    field.add_argument("--flat", dest="field", type=_numbers(3, FlatFront), default="0,0,1",
+                       metavar="AX,AY,AZ", help="flat front direction")
+    field.add_argument("--source", dest="field", type=_numbers(3, PointSource),
+                       metavar="OX,OY,OZ", help="point source position")
+    p.add_argument("--eps-grazing", type=_non_negative, default=EPS_GRAZING_DEFAULT, metavar="E",
                    help="|cos theta| at or below E is grazing")
-    p.add_argument("--eps-inf", type=float, metavar="E",
+    p.add_argument("--eps-inf", type=_non_negative, default=EPS_INF_DEFAULT, metavar="E",
                    help="|k*| at or below E has no finite caustic point")
-    p.add_argument("--max-radius", type=float, metavar="R",
-                   help="clip caustic points farther than R along the ray")
-    p.add_argument("--format", choices=FORMATS, help="mesh output format")
-    p.add_argument("--out", metavar="PREFIX", help="output path prefix")
+    p.add_argument("--max-radius", type=_float_where(lambda x: x > 0.0, "positive"),
+                   metavar="R", help="clip caustic points farther than R along the ray")
+    p.add_argument("--format", choices=FORMATS, default="obj", help="mesh output format")
+    p.add_argument("--out", type=_word, default="caustic", metavar="PREFIX",
+                   help="output path prefix")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(scene=None) -> _Parser:
+    """The command-line parser; scene replaces the defaults of the scene values."""
     parser = _Parser(prog="catacaustics",
                      description="Caustics of reflected wavefronts from parametric mirrors.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("compute", help="compute caustic sheets and export meshes")
-    _add_scene_flags(p)
-
-    p = sub.add_parser("validate", help="validate against the brute-force ray oracle")
-    _add_scene_flags(p)
-    p.add_argument("--fd-step", type=float, default=FD_STEP_DEFAULT, metavar="H",
-                   help="finite-difference step for the oracle")
-    p.add_argument("--tol", type=float, default=VALIDATION_TOL_DEFAULT, metavar="T",
-                   help="max allowed caustic-point discrepancy")
-
-    p = sub.add_parser("front", help="export the reflected front at total travel L")
-    _add_scene_flags(p)
-    p.add_argument("--travel", type=float, required=True, metavar="L",
-                   help="total travel distance of the front")
-
+    compute = sub.add_parser("compute", help="compute caustic sheets and export meshes")
+    validate = sub.add_parser("validate", help="validate against the brute-force ray oracle")
+    front = sub.add_parser("front", help="export the reflected front at total travel L")
+    for p in (compute, validate, front):
+        p.add_argument("--scene", type=_word, metavar="FILE",
+                       help="scene file of key = value lines")
+        _add_scene_flags(p)
+        p.set_defaults(**(scene or {}))
+    validate.add_argument("--fd-step", type=_fd_step, default=FD_STEP_DEFAULT, metavar="H",
+                          help="finite-difference step for the oracle")
+    validate.add_argument("--tol", type=_non_negative, default=VALIDATION_TOL_DEFAULT,
+                          metavar="T", help="max allowed caustic-point discrepancy")
+    front.add_argument("--travel", type=_float_where(math.isfinite, "finite"), required=True,
+                       metavar="L", help="total travel distance of the front")
     sub.add_parser("builtins", help="list built-in surfaces")
     return parser
 
@@ -380,12 +338,14 @@ def main(argv=None) -> int:
             return EXIT_INPUT_ERROR
         if args.command == "builtins":
             return cmd_builtins()
-        scene = _scene_from_args(args)
+        if args.scene is not None:
+            # flags override the file's values as they override defaults
+            args = _build_parser(_read_scene_file(args.scene)).parse_args(argv)
         if args.command == "compute":
-            return cmd_compute(scene)
+            return cmd_compute(args)
         if args.command == "validate":
-            return cmd_validate(scene, h=args.fd_step, tol=args.tol)
-        return cmd_front(scene, args.travel)
+            return cmd_validate(args, h=args.fd_step, tol=args.tol)
+        return cmd_front(args, args.travel)
     except SceneError as e:
         print(f"scene: {e}", file=sys.stderr)
     except SurfaceLangError as e:

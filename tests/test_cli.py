@@ -38,6 +38,20 @@ def test_import_pins_openblas_threads_unless_set(preset, seen):
     assert out.stdout == seen + "\n"
 
 
+def test_console_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(catacaustics.__file__)))
+    launch = (sys.executable, "-c", "from catacaustics.cli import run; run()")
+    done = subprocess.run([*launch, "builtins"], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "sphere" in done.stdout
+    done = subprocess.run([*launch, "compute", "--surface", "sphere", "--grid="], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "scene: argument --grid: needs a value" in done.stderr.splitlines()
+    assert not list(tmp_path.iterdir())
+
+
 class TestBuiltinsCommand:
     def test_lists_surfaces_and_notes(self, capsys):
         code, out, _ = run(capsys, "builtins")
@@ -72,9 +86,14 @@ class TestCompute:
         assert "surface parse" in err or "scene" in err
 
     def test_two_surface_sources_is_input_error(self, tmp_path, capsys):
+        # a readable surface file, so that only the pair of sources is at fault
+        surface = tmp_path / "saddle.surf"
+        surface.write_text("[u, v, u^2/2 - v^2/2]\nu in [-1, 1]; v in [-1, 1]\n")
         code, _, err = run(capsys, "compute", "--surface", "sphere",
-                           "--expr-file", "nope.surf", "--out", str(tmp_path / "x"))
+                           "--expr-file", str(surface), "--out", str(tmp_path / "x"))
         assert code == 1
+        assert "scene: argument --expr-file: not allowed with argument --surface" in err
+        assert not list(tmp_path.glob("x-*"))
 
     def test_bad_flag_is_input_error_not_argparse_2(self, capsys):
         code, _, err = run(capsys, "compute", "--no-such-flag")
@@ -153,6 +172,12 @@ SCENE_FILE_ERRORS = {
     "unknown-output-key": ("surface = sphere\noutput = suffix=x\n", 2),
     "field-kind": ("surface = sphere\nfield = cone 0,0,1\n", 2),
     "expr-file-without-path": ("surface = expr-file\n", 1),
+    "scene-key": ("scene = other.txt\n", 1),
+    "grid-word": ("surface = sphere\ngrid = 8,x\n", 2),
+    "zero-flat": ("surface = sphere\n\nfield = flat 0,0,0\n", 3),
+    "param-without-value": ("surface = sphere R\n", 1),
+    "negative-max-radius": ("surface = sphere\nthresholds = max-radius=-1\n", 2),
+    "empty-prefix": ("surface = sphere\noutput = prefix=\n", 2),
 }
 
 
@@ -220,8 +245,8 @@ class TestSceneFile:
         assert "Traceback" not in err
 
 
-# each value fails a check of FlatFront, PointSource, GridSpec, SceneSpec.resolve,
-# the scene-file parser or cmd_validate
+# each value fails a check of FlatFront, PointSource, GridSpec, a scene value's
+# argparse type or the scene-file reader
 BAD_SCENE_VALUES = {
     "zero-flat": ("compute", "--flat", "0,0,0"),
     "nan-source": ("compute", "--source", "nan,0,0"),
@@ -246,6 +271,10 @@ BAD_SCENE_VALUES = {
     "infinite-flat": ("compute", "--flat", "inf,0,0"),
     "front-infinite-travel": ("front", "--travel", "inf"),
     "front-nan-travel": ("front", "--travel", "nan"),
+    # an empty value is no value: it once meant the default
+    "empty-grid": ("compute", "--grid="),
+    "empty-flat": ("compute", "--flat="),
+    "empty-out": ("compute", "--out="),
 }
 
 # the scene files that BAD_SCENE_VALUES name by {placeholder}
