@@ -180,7 +180,7 @@ def _read_scene_file(path: str) -> dict:
     return vars(values)
 
 
-def _resolve(scene):
+def _resolve(scene: argparse.Namespace):
     """The scene's surface AST and grid."""
     if scene.surface is None:
         raise SceneError("no surface: pass --surface or --expr-file")
@@ -198,7 +198,7 @@ def _resolve(scene):
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_compute(scene) -> int:
+def cmd_compute(scene: argparse.Namespace) -> int:
     """Compute both caustic sheets and write meshes plus statistics."""
     ast, grid = _resolve(scene)
     sheet1, sheet2, stats = compute_caustic_sheets(
@@ -220,7 +220,7 @@ def cmd_compute(scene) -> int:
     return EXIT_OK
 
 
-def cmd_validate(scene, h: float = FD_STEP_DEFAULT,
+def cmd_validate(scene: argparse.Namespace, h: float = FD_STEP_DEFAULT,
                  tol: float = VALIDATION_TOL_DEFAULT) -> int:
     """Check the closed-form sheets against the ray-envelope oracle."""
     ast, grid = _resolve(scene)
@@ -234,7 +234,7 @@ def cmd_validate(scene, h: float = FD_STEP_DEFAULT,
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAIL
 
 
-def cmd_front(scene, L: float) -> int:
+def cmd_front(scene: argparse.Namespace, L: float) -> int:
     """Export the reflected front rho(u, v; L) as a mesh."""
     ast, grid = _resolve(scene)
     frame, refl, flags = _ray_block(ast, scene.field, *grid.block(), scene.eps_grazing, order=1)
