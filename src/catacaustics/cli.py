@@ -71,9 +71,9 @@ class SceneError(ValueError):
 def _scene_type(parse):
     """The argparse type parse of a non-empty text; a ValueError's message is the error."""
     def convert(text):
+        if not text:
+            raise argparse.ArgumentTypeError("needs a value")
         try:
-            if not text:
-                raise ValueError("needs a value")
             return parse(text)
         except ValueError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
