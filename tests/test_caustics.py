@@ -755,6 +755,9 @@ CHARTS = {
     # monotone and nonlinear: the second derivatives of the chart enter the forms
     "cubic": ("u + 0.1*u^3", "v", lambda s, t: (s + 0.1 * np.power(s, 3.0), t),
               lambda u, v: (_cubic_inverse(u), v)),
+    # nonlinear and mixing u with v: B12 of the new chart holds B11 of the old
+    "mixed": ("u + 0.05*u*v", "v", lambda s, t: (s + 0.05 * s * t, t),
+              lambda u, v: (u / (1.0 + 0.05 * v), v)),
 }
 
 
@@ -785,25 +788,45 @@ def _sheet_block_at(ast, field, U, V):
             np.broadcast_to(flags, U.shape), np.fmin(k_a, k_b), np.fmax(k_a, k_b))
 
 
-@pytest.mark.parametrize("name", sorted(BUILTINS))
-def test_sheet_block_is_chart_invariant(name):
+def _assert_chart_invariant(name, chart):
     ast, (u0, u1, v0, v1) = build_surface(name)
     U, V = np.meshgrid(np.linspace(u0, u1, 37), np.linspace(v0, v1, 29), indexing="ij")
-    for chart, (u_text, v_text, to_old, to_new) in CHARTS.items():
-        new = rechart(ast, u_text, v_text)
-        # points of the new chart near (U, V) of the old one, and those old
-        # points as the new chart's text computes them, bit for bit
-        S, T = to_new(U, V)
-        U_old, V_old = to_old(S, T)
-        for field_name, field in CHART_FIELDS.items():
-            want = _sheet_block_at(ast, field, U_old, V_old)
-            got = _sheet_block_at(new, field, S, T)
-            where = f"{chart}, {field_name}"
-            assert np.array_equal(got[0], want[0]), where
-            assert np.allclose(got[1], want[1], rtol=0.0, atol=1e-13), where
-            assert np.array_equal(got[2], want[2]), where
-            lit = want[2] == 0
-            scale = np.maximum(np.abs(want[3]), np.abs(want[4]))[lit]
-            for g, w in zip(got[3:], want[3:]):
-                assert np.array_equal(np.isnan(g), ~lit), where
-                assert np.all(np.abs(g[lit] - w[lit]) <= 1e-10 * scale), where
+    u_text, v_text, to_old, to_new = CHARTS[chart]
+    new = rechart(ast, u_text, v_text)
+    # points of the new chart near (U, V) of the old one, and those old
+    # points as the new chart's text computes them, bit for bit
+    S, T = to_new(U, V)
+    U_old, V_old = to_old(S, T)
+    for field_name, field in CHART_FIELDS.items():
+        want = _sheet_block_at(ast, field, U_old, V_old)
+        got = _sheet_block_at(new, field, S, T)
+        where = f"{chart}, {field_name}"
+        assert np.array_equal(got[0], want[0]), where
+        assert np.allclose(got[1], want[1], rtol=0.0, atol=1e-13), where
+        assert np.array_equal(got[2], want[2]), where
+        lit = want[2] == 0
+        scale = np.maximum(np.abs(want[3]), np.abs(want[4]))[lit]
+        for g, w in zip(got[3:], want[3:]):
+            assert np.array_equal(np.isnan(g), ~lit), where
+            assert np.all(np.abs(g[lit] - w[lit]) <= 1e-10 * scale), where
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_sheet_block_is_chart_invariant(name):
+    for chart in CHARTS:
+        _assert_chart_invariant(name, chart)
+
+
+def test_mixed_chart_catches_a_zeroed_b12():
+    # planted bug: B12 := 0, which the cross-check cannot see (the modified
+    # forms read the same B12); the built-ins' charts have B12 = 0 almost
+    # everywhere, so only a chart that mixes u and v can show it
+    real = caustics.fundamental_forms
+
+    def zero_b12(frame):
+        return real(dataclasses.replace(frame, r_uv=(0.0, 0.0, 0.0)))
+
+    with mock.patch.object(caustics, "fundamental_forms", zero_b12):
+        for name in sorted(BUILTINS):
+            with pytest.raises(AssertionError, match="mixed"):
+                _assert_chart_invariant(name, "mixed")

@@ -359,6 +359,9 @@ VALIDATE_STDOUT_SHA256 = {
     "torus-capped": (("--surface", "revolution", "--flat", "0,0,1", "--grid", "120,100",
                       "--max-radius", "0.7"),
                      "0eda862d717a4afe8d4c94d369629d18a85d1683b69a1a202fc509bf6162eb53"),
+    # a threshold off its default: the oracle must mask the rays compute masked
+    "sphere-grazing": (("--surface", "sphere", "--flat", "0.3,0,1", "--eps-grazing", "0.3"),
+                       "e7930c87fa4cdf3deae5b8b7dc1f7e9c5b6d32e9726df88cda0943739c916289"),
 }
 
 
