@@ -29,9 +29,8 @@ from .diffgeo import FrameData, SurfaceForms, frame_at, fundamental_forms
 from .jets import Jet2, Jet2Vec3
 from .meshio import MaskedGrid, export_mesh
 from .oracle import ValidationReport, validate_sheets
-from .surfacelang import (SurfaceAST, SurfaceDefinition, affine_transform,
-                          eval_surface, parse_surface,
-                          parse_surface_definition, to_text)
+from .surfacelang import (SurfaceAST, SurfaceDefinition, eval_surface,
+                          parse_surface, parse_surface_definition, to_text)
 from .surfaces import BUILTINS, build_surface, builtin_listing
 
 __version__ = "0.1.0"
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Jet2", "Jet2Vec3",
     "SurfaceAST", "SurfaceDefinition", "parse_surface",
-    "parse_surface_definition", "eval_surface", "to_text", "affine_transform",
+    "parse_surface_definition", "eval_surface", "to_text",
     "BUILTINS", "build_surface", "builtin_listing",
     "FrameData", "SurfaceForms", "frame_at", "fundamental_forms",
     "FlatFront", "PointSource", "IncidentField", "GridSpec",

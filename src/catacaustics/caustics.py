@@ -492,11 +492,13 @@ class SheetStatistics:
 
 @dataclass
 class FrontStatistics:
-    """Counts, bounding boxes and degeneracy measures for both sheets."""
+    """Counts, bounding boxes and degeneracy measures for both sheets, and
+    the scene they describe: the oracle checks the sheets against it."""
 
-    nu: int
-    nv: int
-    n_points: int
+    grid: GridSpec
+    surface: SurfaceAST = dc_field(repr=False)
+    field: IncidentField
+    eps_grazing: float       # |cos theta| at or below it was masked grazing
     n_grazing: int
     surface_bbox_min: np.ndarray
     surface_bbox_max: np.ndarray
@@ -515,7 +517,7 @@ class FrontStatistics:
 
     def to_text(self) -> str:
         lines = [
-            f"grid: {self.nu} x {self.nv} ({self.n_points} points)",
+            f"grid: {self.grid.nu} x {self.grid.nv} ({self.grid.nu * self.grid.nv} points)",
             "shadow points: 0",  # the mirror is two-sided: every point faces the light
             f"grazing points: {self.n_grazing}",
             f"surface bbox min: {_fmt_vec(self.surface_bbox_min)}",
@@ -707,7 +709,7 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
         far = np.abs(caustic_radius(sheet.k_star)) > max_radius
         sheet.flags[sheet.valid & far] = FLAG_CLIPPED
     stats = FrontStatistics(
-        nu=grid.nu, nv=grid.nv, n_points=int(base_flags.size),
+        grid=grid, surface=surface, field=field, eps_grazing=eps_grazing,
         n_grazing=int(np.count_nonzero(base_flags & FLAG_GRAZING)),
         surface_bbox_min=surf_min, surface_bbox_max=surf_max, surface_diameter=diameter,
         max_radius=max_radius, caustic_sheets=tuple(sheets),

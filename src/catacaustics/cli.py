@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -198,14 +198,19 @@ def _resolve(scene: argparse.Namespace):
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_compute(scene: argparse.Namespace) -> int:
-    """Compute both caustic sheets and write meshes plus statistics."""
+def _closed_form(scene: argparse.Namespace):
+    """compute_caustic_sheets of the scene, after printing its "masked:" lines."""
     ast, grid = _resolve(scene)
-    sheet1, sheet2, stats = compute_caustic_sheets(
+    closed_form = compute_caustic_sheets(
         ast, scene.field, grid, eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf,
         max_radius=scene.max_radius)
-    sys.stdout.write(masked_points_text(sheet1.flags, ast, grid))
+    sys.stdout.write(masked_points_text(closed_form[0].flags, ast, grid))
+    return closed_form
 
+
+def cmd_compute(scene: argparse.Namespace) -> int:
+    """Compute both caustic sheets and write meshes plus statistics."""
+    sheet1, sheet2, stats = _closed_form(scene)
     for s in (sheet1, sheet2):
         path = f"{scene.out}-sheet{s.sheet_id}.{scene.format}"
         export_mesh(MaskedGrid(s.u, s.v, s.xi, s.flags), scene.format, path)
@@ -220,25 +225,18 @@ def cmd_compute(scene: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_validate(scene: argparse.Namespace, h: float = FD_STEP_DEFAULT,
-                 tol: float = VALIDATION_TOL_DEFAULT) -> int:
+def cmd_validate(scene: argparse.Namespace) -> int:
     """Check the closed-form sheets against the ray-envelope oracle."""
-    ast, grid = _resolve(scene)
-    closed_form = compute_caustic_sheets(
-        ast, scene.field, grid, eps_grazing=scene.eps_grazing, eps_inf=scene.eps_inf,
-        max_radius=scene.max_radius)
-    sys.stdout.write(masked_points_text(closed_form[0].flags, ast, grid))
-    report = validate_sheets(closed_form, ast, scene.field, grid, h=h, tol=tol,
-                             eps_grazing=scene.eps_grazing)
+    report = validate_sheets(_closed_form(scene), h=scene.fd_step, tol=scene.tol)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAIL
 
 
-def cmd_front(scene: argparse.Namespace, L: float) -> int:
-    """Export the reflected front rho(u, v; L) as a mesh."""
+def cmd_front(scene: argparse.Namespace) -> int:
+    """Export the reflected front rho(u, v; L) at the total travel L = scene.travel."""
     ast, grid = _resolve(scene)
     frame, refl, flags = _ray_block(ast, scene.field, *grid.block(), scene.eps_grazing, order=1)
-    front = reflected_front_point(frame.r, refl.a, refl.b, L, refl.r_dist)
+    front = reflected_front_point(frame.r, refl.a, refl.b, scene.travel, refl.r_dist)
     # the front has not reached points with lambda < 0; mask them like a clip
     flags = np.broadcast_to(flags, (grid.nu, grid.nv)) | np.where(
         ~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
@@ -254,7 +252,7 @@ def cmd_front(scene: argparse.Namespace, L: float) -> int:
     export_mesh(mesh, scene.format, path)
     print(f"wrote {path}")
     if not np.any(valid):
-        print(f"front not arrived: L = {L} is below the travel to every lit grid point")
+        print(f"front not arrived: L = {scene.travel} is below the travel to every lit grid point")
         return EXIT_EMPTY
     return EXIT_OK
 
@@ -329,8 +327,13 @@ def _build_parser(scene=None) -> _Parser:
     return parser
 
 
+# the parser without scene-file defaults, built once per process: building
+# it costs several times a parse, and a sweep calls main many times
+_plain_parser = cache(_build_parser)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _plain_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -344,8 +347,8 @@ def main(argv=None) -> int:
         if args.command == "compute":
             return cmd_compute(args)
         if args.command == "validate":
-            return cmd_validate(args, h=args.fd_step, tol=args.tol)
-        return cmd_front(args, args.travel)
+            return cmd_validate(args)
+        return cmd_front(args)
     except SceneError as e:
         print(f"scene: {e}", file=sys.stderr)
     except SurfaceLangError as e:

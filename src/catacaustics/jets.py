@@ -55,8 +55,7 @@ def _checked(jet, bad, message):
 class Jet2:
     """Value with exact first and second partials in (u, v)."""
 
-    # sin_cos caches (sin f, cos f), which sin and cos of this jet share
-    __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv", "sin_cos")
+    __slots__ = ("f", "fu", "fv", "fuu", "fuv", "fvv")
 
     def __init__(self, f, fu=0.0, fv=0.0, fuu=0.0, fuv=0.0, fvv=0.0):
         self.f = f
@@ -65,7 +64,6 @@ class Jet2:
         self.fuu = fuu
         self.fuv = fuv
         self.fvv = fvv
-        self.sin_cos = None
 
     @classmethod
     def var_u(cls, value, order=2) -> "Jet2":
@@ -134,20 +132,13 @@ def _chain(x: Jet2, f0, f1, f2) -> Jet2:
     return Jet2.of(slots)
 
 
-def _sin_cos(x: Jet2):
-    """(sin, cos) of the jet's value, computed once per jet."""
-    if x.sin_cos is None:
-        x.sin_cos = (np.sin(x.f), np.cos(x.f))
-    return x.sin_cos
-
-
 def sin(x: Jet2) -> Jet2:
-    s, c = _sin_cos(x)
+    s, c = np.sin(x.f), np.cos(x.f)
     return _chain(x, s, c, -s)
 
 
 def cos(x: Jet2) -> Jet2:
-    s, c = _sin_cos(x)
+    s, c = np.sin(x.f), np.cos(x.f)
     return _chain(x, c, -s, -c)
 
 

@@ -14,11 +14,12 @@ check of the curvature route.
 
 validate_sheets is the entry point: it takes what compute_caustic_sheets
 returns and, in one pass over blocks of grid rows, runs the oracle and keeps
-each point's error against the closed-form sheets.  The rays come from the
-ray stage that compute uses (caustics._ray_block), once per stencil point and
+each point's error against the closed-form sheets.  It reads its scene from
+the closed form's statistics: the surface, field, grid, grazing threshold
+and radius cap the sheets were computed for.  The rays come from the ray
+stage that compute uses (caustics._ray_block), once per stencil point and
 block, on first-order jets: a ray needs r, r_u and r_v only.  The focal
-computation is the oracle's own; the radius cap is the one the closed form
-was clipped to (its statistics' max_radius), applied to the oracle's focal
+computation is the oracle's own; the radius cap holds for the oracle's focal
 distances as well.  A ray the stage flags (grazing, off the chart, singular
 or on the point source) makes its stencil unusable, and the oracle gives no
 verdict on a grid point whose stencil leaves the chart or meets the source,
@@ -31,11 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caustics import (EPS_GRAZING_DEFAULT, FLAG_AT_SOURCE, FLAG_DOMAIN,
-                       FLAG_VALID, GridSpec, IncidentField, _ray_block,
+from .caustics import (FLAG_AT_SOURCE, FLAG_DOMAIN, FLAG_VALID, _ray_block,
                        caustic_radius, row_blocks)
 from .diffgeo import cross, dot
-from .surfacelang import SurfaceAST
 
 __all__ = ["ValidationReport", "validate_sheets"]
 
@@ -200,24 +199,22 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
     return err, both, disagree
 
 
-def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
-                    grid: GridSpec, h: float = FD_STEP_DEFAULT,
-                    tol: float = VALIDATION_TOL_DEFAULT,
-                    eps_grazing: float = EPS_GRAZING_DEFAULT) -> ValidationReport:
+def validate_sheets(closed_form, h: float = FD_STEP_DEFAULT,
+                    tol: float = VALIDATION_TOL_DEFAULT) -> ValidationReport:
     """Compare the closed-form caustic sheets against the brute-force oracle.
 
     closed_form is the (sheet1, sheet2, statistics) triple of
-    compute_caustic_sheets on the same grid.  One pass over the row blocks
-    compares the two; the error at a point is the distance between the
-    closed-form caustic point and r + lambda_oracle * b after pairing the
-    roots by least total difference.  Points whose caustic lies beyond the
-    radius cap the sheets were clipped to (the statistics' max_radius) are
-    excluded on both sides: far focal points amplify any derivative noise
-    linearly with distance and carry no geometric information here.
+    compute_caustic_sheets; the oracle reads its scene (surface, field,
+    grid, eps_grazing and max_radius) from the statistics.  One pass over
+    the row blocks compares the two; the error at a point is the distance
+    between the closed-form caustic point and r + lambda_oracle * b after
+    pairing the roots by least total difference.  Points whose caustic lies
+    beyond the radius cap the sheets were clipped to are excluded on both
+    sides: far focal points amplify any derivative noise linearly with
+    distance and carry no geometric information here.
     """
     sheet1, sheet2, stats = closed_form
-    if sheet1.k_star.shape != (grid.nu, grid.nv) or sheet2.k_star.shape != (grid.nu, grid.nv):
-        raise ValueError("closed-form sheets were not computed on the given grid")
+    grid = stats.grid
 
     # per-point errors into sheet-major arrays, so that err[both] lists the
     # compared points in the same order whatever the block size
@@ -227,7 +224,7 @@ def validate_sheets(closed_form, surface: SurfaceAST, field: IncidentField,
     disagree = 0
     for rows in row_blocks(grid.nu, grid.nv):
         coeffs, r0, b0, ok, charted = _focal_quadratic(
-            surface, field, *grid.block(rows), h, eps_grazing)
+            stats.surface, stats.field, *grid.block(rows), h, stats.eps_grazing)
         lam = np.stack(_roots_of_focal_quadratic(*coeffs))
         err[:, rows], both[:, rows], n = _point_errors(
             (sheet1, sheet2), rows, r0, b0, ok, charted, lam, stats.max_radius)

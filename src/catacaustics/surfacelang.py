@@ -38,7 +38,7 @@ __all__ = [
     "SurfaceLangError", "SurfaceSyntaxError", "UnknownIdentifierError",
     "ArityError", "EvalDomainError",
     "parse_surface", "parse_surface_definition", "eval_surface",
-    "format_expr", "to_text", "affine_transform",
+    "format_expr", "to_text",
 ]
 
 
@@ -211,6 +211,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.params = params
+        self.read = set()  # the parameters the text reads
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -291,6 +292,7 @@ class _Parser:
             if name in ("u", "v"):
                 return Var(name)
             if name in self.params:
+                self.read.add(name)
                 return Param(name)
             if name in FUNCTIONS:
                 raise ArityError(f"function '{name}' used without an argument", t.line, t.col)
@@ -369,7 +371,9 @@ def parse_surface(text: str, params=None) -> SurfaceAST:
 def parse_surface_definition(text: str, params=None) -> SurfaceDefinition:
     """Parse a surface file: expression plus optional domain declaration.
 
-    Lines may carry ``#`` comments.
+    Lines may carry ``#`` comments.  A parameter the expression does not
+    read is an error, like an unknown parameter of a built-in; so is one
+    named u or v, which the chart variable shadows.
     """
     table = _clean_params(params)
     p = _Parser(_tokenize(_strip_comments(text)), table)
@@ -378,6 +382,11 @@ def parse_surface_definition(text: str, params=None) -> SurfaceDefinition:
     if p.peek().kind != "EOF":
         domain = p.domain_clause()
     p.expect_eof()
+    unread = [name for name in table if name not in p.read]
+    if unread:
+        takes = ", ".join(name for name in table if name in p.read) or "none"
+        raise SurfaceLangError(
+            f"unknown parameter '{unread[0]}' for the surface file (takes: {takes})")
     return SurfaceDefinition(SurfaceAST(x, y, z, table), domain)
 
 
@@ -501,41 +510,3 @@ def eval_surface(ast: SurfaceAST, u, v, order: int = 2) -> Jet2Vec3:
                                    np.zeros(shape, dtype=bool))
         raise EvalDomainError(*failed[0][:2], jet, outside)
     return jet
-
-
-# --------------------------------------------------------------------------
-# affine transforms (scene manipulation, equivariance checks)
-# --------------------------------------------------------------------------
-
-def _scaled(coeff: float, tree: Node) -> Node:
-    if coeff == 1.0:
-        return tree
-    if coeff == -1.0:
-        return Neg(tree)
-    if coeff < 0.0:
-        return Neg(BinOp("*", Const(-coeff), tree))
-    return BinOp("*", Const(coeff), tree)
-
-
-def _const_term(value: float) -> Node:
-    return Neg(Const(-value)) if value < 0.0 else Const(value)
-
-
-def affine_transform(ast: SurfaceAST, linear, offset=(0.0, 0.0, 0.0)) -> SurfaceAST:
-    """Return the surface r' = M r + t as a new AST sharing subtrees with ast."""
-    m = np.asarray(linear, dtype=float)
-    t = np.asarray(offset, dtype=float)
-    if m.shape != (3, 3) or t.shape != (3,):
-        raise ValueError("affine_transform expects a 3x3 matrix and a 3-vector")
-    comps = ast.components()
-
-    def row(i: int) -> Node:
-        terms = [_scaled(float(m[i, j]), comps[j]) for j in range(3) if m[i, j] != 0.0]
-        if t[i] != 0.0 or not terms:
-            terms.append(_const_term(float(t[i])))
-        node = terms[0]
-        for extra in terms[1:]:
-            node = BinOp("+", node, extra)
-        return node
-
-    return SurfaceAST(row(0), row(1), row(2), dict(ast.params))

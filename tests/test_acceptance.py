@@ -7,13 +7,14 @@ tolerances are fixed here, not calibrated.
 import numpy as np
 import pytest
 
-from catacaustics import (FlatFront, GridSpec, PointSource, affine_transform,
-                          build_surface, compute_caustic_sheets, eval_surface,
-                          frame_at, fundamental_forms, incident_direction,
+from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
+                          compute_caustic_sheets, eval_surface, frame_at,
+                          fundamental_forms, incident_direction,
                           modified_forms, parse_surface, reflection_data,
                           caustic_coefficients, solve_sheet_curvatures,
                           validate_sheets)
 from catacaustics.cli import main
+from catacaustics.surfacelang import format_expr
 from conftest import (GRAPH_DOMAIN, random_field, random_flat_field,
                       random_graph_surface, random_point_field,
                       random_rotation)
@@ -206,7 +207,7 @@ def test_criterion_08_oracle_equivalence():
     for name, params, grid, field in _builtin_validation_scenes():
         ast, _ = build_surface(name, params)
         sheets = compute_caustic_sheets(ast, field, grid)
-        rep = validate_sheets(sheets, ast, field, grid, h=1e-4, tol=1e-4)
+        rep = validate_sheets(sheets, h=1e-4, tol=1e-4)
         worst = max(worst, rep.max_error)
         if not rep.passed:
             failures.append(f"{name}/{type(field).__name__}: {rep.max_error:.2e}")
@@ -218,26 +219,22 @@ def test_criterion_08_oracle_equivalence():
         field = random_flat_field(rng) if i % 2 == 0 else random_point_field(rng)
         grid = GridSpec(15, 15, GRAPH_DOMAIN)
         sheets = compute_caustic_sheets(ast, field, grid)
-        rep = validate_sheets(sheets, ast, field, grid, h=1e-4, tol=1e-4)
+        rep = validate_sheets(sheets, h=1e-4, tol=1e-4)
         worst = max(worst, rep.max_error)
         if not rep.passed:
             failures.append(f"random-{i}: {rep.max_error:.2e}")
-        random_scenes.append((ast, field, grid, sheets))
+        random_scenes.append(sheets)
 
     # halving the step must shrink the error second-order (up to a noise floor)
     decay_ok = True
     decays = []
-    convergence_cases = [
-        (*random_scenes[0][:4],),
-        (*random_scenes[1][:4],),
-    ]
     ast, _ = build_surface("ellipsoid")
     grid = GridSpec(15, 15, (-1.3, 1.3, 0.0, TWO_PI))
     field = PointSource((0.05, -0.03, 0.08))
-    convergence_cases.append((ast, field, grid, compute_caustic_sheets(ast, field, grid)))
-    for ast, field, grid, sheets in convergence_cases:
-        big = validate_sheets(sheets, ast, field, grid, h=4e-4).max_error
-        small = validate_sheets(sheets, ast, field, grid, h=2e-4).max_error
+    convergence_cases = [*random_scenes[:2], compute_caustic_sheets(ast, field, grid)]
+    for sheets in convergence_cases:
+        big = validate_sheets(sheets, h=4e-4).max_error
+        small = validate_sheets(sheets, h=2e-4).max_error
         decays.append(f"{big:.1e}->{small:.1e}")
         if small > big / 3.0 + 1e-9:
             decay_ok = False
@@ -286,6 +283,14 @@ def test_criterion_09_algebraic_property_suite():
            "; ".join(f"{k} {v:.2e}" for k, v in worst.items()))
 
 
+def moved_mirror(ast, linear, offset):
+    """The mirror M r + t, written around the surface text of r."""
+    r = [f"({format_expr(c)})" for c in ast.components()]
+    rows = [" + ".join([*(f"{float(m)!r}*{c}" for m, c in zip(row, r)), repr(float(t))])
+            for row, t in zip(linear, offset)]
+    return parse_surface(f"[{', '.join(rows)}]", ast.params)
+
+
 def test_criterion_10_equivariance():
     rng = np.random.default_rng(55)
     scenes = [
@@ -305,7 +310,7 @@ def test_criterion_10_equivariance():
             R = random_rotation(rng)
             t = rng.uniform(-2.0, 2.0, size=3)
             c = float(rng.uniform(0.5, 2.0))
-            moved_ast = affine_transform(ast, c * R, t)
+            moved_ast = moved_mirror(ast, c * R, t)
             if isinstance(field, FlatFront):
                 moved_field = FlatFront(R @ field.direction)
             else:

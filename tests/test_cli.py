@@ -127,6 +127,35 @@ class TestCompute:
             if line.startswith("surface diameter"):
                 assert float(line.split(":")[1]) > 4.0
 
+    @pytest.mark.parametrize("param", ["typo=3", "u=3"])
+    def test_surface_file_rejects_a_param_it_does_not_read(self, param, tmp_path, capsys):
+        # as a built-in rejects a parameter it does not take; u is read as the
+        # chart variable, which shadows a parameter of that name
+        surf = tmp_path / "bowl.surf"
+        surf.write_text("[u, v, a*u^2 + v^2]\nu in [-1, 1]; v in [-1, 1]\n")
+        code, _, err = run(capsys, "compute", "--expr-file", str(surf), "--param=a=0.5",
+                           f"--param={param}", "--out", str(tmp_path / "x"))
+        assert code == 1
+        name = param.partition("=")[0]
+        assert err == f"surface parse: unknown parameter '{name}' for the surface file (takes: a)\n"
+        assert not list(tmp_path.glob("x-*"))
+
+
+def test_parser_is_built_once_without_scene_defaults(tmp_path, capsys):
+    # a --scene run builds its own parser from the file's values; the plain
+    # parser, built once per process, never carries them
+    scene = tmp_path / "scene.txt"
+    scene.write_text("surface = sphere\ngrid = 7,6\n")
+    cli._plain_parser.cache_clear()
+    assert run(capsys, "compute", "--scene", str(scene), "--out", str(tmp_path / "file"))[0] == 0
+    for _ in range(3):
+        code, _, _ = run(capsys, "compute", "--surface", "sphere", "--out", str(tmp_path / "plain"))
+        assert code == 0
+    assert read(tmp_path / "file-stats.txt").startswith(b"grid: 7 x 6 ")
+    assert read(tmp_path / "plain-stats.txt").startswith(b"grid: 50 x 50 ")
+    info = cli._plain_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
 
 # a scene file, the flags given with it, and the flags alone that mean the
 # same; {surf} is a saddle's surface file

@@ -109,7 +109,7 @@ class TestValidateSheets:
             ast, dom = build_surface(name_or_text, params)
         grid = grid or GridSpec(25, 25, dom)
         sheets = compute_caustic_sheets(ast, field, grid)
-        return validate_sheets(sheets, ast, field, grid, **kw)
+        return validate_sheets(sheets, **kw)
 
     def test_sphere_axial(self):
         report = self._validate("sphere", AXIAL, GridSpec(30, 30, (0.2, 1.4, 0.0, 6.2831853)))
@@ -143,7 +143,7 @@ class TestValidateSheets:
         d_keep = np.linalg.norm(s1.xi - xi_f, axis=-1) + np.linalg.norm(s2.xi - xi_h, axis=-1)
         d_swap = np.linalg.norm(s1.xi - xi_h, axis=-1) + np.linalg.norm(s2.xi - xi_f, axis=-1)
         assert np.all(np.minimum(d_keep, d_swap) <= 2e-9)
-        report = validate_sheets((s1, s2, stats), ast, AXIAL, grid)
+        report = validate_sheets((s1, s2, stats))
         assert report.passed
 
     def test_ellipsoid_interior_point_source(self):
@@ -161,21 +161,13 @@ class TestValidateSheets:
                                 GridSpec(10, 10, (0.2, 1.4, 0.0, 6.2831853)), tol=0.0)
         assert not report.passed
 
-    def test_grid_mismatch_is_error(self):
-        ast, dom = build_surface("sphere")
-        grid = GridSpec(10, 10, dom)
-        sheets = compute_caustic_sheets(ast, AXIAL, grid)
-        other = GridSpec(11, 10, dom)
-        with pytest.raises(ValueError):
-            validate_sheets(sheets, ast, AXIAL, other)
-
     def test_convergence_is_second_order(self):
         rng = np.random.default_rng(29)
         ast = random_graph_surface(rng)
         field = FlatFront((0.1, -0.05, 1.0))
         grid = GridSpec(15, 15, GRAPH_DOMAIN)
         sheets = compute_caustic_sheets(ast, field, grid)
-        errs = [validate_sheets(sheets, ast, field, grid, h=h).max_error
+        errs = [validate_sheets(sheets, h=h).max_error
                 for h in (8e-4, 4e-4, 2e-4)]
         floor = 1e-9
         for big, small in zip(errs, errs[1:]):
@@ -195,13 +187,13 @@ def test_block_size_does_not_change_the_report(name, field, shape):
     grid = GridSpec(*shape, dom)
     with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
         closed_form = compute_caustic_sheets(ast, field, grid)
-        want = validate_sheets(closed_form, ast, field, grid)
+        want = validate_sheets(closed_form)
     assert want.n_compared
     assert want.max_radius == closed_form[2].max_radius
     assert want.max_radius == default_max_radius(closed_form[2].surface_diameter)
     for size in block_sizes(grid.nv):
         with mock.patch.object(caustics, "BLOCK_POINTS", size):
-            got = validate_sheets(closed_form, ast, field, grid)
+            got = validate_sheets(closed_form)
         assert got.to_text() == want.to_text()
         assert repr(got) == repr(want)
 
@@ -214,7 +206,7 @@ def test_validate_working_set_is_bounded():
     grid = GridSpec(500, 500, dom)
     closed_form = compute_caustic_sheets(ast, AXIAL, grid)
     per_point, report = traced_peak_per_point(
-        lambda: validate_sheets(closed_form, ast, AXIAL, grid), grid.nu * grid.nv)
+        lambda: validate_sheets(closed_form), grid.nu * grid.nv)
     assert report.passed
     assert per_point <= 100, f"{per_point:.0f} B per grid point"
 
@@ -374,7 +366,7 @@ def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
     assert len(caustics.row_blocks(grid.nu, grid.nv)) == 2
     sheets = compute_caustic_sheets(ast, AXIAL, grid)
     with mock.patch.object(caustics, "eval_surface", wraps=eval_surface) as spy:
-        report = validate_sheets(sheets, ast, AXIAL, grid)
+        report = validate_sheets(sheets)
     assert spy.call_count == 10
     assert report.passed
     # row u0, whose stencils leave the chart, has both closed-form sheets placed
@@ -391,8 +383,8 @@ def test_unlit_oracle_centre_still_counts_as_a_flag_mismatch():
     grid = GridSpec(7, 8, (-0.6, 0.6, 0.0, 6.0))
     sheet1, sheet2, stats = compute_caustic_sheets(ast, AXIAL, grid)
     i, j = np.argwhere(sheet1.flags & FLAG_GRAZING)[0]
-    before = validate_sheets((sheet1, sheet2, stats), ast, AXIAL, grid).n_flag_disagreements
+    before = validate_sheets((sheet1, sheet2, stats)).n_flag_disagreements
     planted = dataclasses.replace(sheet1, flags=sheet1.flags.copy(), k_star=sheet1.k_star.copy())
     planted.flags[i, j], planted.k_star[i, j] = FLAG_VALID, 1.0
-    after = validate_sheets((planted, sheet2, stats), ast, AXIAL, grid).n_flag_disagreements
+    after = validate_sheets((planted, sheet2, stats)).n_flag_disagreements
     assert after == before + 1

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from catacaustics import eval_surface, parse_surface, to_text
 from catacaustics.surfacelang import (ArityError, BinOp, Call, Const, Neg,
                                       Param, SurfaceAST, SurfaceSyntaxError,
-                                      UnknownIdentifierError, Var,
-                                      affine_transform, format_expr,
+                                      UnknownIdentifierError, Var, format_expr,
                                       parse_surface_definition)
 
 SPHERE = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
@@ -172,19 +171,3 @@ def test_neg_call_normalizes_to_unary_minus():
 def test_format_expr_minimal_parens():
     node = parse_surface("[u + v*u, 0, 0]").x
     assert format_expr(node) == "u + v*u"
-
-
-def test_affine_transform_matches_direct_evaluation():
-    rng = np.random.default_rng(3)
-    ast = parse_surface(SPHERE)
-    m = rng.normal(size=(3, 3))
-    t = rng.normal(size=3)
-    moved = affine_transform(ast, m, t)
-    u, v = 0.7, 1.1
-    base = eval_surface(ast, u, v)
-    got = eval_surface(moved, u, v)
-    assert np.allclose(got.value(), m @ base.value() + t, atol=1e-14)
-    assert np.allclose(got.d_u(), m @ base.d_u(), atol=1e-14)
-    assert np.allclose(got.d_uv(), m @ base.d_uv(), atol=1e-14)
-    # transformed trees still print to parseable text
-    assert parse_surface(to_text(moved), moved.params) == moved
