@@ -249,8 +249,13 @@ def _stable_quadratic_roots(p, q):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    scale = np.maximum(1.0, np.maximum(p * p, np.abs(q)))
-    disc = p * p - 4.0 * q
+    with np.errstate(over="ignore"):
+        pp = p * p
+    # near grazing p ~ 2 B(a_t, a_t) / cos theta; where p^2 overflows, the
+    # roots are -p and q / -p to round-off
+    huge = np.isinf(pp) & np.isfinite(p)
+    scale = np.maximum(1.0, np.maximum(pp, np.abs(q)))
+    disc = pp - 4.0 * q
     finite = np.isfinite(disc)
     bad = finite & (disc < -_DISC_NEGATIVE_RTOL * scale)
     if np.any(bad):
@@ -267,6 +272,8 @@ def _stable_quadratic_roots(p, q):
         mu_b = np.where(t != 0.0, q / np.where(t != 0.0, t, 1.0), 0.0)
         mu_b = np.where(clamped, mu_a, mu_b)  # a double root is one number
     mu_b = np.where(finite, mu_b, np.nan)
+    mu_a = np.where(huge, -p, mu_a)
+    mu_b = np.where(huge, q / np.where(huge, -p, 1.0), mu_b)
     return mu_a, mu_b, clamped
 
 
@@ -311,7 +318,8 @@ def solve_sheet_curvatures(mods: ModifiedForms, coeffs, r_dist=None):
     k_b = mu_b - shift
 
     # a clamped double root keeps the sum -p and moves the product by disc/4
-    P = k_a * k_b - np.where(clamped, 0.25 * (p * p - 4.0 * q), 0.0)
+    pc, qc = np.where(clamped, p, 0.0), np.where(clamped, q, 0.0)
+    P = k_a * k_b - 0.25 * (pc * pc - 4.0 * qc)
     # each root counts with its magnitude before the shift, |mu| + 1/rho
     mag_a = np.abs(mu_a) + shift
     mag_b = np.abs(mu_b) + shift

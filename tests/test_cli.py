@@ -595,6 +595,28 @@ class TestSourceOnMirror:
         assert "result:            PASS\n" in out
 
 
+# |cos theta| ~ 1e-170 on the row u = 0 puts p ~ 2 B(a_t, a_t) / cos theta
+# near 1e170, whose square overflows; the roots once came out NaN with no
+# flag bit, which ended compute in a traceback
+OVERFLOWING_P = ("--surface", "sphere", "--flat", "1e-170,0,1", "--eps-grazing", "0",
+                 "--domain=-0.1,0.1,0,3", "--grid", "3,4")
+
+
+def test_overflowing_quadratic_places_both_sheets(capsys, tmp_path):
+    code, _, err = run(capsys, "compute", *OVERFLOWING_P, "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    stats = read(str(tmp_path / "out-stats.txt")).decode()
+    for sheet in (1, 2):
+        assert f"sheet {sheet}: valid 10, at_infinity 2, excluded_zero_root 0\n" in stats
+
+
+def test_overflowing_quadratic_validates(capsys):
+    # this printed three overflow warnings before its PASS
+    code, out, err = run(capsys, "validate", *OVERFLOWING_P)
+    assert (code, err) == (0, "")
+    assert out.endswith("result:            PASS\n")
+
+
 class TestDeterminism:
     def test_repeated_compute_is_byte_identical(self, tmp_path, capsys):
         args = ("compute", "--surface", "ellipsoid", "--source", "0.1,0.05,-0.02",
