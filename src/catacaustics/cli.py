@@ -117,14 +117,20 @@ def _param(text):
     return key.strip(), value.strip()
 
 
-def _surface_file(path, params):
-    """(ast, default domain) of the surface file at path, like build_surface's."""
+def _read_text(path, what: str) -> str:
+    """The text of the UTF-8 file at path; a SceneError names it a `what` file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
-        raise SceneError(f"cannot read surface file: {e}")
-    definition = parse_surface_definition(text, params)
+        raise SceneError(f"cannot read {what} file: {e}")
+    except UnicodeDecodeError as e:
+        raise SceneError(f"cannot read {what} file: {path!r}: {e}")
+
+
+def _surface_file(path, params):
+    """(ast, default domain) of the surface file at path, like build_surface's."""
+    definition = parse_surface_definition(_read_text(path, "surface"), params)
     return definition.ast, definition.domain
 
 
@@ -162,11 +168,7 @@ def _line_flags(line: str) -> list:
 
 def _read_scene_file(path: str) -> dict:
     """The scene values: defaults, then each scene-file line parsed as its flags."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as e:
-        raise SceneError(f"cannot read scene file: {e}")
+    lines = _read_text(path, "scene").split("\n")
     parser = _Parser(prog="scene file", add_help=False, exit_on_error=False)
     _add_scene_flags(parser)
     values = parser.parse_args([])

@@ -327,6 +327,27 @@ def test_bad_scene_value_is_input_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# a file that is not UTF-8, the flags that read it, and the kind of file it is
+NOT_UTF8 = {
+    "expr-file": (b"[u, v, u*v] # caf\xe9\n", ("--expr-file", "--domain=0,1,0,1"), "surface"),
+    "scene": (b"surface = sphere # caf\xe9\n", ("--scene",), "scene"),
+}
+
+
+@pytest.mark.parametrize("data, flags, kind", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+def test_file_that_is_not_utf8_is_input_error(data, flags, kind, tmp_path, capsys):
+    # this once ended in a UnicodeDecodeError traceback
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    flag, *rest = flags
+    code, _, err = run(capsys, "compute", flag, str(path), *rest, "--grid", "3,3",
+                       "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert err.startswith(f"scene: cannot read {kind} file: {str(path)!r}: 'utf-8' codec")
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("x-*"))
+
+
 class TestValidate:
     def test_sphere_pass_exit_0(self, tmp_path, capsys):
         code, out, _ = run(capsys, "validate", "--surface", "sphere",
