@@ -20,14 +20,15 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .caustics import (CausticSheet, FlatFront, FrontPoint, FrontStatistics,
-                       GridSpec, IncidentField, ModifiedForms, PointSource,
-                       ReflectionData, caustic_coefficients, caustic_point,
-                       compute_caustic_sheets, incident_direction,
-                       modified_forms, reflect_direction, reflected_front_point,
-                       reflection_data, solve_sheet_curvatures)
+                       GridSpec, IncidentField, MaskedGrid, ModifiedForms,
+                       PointSource, ReflectionData, caustic_coefficients,
+                       caustic_point, compute_caustic_sheets,
+                       incident_direction, modified_forms, reflect_direction,
+                       reflected_front_point, reflection_data,
+                       solve_sheet_curvatures)
 from .diffgeo import FrameData, SurfaceForms, frame_at, fundamental_forms
 from .jets import Jet2, Jet2Vec3
-from .meshio import MaskedGrid, export_mesh
+from .meshio import export_mesh
 from .oracle import ValidationReport, validate_sheets
 from .surfacelang import (SurfaceAST, SurfaceDefinition, eval_surface,
                           parse_surface, parse_surface_definition, to_text)
@@ -42,11 +43,11 @@ __all__ = [
     "BUILTINS", "build_surface", "builtin_listing",
     "FrameData", "SurfaceForms", "frame_at", "fundamental_forms",
     "FlatFront", "PointSource", "IncidentField", "GridSpec",
-    "ReflectionData", "ModifiedForms", "CausticSheet",
+    "ReflectionData", "ModifiedForms", "MaskedGrid", "CausticSheet",
     "FrontPoint", "FrontStatistics",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "reflected_front_point", "compute_caustic_sheets",
     "ValidationReport", "validate_sheets",
-    "MaskedGrid", "export_mesh",
+    "export_mesh",
 ]

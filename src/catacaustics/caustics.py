@@ -36,7 +36,7 @@ from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
     "FlatFront", "PointSource", "IncidentField",
-    "ReflectionData", "ModifiedForms", "CausticSheet",
+    "ReflectionData", "ModifiedForms", "MaskedGrid", "CausticSheet",
     "FrontPoint", "GridSpec", "SheetStatistics", "FrontStatistics",
     "InternalConsistencyError",
     "FLAG_VALID", "FLAG_AT_SOURCE", "FLAG_GRAZING", "FLAG_AT_INFINITY",
@@ -49,7 +49,7 @@ __all__ = [
     "compute_caustic_sheets",
 ]
 
-# per-vertex flag byte, shared with the mesh writer:
+# per-vertex flag byte of a MaskedGrid:
 FLAG_VALID = 0x01               # bit 0
 FLAG_AT_SOURCE = 0x02           # bit 1: the point lies on the point source
 FLAG_GRAZING = 0x04             # bit 2
@@ -334,30 +334,33 @@ def solve_sheet_curvatures(mods: ModifiedForms, coeffs, r_dist=None):
 
 
 def caustic_point(r, b, k_star, field: IncidentField, eps_inf: float = EPS_INF_DEFAULT,
-                  base_flags=np.uint8(0)):
+                  base_flags=np.uint8(0), max_radius: float = np.inf):
     """Caustic points xi = r + b/k* of one sheet and their flag byte.
 
     r and b are (..., 3) arrays.  Roots with |k*| <= eps_inf have no finite
     caustic point: for a flat front they are flagged at_infinity, for a point
     source excluded_zero_root.  base_flags (uint8) carries the upstream
-    reasons of the ray stage.  Returns (xi, flags); xi is NaN off the valid points.
+    reasons of the ray stage.  A placed point is flagged valid, or clipped
+    where it lies farther than max_radius along its ray; a clipped point
+    keeps its xi.  Returns (xi, flags); xi is NaN off the placed points.
     """
     k = np.asarray(k_star, dtype=float)
     finite_root = np.isfinite(k) & (np.abs(k) > eps_inf)
     zero_bit = FLAG_EXCLUDED_ZERO_ROOT if isinstance(field, PointSource) else FLAG_AT_INFINITY
     flags = base_flags | np.where(np.isfinite(k) & ~finite_root, np.uint8(zero_bit), np.uint8(0))
-    valid = finite_root & (flags == 0)
-    flags |= np.where(valid, np.uint8(FLAG_VALID), np.uint8(0))
-    radius = np.where(valid, caustic_radius(k), 0.0)
-    xi = np.where(valid[..., None], r + b * radius[..., None], np.nan)
+    placed = finite_root & (flags == 0)
+    radius = np.where(placed, caustic_radius(k), 0.0)
+    flags |= np.where(placed, np.where(np.abs(radius) > max_radius, np.uint8(FLAG_CLIPPED),
+                                       np.uint8(FLAG_VALID)), np.uint8(0))
+    xi = np.where(placed[..., None], r + b * radius[..., None], np.nan)
     return xi, flags
 
 
 def caustic_radius(k_star) -> np.ndarray:
     """Signed distance 1/k* from the mirror to the caustic point; inf where k* = 0.
 
-    The one 1/k* helper: placement, the radius cap of compute_caustic_sheets
-    and the oracle's comparison all read it.
+    The one 1/k* helper: placement, with its radius cap, and the oracle's
+    comparison read it.
     """
     k = np.asarray(k_star)
     with np.errstate(all="ignore"):
@@ -471,19 +474,35 @@ def row_blocks(nu: int, nv: int) -> list:
 
 
 @dataclass
-class CausticSheet:
-    """One caustic sheet sampled over a parameter grid."""
+class MaskedGrid:
+    """A nu x nv vertex grid with a per-vertex flag byte of FLAG_* bits.
 
-    sheet_id: int
-    u: np.ndarray            # (nu,)
-    v: np.ndarray            # (nv,)
-    k_star: np.ndarray       # (nu, nv)
-    xi: np.ndarray           # (nu, nv, 3)
-    flags: np.ndarray        # (nu, nv) uint8
+    Every vertex carries a bit: FLAG_VALID, or the reasons it is invalid.
+    """
+
+    u: np.ndarray        # (nu,)
+    v: np.ndarray        # (nv,)
+    points: np.ndarray   # (nu, nv, 3); entries at invalid vertices are ignored
+    flags: np.ndarray    # (nu, nv) uint8
+
+    def __post_init__(self):
+        nu, nv = len(self.u), len(self.v)
+        if self.points.shape != (nu, nv, 3) or self.flags.shape != (nu, nv):
+            raise ValueError("MaskedGrid arrays do not match the declared grid size")
+        if not np.all(self.flags):
+            raise ValueError("invalid vertices must carry at least one reason bit")
 
     @property
-    def valid(self):
+    def valid(self) -> np.ndarray:
         return (self.flags & FLAG_VALID) != 0
+
+
+@dataclass
+class CausticSheet(MaskedGrid):
+    """One caustic sheet sampled over a parameter grid; its points are the xi."""
+
+    sheet_id: int
+    k_star: np.ndarray       # (nu, nv)
 
 
 @dataclass
@@ -574,7 +593,7 @@ def _sheet_statistics(sheet: CausticSheet) -> SheetStatistics:
     n_zero = int(np.count_nonzero(sheet.flags & FLAG_EXCLUDED_ZERO_ROOT))
     if not np.any(valid):
         return SheetStatistics(sheet.sheet_id, 0, n_inf, n_zero, None, None, 0.0, None)
-    pts = sheet.xi[valid]
+    pts = sheet.points[valid]
     bb_min, bb_max = _column_extrema(pts)
     diameter = float(np.linalg.norm(bb_max - bb_min))
     centered = pts - pts.mean(axis=0)
@@ -704,18 +723,14 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
             r[rows, :, i] = r_rows[i]
             b[rows, :, i] = b_rows[i]
 
+    surf_min, surf_max, diameter = surface_extent(r, base_flags)
+    max_radius = default_max_radius(diameter) if max_radius is None else float(max_radius)
     k1, k2 = _order_roots_by_continuity(k_a, k_b, base_flags == 0)
     del k_a, k_b  # the placement below is the peak of the working set
     sheets = []
     for sheet_id, k in ((1, k1), (2, k2)):
-        xi, flags = caustic_point(r, b, k, field, eps_inf, base_flags)
-        sheets.append(CausticSheet(sheet_id, us, vs, k, xi, flags))
-
-    surf_min, surf_max, diameter = surface_extent(r, base_flags)
-    max_radius = default_max_radius(diameter) if max_radius is None else float(max_radius)
-    for sheet in sheets:
-        far = np.abs(caustic_radius(sheet.k_star)) > max_radius
-        sheet.flags[sheet.valid & far] = FLAG_CLIPPED
+        xi, flags = caustic_point(r, b, k, field, eps_inf, base_flags, max_radius)
+        sheets.append(CausticSheet(us, vs, xi, flags, sheet_id, k))
     stats = FrontStatistics(
         grid=grid, surface=surface, field=field, eps_grazing=eps_grazing,
         n_grazing=int(np.count_nonzero(base_flags & FLAG_GRAZING)),

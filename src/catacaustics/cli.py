@@ -39,10 +39,10 @@ import numpy as np
 
 from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
                        FLAG_VALID, FlatFront, GridSpec,
-                       InternalConsistencyError, PointSource, _ray_block,
-                       compute_caustic_sheets, masked_points_text,
+                       InternalConsistencyError, MaskedGrid, PointSource,
+                       _ray_block, compute_caustic_sheets, masked_points_text,
                        reflected_front_point)
-from .meshio import FORMATS, MaskedGrid, export_mesh, write_ascii
+from .meshio import FORMATS, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
 from .surfacelang import SurfaceLangError, parse_surface_definition
 from .surfaces import build_surface, builtin_listing
@@ -215,7 +215,7 @@ def cmd_compute(scene: argparse.Namespace) -> int:
     sheet1, sheet2, stats = _closed_form(scene)
     for s in (sheet1, sheet2):
         path = f"{scene.out}-sheet{s.sheet_id}.{scene.format}"
-        export_mesh(MaskedGrid(s.u, s.v, s.xi, s.flags), scene.format, path)
+        export_mesh(s, scene.format, path)
         print(f"wrote {path}")
     stats_path = f"{scene.out}-stats.txt"
     write_ascii(stats_path, (stats.to_text().encode("ascii"),))

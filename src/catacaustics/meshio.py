@@ -1,4 +1,4 @@
-"""Masked parameter-grid meshes and deterministic writers (OBJ, CSV, PLY).
+"""Deterministic writers (OBJ, CSV, PLY) of masked parameter grids.
 
 Byte contract: every coordinate is printed as f"{x:.9f}" (9 fixed decimals,
 with -0.000000000 written as 0.000000000), every line ends in "\n" and the
@@ -26,41 +26,14 @@ only route for such values.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .caustics import FLAG_VALID
+from .caustics import MaskedGrid
 
-__all__ = ["MaskedGrid", "export_mesh", "write_ascii", "FORMATS"]
+__all__ = ["export_mesh", "write_ascii", "FORMATS"]
 
 CHUNK_ROWS = 32768      # lines built as one block and written at once
-
-
-@dataclass
-class MaskedGrid:
-    """A nu x nv vertex grid with a per-vertex reason byte.
-
-    The bits are the caustics.FLAG_* values.  Every invalid vertex carries
-    at least one reason.
-    """
-
-    u: np.ndarray        # (nu,)
-    v: np.ndarray        # (nv,)
-    points: np.ndarray   # (nu, nv, 3); entries at invalid vertices are ignored
-    flags: np.ndarray    # (nu, nv) uint8
-
-    def __post_init__(self):
-        nu, nv = len(self.u), len(self.v)
-        if self.points.shape != (nu, nv, 3) or self.flags.shape != (nu, nv):
-            raise ValueError("MaskedGrid arrays do not match the declared grid size")
-        invalid = (self.flags & FLAG_VALID) == 0
-        if np.any(invalid & (self.flags == 0)):
-            raise ValueError("invalid vertices must carry at least one reason bit")
-
-    @property
-    def valid(self) -> np.ndarray:
-        return (self.flags & FLAG_VALID) != 0
 
 
 # ASCII digits of 0..999: rows hundreds, tens, units; one column per value

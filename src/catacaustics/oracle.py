@@ -193,7 +193,7 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
         both = cf_ok & oracle_ok
         disagree = int(np.count_nonzero((cf_ok != oracle_ok) & charted))
 
-        xi_cf = np.stack([sheets[0].xi[rows], sheets[1].xi[rows]])
+        xi_cf = np.stack([sheets[0].points[rows], sheets[1].points[rows]])
         xi_or = r0[None] + orc[..., None] * b0[None]
         err = np.linalg.norm(np.where(both[..., None], xi_cf - xi_or, 0.0), axis=-1)
     return err, both, disagree

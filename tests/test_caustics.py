@@ -249,6 +249,14 @@ class TestCausticPoint:
         assert np.allclose(xi_lo, [0, 2, -0.5], atol=1e-13)
         assert np.allclose(xi_hi, [2, 0, 0.5], atol=1e-13)
 
+    def test_radius_cap_flags_clipped_in_place_of_valid(self):
+        r = np.zeros((2, 3))
+        b = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        xi, flags = caustic_point(r, b, np.array([1.0, 0.25]), AXIAL, max_radius=2.0)
+        assert flags.tolist() == [FLAG_VALID, FLAG_CLIPPED]
+        # a clipped point keeps its place on the ray
+        assert np.array_equal(xi, [[0.0, 0.0, 1.0], [0.0, 0.0, -4.0]])
+
     def test_zero_root_flags_by_field_kind(self):
         r = np.zeros(3)
         b = np.array([0.0, 0.0, 1.0])
@@ -308,14 +316,14 @@ class TestComputeCausticSheets:
         s1, s2, stats = compute_caustic_sheets(ast, AXIAL, grid)
         for s in stats.sheets:
             assert s.diameter < 1e-9
-        assert np.allclose(s1.xi[s1.valid], [0, 0, 0.5], atol=1e-12)
+        assert np.allclose(s1.points[s1.valid], [0, 0, 0.5], atol=1e-12)
 
     def test_central_source_sphere_collapses_to_origin(self):
         ast, _ = build_surface("sphere")
         grid = GridSpec(20, 20, (0.2, 1.4, 0.0, 6.283185307179586))
         s1, s2, stats = compute_caustic_sheets(ast, PointSource((0, 0, 0)), grid)
-        assert np.nanmax(np.abs(s1.xi)) < 1e-12
-        assert np.nanmax(np.abs(s2.xi)) < 1e-12
+        assert np.nanmax(np.abs(s1.points)) < 1e-12
+        assert np.nanmax(np.abs(s2.points)) < 1e-12
 
     def test_cylinder_one_sheet_at_infinity(self):
         ast, dom = build_surface("cylinder")
@@ -455,7 +463,7 @@ def test_block_size_does_not_change_the_sheets(name, field, shape):
         assert stats.to_text() == want_stats.to_text()
         for g, w in zip(got, want):
             assert np.array_equal(g.k_star, w.k_star, equal_nan=True)
-            assert np.array_equal(g.xi, w.xi, equal_nan=True)
+            assert np.array_equal(g.points, w.points, equal_nan=True)
             assert np.array_equal(g.flags, w.flags)
 
 
@@ -476,7 +484,7 @@ def test_radius_cap_only_clips(name, field, shape):
         n_clipped = 0
         for c, u in zip(capped, uncapped):
             assert np.array_equal(c.k_star, u.k_star, equal_nan=True)
-            assert np.array_equal(c.xi, u.xi, equal_nan=True)
+            assert np.array_equal(c.points, u.points, equal_nan=True)
             far = u.valid & (np.abs(caustic_radius(u.k_star)) > cap)
             assert np.array_equal(c.flags, np.where(far, np.uint8(FLAG_CLIPPED), u.flags))
             n_clipped += np.count_nonzero(far)

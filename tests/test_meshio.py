@@ -12,15 +12,9 @@ from hypothesis.extra.numpy import arrays
 from catacaustics import (FlatFront, GridSpec, build_surface, cli,
                           compute_caustic_sheets, export_mesh, meshio)
 from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
-                                   FLAG_GRAZING, FLAG_VALID)
-from catacaustics.meshio import MaskedGrid
+                                   FLAG_GRAZING, FLAG_VALID, MaskedGrid)
 
 AXIAL = FlatFront((0.0, 0.0, 1.0))
-
-
-def sheet_mesh(sheet):
-    """The masked grid the compute command exports for a sheet."""
-    return MaskedGrid(sheet.u, sheet.v, sheet.xi, sheet.flags)
 
 
 def small_grid(flags=None):
@@ -74,7 +68,7 @@ class TestObj:
         grid = GridSpec(12, 12, dom)
         sheet2 = compute_caustic_sheets(ast, AXIAL, grid, max_radius=np.inf)[1]
         path = tmp_path / "sheet.obj"
-        export_mesh(sheet_mesh(sheet2), "obj", path)
+        export_mesh(sheet2, "obj", path)
         lines = read(path).splitlines()
         n_vertices = sum(l.startswith("v ") for l in lines)
         for line in lines:
@@ -97,7 +91,7 @@ class TestClip:
                                            GridSpec(8, 4, dom), max_radius=100.0)
         flat = s1 if np.all(s1.flags & FLAG_AT_INFINITY) else s2
         path = tmp_path / "inf.obj"
-        n = export_mesh(sheet_mesh(flat), "obj", path)
+        n = export_mesh(flat, "obj", path)
         assert n == 0
         assert read(path) == ""
 
@@ -115,7 +109,7 @@ class TestClip:
             radii = np.abs(1.0 / s1.k_star)
         assert np.array_equal(clipped, radii > 1.0)
         # a clipped point keeps its placed caustic point
-        assert np.all(np.isfinite(s1.xi[clipped]))
+        assert np.all(np.isfinite(s1.points[clipped]))
 
     def test_no_radius_keeps_core_flags_only(self):
         uncapped, _, stats = self.sphere_sheets(max_radius=np.inf)
@@ -179,7 +173,7 @@ class TestPly:
     def test_same_vertices_and_faces_as_obj(self, tmp_path):
         ast, dom = build_surface("hyperbolic-paraboloid")
         sheet1 = compute_caustic_sheets(ast, AXIAL, GridSpec(9, 9, dom), max_radius=50.0)[0]
-        grid = sheet_mesh(sheet1)
+        grid = sheet1
         export_mesh(grid, "obj", tmp_path / "s.obj")
         export_mesh(grid, "ply", tmp_path / "s.ply")
         obj = read(tmp_path / "s.obj").splitlines()
@@ -197,7 +191,7 @@ class TestDeterminismAndErrors:
     def test_byte_identical_reruns(self, tmp_path):
         ast, dom = build_surface("ellipsoid")
         sheet1 = compute_caustic_sheets(ast, AXIAL, GridSpec(14, 14, dom), max_radius=40.0)[0]
-        grid = sheet_mesh(sheet1)
+        grid = sheet1
         blobs = []
         for fmt in ("obj", "csv", "ply"):
             a = tmp_path / f"a.{fmt}"
@@ -276,7 +270,7 @@ def golden_files(out_dir):
     sheets = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), GridSpec(8, 4, dom),
                                     max_radius=100.0)[:2]
     flat = next(s for s in sheets if np.all(s.flags & FLAG_AT_INFINITY))
-    files.update(_grid_files(sheet_mesh(flat), out_dir, "empty"))
+    files.update(_grid_files(flat, out_dir, "empty"))
     v = np.linspace(-1.0, 1.0, 5)
     pts = np.stack([np.full(5, 0.5), v, v * v - 0.25], axis=-1)[None]
     flags = np.full((1, 5), FLAG_VALID, dtype=np.uint8)

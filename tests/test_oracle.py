@@ -140,8 +140,8 @@ class TestValidateSheets:
         xi_f = r - w / (2 * fxx)
         xi_h = r - w / (2 * hyy)
         # match computed sheets to the displayed pair point-by-point
-        d_keep = np.linalg.norm(s1.xi - xi_f, axis=-1) + np.linalg.norm(s2.xi - xi_h, axis=-1)
-        d_swap = np.linalg.norm(s1.xi - xi_h, axis=-1) + np.linalg.norm(s2.xi - xi_f, axis=-1)
+        d_keep = np.linalg.norm(s1.points - xi_f, axis=-1) + np.linalg.norm(s2.points - xi_h, axis=-1)
+        d_swap = np.linalg.norm(s1.points - xi_h, axis=-1) + np.linalg.norm(s2.points - xi_f, axis=-1)
         assert np.all(np.minimum(d_keep, d_swap) <= 2e-9)
         report = validate_sheets((s1, s2, stats))
         assert report.passed
