@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ import catacaustics
 from catacaustics import caustics, cli
 from catacaustics.cli import main
 from catacaustics.surfacelang import eval_surface
+from catacaustics.surfaces import BUILTINS
 
 
 def run(capsys, *argv):
@@ -647,3 +649,29 @@ class TestDeterminism:
         for suffix in ("-sheet1.obj", "-sheet2.obj", "-stats.txt"):
             assert read(str(tmp_path / f"run1{suffix}")) == \
                 read(str(tmp_path / f"run2{suffix}"))
+
+
+# the fields of the CLI sweep: axial and oblique flat fronts, and point
+# sources inside and outside the closed built-ins
+SWEEP_FIELDS = ("--flat=0,0,1", "--flat=0.3,0.2,-1", "--source=0.2,0.1,0.1",
+                "--source=0.3,0.2,3")
+SWEEP_SCENES = [("--surface", name, field, "--grid", "24,20")
+                for name in sorted(BUILTINS) for field in SWEEP_FIELDS] + [OVERFLOWING_P]
+
+
+def test_cli_sweep_is_warning_free(tmp_path, capsys):
+    # every built-in under every field kind, through each command, ends in an
+    # exit code of its own, and every CSV row it writes is valid or says why not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scene in SWEEP_SCENES:
+            for command in (("compute",), ("validate",), ("front", "--travel", "1")):
+                out = tmp_path / "run"
+                code, _, err = run(capsys, *command, *scene, "--format", "csv",
+                                   "--out", str(out))
+                assert code in (0, 2, 3), (command, scene, err)
+                assert "Traceback" not in err
+                for path in tmp_path.glob("run-*.csv"):
+                    rows = read(str(path)).decode().splitlines()[1:]
+                    assert all(int(row.rsplit(",", 1)[1]) for row in rows), (command, scene)
+                    path.unlink()

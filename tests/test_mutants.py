@@ -1,0 +1,141 @@
+"""Planted bugs and the checks that catch them.
+
+Each row of MUTANTS plants one bug in the closed-form pipeline and names the
+checks that must fail under it; the unmutated code passes every check.  A
+check passes when its scene runs and reproduces its pinned bytes; a crash
+under a mutant counts as a failure.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from catacaustics import FlatFront, GridSpec, build_surface, caustics, cli
+from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
+                                   FLAG_EXCLUDED_ZERO_ROOT)
+from test_cli import VALIDATE_STDOUT_SHA256
+from test_meshio import GOLDEN_SHA256
+
+REFERENCE_JSON = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
+
+
+def _outputs(argv, out_dir, prefix, suffixes):
+    """The bytes of each file a compute run writes, or None if it fails."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main([*argv, "--out", str(out_dir / prefix)]) != 0:
+            return None
+    return [(out_dir / f"{prefix}{s}").read_bytes() for s in suffixes]
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_ellipsoid_capped(out_dir):
+    """The golden CSV sheets and stats.txt of the ellipsoid under a binding cap."""
+    suffixes = ("-sheet1.csv", "-sheet2.csv", "-stats.txt")
+    files = _outputs(["compute", "--surface", "ellipsoid", "--source", "0.2,0.1,0.1",
+                      "--grid", "40,40", "--format", "csv", "--max-radius", "1"],
+                     out_dir, "ellipsoid-capped", suffixes)
+    return files is not None and \
+        [_sha256(f) for f in files] == [GOLDEN_SHA256[f"ellipsoid-capped{s}"] for s in suffixes]
+
+
+def torus_capped_report(out_dir):
+    """validate's stdout on the torus whose cap clips all of sheet 1."""
+    scene, digest = VALIDATE_STDOUT_SHA256["torus-capped"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["validate", *scene])
+    return _sha256(out.getvalue().encode()) == digest
+
+
+def reason_bits(out_dir):
+    """A sheet with roots at infinity passes the masked grid's reason check."""
+    ast, dom = build_surface("cylinder")
+    caustics.compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), GridSpec(8, 4, dom))
+    return True
+
+
+def reference_scene(out_dir):
+    """The benchmark's reference scene, whose default cap clips part of sheet 1."""
+    files = _outputs(["compute", "--surface", "ellipsoid", "--source", "0.2,0.1,0.1",
+                      "--grid", "400,400", "--format", "obj"], out_dir, "reference",
+                     ("-sheet1.obj", "-sheet2.obj", "-stats.txt"))
+    reference = json.loads(REFERENCE_JSON.read_text())["ellipsoid-point-obj"]
+    return files is not None and _sha256(b"".join(files)) == reference
+
+
+CHECKS = {f.__name__: f for f in (golden_ellipsoid_capped, torus_capped_report, reason_bits,
+                                  reference_scene)}
+
+
+def _placement(after):
+    """caustic_point with after(xi, flags) -> (xi, flags) applied to its result."""
+    place = caustics.caustic_point
+    return mock.patch.object(caustics, "caustic_point", lambda *a: after(*place(*a)))
+
+
+def _sheet_2_takes_k1():
+    order = caustics._order_roots_by_continuity
+    return mock.patch.object(caustics, "_order_roots_by_continuity",
+                             lambda *a: (order(*a)[0],) * 2)
+
+
+def _cap_never_applied():
+    place = caustics.caustic_point
+    return mock.patch.object(caustics, "caustic_point", lambda *a: place(*a[:6]))
+
+
+def _cap_makes_xi_nan():
+    return _placement(lambda xi, flags: (
+        np.where(((flags & FLAG_CLIPPED) != 0)[..., None], np.nan, xi), flags))
+
+
+def _zero_root_bit_dropped():
+    return _placement(lambda xi, flags: (
+        xi, flags & ~np.uint8(FLAG_AT_INFINITY | FLAG_EXCLUDED_ZERO_ROOT)))
+
+
+def _doubled_diameter():
+    cap = caustics.default_max_radius
+    return mock.patch.object(caustics, "default_max_radius", lambda d: cap(2.0 * d))
+
+
+# the reference scene, at 0.4 s the dearest check, also fails the first and
+# third rows; it is named only where no cheaper check fails
+MUTANTS = {
+    "sheet-2-placed-with-k1": (_sheet_2_takes_k1,
+                               ("golden_ellipsoid_capped", "torus_capped_report")),
+    "cap-never-applied": (_cap_never_applied,
+                          ("golden_ellipsoid_capped", "torus_capped_report", "reference_scene")),
+    "cap-makes-xi-nan": (_cap_makes_xi_nan, ("golden_ellipsoid_capped",)),
+    "zero-root-bit-dropped": (_zero_root_bit_dropped, ("reason_bits",)),
+    "doubled-diameter-behind-the-default-cap": (_doubled_diameter, ("reference_scene",)),
+}
+
+
+def _passes(check, out_dir) -> bool:
+    try:
+        return check(out_dir)
+    except Exception:  # a crash under a mutant is a failed check
+        return False
+
+
+def test_unmutated_code_passes_every_check(tmp_path):
+    failed = [name for name, check in CHECKS.items() if not check(tmp_path / name)]
+    assert not failed
+
+
+@pytest.mark.parametrize("mutant, killers", MUTANTS.values(), ids=MUTANTS.keys())
+def test_mutant_fails_its_checks(mutant, killers, tmp_path):
+    with mutant():
+        survived = [name for name in killers if _passes(CHECKS[name], tmp_path / name)]
+    assert not survived
