@@ -87,7 +87,8 @@ _DISC_DOUBLE_RTOL = 2e-13       # |disc| below this times scale collapses to a d
 _CROSSCHECK_RTOL = 1e-12
 
 # grid points per block of whole rows in the pointwise stages: bounds the
-# working set of the whole-grid routes, whose intermediates take ~900 B/point
+# working set of every command to one block of temporaries, whose peak is
+# ~390 B/point (~13 MB) in the closed form's _sheet_block
 BLOCK_POINTS = 32768
 
 
@@ -254,7 +255,7 @@ def _stable_quadratic_roots(p, q):
     # near grazing p ~ 2 B(a_t, a_t) / cos theta; where p^2 overflows, the
     # roots are -p and q / -p to round-off
     huge = np.isinf(pp) & np.isfinite(p)
-    scale = np.maximum(1.0, np.maximum(pp, np.abs(q)))
+    scale = np.maximum(pp, np.abs(q))
     disc = pp - 4.0 * q
     finite = np.isfinite(disc)
     bad = finite & (disc < -_DISC_NEGATIVE_RTOL * scale)
@@ -686,8 +687,10 @@ def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: f
     forms = fundamental_forms(frame)
     mods = modified_forms(forms, refl)
     p, q = (np.where(base_flags == 0, x, np.nan) for x in caustic_coefficients(forms, refl))
-    k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), refl.r_dist)
-    return frame.r, refl.b, base_flags, k_a, k_b
+    r, b, r_dist = frame.r, refl.b, refl.r_dist
+    del frame, refl, forms  # the roots' temporaries need none of the jet
+    k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), r_dist)
+    return r, b, base_flags, k_a, k_b
 
 
 def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: GridSpec,
@@ -704,8 +707,10 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     of the surface diameter and inf is no cap; the statistics record it.
     The flat-front result is independent of any front offset by construction
     (no travel parameter enters the computation).  The pointwise stages run
-    over blocks of whole grid rows (see row_blocks); the result does not
-    depend on the block size.
+    over blocks of whole grid rows (see row_blocks): the roots, and after
+    they are ordered and the cap is resolved, the placement of each sheet;
+    no whole-grid temporary is made.  The result does not depend on the
+    block size.
     """
     if max_radius is not None and not max_radius > 0.0:
         raise ValueError("max_radius must be positive")
@@ -729,7 +734,11 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     del k_a, k_b  # the placement below is the peak of the working set
     sheets = []
     for sheet_id, k in ((1, k1), (2, k2)):
-        xi, flags = caustic_point(r, b, k, field, eps_inf, base_flags, max_radius)
+        xi = np.empty(shape + (3,))
+        flags = np.empty(shape, dtype=np.uint8)
+        for rows in row_blocks(grid.nu, grid.nv):
+            xi[rows], flags[rows] = caustic_point(r[rows], b[rows], k[rows], field, eps_inf,
+                                                  base_flags[rows], max_radius)
         sheets.append(CausticSheet(us, vs, xi, flags, sheet_id, k))
     stats = FrontStatistics(
         grid=grid, surface=surface, field=field, eps_grazing=eps_grazing,

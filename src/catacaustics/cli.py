@@ -41,7 +41,7 @@ from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
                        FLAG_VALID, FlatFront, GridSpec,
                        InternalConsistencyError, MaskedGrid, PointSource,
                        _ray_block, compute_caustic_sheets, masked_points_text,
-                       reflected_front_point)
+                       reflected_front_point, row_blocks)
 from .meshio import FORMATS, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
 from .surfacelang import SurfaceLangError, parse_surface_definition
@@ -235,25 +235,34 @@ def cmd_validate(scene: argparse.Namespace) -> int:
 
 
 def cmd_front(scene: argparse.Namespace) -> int:
-    """Export the reflected front rho(u, v; L) at the total travel L = scene.travel."""
-    ast, grid = _resolve(scene)
-    frame, refl, flags = _ray_block(ast, scene.field, *grid.block(), scene.eps_grazing, order=1)
-    front = reflected_front_point(frame.r, refl.a, refl.b, scene.travel, refl.r_dist)
-    # the front has not reached points with lambda < 0; mask them like a clip
-    flags = np.broadcast_to(flags, (grid.nu, grid.nv)) | np.where(
-        ~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
-    sys.stdout.write(masked_points_text(flags, ast, grid, order=1))
-    valid = flags == 0
-    flags |= np.where(valid, np.uint8(FLAG_VALID), np.uint8(0))
+    """Export the reflected front rho(u, v; L) at the total travel L = scene.travel.
 
-    us, vs = grid.axes()
-    rho = np.stack(np.broadcast_arrays(*front.rho), axis=-1)
-    points = np.where(valid[..., None], rho, np.nan)
-    mesh = MaskedGrid(us, vs, points, flags)
+    The ray stage runs over blocks of grid rows (see row_blocks), which fill
+    the whole-grid points and flags the writer takes; the mesh does not
+    depend on the block size.
+    """
+    ast, grid = _resolve(scene)
+    shape = (grid.nu, grid.nv)
+    points = np.empty(shape + (3,))
+    flags = np.empty(shape, dtype=np.uint8)
+    for rows in row_blocks(grid.nu, grid.nv):
+        frame, refl, ray_flags = _ray_block(ast, scene.field, *grid.block(rows),
+                                            scene.eps_grazing, order=1)
+        front = reflected_front_point(frame.r, refl.a, refl.b, scene.travel, refl.r_dist)
+        # the front has not reached points with lambda < 0; mask them like a clip
+        ray_flags = ray_flags | np.where(~front.arrived & (ray_flags == 0),
+                                         np.uint8(FLAG_CLIPPED), np.uint8(0))
+        valid = ray_flags == 0
+        flags[rows] = np.where(valid, np.uint8(FLAG_VALID), ray_flags)
+        for i in range(3):
+            points[rows, :, i] = np.where(valid, front.rho[i], np.nan)
+    sys.stdout.write(masked_points_text(flags, ast, grid, order=1))
+
+    mesh = MaskedGrid(*grid.axes(), points, flags)
     path = f"{scene.out}-front.{scene.format}"
     export_mesh(mesh, scene.format, path)
     print(f"wrote {path}")
-    if not np.any(valid):
+    if not np.any(flags & FLAG_VALID):
         print(f"front not arrived: L = {scene.travel} is below the travel to every lit grid point")
         return EXIT_EMPTY
     return EXIT_OK

@@ -14,9 +14,11 @@ check of the curvature route.
 
 validate_sheets is the entry point: it takes what compute_caustic_sheets
 returns and, in one pass over blocks of grid rows, runs the oracle and keeps
-each point's error against the closed-form sheets.  It reads its scene from
-the closed form's statistics: the surface, field, grid, grazing threshold
-and radius cap the sheets were computed for.  The rays come from the ray
+each point's error against the closed-form sheets; only the errors and their
+mask are whole-grid arrays, and a block differences each +- stencil pair as
+soon as both of its rays exist.  It reads its scene from the closed form's
+statistics: the surface, field, grid, grazing threshold and radius cap the
+sheets were computed for.  The rays come from the ray
 stage that compute uses (caustics._ray_block), once per stencil point and
 block, on first-order jets: a ray needs r, r_u and r_v only.  The focal
 computation is the oracle's own; the radius cap holds for the oracle's focal
@@ -66,23 +68,24 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
 
     r0, b0, flags, flip0 = rays(U, V)
     ok, off = flags == 0, (flags & _NO_VERDICT) != 0
-    stencil = []
-    for u, v in ((U + h, V), (U - h, V), (U, V + h), (U, V - h)):
-        r, b, flags, flipped = rays(u, v)
-        # a stencil straddling an orientation fold would difference two normals
-        # of opposite sign; treat such points as unusable rather than produce garbage
-        ok = ok & (flags == 0) & (flipped == flip0)
-        off = off | ((flags & _NO_VERDICT) != 0)
-        stencil.append((r, b))
-    (rpu, bpu), (rmu, bmu), (rpv, bpv), (rmv, bmv) = stencil
-
     inv2h = 1.0 / (2.0 * h)
 
     def central(plus, minus):
-        return tuple((p - m) * inv2h for p, m in zip(plus, minus))
+        """r and b differenced between the rays at two stencil points.
 
-    ru, rv = central(rpu, rmu), central(rpv, rmv)
-    bu, bv = central(bpu, bmu), central(bpv, bmv)
+        Called per +- pair, so at most two stencil rays are alive at a time.
+        """
+        nonlocal ok, off
+        (rp, bp, fp, sp), (rm, bm, fm, sm) = rays(*plus), rays(*minus)
+        # a stencil straddling an orientation fold would difference two normals
+        # of opposite sign; treat such points as unusable rather than produce garbage
+        ok = ok & (fp == 0) & (sp == flip0) & (fm == 0) & (sm == flip0)
+        off = off | (((fp | fm) & _NO_VERDICT) != 0)
+        return (tuple((p - m) * inv2h for p, m in zip(rp, rm)),
+                tuple((p - m) * inv2h for p, m in zip(bp, bm)))
+
+    ru, bu = central((U + h, V), (U - h, V))
+    rv, bv = central((U, V + h), (U, V - h))
 
     def det3(x, y, z):
         return dot(cross(x, y), z)
@@ -193,10 +196,19 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
         both = cf_ok & oracle_ok
         disagree = int(np.count_nonzero((cf_ok != oracle_ok) & charted))
 
-        xi_cf = np.stack([sheets[0].points[rows], sheets[1].points[rows]])
-        xi_or = r0[None] + orc[..., None] * b0[None]
-        err = np.linalg.norm(np.where(both[..., None], xi_cf - xi_or, 0.0), axis=-1)
+        # xi_cf - (r0 + lambda b0) per sheet and coordinate plane
+        diff = [np.where(both, np.stack([s.points[rows, :, c] for s in sheets])
+                         - (r0[..., c] + orc * b0[..., c]), 0.0) for c in range(3)]
+        err = _norm_planes(diff)
     return err, both, disagree
+
+
+def _norm_planes(d):
+    """|d| of (x, y, z) planes, rounded as np.linalg.norm(axis=-1) of (..., 3) arrays.
+
+    np.linalg.norm sums the squares of a length-3 axis as (d0^2 + d1^2) + d2^2.
+    """
+    return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
 
 
 def validate_sheets(closed_form, h: float = FD_STEP_DEFAULT,
@@ -234,7 +246,10 @@ def validate_sheets(closed_form, h: float = FD_STEP_DEFAULT,
     n_compared = int(errors.size)
     if n_compared:
         max_err = float(errors.max())
-        summary = (float(errors.mean()), *map(float, np.percentile(errors, (50, 90, 99))))
+        mean_err = float(errors.mean())
+        # the percentiles partition errors in place, after the reductions that read its order
+        summary = (mean_err, *map(float, np.percentile(errors, (50, 90, 99),
+                                                       overwrite_input=True)))
         passed = max_err <= tol
     else:
         max_err = float("inf")

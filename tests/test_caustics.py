@@ -564,11 +564,13 @@ def test_block_evaluation_is_bitwise_the_mesh_evaluation(name, seed, nu, nv, shi
 
 
 def test_compute_working_set_is_bounded():
+    # the sheets are placed per row block, ~209 B per point here; placing
+    # them over the whole grid at once read ~267
     ast, dom = build_surface("revolution")
     grid = GridSpec(300, 300, dom)
     per_point, _ = traced_peak_per_point(
         lambda: compute_caustic_sheets(ast, AXIAL, grid), grid.nu * grid.nv)
-    assert per_point <= 400, f"{per_point:.0f} B per grid point"
+    assert per_point <= 250, f"{per_point:.0f} B per grid point"
 
 
 # -- the cross-check of the roots against the trace and determinant of W* ----
@@ -644,12 +646,14 @@ def test_clean_residual_is_far_below_the_bound(scene):
 
 
 def test_clamped_double_roots_pass_the_crosscheck():
-    # a nearly flat, nearly umbilic mirror: |p| ~ 4e-4, so the clamp of a
-    # discriminant below 2e-13 moves the root product by up to 1e-7 of itself
-    field = FlatFront((0.01, 0.02, 1.0))
+    # a nearly umbilic mirror under a nearly normal front: its curvatures
+    # differ by 5e-7 relative, so the discriminant stays below 2e-13 of p^2
+    # and every point clamps; the clamp moves the root product by up to 5e-14
+    # of itself, which the cross-check adds back
+    field = FlatFront((1e-4, 2e-4, 1.0))
     U, V = GridSpec(41, 41, (-1.0, 1.0, -1.0, 1.0)).mesh()
     frame, forms, refl = _pipeline("[u, v, cx*u^2 + cy*v^2]", field, U, V,
-                                   {"cx": 1e-4, "cy": 1.00001e-4})
+                                   {"cx": 1e-4, "cy": 1.0000005e-4})
     p, q = caustic_coefficients(forms, refl)
     assert np.all(_stable_quadratic_roots(p, q)[2])
     mods = modified_forms(forms, refl)

@@ -1,5 +1,6 @@
 """Command-line interface: scenes, exit codes, output files."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -15,6 +16,7 @@ from catacaustics import caustics, cli
 from catacaustics.cli import main
 from catacaustics.surfacelang import eval_surface
 from catacaustics.surfaces import BUILTINS
+from conftest import BLOCK_SCENES, HUGE_BLOCK, block_sizes, scene_surface, traced_peak_per_point
 
 
 def run(capsys, *argv):
@@ -478,6 +480,42 @@ class TestFront:
         code, _, err = run(capsys, "compute", "--surface", "sphere", "--travel", "2")
         assert code == 1
 
+    def test_front_working_set_is_bounded(self, tmp_path, capsys):
+        # the ray stage runs per row block: ~135 B per point here, the PLY
+        # writer's planes included; one whole-grid ray stage read ~286
+        per_point, code = traced_peak_per_point(
+            lambda: main(["front", "--surface", "revolution", "--flat", "0,0,1",
+                          "--grid", "500,500", "--format", "ply", "--travel", "2",
+                          "--out", str(tmp_path / "front")]), 500 * 500)
+        assert code == 0
+        assert per_point <= 170, f"{per_point:.0f} B per grid point"
+
+
+def _front_mesh(capsys, name, field, shape):
+    """The mesh front exports for a BLOCK_SCENES scene at travel 0.7, and its masked: lines."""
+    scene = argparse.Namespace(
+        surface=lambda params: scene_surface(name), params=None, domain=None, grid=shape,
+        field=field, eps_grazing=caustics.EPS_GRAZING_DEFAULT, travel=0.7, format="ply",
+        out="front")
+    with mock.patch.object(cli, "export_mesh") as export:
+        cli.cmd_front(scene)
+    out = capsys.readouterr().out
+    return export.call_args.args[0], [line for line in out.splitlines()
+                                      if line.startswith("masked:")]
+
+
+@pytest.mark.parametrize("name, field, shape", BLOCK_SCENES)
+def test_block_size_does_not_change_the_front(name, field, shape, capsys):
+    with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
+        want, want_masked = _front_mesh(capsys, name, field, shape)
+    for size in block_sizes(shape[1]):
+        with mock.patch.object(caustics, "BLOCK_POINTS", size):
+            assert len(caustics.row_blocks(*shape)) > 1
+            got, masked = _front_mesh(capsys, name, field, shape)
+        assert masked == want_masked
+        assert np.array_equal(got.points.view(np.uint64), want.points.view(np.uint64))
+        assert np.array_equal(got.flags, want.flags)
+
 
 CONE = ("[u, v, sqrt(u^2+v^2)]\n", "--domain=-1,1,-1,1", "--flat", "0.1,0.2,-1")
 CONE_MASKED = ("masked: 1 point(s) off the chart, first at grid index (10, 10): "
@@ -616,6 +654,22 @@ class TestSourceOnMirror:
         # the grid point whose stencil meets the source gets no verdict
         assert "flag mismatches:   0\n" in out
         assert "result:            PASS\n" in out
+
+
+# |p| and |q| are ~1e-10 in 1/length: a double-root clamp absolute in
+# 1/length^2 once made the distinct roots +-8.5e-11 one root, which the
+# cross-check rejected for the whole grid ("internal: ... 2.407e-08")
+STEEP_PLANE = ("[u, v, -6445.27*v + 0.00177284*u*v]\n", "--domain=-0.2,0.05,-0.2,0.12",
+               "--flat=0,0,1")
+
+
+def test_steep_plane_has_no_caustic(capsys, tmp_path):
+    surface = tmp_path / "mirror.surf"
+    surface.write_text(STEEP_PLANE[0])
+    code, out, err = run(capsys, "compute", "--expr-file", str(surface), *STEEP_PLANE[1:],
+                         "--out", str(tmp_path / "out"))
+    assert (code, err) == (2, "")
+    assert "no caustic" in out  # both roots lie ~1e10 away, beyond --eps-inf
 
 
 # |cos theta| ~ 1e-170 on the row u = 0 puts p ~ 2 B(a_t, a_t) / cos theta

@@ -8,9 +8,11 @@ under a mutant counts as a failure.
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import pathlib
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from catacaustics import FlatFront, GridSpec, build_surface, caustics, cli
 from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
                                    FLAG_EXCLUDED_ZERO_ROOT)
-from test_cli import VALIDATE_STDOUT_SHA256
+from test_cli import STEEP_PLANE, VALIDATE_STDOUT_SHA256
 from test_meshio import GOLDEN_SHA256
 
 REFERENCE_JSON = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
@@ -73,8 +75,20 @@ def reference_scene(out_dir):
     return files is not None and _sha256(b"".join(files)) == reference
 
 
+def steep_plane_is_empty(out_dir):
+    """compute on the steep plane, whose roots are ~1e-10, places nothing and says so."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    surface = out_dir / "mirror.surf"
+    surface.write_text(STEEP_PLANE[0])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["compute", "--expr-file", str(surface), *STEEP_PLANE[1:],
+                         "--out", str(out_dir / "steep")])
+    return code == 2 and "no caustic" in out.getvalue()
+
+
 CHECKS = {f.__name__: f for f in (golden_ellipsoid_capped, torus_capped_report, reason_bits,
-                                  reference_scene)}
+                                  reference_scene, steep_plane_is_empty)}
 
 
 def _placement(after):
@@ -109,6 +123,19 @@ def _doubled_diameter():
     return mock.patch.object(caustics, "default_max_radius", lambda d: cap(2.0 * d))
 
 
+def _absolute_floor_restored():
+    # the discriminant's scale floored at 1, which makes the double-root clamp
+    # absolute in 1/length^2: the function's source, mutated and recompiled
+    source = textwrap.dedent(inspect.getsource(caustics._stable_quadratic_roots))
+    mutated = source.replace("np.maximum(pp, np.abs(q))",
+                             "np.maximum(1.0, np.maximum(pp, np.abs(q)))")
+    assert mutated != source
+    namespace = {}
+    exec(mutated, vars(caustics), namespace)
+    return mock.patch.object(caustics, "_stable_quadratic_roots",
+                             namespace["_stable_quadratic_roots"])
+
+
 # the reference scene, at 0.4 s the dearest check, also fails the first and
 # third rows; it is named only where no cheaper check fails
 MUTANTS = {
@@ -119,6 +146,7 @@ MUTANTS = {
     "cap-makes-xi-nan": (_cap_makes_xi_nan, ("golden_ellipsoid_capped",)),
     "zero-root-bit-dropped": (_zero_root_bit_dropped, ("reason_bits",)),
     "doubled-diameter-behind-the-default-cap": (_doubled_diameter, ("reference_scene",)),
+    "absolute-floor-restored": (_absolute_floor_restored, ("steep_plane_is_empty",)),
 }
 
 
