@@ -41,7 +41,7 @@ __all__ = [
     "InternalConsistencyError",
     "FLAG_VALID", "FLAG_AT_SOURCE", "FLAG_GRAZING", "FLAG_AT_INFINITY",
     "FLAG_CLIPPED", "FLAG_EXCLUDED_ZERO_ROOT", "FLAG_DOMAIN", "FLAG_DEGENERATE",
-    "BLOCK_POINTS", "row_blocks", "default_max_radius", "surface_extent",
+    "BLOCK_POINTS", "row_blocks", "fill_rows", "default_max_radius", "surface_extent",
     "masked_points_text",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
@@ -86,9 +86,9 @@ _DISC_DOUBLE_RTOL = 2e-13       # |disc| below this times scale collapses to a d
 # 1/rho shift or a wrong q moves S or P by O(1) of these magnitudes.
 _CROSSCHECK_RTOL = 1e-12
 
-# grid points per block of whole rows in the pointwise stages: bounds the
-# working set of every command to one block of temporaries, whose peak is
-# ~390 B/point (~13 MB) in the closed form's _sheet_block
+# grid points per row block of fill_rows, which runs the pointwise stages of
+# every command: bounds their working set to one block of temporaries, whose
+# peak is ~390 B/point (~13 MB) in the closed form's _sheet_block
 BLOCK_POINTS = 32768
 
 
@@ -142,7 +142,10 @@ def incident_direction(field: IncidentField, r, outside=False):
     if isinstance(field, FlatFront):
         return tuple(field.direction), None, False
     d = tuple(ri - oi for ri, oi in zip(r, field.origin))
-    dist = np.where(outside, 1.0, norm(d))
+    # the norm of d scaled by a power of two per point: the scaling is exact
+    # and keeps the squares from overflowing, as in FlatFront
+    e = np.frexp(np.maximum(np.maximum(np.abs(d[0]), np.abs(d[1])), np.abs(d[2])))[1]
+    dist = np.where(outside, 1.0, np.ldexp(norm(tuple(np.ldexp(di, -e) for di in d)), e))
     at_source = dist <= SOURCE_MIN_DISTANCE
     dist = np.where(at_source, 1.0, dist)
     return tuple(di / dist for di in d), dist, at_source
@@ -422,15 +425,6 @@ class GridSpec:
         """Full (nu, nv) arrays of u and v."""
         return np.meshgrid(*self.axes(), indexing="ij")
 
-    def block(self, rows: slice = slice(None)):
-        """The u column (rows, 1) and v row (1, nv) of a block of grid rows.
-
-        They broadcast to the block's mesh, so a surface evaluated on them
-        computes each term in u alone or v alone once per grid line.
-        """
-        us, vs = self.axes()
-        return us[rows, None], vs[None, :]
-
 
 def default_max_radius(surface_diameter: float) -> float:
     """The default caustic radius cap: 10 surface diameters, positive even at 0."""
@@ -472,6 +466,31 @@ def row_blocks(nu: int, nv: int) -> list:
     """Slices of whole grid rows that hold at most BLOCK_POINTS points (one row at least)."""
     rows = max(1, BLOCK_POINTS // nv)
     return [slice(start, min(start + rows, nu)) for start in range(0, nu, rows)]
+
+
+def fill_rows(grid: GridSpec, block) -> tuple:
+    """Whole-grid arrays of the tuple block(U, V, rows) returns on each row block.
+
+    The one loop over row_blocks.  U is the u column (rows, 1) and V the v
+    row (1, nv), which a surface evaluates once per grid line.  A result
+    that broadcasts to (rows, nv) plus a shape fills an (nu, nv) plus that
+    shape array of its dtype; an (x, y, z) plane tuple fills (nu, nv, 3).
+    """
+    us, vs = grid.axes()
+    out = ()
+    for rows in row_blocks(grid.nu, grid.nv):
+        results = block(us[rows, None], vs[None, :], rows)
+        out = out or tuple(np.empty((grid.nu, grid.nv, 3)) if isinstance(x, tuple) else
+                           np.empty((grid.nu, grid.nv) + np.shape(x)[2:], np.asarray(x).dtype)
+                           for x in results)
+        for whole, x in zip(out, results):
+            if isinstance(x, tuple):
+                for i in range(3):
+                    whole[rows, :, i] = x[i]
+            else:
+                whole[rows] = x
+        del results, x  # a block's results die before the next block runs
+    return out
 
 
 @dataclass
@@ -658,7 +677,7 @@ def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: flo
     point source (|r - O| reads 1 there), FLAG_DEGENERATE where the chart is
     singular, and FLAG_GRAZING where |cos theta| <= eps_grazing.  Vectors
     are (x, y, z) planes, and every result keeps the shape of what it
-    depends on: broadcast it before writing it.
+    depends on: fill_rows broadcasts it to the grid when it writes it.
     """
     outside = False
     try:
@@ -707,26 +726,14 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     of the surface diameter and inf is no cap; the statistics record it.
     The flat-front result is independent of any front offset by construction
     (no travel parameter enters the computation).  The pointwise stages run
-    over blocks of whole grid rows (see row_blocks): the roots, and after
-    they are ordered and the cap is resolved, the placement of each sheet;
-    no whole-grid temporary is made.  The result does not depend on the
-    block size.
+    in fill_rows: the roots, then, once they are ordered and the cap is
+    resolved, each sheet's placement.  No whole-grid temporary is made, and
+    the result does not depend on the block size.
     """
     if max_radius is not None and not max_radius > 0.0:
         raise ValueError("max_radius must be positive")
-    us, vs = grid.axes()
-    shape = (grid.nu, grid.nv)
-    r = np.empty(shape + (3,))
-    b = np.empty(shape + (3,))
-    base_flags = np.empty(shape, dtype=np.uint8)
-    k_a = np.empty(shape)
-    k_b = np.empty(shape)
-    for rows in row_blocks(grid.nu, grid.nv):
-        r_rows, b_rows, base_flags[rows], k_a[rows], k_b[rows] = _sheet_block(
-            surface, field, *grid.block(rows), eps_grazing)
-        for i in range(3):
-            r[rows, :, i] = r_rows[i]
-            b[rows, :, i] = b_rows[i]
+    r, b, base_flags, k_a, k_b = fill_rows(
+        grid, lambda U, V, rows: _sheet_block(surface, field, U, V, eps_grazing))
 
     surf_min, surf_max, diameter = surface_extent(r, base_flags)
     max_radius = default_max_radius(diameter) if max_radius is None else float(max_radius)
@@ -734,12 +741,9 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     del k_a, k_b  # the placement below is the peak of the working set
     sheets = []
     for sheet_id, k in ((1, k1), (2, k2)):
-        xi = np.empty(shape + (3,))
-        flags = np.empty(shape, dtype=np.uint8)
-        for rows in row_blocks(grid.nu, grid.nv):
-            xi[rows], flags[rows] = caustic_point(r[rows], b[rows], k[rows], field, eps_inf,
-                                                  base_flags[rows], max_radius)
-        sheets.append(CausticSheet(us, vs, xi, flags, sheet_id, k))
+        xi, flags = fill_rows(grid, lambda U, V, rows: caustic_point(
+            r[rows], b[rows], k[rows], field, eps_inf, base_flags[rows], max_radius))
+        sheets.append(CausticSheet(*grid.axes(), xi, flags, sheet_id, k))
     stats = FrontStatistics(
         grid=grid, surface=surface, field=field, eps_grazing=eps_grazing,
         n_grazing=int(np.count_nonzero(base_flags & FLAG_GRAZING)),

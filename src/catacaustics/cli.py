@@ -40,8 +40,8 @@ import numpy as np
 from .caustics import (EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT, FLAG_CLIPPED,
                        FLAG_VALID, FlatFront, GridSpec,
                        InternalConsistencyError, MaskedGrid, PointSource,
-                       _ray_block, compute_caustic_sheets, masked_points_text,
-                       reflected_front_point, row_blocks)
+                       _ray_block, compute_caustic_sheets, fill_rows,
+                       masked_points_text, reflected_front_point)
 from .meshio import FORMATS, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
 from .surfacelang import SurfaceLangError, parse_surface_definition
@@ -237,25 +237,22 @@ def cmd_validate(scene: argparse.Namespace) -> int:
 def cmd_front(scene: argparse.Namespace) -> int:
     """Export the reflected front rho(u, v; L) at the total travel L = scene.travel.
 
-    The ray stage runs over blocks of grid rows (see row_blocks), which fill
-    the whole-grid points and flags the writer takes; the mesh does not
-    depend on the block size.
+    The ray stage runs through fill_rows, which fills the whole-grid points
+    (as planes) and flags the writer takes; the mesh does not depend on the
+    block size.
     """
     ast, grid = _resolve(scene)
-    shape = (grid.nu, grid.nv)
-    points = np.empty(shape + (3,))
-    flags = np.empty(shape, dtype=np.uint8)
-    for rows in row_blocks(grid.nu, grid.nv):
-        frame, refl, ray_flags = _ray_block(ast, scene.field, *grid.block(rows),
-                                            scene.eps_grazing, order=1)
+
+    def front_rows(U, V, rows):
+        frame, refl, flags = _ray_block(ast, scene.field, U, V, scene.eps_grazing, order=1)
         front = reflected_front_point(frame.r, refl.a, refl.b, scene.travel, refl.r_dist)
         # the front has not reached points with lambda < 0; mask them like a clip
-        ray_flags = ray_flags | np.where(~front.arrived & (ray_flags == 0),
-                                         np.uint8(FLAG_CLIPPED), np.uint8(0))
-        valid = ray_flags == 0
-        flags[rows] = np.where(valid, np.uint8(FLAG_VALID), ray_flags)
-        for i in range(3):
-            points[rows, :, i] = np.where(valid, front.rho[i], np.nan)
+        flags = flags | np.where(~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
+        valid = flags == 0
+        return (tuple(np.where(valid, x, np.nan) for x in front.rho),
+                np.where(valid, np.uint8(FLAG_VALID), flags))
+
+    points, flags = fill_rows(grid, front_rows)
     sys.stdout.write(masked_points_text(flags, ast, grid, order=1))
 
     mesh = MaskedGrid(*grid.axes(), points, flags)

@@ -13,7 +13,7 @@ the fundamental-form machinery is touched, which makes this an independent
 check of the curvature route.
 
 validate_sheets is the entry point: it takes what compute_caustic_sheets
-returns and, in one pass over blocks of grid rows, runs the oracle and keeps
+returns and, in one pass of caustics.fill_rows, runs the oracle and keeps
 each point's error against the closed-form sheets; only the errors and their
 mask are whole-grid arrays, and a block differences each +- stencil pair as
 soon as both of its rays exist.  It reads its scene from the closed form's
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caustics import (FLAG_AT_SOURCE, FLAG_DOMAIN, FLAG_VALID, _ray_block,
-                       caustic_radius, row_blocks)
+                       caustic_radius, fill_rows)
 from .diffgeo import cross, dot
 
 __all__ = ["ValidationReport", "validate_sheets"]
@@ -217,31 +217,31 @@ def validate_sheets(closed_form, h: float = FD_STEP_DEFAULT,
 
     closed_form is the (sheet1, sheet2, statistics) triple of
     compute_caustic_sheets; the oracle reads its scene (surface, field,
-    grid, eps_grazing and max_radius) from the statistics.  One pass over
-    the row blocks compares the two; the error at a point is the distance
-    between the closed-form caustic point and r + lambda_oracle * b after
-    pairing the roots by least total difference.  Points whose caustic lies
-    beyond the radius cap the sheets were clipped to are excluded on both
-    sides: far focal points amplify any derivative noise linearly with
-    distance and carry no geometric information here.
+    grid, eps_grazing and max_radius) from the statistics.  One pass of
+    fill_rows compares the two and counts the flag mismatches; the error at
+    a point is the distance between the closed-form caustic point and
+    r + lambda_oracle * b after pairing the roots by least total difference.
+    Points whose caustic lies beyond the radius cap the sheets were clipped
+    to are excluded on both sides: far focal points amplify any derivative
+    noise linearly with distance and carry no geometric information here.
     """
-    sheet1, sheet2, stats = closed_form
+    *sheets, stats = closed_form
     grid = stats.grid
-
-    # per-point errors into sheet-major arrays, so that err[both] lists the
-    # compared points in the same order whatever the block size
-    shape = (2, grid.nu, grid.nv)
-    err = np.empty(shape)
-    both = np.empty(shape, dtype=bool)
     disagree = 0
-    for rows in row_blocks(grid.nu, grid.nv):
-        coeffs, r0, b0, ok, charted = _focal_quadratic(
-            stats.surface, stats.field, *grid.block(rows), h, stats.eps_grazing)
+
+    def block_errors(U, V, rows):
+        nonlocal disagree
+        coeffs, r0, b0, ok, charted = _focal_quadratic(stats.surface, stats.field, U, V, h,
+                                                       stats.eps_grazing)
         lam = np.stack(_roots_of_focal_quadratic(*coeffs))
-        err[:, rows], both[:, rows], n = _point_errors(
-            (sheet1, sheet2), rows, r0, b0, ok, charted, lam, stats.max_radius)
+        err, both, n = _point_errors(sheets, rows, r0, b0, ok, charted, lam, stats.max_radius)
         disagree += n
-    errors = err[both]
+        return np.moveaxis(err, 0, -1), np.moveaxis(both, 0, -1)
+
+    err, both = fill_rows(grid, block_errors)
+    # err[both] taken sheet-major lists the compared points one sheet after the
+    # other, whatever the block size; the mean sums them in that order
+    errors = np.moveaxis(err, -1, 0)[np.moveaxis(both, -1, 0)]
 
     n_compared = int(errors.size)
     if n_compared:

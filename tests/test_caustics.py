@@ -29,9 +29,10 @@ from catacaustics.caustics import (_CROSSCHECK_RTOL, EPS_GRAZING_DEFAULT,
                                    InternalConsistencyError, _column_extrema,
                                    _order_roots_by_continuity,
                                    _stable_quadratic_roots, caustic_radius,
-                                   default_max_radius, masked_points_text,
-                                   row_blocks)
+                                   default_max_radius, fill_rows,
+                                   masked_points_text, row_blocks)
 from catacaustics.diffgeo import dot
+from catacaustics.oracle import validate_sheets
 from catacaustics.surfaces import BUILTINS
 from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
                       normal_curvature, random_field, random_graph_surface,
@@ -104,6 +105,17 @@ class TestIncidentDirection:
         assert r_dist.tolist() == [1.0, np.sqrt(14.0), 1.0]
         assert [ai[0] for ai in a] == [0.0, 0.0, 0.0]
         assert incident_direction(AXIAL, r)[2] is False
+
+    def test_far_source_distance_does_not_overflow(self):
+        # |r - O|^2 overflows beyond ~1.34e154; the norm scales r - O first
+        big = 2.0 ** 600
+        r = (np.array([3.0 * big, 3.0]), np.array([4.0 * big, 4.0]), np.array([0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            a, r_dist, at_source = incident_direction(PointSource((0, 0, 0)), r)
+        assert r_dist.tolist() == [5.0 * big, 5.0]
+        assert not np.any(at_source)
+        assert [ai.tolist() for ai in a] == [[0.6, 0.6], [0.8, 0.8], [0.0, 0.0]]
 
 
 class TestReflectDirection:
@@ -359,6 +371,24 @@ class TestComputeCausticSheets:
             assert not np.any(s.valid & ((s.flags & FLAG_EXCLUDED_ZERO_ROOT) != 0))
 
 
+def test_far_source_is_the_flat_front():
+    # a source at 1e300 once overflowed |r - O|, which marked every point
+    # grazing; its rays are the flat front's to the last bit
+    ast, dom = build_surface("sphere")
+    grid = GridSpec(12, 12, dom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        *far, far_stats = compute_caustic_sheets(ast, PointSource((1e300, 0.0, 0.0)), grid)
+        *flat, flat_stats = compute_caustic_sheets(ast, FlatFront((-1.0, 0.0, 0.0)), grid)
+    assert far_stats.n_grazing == 0
+    assert far_stats.to_text() == flat_stats.to_text()
+    for g, w in zip(far, flat):
+        assert np.array_equal(g.flags, w.flags)
+        assert np.array_equal(g.k_star, w.k_star, equal_nan=True)
+        assert np.array_equal(g.points, w.points, equal_nan=True)
+    assert validate_sheets((*far, far_stats)).passed
+
+
 class TestRootIdentities:
     def test_flat_front_sum_and_product(self):
         rng = np.random.default_rng(31)
@@ -440,6 +470,21 @@ def test_order_roots_matches_reference_loop(grid):
         assert np.array_equal(g, w, equal_nan=True)
 
 
+def _fill_every_kind(grid):
+    """fill_rows of a result of each kind it takes, and how often each row ran."""
+    runs = np.zeros(grid.nu, dtype=int)
+
+    def block(U, V, rows):
+        runs[rows] += 1
+        return (np.uint8(5),                                # ()
+                U * 2.0,                                    # (rows, 1)
+                V > 0.5,                                    # (1, nv)
+                np.stack(np.broadcast_arrays(U, V), -1),    # (rows, nv, 2)
+                (0.25, U - V, -1.0))                        # planes, two of them scalars
+
+    return fill_rows(grid, block), runs
+
+
 def test_row_blocks_cover_every_row_once():
     for nu, nv in [(1, 5), (23, 17), (7, 1), (10, 3)]:
         for size in block_sizes(nv) + [HUGE_BLOCK]:
@@ -448,6 +493,23 @@ def test_row_blocks_cover_every_row_once():
             rows = [i for block in blocks for i in range(nu)[block]]
             assert rows == list(range(nu))
             assert all((b.stop - b.start) * nv <= max(size, nv) for b in blocks)
+    # fill_rows runs each row once and fills what one block would
+    for nu, nv in [(23, 17), (10, 3), (2, 2)]:
+        grid = GridSpec(nu, nv, (0.0, 1.0, 0.0, 1.0))
+        U, V = grid.mesh()
+        with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
+            want, _ = _fill_every_kind(grid)
+        assert [x.shape for x in want] == [(nu, nv)] * 3 + [(nu, nv, 2), (nu, nv, 3)]
+        assert [x.dtype for x in want] == [np.uint8, float, bool, float, float]
+        for g, w in zip(want, (5, 2.0 * U, V > 0.5, np.stack([U, V], -1),
+                               np.stack(np.broadcast_arrays(0.25, U - V, -1.0), -1))):
+            assert np.array_equal(g, np.broadcast_to(w, g.shape))
+        for size in block_sizes(nv):
+            with mock.patch.object(caustics, "BLOCK_POINTS", size):
+                got, runs = _fill_every_kind(grid)
+            assert np.all(runs == 1)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("name, field, shape", BLOCK_SCENES)
@@ -555,7 +617,8 @@ def test_block_evaluation_is_bitwise_the_mesh_evaluation(name, seed, nu, nv, shi
     rows = slice(start, data.draw(st.integers(start + 1, nu)))
     du, dv = shift
     U, V = grid.mesh()
-    u, v = grid.block(rows)
+    us, vs = grid.axes()
+    u, v = us[rows, None], vs[None, :]
     assert u.shape == (rows.stop - rows.start, 1) and v.shape == (1, nv)
     want = _slot_bits(eval_surface(ast, U[rows] + du, V[rows] + dv), U[rows].shape)
     got = _slot_bits(eval_surface(ast, u + du, v + dv), U[rows].shape)
@@ -564,13 +627,14 @@ def test_block_evaluation_is_bitwise_the_mesh_evaluation(name, seed, nu, nv, shi
 
 
 def test_compute_working_set_is_bounded():
-    # the sheets are placed per row block, ~209 B per point here; placing
-    # them over the whole grid at once read ~267
+    # the sheets are placed per row block, ~194 B per point here; a block's
+    # results kept alive while the next block runs read ~209, and placing
+    # the sheets over the whole grid at once ~267
     ast, dom = build_surface("revolution")
     grid = GridSpec(300, 300, dom)
     per_point, _ = traced_peak_per_point(
         lambda: compute_caustic_sheets(ast, AXIAL, grid), grid.nu * grid.nv)
-    assert per_point <= 250, f"{per_point:.0f} B per grid point"
+    assert per_point <= 200, f"{per_point:.0f} B per grid point"
 
 
 # -- the cross-check of the roots against the trace and determinant of W* ----

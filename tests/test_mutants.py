@@ -18,11 +18,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from catacaustics import FlatFront, GridSpec, build_surface, caustics, cli
+from catacaustics import FlatFront, GridSpec, build_surface, caustics, cli, oracle
 from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
                                    FLAG_EXCLUDED_ZERO_ROOT)
+from conftest import BLOCK_SCENES, HUGE_BLOCK, scene_surface
 from test_cli import STEEP_PLANE, VALIDATE_STDOUT_SHA256
 from test_meshio import GOLDEN_SHA256
+from test_oracle import MEAN_ERROR_HEX, mean_error_hex
 
 REFERENCE_JSON = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
 
@@ -87,8 +89,31 @@ def steep_plane_is_empty(out_dir):
     return code == 2 and "no caustic" in out.getvalue()
 
 
+def ragged_blocks(out_dir):
+    """compute on a BLOCK_SCENES scene whose last row block is ragged, against one block."""
+    name, field, (nu, nv) = BLOCK_SCENES[0]
+    ast, dom = scene_surface(name)
+    grid = GridSpec(nu, nv, dom)
+    assert nu % 7
+    runs = []
+    for size in (7 * nv, HUGE_BLOCK):
+        with mock.patch.object(caustics, "BLOCK_POINTS", size):
+            runs.append(caustics.compute_caustic_sheets(ast, field, grid))
+    (*got, got_stats), (*want, want_stats) = runs
+    return got_stats.to_text() == want_stats.to_text() and all(
+        np.array_equal(g.k_star, w.k_star, equal_nan=True)
+        and np.array_equal(g.points, w.points, equal_nan=True)
+        and np.array_equal(g.flags, w.flags) for g, w in zip(got, want))
+
+
+def mean_error_bits(out_dir):
+    """validate's mean_error to the bit on the MEAN_ERROR_HEX scenes."""
+    return all(mean_error_hex(scene) == MEAN_ERROR_HEX[scene][2] for scene in MEAN_ERROR_HEX)
+
+
 CHECKS = {f.__name__: f for f in (golden_ellipsoid_capped, torus_capped_report, reason_bits,
-                                  reference_scene, steep_plane_is_empty)}
+                                  reference_scene, steep_plane_is_empty, ragged_blocks,
+                                  mean_error_bits)}
 
 
 def _placement(after):
@@ -123,17 +148,38 @@ def _doubled_diameter():
     return mock.patch.object(caustics, "default_max_radius", lambda d: cap(2.0 * d))
 
 
-def _absolute_floor_restored():
-    # the discriminant's scale floored at 1, which makes the double-root clamp
-    # absolute in 1/length^2: the function's source, mutated and recompiled
-    source = textwrap.dedent(inspect.getsource(caustics._stable_quadratic_roots))
-    mutated = source.replace("np.maximum(pp, np.abs(q))",
-                             "np.maximum(1.0, np.maximum(pp, np.abs(q)))")
+def _recompiled(module, name, old, new):
+    """module's function name with old replaced by new in its source, recompiled."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    mutated = source.replace(old, new)
     assert mutated != source
     namespace = {}
-    exec(mutated, vars(caustics), namespace)
-    return mock.patch.object(caustics, "_stable_quadratic_roots",
-                             namespace["_stable_quadratic_roots"])
+    exec(mutated, vars(module), namespace)
+    return mock.patch.object(module, name, namespace[name])
+
+
+def _absolute_floor_restored():
+    # the discriminant's scale floored at 1, which makes the double-root clamp
+    # absolute in 1/length^2
+    return _recompiled(caustics, "_stable_quadratic_roots", "np.maximum(pp, np.abs(q))",
+                       "np.maximum(1.0, np.maximum(pp, np.abs(q)))")
+
+
+def _ragged_block_skipped():
+    # fill_rows leaves the rows of a shorter last block as np.empty made them
+    blocks = caustics.row_blocks
+
+    def skip_ragged(nu, nv):
+        rows = blocks(nu, nv)
+        sizes = [len(range(nu)[r]) for r in rows]
+        return rows[:-1] if sizes[-1] < sizes[0] else rows
+    return mock.patch.object(caustics, "row_blocks", skip_ragged)
+
+
+def _errors_taken_point_major():
+    # the compared errors listed point by point, both sheets of a point together
+    return _recompiled(oracle, "validate_sheets",
+                       "np.moveaxis(err, -1, 0)[np.moveaxis(both, -1, 0)]", "err[both]")
 
 
 # the reference scene, at 0.4 s the dearest check, also fails the first and
@@ -147,6 +193,8 @@ MUTANTS = {
     "zero-root-bit-dropped": (_zero_root_bit_dropped, ("reason_bits",)),
     "doubled-diameter-behind-the-default-cap": (_doubled_diameter, ("reference_scene",)),
     "absolute-floor-restored": (_absolute_floor_restored, ("steep_plane_is_empty",)),
+    "ragged-block-skipped": (_ragged_block_skipped, ("ragged_blocks",)),
+    "errors-taken-point-major": (_errors_taken_point_major, ("mean_error_bits",)),
 }
 
 
