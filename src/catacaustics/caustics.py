@@ -87,8 +87,9 @@ _DISC_DOUBLE_RTOL = 2e-13       # |disc| below this times scale collapses to a d
 _CROSSCHECK_RTOL = 1e-12
 
 # grid points per row block of fill_rows, which runs the pointwise stages of
-# every command: bounds their working set to one block of temporaries, whose
-# peak is ~390 B/point (~13 MB) in the closed form's _sheet_block
+# every command, and of the mesh writers: bounds their working set to one
+# block of temporaries, whose peak is ~390 B/point (~13 MB) in the closed
+# form's _sheet_block
 BLOCK_POINTS = 32768
 
 
@@ -464,7 +465,7 @@ def masked_points_text(flags, surface: SurfaceAST, grid: GridSpec, order: int = 
 
 def row_blocks(nu: int, nv: int) -> list:
     """Slices of whole grid rows that hold at most BLOCK_POINTS points (one row at least)."""
-    rows = max(1, BLOCK_POINTS // nv)
+    rows = max(1, BLOCK_POINTS // max(nv, 1))
     return [slice(start, min(start + rows, nu)) for start in range(0, nu, rows)]
 
 

@@ -259,6 +259,10 @@ def cmd_front(scene: argparse.Namespace) -> int:
     path = f"{scene.out}-front.{scene.format}"
     export_mesh(mesh, scene.format, path)
     print(f"wrote {path}")
+    # a point the ray stage lit is VALID, or CLIPPED where the front has not reached it
+    if not np.any(flags & (FLAG_VALID | FLAG_CLIPPED)):
+        print("no front: every grid point is masked (grazing or a point defect)")
+        return EXIT_EMPTY
     if not np.any(flags & FLAG_VALID):
         print(f"front not arrived: L = {scene.travel} is below the travel to every lit grid point")
         return EXIT_EMPTY

@@ -98,7 +98,7 @@ def flat_stand_in(jet: Jet2Vec3, mask) -> Jet2Vec3:
     computes finite numbers.
     """
     return Jet2Vec3(*(Jet2.of([np.where(mask, p, x) for p, x in zip(plane, c.slots())])
-                      for plane, c in zip(_PLANE_SLOTS, jet.components())), shape=jet.shape)
+                      for plane, c in zip(_PLANE_SLOTS, jet.components())))
 
 
 def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:

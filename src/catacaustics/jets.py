@@ -230,14 +230,12 @@ class Jet2Vec3:
     """A point of 3-space with exact first and second (u, v) partials.
 
     The accessors return the component jets' slots as (x, y, z) planes, not
-    copies; shape is that of the (u, v) points the jet was evaluated at.  A
-    component of first order has None for its second partials.
+    copies.  A component of first order has None for its second partials.
     """
 
     x: Jet2
     y: Jet2
     z: Jet2
-    shape: tuple = ()
 
     def value(self) -> tuple:
         return (self.x.f, self.y.f, self.z.f)

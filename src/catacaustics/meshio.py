@@ -7,20 +7,24 @@ and platform.  Tests pin the SHA-256 of reference scenes.  Invalid vertices
 are dropped (together with their incident faces) instead of emitting NaN,
 which many mesh viewers reject.
 
-The writers build blocks of CHUNK_ROWS lines with numpy and write each block
-to the file as soon as it is built; no Python statement runs per vertex or
-face, and no whole-file string is built.  A block is a (width, lines) stack
-of byte planes, one row per byte position: literals are constant rows, and
-each number field is its rows of ASCII digits.  A %.9f field is the exactly
-rounded integer x * 10**9 (an error-free product settles the products that
-land on a half-integer, so it rounds as the decimal conversion does); its
-digits come from a table of 0..999.  The sign of a non-negative value and
-leading zeros are NUL bytes, and one bytes.translate per block deletes them,
-so fields take their natural width.  A %d field (face index, CSV flags) takes
-the same digit path.  Values formatted together (the coordinates of a block,
-or a CSV axis) that include a non-finite value, or one beyond
-|x| = 2**51 / 10**9, are printed by the "%" operator instead; that is the
-only route for such values.
+The writers go over the grid one row block (caustics.row_blocks) at a time:
+they build the lines of a block with numpy and write them to the file as soon
+as they are built; no Python statement runs per vertex or face, and no
+whole-file string is built.  OBJ and PLY write the valid vertices of each
+block of grid rows, then the faces of each block of cell rows, whose indices
+come from the flags alone; the PLY header counts both from the flags.
+
+The lines of a block are a (width, lines) stack of byte planes, one row per
+byte position: literals are constant rows, and each number field is its rows
+of ASCII digits.  A %.9f field is the exactly rounded integer x * 10**9 (an
+error-free product settles the products that land on a half-integer, so it
+rounds as the decimal conversion does); its digits come from a table of
+0..999.  The sign of a non-negative value and leading zeros are NUL bytes, and
+one bytes.translate per block deletes them, so fields take their natural
+width.  A %d field (face index, CSV flags) takes the same digit path.  Values
+formatted together (the coordinates of a block, or a CSV axis) that include a
+non-finite value, or one beyond |x| = 2**51 / 10**9, are printed by the "%"
+operator instead; that is the only route for such values.
 """
 
 from __future__ import annotations
@@ -29,12 +33,9 @@ import os
 
 import numpy as np
 
-from .caustics import MaskedGrid
+from .caustics import MaskedGrid, row_blocks
 
 __all__ = ["export_mesh", "write_ascii", "FORMATS"]
-
-CHUNK_ROWS = 32768      # lines built as one block and written at once
-
 
 # ASCII digits of 0..999: rows hundreds, tens, units; one column per value
 _DIGITS = np.array([list(f"{k:03d}".encode()) for k in range(1000)], np.uint8).T.copy()
@@ -137,75 +138,68 @@ def _lines(n: int, fields) -> bytes:
     return out.T.tobytes().translate(None, b"\0")
 
 
-def _table_lines(prefix: bytes, table, planes):
-    """Yield prefix and the columns of table as planes formats them, joined by
-    spaces, one line per row and CHUNK_ROWS lines at a time."""
-    for start in range(0, len(table), CHUNK_ROWS):
-        block = table[start:start + CHUNK_ROWS]
-        n = len(block)
-        cells = planes(block.T.ravel())     # one column after the other
-        fields = [prefix]
-        for k in range(block.shape[1]):
-            fields += [cells[:, k * n:(k + 1) * n], b" "]
-        fields[-1] = b"\n"
-        yield _lines(n, fields)
+def _table(prefix: bytes, cells, columns: int) -> bytes:
+    """Lines of prefix and `columns` fields joined by spaces; cells holds the
+    byte planes of the fields, one column after the other."""
+    n = cells.shape[1] // columns
+    fields = [prefix]
+    for k in range(columns):
+        fields += [cells[:, k * n:(k + 1) * n], b" "]
+    fields[-1] = b"\n"
+    return _lines(n, fields)
 
 
-def _vertex_index_map(grid: MaskedGrid):
-    """Row-major 0-based indices over valid vertices; -1 elsewhere."""
+def _mesh_chunks(grid: MaskedGrid, ply: bool):
+    """OBJ or PLY: the valid vertices, then a quad per cell with four valid corners.
+
+    Both are written one row block of the grid at a time, in row-major
+    order.  A vertex's index is the format's base (1 for OBJ, 0 for PLY) plus
+    the count of valid vertices before it: a per-row offset, the count in the
+    rows above, plus the count before it in its own row.
+    """
     valid = grid.valid
-    idx = np.full(valid.shape, -1, dtype=int)
-    idx[valid] = np.arange(int(np.count_nonzero(valid)))
-    return idx, valid
-
-
-def _quad_faces(idx, valid) -> np.ndarray:
-    """(n, 4) corner indices of the cells whose four corners are valid, row-major."""
     quad = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
-    return np.stack([idx[:-1, :-1][quad], idx[1:, :-1][quad],
-                     idx[1:, 1:][quad], idx[:-1, 1:][quad]], axis=-1)
-
-
-def _obj_chunks(grid: MaskedGrid):
-    idx, valid = _vertex_index_map(grid)
-    yield from _table_lines(b"v ", grid.points[valid], _fixed9)
-    yield from _table_lines(b"f ", _quad_faces(idx, valid) + 1, _integers)
+    counts = np.count_nonzero(valid, axis=1)
+    if ply:
+        yield ("ply\n"
+               "format ascii 1.0\n"
+               f"element vertex {int(counts.sum())}\n"
+               "property float x\n"
+               "property float y\n"
+               "property float z\n"
+               f"element face {int(np.count_nonzero(quad))}\n"
+               "property list uchar int vertex_indices\n"
+               "end_header\n").encode("ascii")
+    base, vertex, face = (0, b"", b"4 ") if ply else (1, b"v ", b"f ")
+    nu, nv = valid.shape
+    for rows in row_blocks(nu, nv):
+        yield _table(vertex, _fixed9(grid.points[rows][valid[rows]].T.ravel()), 3)
+    # one less than the index of each row's first valid vertex
+    offset = np.cumsum(counts) - counts + (base - 1)
+    for rows in row_blocks(nu - 1, nv):
+        corners = slice(rows.start, rows.stop + 1)
+        idx = offset[corners, None] + np.cumsum(valid[corners], axis=1)
+        q = quad[rows]
+        yield _table(face, _integers(np.concatenate([
+            idx[:-1, :-1][q], idx[1:, :-1][q], idx[1:, 1:][q], idx[:-1, 1:][q]])), 4)
 
 
 def _csv_chunks(grid: MaskedGrid):
     yield b"u,v,x,y,z,flags\n"
     nu, nv = grid.flags.shape
     u, v = _fixed9(grid.u), _fixed9(grid.v)
-    step = max(1, CHUNK_ROWS // max(nv, 1))
-    for start in range(0, nu, step):
-        rows = slice(start, start + step)
-        valid = grid.valid[rows].ravel()
-        n = len(valid)
-        xyz = _fixed9(grid.points[rows].reshape(n, 3).T.ravel(), np.tile(valid, 3))
+    valid = grid.valid
+    for rows in row_blocks(nu, nv):
+        block = valid[rows].ravel()
+        n = len(block)
+        xyz = _fixed9(grid.points[rows].reshape(n, 3).T.ravel(), np.tile(block, 3))
         yield _lines(n, [
-            np.repeat(u[:, rows], nv, axis=1), b",", np.tile(v, (1, min(step, nu - start))), b",",
-            xyz[:, :n], b",", xyz[:, n:2 * n], b",", xyz[:, 2 * n:], b",",
+            np.repeat(u[:, rows], nv, axis=1), b",", np.tile(v, (1, rows.stop - rows.start)),
+            b",", xyz[:, :n], b",", xyz[:, n:2 * n], b",", xyz[:, 2 * n:], b",",
             _integers(grid.flags[rows].ravel()), b"\n"])
 
 
-def _ply_chunks(grid: MaskedGrid):
-    idx, valid = _vertex_index_map(grid)
-    faces = _quad_faces(idx, valid)
-    yield ("ply\n"
-           "format ascii 1.0\n"
-           f"element vertex {int(np.count_nonzero(valid))}\n"
-           "property float x\n"
-           "property float y\n"
-           "property float z\n"
-           f"element face {len(faces)}\n"
-           "property list uchar int vertex_indices\n"
-           "end_header\n").encode("ascii")
-    yield from _table_lines(b"", grid.points[valid], _fixed9)
-    yield from _table_lines(b"4 ", faces, _integers)
-
-
-_WRITERS = {"obj": _obj_chunks, "csv": _csv_chunks, "ply": _ply_chunks}
-FORMATS = tuple(_WRITERS)
+FORMATS = ("obj", "csv", "ply")
 
 
 def write_ascii(path, chunks) -> int:
@@ -228,4 +222,5 @@ def export_mesh(grid: MaskedGrid, fmt: str, path) -> int:
     """Write the grid in the requested format; returns the byte count."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown mesh format {fmt!r} (choose from {', '.join(FORMATS)})")
-    return write_ascii(path, _WRITERS[fmt](grid))
+    return write_ascii(path, _csv_chunks(grid) if fmt == "csv" else
+                       _mesh_chunks(grid, ply=fmt == "ply"))

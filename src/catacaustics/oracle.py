@@ -51,8 +51,8 @@ _NO_VERDICT = FLAG_DOMAIN | FLAG_AT_SOURCE
 def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     """FD-assembled coefficients (c0, c1, c2) of det[d_u F, d_v F, b](lambda).
 
-    Returns (coeffs, r0, b0, ok, charted) with r0 and b0 the (..., 3) mirror
-    points and reflected directions at (U, V).  A point is ok where the
+    Returns (coeffs, r0, b0, ok, charted) with r0 and b0 the mirror points
+    and reflected directions at (U, V) as (x, y, z) planes.  A point is ok where the
     coefficients hold; charted where no stencil point leaves the chart or
     lies on the point source, so the oracle can decide the point (a charted
     point that is not ok has an unlit, singular or folded stencil).
@@ -93,7 +93,7 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     c0 = det3(ru, rv, b0)
     c1 = det3(bu, rv, b0) + det3(ru, bv, b0)
     c2 = det3(bu, bv, b0)
-    return (c0, c1, c2), np.stack(r0, axis=-1), np.stack(b0, axis=-1), ok, ~off
+    return (c0, c1, c2), r0, b0, ok, ~off
 
 
 def _roots_of_focal_quadratic(c0, c1, c2):
@@ -198,7 +198,7 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
 
         # xi_cf - (r0 + lambda b0) per sheet and coordinate plane
         diff = [np.where(both, np.stack([s.points[rows, :, c] for s in sheets])
-                         - (r0[..., c] + orc * b0[..., c]), 0.0) for c in range(3)]
+                         - (r0[c] + orc * b0[c]), 0.0) for c in range(3)]
         err = _norm_planes(diff)
     return err, both, disagree
 

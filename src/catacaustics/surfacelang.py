@@ -504,7 +504,7 @@ def eval_surface(ast: SurfaceAST, u, v, order: int = 2) -> Jet2Vec3:
             if not np.all(finite):
                 failed.append((tree, f"non-finite value in {label}-component", ~finite))
             out.append(j)
-    jet = Jet2Vec3(*out, shape=shape)
+    jet = Jet2Vec3(*out)
     if failed:
         outside = functools.reduce(np.logical_or, [bad for *_, bad in failed],
                                    np.zeros(shape, dtype=bool))

@@ -464,6 +464,24 @@ class TestFront:
         assert code == 2
         assert "front not arrived" in out
 
+    def test_front_with_every_point_grazing_is_masked_not_unarrived(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "front", "--surface", "sphere", "--flat", "1,0,0",
+                           "--eps-grazing", "2", "--grid", "5,5", "--travel", "5",
+                           "--out", str(tmp_path / "grazing"))
+        assert code == 2
+        assert "no front: every grid point is masked" in out
+        assert "front not arrived" not in out
+
+    def test_front_with_every_point_singular_is_masked_not_unarrived(self, tmp_path, capsys):
+        surface = tmp_path / "curve.surf"
+        surface.write_text("[u, u^2, u^3]\n")  # r_v = 0: a curve, singular everywhere
+        code, out, _ = run(capsys, "front", "--expr-file", str(surface), "--domain=0,1,0,1",
+                           "--grid", "5,8", "--travel", "2", "--out", str(tmp_path / "curve"))
+        assert code == 2
+        assert "masked: 40 point(s) singular" in out
+        assert "no front: every grid point is masked" in out
+        assert "front not arrived" not in out
+
     def test_front_reads_no_fundamental_forms(self, tmp_path, capsys, monkeypatch):
         def unread(frame):
             raise AssertionError("front computed the fundamental forms")
@@ -481,15 +499,16 @@ class TestFront:
         assert code == 1
 
     def test_front_working_set_is_bounded(self, tmp_path, capsys):
-        # the ray stage runs per row block: ~124 B per point here, the PLY
-        # writer's planes included; a block's rays kept alive while the next
-        # block runs read ~136, and one whole-grid ray stage ~286
+        # the ray stage and the PLY writer run per row block: ~56 B per point
+        # here, the whole-grid points and flags included; a writer that builds
+        # a whole-grid index map and face table reads ~124, and one whole-grid
+        # ray stage ~286
         per_point, code = traced_peak_per_point(
             lambda: main(["front", "--surface", "revolution", "--flat", "0,0,1",
                           "--grid", "500,500", "--format", "ply", "--travel", "2",
                           "--out", str(tmp_path / "front")]), 500 * 500)
         assert code == 0
-        assert per_point <= 130, f"{per_point:.0f} B per grid point"
+        assert per_point <= 65, f"{per_point:.0f} B per grid point"
 
 
 def _front_mesh(capsys, name, field, shape):

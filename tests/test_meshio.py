@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from catacaustics import (FlatFront, GridSpec, build_surface, cli,
+from catacaustics import (FlatFront, GridSpec, build_surface, caustics, cli,
                           compute_caustic_sheets, export_mesh, meshio)
 from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
                                    FLAG_GRAZING, FLAG_VALID, MaskedGrid)
+from conftest import traced_peak_per_point
 
 AXIAL = FlatFront((0.0, 0.0, 1.0))
 
@@ -219,6 +220,33 @@ class TestDeterminismAndErrors:
             MaskedGrid(np.zeros(3), np.zeros(2), np.zeros((2, 2, 3)),
                        np.full((2, 2), FLAG_VALID, dtype=np.uint8))
 
+    @pytest.mark.parametrize("nu, nv", [(3, 0), (0, 4), (0, 0)])
+    def test_grid_without_points_is_writable(self, tmp_path, nu, nv):
+        grid = MaskedGrid(np.linspace(0.0, 1.0, nu), np.linspace(0.0, 1.0, nv),
+                          np.zeros((nu, nv, 3)), np.zeros((nu, nv), dtype=np.uint8))
+        for fmt in meshio.FORMATS:
+            path = tmp_path / f"none.{fmt}"
+            assert export_mesh(grid, fmt, path) == path.stat().st_size
+            assert path.read_bytes() == reference_bytes(grid, fmt)
+        assert read(tmp_path / "none.obj") == ""
+        assert read(tmp_path / "none.csv") == "u,v,x,y,z,flags\n"
+        assert {"element vertex 0", "element face 0"} <= set(read(tmp_path / "none.ply").split("\n"))
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_writer_working_set_is_bounded(tmp_path, fmt):
+    # the writers hold the flags' masks (2 B per point) and one row block's
+    # lines, ~30 B per point here; a whole-grid vertex-index map, face table
+    # and gathered vertices read ~77 (OBJ) and ~98 (PLY)
+    n = 500
+    u, v = np.linspace(-1.0, 1.0, n), np.linspace(0.0, 6.2, n)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    points = np.stack([np.cos(V) * (2.0 + U), np.sin(V) * (2.0 + U), U * U], axis=-1)
+    grid = MaskedGrid(u, v, points, np.full((n, n), FLAG_VALID, dtype=np.uint8))
+    per_point, _ = traced_peak_per_point(
+        lambda: export_mesh(grid, fmt, tmp_path / f"torus.{fmt}"), n * n)
+    assert per_point <= 40, f"{per_point:.0f} B per grid point"
+
 
 # --------------------------------------------------------------------------
 # golden bytes: SHA-256 of every file the writers produce for fixed scenes
@@ -406,11 +434,11 @@ def masked_grids(draw):
     return MaskedGrid(u, v, points, flags)
 
 
-@given(masked_grids(), st.sampled_from([1, 2, 5, meshio.CHUNK_ROWS]))
+@given(masked_grids(), st.sampled_from([1, 2, 5, caustics.BLOCK_POINTS]))
 @settings(max_examples=200, deadline=None)
-def test_export_matches_reference_formatter(tmp_path_factory, grid, chunk_rows):
+def test_export_matches_reference_formatter(tmp_path_factory, grid, block_points):
     out = tmp_path_factory.mktemp("prop")
-    with mock.patch.object(meshio, "CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(caustics, "BLOCK_POINTS", block_points):
         for fmt in meshio.FORMATS:
             path = out / f"grid.{fmt}"
             n = export_mesh(grid, fmt, path)

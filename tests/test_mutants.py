@@ -1,9 +1,9 @@
 """Planted bugs and the checks that catch them.
 
-Each row of MUTANTS plants one bug in the closed-form pipeline and names the
-checks that must fail under it; the unmutated code passes every check.  A
-check passes when its scene runs and reproduces its pinned bytes; a crash
-under a mutant counts as a failure.
+Each row of MUTANTS plants one bug in the closed-form pipeline or its mesh
+writers and names the checks that must fail under it; the unmutated code
+passes every check.  A check passes when its scene runs and reproduces its
+pinned bytes; a crash under a mutant counts as a failure.
 """
 
 import contextlib
@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from catacaustics import FlatFront, GridSpec, build_surface, caustics, cli, oracle
+from catacaustics import FlatFront, GridSpec, build_surface, caustics, cli, meshio, oracle
 from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
                                    FLAG_EXCLUDED_ZERO_ROOT)
 from conftest import BLOCK_SCENES, HUGE_BLOCK, scene_surface
@@ -106,6 +106,18 @@ def ragged_blocks(out_dir):
         and np.array_equal(g.flags, w.flags) for g, w in zip(got, want))
 
 
+def golden_mesh_in_blocks(out_dir):
+    """The golden PLY sheets of the ellipsoid, written in row blocks of 7 grid rows."""
+    suffixes = ("-sheet1.ply", "-sheet2.ply")
+    with mock.patch.object(caustics, "BLOCK_POINTS", 7 * 40):
+        assert len(caustics.row_blocks(40, 40)) == 6
+        files = _outputs(["compute", "--surface", "ellipsoid", "--source", "0.2,0.1,0.1",
+                          "--grid", "40,40", "--format", "ply"], out_dir, "ellipsoid-ply",
+                         suffixes)
+    return files is not None and \
+        [_sha256(f) for f in files] == [GOLDEN_SHA256[f"ellipsoid-ply{s}"] for s in suffixes]
+
+
 def mean_error_bits(out_dir):
     """validate's mean_error to the bit on the MEAN_ERROR_HEX scenes."""
     return all(mean_error_hex(scene) == MEAN_ERROR_HEX[scene][2] for scene in MEAN_ERROR_HEX)
@@ -113,7 +125,7 @@ def mean_error_bits(out_dir):
 
 CHECKS = {f.__name__: f for f in (golden_ellipsoid_capped, torus_capped_report, reason_bits,
                                   reference_scene, steep_plane_is_empty, ragged_blocks,
-                                  mean_error_bits)}
+                                  mean_error_bits, golden_mesh_in_blocks)}
 
 
 def _placement(after):
@@ -182,6 +194,13 @@ def _errors_taken_point_major():
                        "np.moveaxis(err, -1, 0)[np.moveaxis(both, -1, 0)]", "err[both]")
 
 
+def _vertex_offset_per_block():
+    # the per-row vertex offsets taken from each block's first row, so face
+    # indices restart in every block of cell rows
+    return _recompiled(meshio, "_mesh_chunks", "offset[corners, None]",
+                       "(offset[corners] - offset[rows.start] + base - 1)[:, None]")
+
+
 # the reference scene, at 0.4 s the dearest check, also fails the first and
 # third rows; it is named only where no cheaper check fails
 MUTANTS = {
@@ -195,6 +214,7 @@ MUTANTS = {
     "absolute-floor-restored": (_absolute_floor_restored, ("steep_plane_is_empty",)),
     "ragged-block-skipped": (_ragged_block_skipped, ("ragged_blocks",)),
     "errors-taken-point-major": (_errors_taken_point_major, ("mean_error_bits",)),
+    "vertex-offset-per-block": (_vertex_offset_per_block, ("golden_mesh_in_blocks",)),
 }
 
 
