@@ -520,7 +520,10 @@ class MaskedGrid:
 
 @dataclass
 class CausticSheet(MaskedGrid):
-    """One caustic sheet sampled over a parameter grid; its points are the xi."""
+    """One caustic sheet sampled over a parameter grid; its points are the xi.
+
+    Sheet 1 holds the smaller k* at each point, sheet 2 the larger.
+    """
 
     sheet_id: int
     k_star: np.ndarray       # (nu, nv)
@@ -632,39 +635,6 @@ def _sheet_statistics(sheet: CausticSheet) -> SheetStatistics:
                            bb_min, bb_max, diameter, extents)
 
 
-def _order_roots_by_continuity(k_a, k_b, usable):
-    """Assign the unordered root pairs to two sheets.
-
-    Per grid row, roots are matched to the previous point's assignment by
-    nearest value; each row starts from an ascending pair.  This prevents
-    sheet-swapping artifacts where the root curves cross.  All rows advance
-    together, one column at a time; a tie keeps the ascending pair and a NaN
-    distance (inf - inf) swaps it.
-    """
-    nu, nv = k_a.shape
-    s1 = np.full_like(k_a, np.nan)
-    s2 = np.full_like(k_a, np.nan)
-    prev1 = np.zeros(nu)
-    prev2 = np.zeros(nu)
-    has_prev = np.zeros(nu, dtype=bool)
-    with np.errstate(invalid="ignore"):
-        for j in range(nv):
-            x = np.minimum(k_a[:, j], k_b[:, j])
-            y = np.maximum(k_a[:, j], k_b[:, j])
-            keep = np.abs(x - prev1) + np.abs(y - prev2)
-            swap = np.abs(y - prev1) + np.abs(x - prev2)
-            flip = has_prev & ~(keep <= swap)
-            first = np.where(flip, y, x)
-            second = np.where(flip, x, y)
-            use = usable[:, j]
-            s1[use, j] = first[use]
-            s2[use, j] = second[use]
-            prev1 = np.where(use, first, prev1)
-            prev2 = np.where(use, second, prev2)
-            has_prev |= use
-    return s1, s2
-
-
 def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float,
                order: int = 2):
     """Mirror frame, reflection data and flag byte on grid points.
@@ -698,10 +668,11 @@ def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: flo
 def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: float):
     """The pointwise stages of the closed-form route on one block of grid points.
 
-    Returns (r, b, base_flags, k_a, k_b): mirror points and reflected
-    directions as (x, y, z) planes, the flag byte of _ray_block and the
-    unordered front curvatures, which are NaN off the lit region.  The roots
-    are cross-checked on the block.
+    Returns (r, b, base_flags, k1, k2): mirror points and reflected
+    directions as (x, y, z) planes, the flag byte of _ray_block and the front
+    curvatures of the two sheets, which are NaN off the lit region.  Sheet 1
+    holds the smaller k* at each point.  The roots are cross-checked on the
+    block.
     """
     frame, refl, base_flags = _ray_block(surface, field, U, V, eps_grazing, order=2)
     forms = fundamental_forms(frame)
@@ -710,7 +681,7 @@ def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: f
     r, b, r_dist = frame.r, refl.b, refl.r_dist
     del frame, refl, forms  # the roots' temporaries need none of the jet
     k_a, k_b, _ = solve_sheet_curvatures(mods, (p, q), r_dist)
-    return r, b, base_flags, k_a, k_b
+    return r, b, base_flags, np.minimum(k_a, k_b), np.maximum(k_a, k_b)
 
 
 def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: GridSpec,
@@ -726,20 +697,18 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     the caustic off toward infinity.  max_radius None is default_max_radius
     of the surface diameter and inf is no cap; the statistics record it.
     The flat-front result is independent of any front offset by construction
-    (no travel parameter enters the computation).  The pointwise stages run
-    in fill_rows: the roots, then, once they are ordered and the cap is
-    resolved, each sheet's placement.  No whole-grid temporary is made, and
-    the result does not depend on the block size.
+    (no travel parameter enters the computation).  Sheet 1 holds the smaller
+    k* at each point.  The pointwise stages run in fill_rows: the roots,
+    then, once the cap is resolved, each sheet's placement.  No whole-grid
+    temporary is made, and the result does not depend on the block size.
     """
     if max_radius is not None and not max_radius > 0.0:
         raise ValueError("max_radius must be positive")
-    r, b, base_flags, k_a, k_b = fill_rows(
+    r, b, base_flags, k1, k2 = fill_rows(
         grid, lambda U, V, rows: _sheet_block(surface, field, U, V, eps_grazing))
 
     surf_min, surf_max, diameter = surface_extent(r, base_flags)
     max_radius = default_max_radius(diameter) if max_radius is None else float(max_radius)
-    k1, k2 = _order_roots_by_continuity(k_a, k_b, base_flags == 0)
-    del k_a, k_b  # the placement below is the peak of the working set
     sheets = []
     for sheet_id, k in ((1, k1), (2, k2)):
         xi, flags = fill_rows(grid, lambda U, V, rows: caustic_point(

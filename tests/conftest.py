@@ -156,3 +156,26 @@ def traced_peak_per_point(fn, n_points):
     finally:
         tracemalloc.stop()
     return (peak - before) / n_points, result
+
+
+# -- sheet labels ------------------------------------------------------------
+
+def _projective_distance(x, y):
+    """Distance of angles x and y modulo pi."""
+    d = np.abs(x - y)
+    return np.minimum(d, np.pi - d)
+
+
+def label_breaks(k1, k2, diameter, axis):
+    """Neighbour pairs along axis where the two sheets' labels cross.
+
+    k* is compared on the projective line, as arctan(k* D) modulo pi with D
+    the surface diameter, so a root that passes through infinity stays close
+    to itself.  A pair is a break when 4 times the cross-label distance (each
+    point's sheet 1 to the other's sheet 2, plus the reverse) is below the
+    same-label distance.  A pair with a NaN root is no break.
+    """
+    t1, t2 = (np.moveaxis(np.arctan(k * diameter), axis, 0) for k in (k1, k2))
+    same = _projective_distance(t1[:-1], t1[1:]) + _projective_distance(t2[:-1], t2[1:])
+    cross = _projective_distance(t1[:-1], t2[1:]) + _projective_distance(t2[:-1], t1[1:])
+    return int(np.count_nonzero(4.0 * cross < same))

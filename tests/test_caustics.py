@@ -27,14 +27,13 @@ from catacaustics.caustics import (_CROSSCHECK_RTOL, EPS_GRAZING_DEFAULT,
                                    FLAG_DOMAIN, FLAG_EXCLUDED_ZERO_ROOT,
                                    FLAG_GRAZING, FLAG_VALID,
                                    InternalConsistencyError, _column_extrema,
-                                   _order_roots_by_continuity,
                                    _stable_quadratic_roots, caustic_radius,
                                    default_max_radius, fill_rows,
                                    masked_points_text, row_blocks)
 from catacaustics.diffgeo import dot
 from catacaustics.oracle import validate_sheets
 from catacaustics.surfaces import BUILTINS
-from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
+from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes, label_breaks,
                       normal_curvature, random_field, random_graph_surface,
                       scene_surface, stack_planes, traced_peak_per_point)
 
@@ -418,56 +417,6 @@ class TestRootIdentities:
                 B_at_at = 0.5 * c * (float(p) - 4.0 * float(forms.H) * c)
                 assert B_at_at == pytest.approx(
                     float(normal_curvature(forms, X)) * s2, rel=1e-9, abs=1e-12)
-
-
-def order_roots_reference(k_a, k_b, usable):
-    """The per-point double loop that _order_roots_by_continuity replaced."""
-    lo = np.minimum(k_a, k_b)
-    hi = np.maximum(k_a, k_b)
-    s1 = np.full_like(k_a, np.nan)
-    s2 = np.full_like(k_a, np.nan)
-    nu, nv = k_a.shape
-    for i in range(nu):
-        prev = None
-        for j in range(nv):
-            if not usable[i, j]:
-                continue
-            x, y = lo[i, j], hi[i, j]
-            if prev is None:
-                first, second = x, y
-            else:
-                keep = abs(x - prev[0]) + abs(y - prev[1])
-                swap = abs(y - prev[0]) + abs(x - prev[1])
-                first, second = (x, y) if keep <= swap else (y, x)
-            s1[i, j] = first
-            s2[i, j] = second
-            prev = (first, second)
-    return s1, s2
-
-
-# rounded values make ties between keeping and swapping a pair common
-root_values = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
-                        st.floats(-4.0, 4.0).map(lambda x: round(x, 1)),
-                        st.floats(-1e6, 1e6))
-
-
-@st.composite
-def root_grids(draw):
-    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 9)))
-    k_a = draw(arrays(np.float64, shape, elements=root_values))
-    k_b = draw(arrays(np.float64, shape, elements=root_values))
-    usable = draw(arrays(np.bool_, shape))
-    return k_a, k_b, usable
-
-
-@given(root_grids())
-@settings(max_examples=200, deadline=None)
-def test_order_roots_matches_reference_loop(grid):
-    with np.errstate(invalid="ignore"):
-        want = order_roots_reference(*grid)
-    got = _order_roots_by_continuity(*grid)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w, equal_nan=True)
 
 
 def _fill_every_kind(grid):
@@ -858,10 +807,10 @@ def rechart(ast, u_text, v_text):
 
 
 def _sheet_block_at(ast, field, U, V):
-    """_sheet_block's (r, b) as (..., 3) arrays, its flags and sorted root pair."""
-    r, b, flags, k_a, k_b = caustics._sheet_block(ast, field, U, V, EPS_GRAZING_DEFAULT)
+    """_sheet_block's (r, b) as (..., 3) arrays, its flags and its two sheets' k*."""
+    r, b, flags, k1, k2 = caustics._sheet_block(ast, field, U, V, EPS_GRAZING_DEFAULT)
     return (stack_planes(r, U.shape), stack_planes(b, U.shape),
-            np.broadcast_to(flags, U.shape), np.fmin(k_a, k_b), np.fmax(k_a, k_b))
+            np.broadcast_to(flags, U.shape), k1, k2)
 
 
 def _assert_chart_invariant(name, chart):
@@ -906,3 +855,45 @@ def test_mixed_chart_catches_a_zeroed_b12():
         for name in sorted(BUILTINS):
             with pytest.raises(AssertionError, match="mixed"):
                 _assert_chart_invariant(name, "mixed")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_sheets_do_not_depend_on_which_chart_axis_is_u(name):
+    # the grid level of a u <-> v swap: r(v, u) on the transposed grid holds
+    # the same sheets, point for point and label for label
+    ast, (u0, u1, v0, v1) = build_surface(name)
+    swapped = rechart(ast, "v", "u")
+    fields = {**CHART_FIELDS, "near-point": PointSource((0.2, 0.1, 0.1))}
+    for field_name, field in fields.items():
+        *want, stats = compute_caustic_sheets(ast, field, GridSpec(37, 29, (u0, u1, v0, v1)))
+        *got, _ = compute_caustic_sheets(swapped, field, GridSpec(29, 37, (v0, v1, u0, u1)))
+        for g, w in zip(got, want):
+            where = f"{field_name}, sheet {w.sheet_id}"
+            assert np.array_equal(g.flags.T, w.flags), where
+            points = g.points.transpose(1, 0, 2)[w.valid]
+            scale = np.maximum(np.linalg.norm(w.points[w.valid], axis=-1), stats.surface_diameter)
+            assert np.all(np.linalg.norm(points - w.points[w.valid], axis=-1) <= 1e-8 * scale), \
+                where
+        both = np.isfinite(want[0].k_star) & np.isfinite(want[1].k_star)
+        assert np.all(want[0].k_star[both] <= want[1].k_star[both]), field_name
+
+
+# between-row label breaks at 100^2 (ROADMAP item 1's metric): an upper
+# bound each, the count of the sorted pair, which breaks where a root passes
+# through +-inf; the point-source ellipsoid has no such root
+LABEL_BREAK_BOUNDS = {
+    "ellipsoid-oblique": ("ellipsoid", FlatFront((0.3, 0.2, -1.0)), 100),
+    "revolution-oblique": ("revolution", FlatFront((0.3, 0.1, -1.0)), 28),
+    "sphere-oblique": ("sphere", FlatFront((0.3, 0.1, -1.0)), 28),
+    "hyperbolic-paraboloid-point": ("hyperbolic-paraboloid", PointSource((0.2, 0.1, 0.1)), 149),
+    "ellipsoid-point": ("ellipsoid", PointSource((0.2, 0.1, 0.1)), 0),
+}
+
+
+@pytest.mark.parametrize("name, field, bound", LABEL_BREAK_BOUNDS.values(),
+                         ids=LABEL_BREAK_BOUNDS.keys())
+def test_sheet_labels_rarely_break_between_rows(name, field, bound):
+    ast, dom = build_surface(name)
+    sheet1, sheet2, stats = compute_caustic_sheets(ast, field, GridSpec(100, 100, dom),
+                                                   max_radius=np.inf)
+    assert label_breaks(sheet1.k_star, sheet2.k_star, stats.surface_diameter, axis=0) <= bound

@@ -77,6 +77,24 @@ def reference_scene(out_dir):
     return files is not None and _sha256(b"".join(files)) == reference
 
 
+# compute --surface elliptic-paraboloid --flat=0,0,1 --grid 20,20 --format csv:
+# a paraboloid of revolution under an axial front has a double root at every
+# point, so both sheets hold the same bytes
+DOUBLE_ROOT_SHA256 = {
+    "-sheet1.csv": "f2ffbdd759eba1f1f9202329a41673a75ac8cda6705d0b4738f02cd883959667",
+    "-sheet2.csv": "f2ffbdd759eba1f1f9202329a41673a75ac8cda6705d0b4738f02cd883959667",
+    "-stats.txt": "58a5912b92b9270fbbf1cc9c42e5ca4c69e815e81db5bd1373aae6f04d29c449",
+}
+
+
+def double_root_scene(out_dir):
+    """The axial elliptic paraboloid, whose clamped double roots fix its sheets' bytes."""
+    files = _outputs(["compute", "--surface", "elliptic-paraboloid", "--flat=0,0,1",
+                      "--grid", "20,20", "--format", "csv"], out_dir, "double-root",
+                     DOUBLE_ROOT_SHA256)
+    return files is not None and [_sha256(f) for f in files] == list(DOUBLE_ROOT_SHA256.values())
+
+
 def steep_plane_is_empty(out_dir):
     """compute on the steep plane, whose roots are ~1e-10, places nothing and says so."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,20 +142,14 @@ def mean_error_bits(out_dir):
 
 
 CHECKS = {f.__name__: f for f in (golden_ellipsoid_capped, torus_capped_report, reason_bits,
-                                  reference_scene, steep_plane_is_empty, ragged_blocks,
-                                  mean_error_bits, golden_mesh_in_blocks)}
+                                  reference_scene, double_root_scene, steep_plane_is_empty,
+                                  ragged_blocks, mean_error_bits, golden_mesh_in_blocks)}
 
 
 def _placement(after):
     """caustic_point with after(xi, flags) -> (xi, flags) applied to its result."""
     place = caustics.caustic_point
     return mock.patch.object(caustics, "caustic_point", lambda *a: after(*place(*a)))
-
-
-def _sheet_2_takes_k1():
-    order = caustics._order_roots_by_continuity
-    return mock.patch.object(caustics, "_order_roots_by_continuity",
-                             lambda *a: (order(*a)[0],) * 2)
 
 
 def _cap_never_applied():
@@ -177,6 +189,23 @@ def _absolute_floor_restored():
                        "np.maximum(1.0, np.maximum(pp, np.abs(q)))")
 
 
+def _sheet_2_takes_k1():
+    return _recompiled(caustics, "_sheet_block", "np.maximum(k_a, k_b)", "np.minimum(k_a, k_b)")
+
+
+def _x1_x2_swapped():
+    # B(a_t, a_t) taken with the (u, v) components of a_t swapped
+    return _recompiled(caustics, "caustic_coefficients",
+                       "B11 * X1 * X1 + 2.0 * forms.B12 * X1 * X2 + forms.B22 * X2 * X2",
+                       "B11 * X2 * X2 + 2.0 * forms.B12 * X2 * X1 + forms.B22 * X1 * X1")
+
+
+def _double_root_clamp_off():
+    return _recompiled(caustics, "_stable_quadratic_roots",
+                       "clamped = finite & (np.abs(disc) <= _DISC_DOUBLE_RTOL * scale)",
+                       "clamped = finite & False")
+
+
 def _ragged_block_skipped():
     # fill_rows leaves the rows of a shorter last block as np.empty made them
     blocks = caustics.row_blocks
@@ -211,6 +240,8 @@ MUTANTS = {
     "cap-makes-xi-nan": (_cap_makes_xi_nan, ("golden_ellipsoid_capped",)),
     "zero-root-bit-dropped": (_zero_root_bit_dropped, ("reason_bits",)),
     "doubled-diameter-behind-the-default-cap": (_doubled_diameter, ("reference_scene",)),
+    "X1-X2-swapped": (_x1_x2_swapped, ("golden_ellipsoid_capped",)),
+    "double-root-clamp-off": (_double_root_clamp_off, ("double_root_scene",)),
     "absolute-floor-restored": (_absolute_floor_restored, ("steep_plane_is_empty",)),
     "ragged-block-skipped": (_ragged_block_skipped, ("ragged_blocks",)),
     "errors-taken-point-major": (_errors_taken_point_major, ("mean_error_bits",)),
