@@ -163,7 +163,7 @@ class ReflectionData:
     """Incidence/reflection quantities at surface points; a and b are (x, y, z) planes."""
 
     a: tuple                 # unit incident direction
-    cos_theta: np.ndarray    # (a, n); negative on lit points
+    cos_theta: np.ndarray    # (a, n), of either sign: the mirror is two-sided
     b: tuple                 # unit reflected direction
     r_dist: Optional[np.ndarray]  # |r - O| for a point source, None for flat
     frame: FrameData = dc_field(repr=False)
@@ -175,11 +175,8 @@ class ReflectionData:
 
 
 def reflection_data(frame: FrameData, a, r_dist=None) -> ReflectionData:
-    """cos theta and b for the (a, r_dist) of incident_direction; w_i = (d_i r, a) on demand.
-
-    frame must be oriented by a (frame_at(jet, a)): cos theta = (a, n) is its hint_n.
-    """
-    cos_theta = frame.hint_n
+    """cos theta = (a, n) and b for the (a, r_dist) of incident_direction; w on demand."""
+    cos_theta = dot(a, frame.n)
     return ReflectionData(a, cos_theta, reflect_direction(a, frame.n, cos_theta), r_dist, frame)
 
 
@@ -569,7 +566,7 @@ class FrontStatistics:
     def to_text(self) -> str:
         lines = [
             f"grid: {self.grid.nu} x {self.grid.nv} ({self.grid.nu * self.grid.nv} points)",
-            "shadow points: 0",  # the mirror is two-sided: every point faces the light
+            "shadow points: 0",  # the mirror is two-sided: no point is in shadow
             f"grazing points: {self.n_grazing}",
             f"surface bbox min: {_fmt_vec(self.surface_bbox_min)}",
             f"surface bbox max: {_fmt_vec(self.surface_bbox_max)}",
@@ -655,9 +652,8 @@ def _ray_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: flo
         jet = eval_surface(surface, U, V, order)
     except EvalDomainError as err:
         jet, outside = flat_stand_in(err.jet, err.outside), err.outside
-    # orientation hint needs the incident direction, which needs positions
-    a, r_dist, at_source = incident_direction(field, jet.value(), outside)
-    frame = frame_at(jet, a)
+    frame = frame_at(jet)
+    a, r_dist, at_source = incident_direction(field, frame.r, outside)
     refl = reflection_data(frame, a, r_dist)
     flags = np.where(np.abs(refl.cos_theta) <= eps_grazing, np.uint8(FLAG_GRAZING), np.uint8(0))
     flags = np.where(frame.regular, flags, np.uint8(FLAG_DEGENERATE))

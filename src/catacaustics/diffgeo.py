@@ -4,8 +4,8 @@ Everything here is vectorized on 3-vectors given as (x, y, z) component
 planes: tuples of three arrays (or scalars) that broadcast together, each
 keeping the shape of what it depends on.  Conventions used throughout:
 
-* the unit normal n is oriented per evaluation so that the incident direction
-  satisfies (a, n) <= 0 (the mirror faces the light);
+* the unit normal n is the chart's own, (r_u x r_v)/|r_u x r_v|: the mirror
+  is two-sided, and the caustic does not change under n -> -n;
 * the second fundamental form is B_ij = (d_i d_j r, n), which makes the unit
   sphere with inward normal have H = K = +1.
 
@@ -54,13 +54,11 @@ def norm(x):
 
 @dataclass
 class FrameData:
-    """Position, partials and the oriented unit normal at surface points.
+    """Position, partials and the chart's unit normal at surface points.
 
     The vectors are tuples of (x, y, z) planes, the jet's own slot arrays on
     a regular chart; the second derivatives hold None where the jet is of
-    first order.  regular is False where the chart is singular, flipped
-    is True where n is -(r_u x r_v)/|r_u x r_v|, and hint_n is
-    (incident_hint, n) on the oriented n, never positive.
+    first order.  regular is False where the chart is singular.
     """
 
     r: tuple
@@ -71,8 +69,6 @@ class FrameData:
     r_vv: tuple
     n: tuple
     regular: np.ndarray
-    flipped: np.ndarray
-    hint_n: np.ndarray
 
 
 @dataclass
@@ -94,22 +90,18 @@ def flat_stand_in(jet: Jet2Vec3, mask) -> Jet2Vec3:
     """jet, with the jet of the plane (u, v, 0) at its origin where mask is set.
 
     There r = 0, r_u = e_x, r_v = e_y and the second derivatives, if the jet
-    has them, vanish: a regular frame, n = +-e_z, on which every later stage
+    has them, vanish: a regular frame, n = e_z, on which every later stage
     computes finite numbers.
     """
     return Jet2Vec3(*(Jet2.of([np.where(mask, p, x) for p, x in zip(plane, c.slots())])
                       for plane, c in zip(_PLANE_SLOTS, jet.components())))
 
 
-def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
-    """Build the oriented frame at surface points.
+def frame_at(jet: Jet2Vec3) -> FrameData:
+    """Build the frame at surface points, with n = (r_u x r_v)/|r_u x r_v|.
 
-    The raw normal (r_u x r_v)/|r_u x r_v| is negated wherever it has a
-    positive dot product with the incident hint, so (hint, n) <= 0 holds
-    pointwise: the mirror is two-sided, and every point faces the light (no
-    point is in shadow).  Where the chart is
-    singular, including where r_u or r_v vanishes, regular is False and the
-    frame is flat_stand_in's, with the point's own r.
+    Where the chart is singular, including where r_u or r_v vanishes,
+    regular is False and the frame is flat_stand_in's, with the point's own r.
     """
     r, r_u, r_v = jet.value(), jet.d_u(), jet.d_v()
     c = cross(r_u, r_v)
@@ -121,14 +113,7 @@ def frame_at(jet: Jet2Vec3, incident_hint) -> FrameData:
         c = cross(jet.d_u(), jet.d_v())
         cn = norm(c)
     n = tuple(ci / cn for ci in c)
-    side = dot(incident_hint, n)
-    flipped = side > 0.0
-    # the flip negates a nonzero side, which is exact: this is (incident_hint, n)
-    # on the oriented n
-    hint_n = np.where(flipped, -side, side)
-    n = tuple(np.where(flipped, -ni, ni) for ni in n)
-    return FrameData(r, jet.d_u(), jet.d_v(), jet.d_uu(), jet.d_uv(), jet.d_vv(),
-                     n, regular, flipped, hint_n)
+    return FrameData(r, jet.d_u(), jet.d_v(), jet.d_uu(), jet.d_uv(), jet.d_vv(), n, regular)
 
 
 def fundamental_forms(frame: FrameData) -> SurfaceForms:

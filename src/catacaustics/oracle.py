@@ -55,7 +55,7 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     and reflected directions at (U, V) as (x, y, z) planes.  A point is ok where the
     coefficients hold; charted where no stencil point leaves the chart or
     lies on the point source, so the oracle can decide the point (a charted
-    point that is not ok has an unlit, singular or folded stencil).
+    point that is not ok has a grazing or singular stencil).
     """
     shape = np.broadcast_shapes(np.shape(U), np.shape(V))
 
@@ -64,9 +64,9 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
 
     def rays(u, v):
         frame, refl, flags = _ray_block(surface, field, u, v, eps_grazing, order=1)
-        return tuple(map(full, frame.r)), tuple(map(full, refl.b)), full(flags), frame.flipped
+        return tuple(map(full, frame.r)), tuple(map(full, refl.b)), full(flags)
 
-    r0, b0, flags, flip0 = rays(U, V)
+    r0, b0, flags = rays(U, V)
     ok, off = flags == 0, (flags & _NO_VERDICT) != 0
     inv2h = 1.0 / (2.0 * h)
 
@@ -76,10 +76,8 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
         Called per +- pair, so at most two stencil rays are alive at a time.
         """
         nonlocal ok, off
-        (rp, bp, fp, sp), (rm, bm, fm, sm) = rays(*plus), rays(*minus)
-        # a stencil straddling an orientation fold would difference two normals
-        # of opposite sign; treat such points as unusable rather than produce garbage
-        ok = ok & (fp == 0) & (sp == flip0) & (fm == 0) & (sm == flip0)
+        (rp, bp, fp), (rm, bm, fm) = rays(*plus), rays(*minus)
+        ok = ok & (fp == 0) & (fm == 0)
         off = off | (((fp | fm) & _NO_VERDICT) != 0)
         return (tuple((p - m) * inv2h for p, m in zip(rp, rm)),
                 tuple((p - m) * inv2h for p, m in zip(bp, bm)))

@@ -134,7 +134,7 @@ def scene_surface(name):
 # (surface, field, grid shape); nu is no multiple of 7 so blocks end ragged
 BLOCK_SCENES = [
     ("ellipsoid", PointSource((0.05, -0.03, 0.08)), (23, 17)),
-    ("revolution", FlatFront((0.3, 0.1, -1.0)), (19, 24)),  # the normal flips across the grid
+    ("revolution", FlatFront((0.3, 0.1, -1.0)), (19, 24)),  # the silhouette crosses the grid
     ("cylinder", FlatFront((1.0, 0.0, 0.0)), (16, 9)),      # a sheet at infinity
     ("singular-rows", FlatFront((0.0, 0.0, 1.0)), (9, 6)),
     ("cone", FlatFront((0.1, 0.2, -1.0)), (19, 21)),

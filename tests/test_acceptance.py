@@ -255,7 +255,7 @@ def test_criterion_09_algebraic_property_suite():
         U, V = grid.mesh()
         jet = eval_surface(ast, U, V)
         a, r_dist, _ = incident_direction(field, jet.value())
-        frame = frame_at(jet, a)
+        frame = frame_at(jet)
         forms = fundamental_forms(frame)
         refl = reflection_data(frame, a, r_dist)
         lit = np.abs(refl.cos_theta) > 1e-6

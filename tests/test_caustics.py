@@ -45,7 +45,7 @@ def _pipeline(text, field, u, v, params=None):
     jet = eval_surface(parse_surface(text, params), u, v)
     r = jet.value()
     a, r_dist, _ = incident_direction(field, r)
-    frame = frame_at(jet, a)
+    frame = frame_at(jet)
     forms = fundamental_forms(frame)
     refl = reflection_data(frame, a, r_dist)
     return frame, forms, refl
@@ -183,13 +183,13 @@ class TestModifiedForms:
             u, v = rng.uniform(-0.9, 0.9, size=2)
             jet = eval_surface(ast, u, v)
             a, r_dist, _ = incident_direction(field, jet.value())
-            frame = frame_at(jet, a)
+            frame = frame_at(jet)
             forms = fundamental_forms(frame)
             refl = reflection_data(frame, a, r_dist)
             mods = modified_forms(forms, refl)
             want = forms.det_g * refl.cos_theta**2
             assert mods.det_gs == pytest.approx(want, rel=1e-10)
-            # the frame's (a, n) is the dot product on its oriented normal, bit for bit
+            # cos theta is (a, n) on the chart's own normal, bit for bit
             assert refl.cos_theta == dot(a, frame.n)
 
 
@@ -206,7 +206,7 @@ class TestCausticCoefficients:
         frame, forms, refl = _pipeline("[cos(u), sin(u), v]", field, 0.4, 0.2)
         p, q = caustic_coefficients(forms, refl)
         assert q == 0.0
-        assert p == pytest.approx(2.0 / refl.cos_theta, rel=1e-12)
+        assert p == pytest.approx(-2.0 / abs(refl.cos_theta), rel=1e-12)
 
     def test_central_source_sphere(self):
         field = PointSource((0.0, 0.0, 0.0))
@@ -300,7 +300,7 @@ class TestReflectedFrontPoint:
         jet = eval_surface(parse_surface("[u, v, 0]"), U, V)
         r = jet.value()
         a = np.array([0.0, 0.0, -1.0])
-        frame = frame_at(jet, a)
+        frame = frame_at(jet)
         b = reflect_direction(a, frame.n)
         fp = reflected_front_point(r, a, b, L=2.0)
         assert np.allclose(fp.rho[2], 2.0)
@@ -397,7 +397,7 @@ class TestRootIdentities:
             u, v = rng.uniform(-0.9, 0.9, size=2)
             jet = eval_surface(ast, u, v)
             a, r_dist, _ = incident_direction(field, jet.value())
-            frame = frame_at(jet, a)
+            frame = frame_at(jet)
             forms = fundamental_forms(frame)
             refl = reflection_data(frame, a, r_dist)
             mods = modified_forms(forms, refl)
@@ -717,13 +717,13 @@ def test_near_grazing_routes_differ_only_by_the_conditioning():
     U, V = GridSpec(100, 100, dom).mesh()
     jet = eval_surface(ast, U[10, 2], V[10, 2])
     a, r_dist, _ = incident_direction(field, jet.value())
-    frame = frame_at(jet, a)
+    frame = frame_at(jet)
     forms = fundamental_forms(frame)
     refl = reflection_data(frame, a, r_dist)
     mods = modified_forms(forms, refl)
     p, q = caustic_coefficients(forms, refl)
     cos = float(refl.cos_theta)
-    assert cos == pytest.approx(-1.8e-4, rel=1e-2)
+    assert abs(cos) == pytest.approx(1.8e-4, rel=1e-2)
     roots = sorted([float(k) for k in solve_sheet_curvatures(mods, (p, q))[:2]])
     eigs = sorted(np.linalg.eigvals(weingarten(mods)).real)
 
@@ -897,3 +897,37 @@ def test_sheet_labels_rarely_break_between_rows(name, field, bound):
     sheet1, sheet2, stats = compute_caustic_sheets(ast, field, GridSpec(100, 100, dom),
                                                    max_radius=np.inf)
     assert label_breaks(sheet1.k_star, sheet2.k_star, stats.surface_diameter, axis=0) <= bound
+
+
+def _sign_free_quantities(frame, refl, sign):
+    """cos theta and, by name, what the caustic reads at frame's points; H times sign."""
+    forms = fundamental_forms(frame)
+    refl = reflection_data(frame, refl.a, refl.r_dist)
+    mods = modified_forms(forms, refl)
+    p, q = caustic_coefficients(forms, refl)
+    return refl.cos_theta, {
+        "b_x": refl.b[0], "b_y": refl.b[1], "b_z": refl.b[2],
+        "Bs11": mods.Bs11, "Bs12": mods.Bs12, "Bs22": mods.Bs22,
+        "p": p, "q": q, "K": forms.K, "sign H": sign * forms.H,
+        "|cos theta|": np.abs(refl.cos_theta)}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_pipeline_is_free_of_the_normal_s_sign(name):
+    # the mirror is two-sided: under n -> -n every quantity the caustic reads
+    # keeps its value; where cos theta = +0 both ways (a grazing point, which
+    # FLAG_GRAZING masks) p = +-inf takes n's sign, so those points are skipped
+    ast, dom = build_surface(name)
+    U, V = GridSpec(31, 29, dom).mesh()
+    for field in (FlatFront((0.3, 0.2, -1.0)), PointSource((0.2, 0.1, 0.1))):
+        frame, refl, _ = caustics._ray_block(ast, field, U, V, EPS_GRAZING_DEFAULT)
+        negated = dataclasses.replace(frame, n=tuple(-x for x in frame.n))
+        cos, want = _sign_free_quantities(frame, refl, 1.0)
+        _, got = _sign_free_quantities(negated, refl, -1.0)
+        compared = np.broadcast_to(cos != 0.0, U.shape)
+        assert np.count_nonzero(compared) > 0.9 * U.size
+        for label, w in want.items():
+            # equal as floats: bit for bit apart from the sign of a zero, which a
+            # product with a vanishing B_ij takes from n (B*_12 = -2 cos theta * 0)
+            g, w = (np.broadcast_to(x, U.shape)[compared] for x in (got[label], w))
+            assert np.array_equal(g, w), f"{type(field).__name__}, {label}"

@@ -13,9 +13,9 @@ from catacaustics.jets import Jet2, Jet2Vec3
 from conftest import normal_curvature, stack_planes
 
 
-def _forms_at(text, u, v, hint, params=None):
+def _forms_at(text, u, v, params=None):
     jet = eval_surface(parse_surface(text, params), u, v)
-    frame = frame_at(jet, hint)
+    frame = frame_at(jet)
     return frame, fundamental_forms(frame)
 
 
@@ -32,15 +32,15 @@ SPHERE = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
 
 
 class TestSphere:
-    def test_inward_normal_under_axial_hint(self):
+    def test_chart_normal_is_inward(self):
         u = np.pi / 6
-        frame, _ = _forms_at(SPHERE, u, 0.0, (0.0, 0.0, 1.0))
+        frame, _ = _forms_at(SPHERE, u, 0.0)
         r = np.array([np.cos(u), 0.0, np.sin(u)])
         assert np.allclose(frame.n, -r, atol=1e-14)
         assert dot(np.array([0.0, 0.0, 1.0]), frame.n) == pytest.approx(-np.sin(u), abs=1e-14)
 
     def test_unit_curvatures(self):
-        _, forms = _forms_at(SPHERE, 0.6, 1.1, (0.0, 0.0, 1.0))
+        _, forms = _forms_at(SPHERE, 0.6, 1.1)
         assert forms.H == pytest.approx(1.0, rel=1e-12)
         assert forms.K == pytest.approx(1.0, rel=1e-12)
         k1, k2 = principal_curvatures(forms)
@@ -49,7 +49,7 @@ class TestSphere:
         assert k2 - k1 < 1e-9 * max(1.0, abs(k1))  # umbilic
 
     def test_normal_curvature_is_one_in_any_direction(self):
-        _, forms = _forms_at(SPHERE, 0.4, 2.0, (0.0, 0.0, 1.0))
+        _, forms = _forms_at(SPHERE, 0.4, 2.0)
         rng = np.random.default_rng(0)
         for _ in range(20):
             X = rng.normal(size=2)
@@ -58,7 +58,7 @@ class TestSphere:
 
 class TestPlane:
     def test_flat_forms_and_forced_normal(self):
-        frame, forms = _forms_at("[u, v, 0]", 0.3, -0.7, (0.0, 0.0, -1.0))
+        frame, forms = _forms_at("[u, v, 0]", 0.3, -0.7)
         assert np.allclose(frame.n, [0.0, 0.0, 1.0])
         assert forms.H == 0.0 and forms.K == 0.0
         assert np.allclose([forms.B11, forms.B12, forms.B22], 0.0)
@@ -71,17 +71,24 @@ class TestCylinder:
 
     def test_forms_match_frenet_data(self):
         u = 0.5
-        frame, forms = _forms_at("[cos(u), sin(u), v]", u, 0.3, (1.0, 0.0, 0.0))
+        frame, forms = _forms_at("[cos(u), sin(u), v]", u, 0.3)
         nu_frenet = -np.array([np.cos(u), np.sin(u), 0.0])  # inward normal, k = +1
-        assert np.allclose(frame.n, nu_frenet, atol=1e-14)
+        # the chart's normal is s nu with s = +-1, and B and H take its sign
+        s = dot(frame.n, nu_frenet)
+        assert abs(s) == pytest.approx(1.0, abs=1e-14)
+        s = np.sign(s)
+        assert np.allclose(frame.n, s * nu_frenet, atol=1e-14)
         assert np.allclose([forms.g11, forms.g12, forms.g22], [1.0, 0.0, 1.0], atol=1e-15)
-        assert np.allclose([forms.B11, forms.B12, forms.B22], [1.0, 0.0, 0.0], atol=1e-14)
+        assert np.allclose([forms.B11, forms.B12, forms.B22], [s, 0.0, 0.0], atol=1e-14)
         assert forms.K == pytest.approx(0.0, abs=1e-14)
-        assert 2 * forms.H == pytest.approx(1.0, rel=1e-12)
+        assert 2 * forms.H == pytest.approx(s, rel=1e-12)
 
     def test_normal_curvature_along_rulings_and_curve(self):
-        _, forms = _forms_at("[cos(u), sin(u), v]", -0.4, 0.0, (1.0, 0.0, 0.0))
-        assert normal_curvature(forms, (1.0, 0.0)) == pytest.approx(1.0, rel=1e-12)
+        u = -0.4
+        frame, forms = _forms_at("[cos(u), sin(u), v]", u, 0.0)
+        # +1 along the circle where n points inward, -1 where it points outward
+        inward = np.sign(dot(frame.n, (-np.cos(u), -np.sin(u), 0.0)))
+        assert normal_curvature(forms, (1.0, 0.0)) == pytest.approx(inward, rel=1e-12)
         assert normal_curvature(forms, (0.0, 1.0)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -97,7 +104,7 @@ class TestClosedFormGrids:
         R = 2.5
         ast, dom = build_surface("sphere", {"R": R})
         U, V = self.grid(dom)
-        frame = frame_at(eval_surface(ast, U, V), (0.0, 0.0, 1.0))
+        frame = frame_at(eval_surface(ast, U, V))
         forms = fundamental_forms(frame)
         assert np.allclose(forms.H, 1.0 / R, rtol=1e-9)
         assert np.allclose(forms.K, 1.0 / R**2, rtol=1e-9)
@@ -105,7 +112,7 @@ class TestClosedFormGrids:
     def test_torus(self):
         ast, dom = build_surface("revolution")  # profile (2 + cos u, sin u)
         U, V = self.grid(dom)
-        frame = frame_at(eval_surface(ast, U, V), (0.0, 0.0, 1.0))
+        frame = frame_at(eval_surface(ast, U, V))
         forms = fundamental_forms(frame)
         # inward-tube normal: meridian curvature 1, parallel cos(u)/(2 + cos(u))
         K_ref = np.cos(U) / (2.0 + np.cos(U))
@@ -120,14 +127,14 @@ class TestClosedFormGrids:
         for cy, sign in ((0.5, +1.0), (-0.5, -1.0)):
             ast = parse_surface("[u, v, u^2/2 + c*v^2]", {"c": cy})
             U, V = self.grid((-1.0, 1.0, -1.0, 1.0))
-            frame = frame_at(eval_surface(ast, U, V), (0.0, 0.0, 1.0))
+            frame = frame_at(eval_surface(ast, U, V))
             forms = fundamental_forms(frame)
             fx, fy = U, 2.0 * cy * V
             fxx, fyy = 1.0, 2.0 * cy
             W2 = 1.0 + fx**2 + fy**2
-            # downward normal (incidence from +z) flips the usual graph signs
+            # the chart's upward normal gives the usual graph signs
             K_ref = (fxx * fyy) / W2**2
-            H_ref = -((1.0 + fy**2) * fxx + (1.0 + fx**2) * fyy) / (2.0 * W2**1.5)
+            H_ref = ((1.0 + fy**2) * fxx + (1.0 + fx**2) * fyy) / (2.0 * W2**1.5)
             assert np.allclose(forms.K, sign * np.abs(K_ref), rtol=1e-9)
             assert np.allclose(forms.H, H_ref, rtol=1e-9)
 
@@ -139,7 +146,7 @@ class TestShapeOperatorProperties:
         for _ in range(25):
             u = rng.uniform(dom[0], dom[1])
             v = rng.uniform(dom[2], dom[3])
-            frame = frame_at(eval_surface(ast, u, v), (0.0, 0.0, 1.0))
+            frame = frame_at(eval_surface(ast, u, v))
             forms = fundamental_forms(frame)
             k1, k2 = principal_curvatures(forms)
             for _ in range(40):
@@ -152,8 +159,7 @@ class TestShapeOperatorProperties:
         rng = np.random.default_rng(13)
         ast, _ = build_surface("ellipsoid")
         jet = eval_surface(ast, 0.35, 1.2)
-        hint = np.array([0.1, -0.2, 1.0]) / np.linalg.norm([0.1, -0.2, 1.0])
-        forms = fundamental_forms(frame_at(jet, hint))
+        forms = fundamental_forms(frame_at(jet))
         xs = jet.components()
         for _ in range(10):
             R = random_rotation(rng)
@@ -163,7 +169,7 @@ class TestShapeOperatorProperties:
                        for m in range(6)))
                 for i in range(3)
             ])
-            forms_rot = fundamental_forms(frame_at(rotated, R @ hint))
+            forms_rot = fundamental_forms(frame_at(rotated))
             got = (forms_rot.H, forms_rot.K, *principal_curvatures(forms_rot))
             want = (forms.H, forms.K, *principal_curvatures(forms))
             for name, g, w in zip(("H", "K", "k1", "k2"), got, want):
@@ -173,14 +179,13 @@ class TestShapeOperatorProperties:
 def test_degenerate_parameterization_is_masked():
     ast = parse_surface("[u, u, v]")  # r_u parallel to (1,1,0), fine
     bad = parse_surface("[u*v, u*v, 0]")  # r_u parallel r_v everywhere
-    frame = frame_at(eval_surface(bad, 0.5, 0.5), (0.0, 0.0, 1.0))
+    frame = frame_at(eval_surface(bad, 0.5, 0.5))
     assert not frame.regular
-    # the flat stand-in frame keeps the point: r_u = e_x, r_v = e_y, n faces the hint
+    # the flat stand-in frame keeps the point: r_u = e_x, r_v = e_y, n = e_x x e_y
     assert frame.r == (0.25, 0.25, 0.0)
-    assert (frame.r_u, frame.r_v, frame.n) == ((1, 0, 0), (0, 1, 0), (0, 0, -1))
-    assert frame.flipped
+    assert (frame.r_u, frame.r_v, frame.n) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert all(x == 0.0 for vec in (frame.r_uu, frame.r_uv, frame.r_vv) for x in vec)
-    assert frame_at(eval_surface(ast, 0.5, 0.5), (0.0, 0.0, 1.0)).regular
+    assert frame_at(eval_surface(ast, 0.5, 0.5)).regular
 
 
 # -- the component-plane primitives against numpy on (..., 3) arrays ---------

@@ -206,6 +206,12 @@ def _double_root_clamp_off():
                        "clamped = finite & False")
 
 
+def _grazing_mask_signed():
+    # the grazing mask read as if n faced the light, so that (a, n) <= 0 on lit points
+    return _recompiled(caustics, "_ray_block", "np.abs(refl.cos_theta) <= eps_grazing",
+                       "-refl.cos_theta <= eps_grazing")
+
+
 def _ragged_block_skipped():
     # fill_rows leaves the rows of a shorter last block as np.empty made them
     blocks = caustics.row_blocks
@@ -243,6 +249,7 @@ MUTANTS = {
     "X1-X2-swapped": (_x1_x2_swapped, ("golden_ellipsoid_capped",)),
     "double-root-clamp-off": (_double_root_clamp_off, ("double_root_scene",)),
     "absolute-floor-restored": (_absolute_floor_restored, ("steep_plane_is_empty",)),
+    "grazing-mask-signed": (_grazing_mask_signed, ("double_root_scene",)),
     "ragged-block-skipped": (_ragged_block_skipped, ("ragged_blocks",)),
     "errors-taken-point-major": (_errors_taken_point_major, ("mean_error_bits",)),
     "vertex-offset-per-block": (_vertex_offset_per_block, ("golden_mesh_in_blocks",)),
