@@ -23,9 +23,10 @@ stage that compute uses (caustics._ray_block), once per stencil point and
 block, on first-order jets: a ray needs r, r_u and r_v only.  The focal
 computation is the oracle's own; the radius cap holds for the oracle's focal
 distances as well.  A ray the stage flags (grazing, off the chart, singular
-or on the point source) makes its stencil unusable, and the oracle gives no
-verdict on a grid point whose stencil leaves the chart or meets the source,
-nor where the closed form's evaluation left the chart.
+or on the point source) makes its stencil unusable.  The oracle decides a
+grid point by one rule: where its centre ray is flagged (no focal point) or
+where all five stencil rays are lit.  Everywhere else, and where the closed
+form's evaluation left the chart, it gives no verdict.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caustics import (FLAG_AT_SOURCE, FLAG_DOMAIN, FLAG_VALID, _ray_block,
-                       caustic_radius, fill_rows)
+from .caustics import FLAG_DOMAIN, FLAG_VALID, _ray_block, caustic_radius, fill_rows
 from .diffgeo import cross, dot
 
 __all__ = ["ValidationReport", "validate_sheets"]
@@ -43,19 +43,15 @@ __all__ = ["ValidationReport", "validate_sheets"]
 FD_STEP_DEFAULT = 1e-4
 VALIDATION_TOL_DEFAULT = 1e-4
 
-# a stencil point with one of these bits has no ray to difference: the oracle
-# gives its grid point no verdict
-_NO_VERDICT = FLAG_DOMAIN | FLAG_AT_SOURCE
-
 
 def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     """FD-assembled coefficients (c0, c1, c2) of det[d_u F, d_v F, b](lambda).
 
-    Returns (coeffs, r0, b0, ok, charted) with r0 and b0 the mirror points
-    and reflected directions at (U, V) as (x, y, z) planes.  A point is ok where the
-    coefficients hold; charted where no stencil point leaves the chart or
-    lies on the point source, so the oracle can decide the point (a charted
-    point that is not ok has a grazing or singular stencil).
+    Returns (coeffs, r0, b0, ok, decided) with r0 and b0 the mirror points
+    and reflected directions at (U, V) as (x, y, z) planes.  A point is ok
+    where all five stencil rays are lit, so the coefficients hold; decided
+    where it is ok or its centre ray is flagged.  A lit centre with a flagged
+    stencil ray is undecided: the oracle cannot tell whether it focuses.
     """
     shape = np.broadcast_shapes(np.shape(U), np.shape(V))
 
@@ -67,7 +63,7 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
         return tuple(map(full, frame.r)), tuple(map(full, refl.b)), full(flags)
 
     r0, b0, flags = rays(U, V)
-    ok, off = flags == 0, (flags & _NO_VERDICT) != 0
+    ok = flags == 0
     inv2h = 1.0 / (2.0 * h)
 
     def central(plus, minus):
@@ -75,10 +71,9 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
 
         Called per +- pair, so at most two stencil rays are alive at a time.
         """
-        nonlocal ok, off
+        nonlocal ok
         (rp, bp, fp), (rm, bm, fm) = rays(*plus), rays(*minus)
         ok = ok & (fp == 0) & (fm == 0)
-        off = off | (((fp | fm) & _NO_VERDICT) != 0)
         return (tuple((p - m) * inv2h for p, m in zip(rp, rm)),
                 tuple((p - m) * inv2h for p, m in zip(bp, bm)))
 
@@ -91,7 +86,7 @@ def _focal_quadratic(surface, field, U, V, h, eps_grazing):
     c0 = det3(ru, rv, b0)
     c1 = det3(bu, rv, b0) + det3(ru, bv, b0)
     c2 = det3(bu, bv, b0)
-    return (c0, c1, c2), r0, b0, ok, ~off
+    return (c0, c1, c2), r0, b0, ok, ok | (flags != 0)
 
 
 def _roots_of_focal_quadratic(c0, c1, c2):
@@ -160,17 +155,18 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
+def _point_errors(sheets, rows, r0, b0, ok, decided, lam, max_radius):
     """Caustic-point errors of both sheets on a block of grid rows.
 
     Returns (err, both, n_disagree): the (2, rows, nv) distances between the
     closed-form and the oracle caustic points, the mask of points both sides
-    call valid, and the number of charted sheet-points only one side calls
+    call valid, and the number of decided sheet-points only one side calls
     valid.  The closed form's valid points are already inside max_radius;
-    the oracle's focal distances are held to it here.  Off the chart the
-    oracle has no verdict: where a stencil point leaves it or meets the
-    source, and where the closed form's own evaluation left it (FLAG_DOMAIN),
-    which at order 2 also covers a second derivative that is not finite.
+    the oracle's focal distances are held to it here.  The oracle decides a
+    point where its centre ray is flagged or all five stencil rays are lit;
+    the closed form has no answer where its own evaluation left the chart
+    (FLAG_DOMAIN), which at order 2 also covers a second derivative that is
+    not finite.  No mismatch is counted where either side has no verdict.
     """
     def sheet_side(sheet):
         return caustic_radius(sheet.k_star[rows]), (sheet.flags[rows] & FLAG_VALID) != 0
@@ -178,7 +174,7 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
     rad1, use1 = sheet_side(sheets[0])
     rad2, use2 = sheet_side(sheets[1])
     oracle_ok = ok[None] & (np.abs(lam) <= max_radius) & np.isfinite(lam)
-    charted = charted & ((sheets[0].flags[rows] & FLAG_DOMAIN) == 0)
+    decided = decided & ((sheets[0].flags[rows] & FLAG_DOMAIN) == 0)
 
     # pair closed-form radii with oracle roots by least total |difference| over
     # the usable radii: a zero root's ~1e16 radius would leave it to rounding
@@ -192,7 +188,7 @@ def _point_errors(sheets, rows, r0, b0, ok, charted, lam, max_radius):
         oracle_ok = np.where(swap_better[None], oracle_ok[::-1], oracle_ok)
 
         both = cf_ok & oracle_ok
-        disagree = int(np.count_nonzero((cf_ok != oracle_ok) & charted))
+        disagree = int(np.count_nonzero((cf_ok != oracle_ok) & decided))
 
         # xi_cf - (r0 + lambda b0) per sheet and coordinate plane
         diff = [np.where(both, np.stack([s.points[rows, :, c] for s in sheets])
@@ -216,8 +212,10 @@ def validate_sheets(closed_form, h: float = FD_STEP_DEFAULT,
     closed_form is the (sheet1, sheet2, statistics) triple of
     compute_caustic_sheets; the oracle reads its scene (surface, field,
     grid, eps_grazing and max_radius) from the statistics.  One pass of
-    fill_rows compares the two and counts the flag mismatches; the error at
-    a point is the distance between the closed-form caustic point and
+    fill_rows compares the two and counts the flag mismatches where both
+    decide: the oracle where a grid point's centre ray is flagged or its five
+    stencil rays are all lit, the closed form where it stayed on the chart.
+    The error at a point is the distance between the closed-form caustic point and
     r + lambda_oracle * b after pairing the roots by least total difference.
     Points whose caustic lies beyond the radius cap the sheets were clipped
     to are excluded on both sides: far focal points amplify any derivative
@@ -229,10 +227,10 @@ def validate_sheets(closed_form, h: float = FD_STEP_DEFAULT,
 
     def block_errors(U, V, rows):
         nonlocal disagree
-        coeffs, r0, b0, ok, charted = _focal_quadratic(stats.surface, stats.field, U, V, h,
+        coeffs, r0, b0, ok, decided = _focal_quadratic(stats.surface, stats.field, U, V, h,
                                                        stats.eps_grazing)
         lam = np.stack(_roots_of_focal_quadratic(*coeffs))
-        err, both, n = _point_errors(sheets, rows, r0, b0, ok, charted, lam, stats.max_radius)
+        err, both, n = _point_errors(sheets, rows, r0, b0, ok, decided, lam, stats.max_radius)
         disagree += n
         return np.moveaxis(err, 0, -1), np.moveaxis(both, 0, -1)
 

@@ -118,8 +118,6 @@ class BinOp:
 
 Node = Union[Const, Var, Param, Call, Neg, BinOp]
 
-FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "exp", "log", "sqrt", "abs", "neg")
-
 _FUNC_TABLE = {
     "sin": jets.sin, "cos": jets.cos, "tan": jets.tan,
     "sinh": jets.sinh, "cosh": jets.cosh,
@@ -294,7 +292,7 @@ class _Parser:
             if name in self.params:
                 self.read.add(name)
                 return Param(name)
-            if name in FUNCTIONS:
+            if name in _FUNC_TABLE or name == "neg":
                 raise ArityError(f"function '{name}' used without an argument", t.line, t.col)
             raise UnknownIdentifierError(f"unknown identifier '{name}'", t.line, t.col)
         if self.at_op("("):

@@ -24,7 +24,7 @@ from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
 from conftest import BLOCK_SCENES, HUGE_BLOCK, scene_surface
 from test_cli import STEEP_PLANE, VALIDATE_STDOUT_SHA256
 from test_meshio import GOLDEN_SHA256
-from test_oracle import MEAN_ERROR_HEX, mean_error_hex
+from test_oracle import MEAN_ERROR_HEX, mean_error_hex, planted_grazing_mismatches
 
 REFERENCE_JSON = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
 
@@ -141,9 +141,24 @@ def mean_error_bits(out_dir):
     return all(mean_error_hex(scene) == MEAN_ERROR_HEX[scene][2] for scene in MEAN_ERROR_HEX)
 
 
+def flag_mismatch_rule(out_dir):
+    """The oracle decides neither too much nor too little.
+
+    A lit point whose stencil reaches the grazing band gets no verdict, and a
+    point whose centre ray is unlit gets one.
+    """
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["validate", "--surface", "revolution", "--flat=0.3,0.2,-1",
+                  "--grid", "200,200"])
+    before, after = planted_grazing_mismatches()
+    return "  flag mismatches:   0\n" in out.getvalue() and after == before + 1
+
+
 CHECKS = {f.__name__: f for f in (golden_ellipsoid_capped, torus_capped_report, reason_bits,
                                   reference_scene, double_root_scene, steep_plane_is_empty,
-                                  ragged_blocks, mean_error_bits, golden_mesh_in_blocks)}
+                                  ragged_blocks, mean_error_bits, golden_mesh_in_blocks,
+                                  flag_mismatch_rule)}
 
 
 def _placement(after):
@@ -236,6 +251,16 @@ def _vertex_offset_per_block():
                        "(offset[corners] - offset[rows.start] + base - 1)[:, None]")
 
 
+def _oracle_decides_everywhere():
+    # a verdict at every grid point, also where a stencil ray is flagged
+    return _recompiled(oracle, "_focal_quadratic", "ok | (flags != 0)", "np.ones_like(ok)")
+
+
+def _oracle_undecided_at_masked_centres():
+    # no verdict where the centre ray is flagged
+    return _recompiled(oracle, "_focal_quadratic", "ok | (flags != 0)", "ok")
+
+
 # the reference scene, at 0.4 s the dearest check, also fails the first and
 # third rows; it is named only where no cheaper check fails
 MUTANTS = {
@@ -253,6 +278,9 @@ MUTANTS = {
     "ragged-block-skipped": (_ragged_block_skipped, ("ragged_blocks",)),
     "errors-taken-point-major": (_errors_taken_point_major, ("mean_error_bits",)),
     "vertex-offset-per-block": (_vertex_offset_per_block, ("golden_mesh_in_blocks",)),
+    "oracle-decides-everywhere": (_oracle_decides_everywhere, ("flag_mismatch_rule",)),
+    "oracle-undecided-at-masked-centres": (_oracle_undecided_at_masked_centres,
+                                           ("flag_mismatch_rule",)),
 }
 
 

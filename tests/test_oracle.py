@@ -420,9 +420,11 @@ def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
     assert report.n_flag_disagreements == 0
 
 
-def test_unlit_oracle_centre_still_counts_as_a_flag_mismatch():
-    # planted bug: a grazing point of sheet 1 (on the equator) marked valid; the
-    # oracle decides that point, its centre ray being unlit, so the mismatch counts
+def planted_grazing_mismatches():
+    """validate's flag mismatches on a sphere before and after planting a bug.
+
+    The bug marks a grazing point of sheet 1 (on the equator) valid.
+    """
     ast = parse_surface(SPHERE_TEXT)
     grid = GridSpec(7, 8, (-0.6, 0.6, 0.0, 6.0))
     sheet1, sheet2, stats = compute_caustic_sheets(ast, AXIAL, grid)
@@ -430,18 +432,49 @@ def test_unlit_oracle_centre_still_counts_as_a_flag_mismatch():
     before = validate_sheets((sheet1, sheet2, stats)).n_flag_disagreements
     planted = dataclasses.replace(sheet1, flags=sheet1.flags.copy(), k_star=sheet1.k_star.copy())
     planted.flags[i, j], planted.k_star[i, j] = FLAG_VALID, 1.0
-    after = validate_sheets((planted, sheet2, stats)).n_flag_disagreements
+    return before, validate_sheets((planted, sheet2, stats)).n_flag_disagreements
+
+
+def test_unlit_oracle_centre_still_counts_as_a_flag_mismatch():
+    # the oracle decides the planted point, its centre ray being unlit, so the
+    # mismatch counts
+    before, after = planted_grazing_mismatches()
     assert after == before + 1
 
 
-@pytest.mark.parametrize("n, compared", [(100, 19_876), (200, 79_511)])
-def test_silhouette_inside_the_chart_gives_no_flag_mismatch(n, compared):
-    # validate --surface sphere --source=0.3,0.2,3, whose silhouette lies on
-    # the chart: a stencil whose rays span it is usable, since the oracle
-    # differences r and b, never n
-    ast, dom = build_surface("sphere")
-    sheets = compute_caustic_sheets(ast, PointSource((0.3, 0.2, 3.0)), GridSpec(n, n, dom))
-    report = validate_sheets(sheets)
+SILHOUETTE_SCENES = [
+    ("sphere", PointSource((0.3, 0.2, 3.0)), 100, 19_876),
+    ("sphere", PointSource((0.3, 0.2, 3.0)), 200, 79_511),
+    ("sphere", PointSource((0.3, 0.2, 3.0)), 400, 318_044),
+    ("revolution", FlatFront((0.3, 0.2, -1.0)), 200, 79_543),
+    ("revolution", PointSource((0.3, 0.2, 3.0)), 200, 78_546),
+]
+
+
+@pytest.mark.parametrize("surface, field, n, compared", SILHOUETTE_SCENES,
+                         ids=[f"{n}-{compared}" for *_, n, compared in SILHOUETTE_SCENES])
+def test_silhouette_inside_the_chart_gives_no_flag_mismatch(surface, field, n, compared):
+    # scenes whose silhouette lies on the chart: a stencil whose rays span it
+    # is usable, since the oracle differences r and b, never n; a lit centre
+    # whose stencil reaches the grazing band gets no verdict
+    ast, dom = build_surface(surface)
+    report = validate_sheets(compute_caustic_sheets(ast, field, GridSpec(n, n, dom)))
     assert report.n_flag_disagreements == 0
     assert report.n_compared == compared
     assert report.passed
+
+
+SWEEP_FIELDS = (FlatFront((0.0, 0.0, 1.0)), FlatFront((0.3, 0.2, -1.0)),
+                FlatFront((0.3, 0.1, -1.0)), PointSource((0.2, 0.1, 0.1)),
+                PointSource((0.3, 0.2, 3.0)))
+
+
+@pytest.mark.parametrize("n", [45, 200])
+def test_builtin_scenes_give_no_flag_mismatch(n):
+    mismatched = []
+    for name, field in itertools.product(sorted(BUILTINS), SWEEP_FIELDS):
+        ast, dom = build_surface(name)
+        report = validate_sheets(compute_caustic_sheets(ast, field, GridSpec(n, n, dom)))
+        if report.n_flag_disagreements:
+            mismatched.append((name, field, report.n_flag_disagreements))
+    assert not mismatched
