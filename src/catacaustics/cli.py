@@ -130,8 +130,7 @@ def _read_text(path, what: str) -> str:
 
 def _surface_file(path, params):
     """(ast, default domain) of the surface file at path, like build_surface's."""
-    definition = parse_surface_definition(_read_text(path, "surface"), params)
-    return definition.ast, definition.domain
+    return parse_surface_definition(_read_text(path, "surface"), params)
 
 
 def _line_flags(line: str) -> list:

@@ -199,17 +199,12 @@ def power(base: Jet2, expo: Jet2) -> Jet2:
     """
     c = expo.f
     const = functools.reduce(np.logical_and, [np.asarray(s) == 0.0 for s in expo.slots()[1:]])
-    if np.ndim(c) == 0 and np.ndim(const) == 0 and const:
-        if c == 0.0:
-            return Jet2(np.ones_like(np.asarray(base.f, dtype=float)) if np.ndim(base.f) else 1.0)
-        if c == 1.0:
-            return Jet2.of(base.slots())
     with np.errstate(all="ignore"):
         jet = None
         if np.any(const):
             jet = _chain(base, np.power(base.f, c), c * np.power(base.f, c - 1.0),
                          c * (c - 1.0) * np.power(base.f, c - 2.0))
-            if np.ndim(c) or np.ndim(const):   # the exponent differs between points
+            if np.any(const & ((c == 0.0) | (c == 1.0))):
                 jet = _select(const & (c == 0.0), Jet2(1.0),
                               _select(const & (c == 1.0), base, jet))
         if not np.all(const):

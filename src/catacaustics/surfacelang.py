@@ -25,7 +25,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from . import jets
 from .jets import Jet2, Jet2Vec3, JetDomainError
 
 __all__ = [
-    "Const", "Var", "Param", "Call", "Neg", "BinOp", "Node",
-    "SurfaceAST", "SurfaceDefinition",
+    "Const", "Var", "Param", "Call", "Neg", "BinOp", "Node", "SurfaceAST",
     "SurfaceLangError", "SurfaceSyntaxError", "UnknownIdentifierError",
     "ArityError", "EvalDomainError",
     "parse_surface", "parse_surface_definition", "eval_surface",
@@ -138,21 +137,14 @@ class SurfaceAST:
         return (self.x, self.y, self.z)
 
 
-@dataclass
-class SurfaceDefinition:
-    """A parsed surface file: the AST and the declared (u, v) rectangle."""
-
-    ast: SurfaceAST
-    domain: Optional[tuple] = None  # (u0, u1, v0, v1)
-
-
 # --------------------------------------------------------------------------
 # scanner
 # --------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPS = "[](),+-*/^;"
+# one token, or one whitespace character
+_TOKEN_RE = re.compile(r"(?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<OP>[\[\](),+\-*/^;])|\s")
 
 
 @dataclass(frozen=True)
@@ -165,38 +157,18 @@ class _Tok:
 
 def _tokenize(text: str) -> list:
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (ch.isdigit() or ch == "."):
-            toks.append(_Tok("NUMBER", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            toks.append(_Tok("IDENT", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch in _OPS:
-            toks.append(_Tok("OP", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise SurfaceSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        col = pos - line_start + 1
+        if not m:
+            raise SurfaceSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        if m.lastgroup:
+            toks.append(_Tok(m.lastgroup, m.group(), line, col))
+        elif text[pos] == "\n":
+            line, line_start = line + 1, pos + 1
+        pos = m.end()
+    toks.append(_Tok("EOF", "", line, pos - line_start + 1))
     return toks
 
 
@@ -366,12 +338,13 @@ def parse_surface(text: str, params=None) -> SurfaceAST:
     return SurfaceAST(x, y, z, table)
 
 
-def parse_surface_definition(text: str, params=None) -> SurfaceDefinition:
-    """Parse a surface file: expression plus optional domain declaration.
+def parse_surface_definition(text: str, params=None) -> tuple:
+    """(ast, domain) of a surface file, like build_surface's.
 
-    Lines may carry ``#`` comments.  A parameter the expression does not
-    read is an error, like an unknown parameter of a built-in; so is one
-    named u or v, which the chart variable shadows.
+    domain is the optional declaration's (u0, u1, v0, v1), else None.  Lines
+    may carry ``#`` comments.  A parameter the expression does not read is
+    an error, like an unknown parameter of a built-in; so is one named u or
+    v, which the chart variable shadows.
     """
     table = _clean_params(params)
     p = _Parser(_tokenize(_strip_comments(text)), table)
@@ -385,7 +358,7 @@ def parse_surface_definition(text: str, params=None) -> SurfaceDefinition:
         takes = ", ".join(name for name in table if name in p.read) or "none"
         raise SurfaceLangError(
             f"unknown parameter '{unread[0]}' for the surface file (takes: {takes})")
-    return SurfaceDefinition(SurfaceAST(x, y, z, table), domain)
+    return SurfaceAST(x, y, z, table), domain
 
 
 # --------------------------------------------------------------------------

@@ -111,6 +111,8 @@ def test_power_identities_at_zero_base():
     assert (jet.f, jet.fu, jet.fuu) == (0.0, 0.0, 2.0)
     jet = _eval_scalar(parse_surface("[u^1, 0, 0]").x, 0.0, 0.0)
     assert (jet.f, jet.fu, jet.fuu) == (0.0, 1.0, 0.0)
+    jet = _eval_scalar(parse_surface("[u^0, 0, 0]").x, 0.0, 0.0)
+    assert (jet.f, jet.fu, jet.fuu) == (1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("text,u,v", [

@@ -261,6 +261,24 @@ def _oracle_undecided_at_masked_centres():
     return _recompiled(oracle, "_focal_quadratic", "ok | (flags != 0)", "ok")
 
 
+def _rho_shift_dropped():
+    # B* without the point source's -g*/rho shift
+    return _recompiled(caustics, "modified_forms", "if refl.r_dist is not None:", "if False:")
+
+
+def _b_star_sign_flipped():
+    return _recompiled(caustics, "modified_forms", "m = -2.0 * refl.cos_theta",
+                       "m = 2.0 * refl.cos_theta")
+
+
+def _oracle_pairs_raw_radii():
+    # the oracle's radii compared in the order they are found, never swapped
+    # to the pairing closer to the closed form's
+    return _recompiled(oracle, "_point_errors",
+                       "swap_better = swap[0] + swap[1] < keep[0] + keep[1]",
+                       "swap_better = np.zeros_like(keep[0], dtype=bool)")
+
+
 # the reference scene, at 0.4 s the dearest check, also fails the first and
 # third rows; it is named only where no cheaper check fails
 MUTANTS = {
@@ -281,6 +299,9 @@ MUTANTS = {
     "oracle-decides-everywhere": (_oracle_decides_everywhere, ("flag_mismatch_rule",)),
     "oracle-undecided-at-masked-centres": (_oracle_undecided_at_masked_centres,
                                            ("flag_mismatch_rule",)),
+    "rho-shift-dropped": (_rho_shift_dropped, ("golden_ellipsoid_capped",)),
+    "B-star-sign-flipped": (_b_star_sign_flipped, ("golden_ellipsoid_capped",)),
+    "oracle-pairs-raw-radii": (_oracle_pairs_raw_radii, ("mean_error_bits", "flag_mismatch_rule")),
 }
 
 

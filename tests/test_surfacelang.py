@@ -1,13 +1,17 @@
 """Parser, printer and evaluator of the surface language."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from catacaustics import eval_surface, parse_surface, to_text
+from catacaustics import eval_surface, parse_surface, surfacelang, to_text
 from catacaustics.surfacelang import (ArityError, BinOp, Call, Const, Neg,
-                                      Param, SurfaceAST, SurfaceSyntaxError,
+                                      Param, SurfaceAST, SurfaceLangError,
+                                      SurfaceSyntaxError,
                                       UnknownIdentifierError, Var, format_expr,
                                       parse_surface_definition)
 
@@ -116,9 +120,9 @@ def test_domain_declaration():
     [u, v, u^2/2 - v^2/2]
     u in [-2, 2]; v in [-2.5, 2.5]
     """
-    definition = parse_surface_definition(text)
-    assert definition.domain == (-2.0, 2.0, -2.5, 2.5)
-    assert definition.ast == parse_surface("[u, v, u^2/2 - v^2/2]")
+    ast, domain = parse_surface_definition(text)
+    assert domain == (-2.0, 2.0, -2.5, 2.5)
+    assert ast == parse_surface("[u, v, u^2/2 - v^2/2]")
 
 
 def test_domain_must_be_nonempty():
@@ -172,3 +176,89 @@ def test_neg_call_normalizes_to_unary_minus():
 def test_format_expr_minimal_parens():
     node = parse_surface("[u + v*u, 0, 0]").x
     assert format_expr(node) == "u + v*u"
+
+
+_REF_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_REF_OPS = "[](),+-*/^;"
+
+
+def tokenize_reference(text: str) -> list:
+    """The scanner as a character loop: one branch per token kind."""
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        m = _REF_NUMBER_RE.match(text, i)
+        if m and (ch.isdigit() or ch == "."):
+            toks.append(surfacelang._Tok("NUMBER", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _REF_IDENT_RE.match(text, i)
+        if m:
+            toks.append(surfacelang._Tok("IDENT", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        if ch in _REF_OPS:
+            toks.append(surfacelang._Tok("OP", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise SurfaceSyntaxError(f"unexpected character {ch!r}", line, col)
+    toks.append(surfacelang._Tok("EOF", "", line, col))
+    return toks
+
+
+def _outcome(run, text):
+    """run(text), or the class and message of the SurfaceLangError it raises."""
+    try:
+        return run(text)
+    except SurfaceLangError as e:
+        return type(e), str(e)
+
+
+_PIECES = ["0", "7", "12", "3.", ".5", "1.e-3", "2E+1", ".", "e", "E", "u", "v", "x_1", "in",
+           "sin", *"[](),+-*/^;", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x85",
+           "\u2028", "\xa0", "\u00b2", "\u0663", "\u00e9",
+           "[u, v, u^2/2 - v^2/2]", "u in [-2, 2]; v in [-2.5, 2.5]"]
+_texts = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
+
+
+@seed(0)
+@given(_texts)
+@settings(max_examples=500, deadline=None)
+def test_scanner_is_the_character_loop(text):
+    assert _outcome(surfacelang._tokenize, text) == _outcome(tokenize_reference, text)
+
+
+# a surface file's tokens with whitespace or a comment between each two
+_FILE_TOKENS = ["[", "u", ",", "v", ",", "u", "^", "2", "/", "2", "-", "v", "^", "2.", "/",
+                ".5e1", "]", "u", "in", "[", "-", "2", ",", "2", "]", ";", "v", "in", "[",
+                "-", "2.5", ",", "2.5", "]"]
+_SEPARATORS = ["", " ", "\t", "\n", "\r\n", "\r", "\x0c", "\x85", "\u2028", "\xa0",
+               "# note\n", " #\u2028", "#"]
+_files = st.lists(st.sampled_from(_SEPARATORS), min_size=len(_FILE_TOKENS) + 1,
+                  max_size=len(_FILE_TOKENS) + 1).map(
+    lambda seps: "".join(a + b for a, b in zip(seps, [*_FILE_TOKENS, ""])))
+
+
+@seed(0)
+@given(st.one_of(_files, st.lists(st.sampled_from([*_PIECES, "#", "# note"]),
+                                  max_size=30).map("".join)))
+@settings(max_examples=300, deadline=None)
+def test_surface_file_parses_as_with_the_character_loop(text):
+    got = _outcome(parse_surface_definition, text)
+    with mock.patch.object(surfacelang, "_tokenize", tokenize_reference):
+        assert got == _outcome(parse_surface_definition, text)
