@@ -19,11 +19,12 @@ import os
 # Pinning changes no output byte.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .caustics import (CausticSheet, FlatFront, FrontPoint, FrontStatistics,
-                       GridSpec, IncidentField, MaskedGrid, ModifiedForms,
-                       PointSource, ReflectionData, caustic_coefficients,
-                       caustic_point, compute_caustic_sheets,
-                       incident_direction, modified_forms, reflect_direction,
+from .caustics import (CausticRoots, CausticSheet, FlatFront, FrontPoint,
+                       FrontStatistics, GridSpec, IncidentField, MaskedGrid,
+                       ModifiedForms, PointSource, ReflectionData,
+                       caustic_coefficients, caustic_point, caustic_roots,
+                       compute_caustic_sheets, incident_direction,
+                       modified_forms, reflect_direction,
                        reflected_front_point, reflection_data,
                        solve_sheet_curvatures)
 from .diffgeo import FrameData, SurfaceForms, frame_at, fundamental_forms
@@ -43,10 +44,11 @@ __all__ = [
     "FrameData", "SurfaceForms", "frame_at", "fundamental_forms",
     "FlatFront", "PointSource", "IncidentField", "GridSpec",
     "ReflectionData", "ModifiedForms", "MaskedGrid", "CausticSheet",
-    "FrontPoint", "FrontStatistics",
+    "FrontPoint", "FrontStatistics", "CausticRoots",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
-    "caustic_point", "reflected_front_point", "compute_caustic_sheets",
+    "caustic_point", "reflected_front_point", "caustic_roots",
+    "compute_caustic_sheets",
     "ValidationReport", "validate_sheets",
     "export_mesh",
 ]

@@ -41,12 +41,11 @@ __all__ = [
     "InternalConsistencyError",
     "FLAG_VALID", "FLAG_AT_SOURCE", "FLAG_GRAZING", "FLAG_AT_INFINITY",
     "FLAG_CLIPPED", "FLAG_EXCLUDED_ZERO_ROOT", "FLAG_DOMAIN", "FLAG_DEGENERATE",
-    "BLOCK_POINTS", "row_blocks", "fill_rows", "default_max_radius", "surface_extent",
-    "masked_points_text",
+    "BLOCK_POINTS", "row_blocks", "fill_rows", "default_max_radius", "masked_points_text",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "caustic_radius", "reflected_front_point",
-    "compute_caustic_sheets",
+    "CausticRoots", "caustic_roots", "compute_caustic_sheets",
 ]
 
 # per-vertex flag byte of a MaskedGrid:
@@ -429,11 +428,29 @@ def default_max_radius(surface_diameter: float) -> float:
     return 10.0 * max(surface_diameter, 1e-300)
 
 
-def surface_extent(r, flags):
-    """(bbox min, bbox max, diameter) of the mirror points r on the chart; NaN if none."""
-    on_chart = (flags & FLAG_DOMAIN) == 0
-    pts = r.reshape(-1, 3) if np.all(on_chart) else r[on_chart]
-    lo, hi = _column_extrema(pts) if len(pts) else (np.full(3, np.nan),) * 2
+def _chart_extrema(r, flags, shape):
+    """(min, max) per coordinate of a block's mirror points on the chart; None if none.
+
+    r is (x, y, z) planes and flags a flag byte, both broadcast to shape.
+    The extrema of the block extrema, taken in block order, are those of the
+    whole grid to the bit, +0.0/-0.0 ties included: _column_extrema is
+    min/max(axis=0) to the bit, a left fold of np.minimum/np.maximum, which
+    settles a tie by position alike in every block.
+    """
+    on_chart = np.broadcast_to((flags & FLAG_DOMAIN) == 0, shape)
+    if not np.any(on_chart):
+        return None
+    return _column_extrema(np.stack([np.broadcast_to(x, shape)[on_chart] for x in r], axis=-1))
+
+
+def _surface_extent(extrema):
+    """(bbox min, bbox max, diameter) of the mirror from its blocks' _chart_extrema; NaN if none."""
+    found = [e for e in extrema if e is not None]
+    if not found:
+        lo = hi = np.full(3, np.nan)
+    else:
+        lo, hi = (reduce(np.stack([e[i] for e in found]), axis=0)
+                  for i, reduce in ((0, np.min), (1, np.max)))
     return lo, hi, float(np.linalg.norm(hi - lo))
 
 
@@ -541,7 +558,7 @@ class SheetStatistics:
 @dataclass
 class FrontStatistics:
     """Counts, bounding boxes and degeneracy measures for both sheets, and
-    the scene they describe: the oracle checks the sheets against it."""
+    the scene they describe."""
 
     grid: GridSpec
     surface: SurfaceAST = dc_field(repr=False)
@@ -556,7 +573,7 @@ class FrontStatistics:
 
     @functools.cached_property
     def sheets(self) -> tuple:
-        """SheetStatistics of both sheets, made on first use: validate reads none."""
+        """SheetStatistics of both sheets, made on first use."""
         return tuple(_sheet_statistics(s) for s in self.caustic_sheets)
 
     @property
@@ -680,6 +697,67 @@ def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: f
     return r, b, base_flags, np.minimum(k_a, k_b), np.maximum(k_a, k_b)
 
 
+def _roots_pass(surface: SurfaceAST, field: IncidentField, grid: GridSpec, eps_grazing: float,
+                max_radius: Optional[float], keep_rays: bool):
+    """The closed form's roots: one fill_rows pass of _sheet_block.
+
+    Returns (arrays, extent, max_radius).  arrays are the whole-grid r, b,
+    base flags, k1 and k2, without r and b unless keep_rays.  extent is the
+    (bbox min, bbox max, diameter) of the mirror points on the chart,
+    reduced block by block, and max_radius None resolves to
+    default_max_radius of that diameter.
+    """
+    if max_radius is not None and not max_radius > 0.0:
+        raise ValueError("max_radius must be positive")
+    extrema = []
+
+    def roots_block(U, V, rows):
+        r, b, base_flags, k1, k2 = _sheet_block(surface, field, U, V, eps_grazing)
+        extrema.append(_chart_extrema(r, base_flags, np.broadcast_shapes(U.shape, V.shape)))
+        return (r, b, base_flags, k1, k2) if keep_rays else (base_flags, k1, k2)
+
+    arrays = fill_rows(grid, roots_block)
+    extent = _surface_extent(extrema)
+    max_radius = default_max_radius(extent[2]) if max_radius is None else float(max_radius)
+    return arrays, extent, max_radius
+
+
+@dataclass
+class CausticRoots:
+    """The closed form's roots over a grid, without the sheets' points.
+
+    What validate reads: the scene, the front curvatures of both sheets
+    (sheet 1 holds the smaller k*), the flag byte of the ray stage and the
+    radius cap, resolved as compute_caustic_sheets resolves it.  A sheet's
+    points follow from these on the mirror points and reflected directions:
+    caustic_point(r, b, k1, field, eps_inf, base_flags, max_radius).
+    """
+
+    grid: GridSpec
+    surface: SurfaceAST = dc_field(repr=False)
+    field: IncidentField
+    eps_grazing: float
+    eps_inf: float
+    max_radius: float
+    base_flags: np.ndarray   # (nu, nv) uint8
+    k1: np.ndarray           # (nu, nv)
+    k2: np.ndarray           # (nu, nv)
+
+
+def caustic_roots(surface: SurfaceAST, field: IncidentField, grid: GridSpec,
+                  *, eps_grazing: float = EPS_GRAZING_DEFAULT,
+                  eps_inf: float = EPS_INF_DEFAULT,
+                  max_radius: Optional[float] = None) -> CausticRoots:
+    """The roots pass of compute_caustic_sheets, for the same arguments, as CausticRoots.
+
+    It holds no whole-grid r or b: 17 B per grid point.
+    """
+    (base_flags, k1, k2), _, max_radius = _roots_pass(surface, field, grid, eps_grazing,
+                                                      max_radius, keep_rays=False)
+    return CausticRoots(grid, surface, field, eps_grazing, eps_inf, max_radius,
+                        base_flags, k1, k2)
+
+
 def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: GridSpec,
                            *, eps_grazing: float = EPS_GRAZING_DEFAULT,
                            eps_inf: float = EPS_INF_DEFAULT,
@@ -695,16 +773,12 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     The flat-front result is independent of any front offset by construction
     (no travel parameter enters the computation).  Sheet 1 holds the smaller
     k* at each point.  The pointwise stages run in fill_rows: the roots,
-    then, once the cap is resolved, each sheet's placement.  No whole-grid
-    temporary is made, and the result does not depend on the block size.
+    which also reduce the mirror's extent per block, then, once the cap is
+    resolved, each sheet's placement.  No whole-grid temporary is made, and
+    the result does not depend on the block size.
     """
-    if max_radius is not None and not max_radius > 0.0:
-        raise ValueError("max_radius must be positive")
-    r, b, base_flags, k1, k2 = fill_rows(
-        grid, lambda U, V, rows: _sheet_block(surface, field, U, V, eps_grazing))
-
-    surf_min, surf_max, diameter = surface_extent(r, base_flags)
-    max_radius = default_max_radius(diameter) if max_radius is None else float(max_radius)
+    (r, b, base_flags, k1, k2), (surf_min, surf_max, diameter), max_radius = _roots_pass(
+        surface, field, grid, eps_grazing, max_radius, keep_rays=True)
     sheets = []
     for sheet_id, k in ((1, k1), (2, k2)):
         xi, flags = fill_rows(grid, lambda U, V, rows: caustic_point(

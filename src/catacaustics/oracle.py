@@ -12,21 +12,26 @@ the signed focal distances along each ray -- come out in closed form.  None of
 the fundamental-form machinery is touched, which makes this an independent
 check of the curvature route.
 
-validate_sheets is the entry point: it takes what compute_caustic_sheets
-returns and, in one pass of caustics.fill_rows, runs the oracle and keeps
-each point's error against the closed-form sheets; only the errors and their
-mask are whole-grid arrays, and a block differences each +- stencil pair as
-soon as both of its rays exist.  It reads its scene from the closed form's
-statistics: the surface, field, grid, grazing threshold and radius cap the
-sheets were computed for.  The rays come from the ray
+validate_sheets is the entry point: it takes the closed form's roots (the
+CausticRoots of caustics.caustic_roots, the first pass of compute) and, in a
+second pass of caustics.fill_rows, runs the oracle, places both closed-form
+sheets and keeps each point's error.  Whole-grid arrays are only k1, k2 and
+the flag byte of the roots pass, and the errors and their mask of this one:
+35 B per grid point; a block differences each +- stencil pair as soon as
+both of its rays exist.  It reads its scene from the roots: the surface,
+field, grid, grazing threshold and radius cap.  The rays come from the ray
 stage that compute uses (caustics._ray_block), once per stencil point and
-block, on first-order jets: a ray needs r, r_u and r_v only.  The focal
-computation is the oracle's own; the radius cap holds for the oracle's focal
-distances as well.  A ray the stage flags (grazing, off the chart, singular
-or on the point source) makes its stencil unusable.  The oracle decides a
-grid point by one rule: where its centre ray is flagged (no focal point) or
-where all five stencil rays are lit.  Everywhere else, and where the closed
-form's evaluation left the chart, it gives no verdict.
+block, on first-order jets: a ray needs r, r_u and r_v only.  The centre ray
+is therefore the closed form's mirror point and reflected direction to the
+bit, and the closed-form caustic points are placed on it with
+caustics.caustic_point, as compute places them.  The focal computation is
+the oracle's own: its stencil, its quadratic and its pairing of the roots
+share nothing with the curvature route.  The radius cap holds for the
+oracle's focal distances as well.  A ray the stage flags (grazing, off the
+chart, singular or on the point source) makes its stencil unusable.  The
+oracle decides a grid point by one rule: where its centre ray is flagged (no
+focal point) or where all five stencil rays are lit.  Everywhere else, and
+where the closed form's evaluation left the chart, it gives no verdict.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import caustics
 from .caustics import FLAG_DOMAIN, FLAG_VALID, _ray_block, caustic_radius, fill_rows
 from .diffgeo import cross, dot
 
@@ -155,32 +161,29 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _point_errors(sheets, rows, r0, b0, ok, decided, lam, max_radius):
+def _point_errors(roots, rows, placed, r0, b0, ok, decided, lam):
     """Caustic-point errors of both sheets on a block of grid rows.
 
+    placed holds the closed form's (xi, flags) of both sheets on the rows.
     Returns (err, both, n_disagree): the (2, rows, nv) distances between the
     closed-form and the oracle caustic points, the mask of points both sides
     call valid, and the number of decided sheet-points only one side calls
-    valid.  The closed form's valid points are already inside max_radius;
-    the oracle's focal distances are held to it here.  The oracle decides a
-    point where its centre ray is flagged or all five stencil rays are lit;
-    the closed form has no answer where its own evaluation left the chart
-    (FLAG_DOMAIN), which at order 2 also covers a second derivative that is
-    not finite.  No mismatch is counted where either side has no verdict.
+    valid.  The closed form's valid points are already inside the radius
+    cap; the oracle's focal distances are held to it here.  The oracle
+    decides a point where its centre ray is flagged or all five stencil rays
+    are lit; the closed form has no answer where its own evaluation left the
+    chart (FLAG_DOMAIN), which at order 2 also covers a second derivative
+    that is not finite.  No mismatch is counted where either side has no
+    verdict.
     """
-    def sheet_side(sheet):
-        return caustic_radius(sheet.k_star[rows]), (sheet.flags[rows] & FLAG_VALID) != 0
-
-    rad1, use1 = sheet_side(sheets[0])
-    rad2, use2 = sheet_side(sheets[1])
-    oracle_ok = ok[None] & (np.abs(lam) <= max_radius) & np.isfinite(lam)
-    decided = decided & ((sheets[0].flags[rows] & FLAG_DOMAIN) == 0)
+    oracle_ok = ok[None] & (np.abs(lam) <= roots.max_radius) & np.isfinite(lam)
+    decided = decided & ((roots.base_flags[rows] & FLAG_DOMAIN) == 0)
 
     # pair closed-form radii with oracle roots by least total |difference| over
     # the usable radii: a zero root's ~1e16 radius would leave it to rounding
     with np.errstate(all="ignore"):
-        cf = np.stack([rad1, rad2])
-        cf_ok = np.stack([use1, use2])
+        cf = np.stack([caustic_radius(k[rows]) for k in (roots.k1, roots.k2)])
+        cf_ok = np.stack([(flags & FLAG_VALID) != 0 for _, flags in placed])
         keep = np.where(cf_ok, np.abs(cf - lam), 0.0)
         swap = np.where(cf_ok, np.abs(cf - lam[::-1]), 0.0)
         swap_better = swap[0] + swap[1] < keep[0] + keep[1]
@@ -191,7 +194,7 @@ def _point_errors(sheets, rows, r0, b0, ok, decided, lam, max_radius):
         disagree = int(np.count_nonzero((cf_ok != oracle_ok) & decided))
 
         # xi_cf - (r0 + lambda b0) per sheet and coordinate plane
-        diff = [np.where(both, np.stack([s.points[rows, :, c] for s in sheets])
+        diff = [np.where(both, np.stack([xi[..., c] for xi, _ in placed])
                          - (r0[c] + orc * b0[c]), 0.0) for c in range(3)]
         err = _norm_planes(diff)
     return err, both, disagree
@@ -205,32 +208,43 @@ def _norm_planes(d):
     return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
 
 
-def validate_sheets(closed_form, h: float = FD_STEP_DEFAULT,
+def validate_sheets(roots, h: float = FD_STEP_DEFAULT,
                     tol: float = VALIDATION_TOL_DEFAULT) -> ValidationReport:
     """Compare the closed-form caustic sheets against the brute-force oracle.
 
-    closed_form is the (sheet1, sheet2, statistics) triple of
-    compute_caustic_sheets; the oracle reads its scene (surface, field,
-    grid, eps_grazing and max_radius) from the statistics.  One pass of
-    fill_rows compares the two and counts the flag mismatches where both
-    decide: the oracle where a grid point's centre ray is flagged or its five
-    stencil rays are all lit, the closed form where it stayed on the chart.
-    The error at a point is the distance between the closed-form caustic point and
-    r + lambda_oracle * b after pairing the roots by least total difference.
-    Points whose caustic lies beyond the radius cap the sheets were clipped
-    to are excluded on both sides: far focal points amplify any derivative
-    noise linearly with distance and carry no geometric information here.
+    roots is the CausticRoots of caustics.caustic_roots: the closed form's
+    first pass, which holds k1, k2 and the flag byte over the grid, and the
+    scene (surface, field, grid, eps_grazing, eps_inf and max_radius).  One
+    pass of fill_rows then runs the oracle on each block.  Its centre ray is
+    the closed form's r and b to the bit, so placing k1 and k2 on it with
+    caustic_point gives the closed-form sheets' points and flags as
+    compute_caustic_sheets gives them; the focal distances come from the
+    oracle's own stencil and quadratic.  The pass compares the two and
+    counts the flag mismatches where both decide: the oracle where a grid
+    point's centre ray is flagged or its five stencil rays are all lit, the
+    closed form where it stayed on the chart.  Only the errors and their
+    mask are kept over the grid.  The error at a point is the distance
+    between the closed-form caustic point and r + lambda_oracle * b after
+    pairing the roots by least total difference.  Points whose caustic lies
+    beyond the radius cap are excluded on both sides: far focal points
+    amplify any derivative noise linearly with distance and carry no
+    geometric information here.
     """
-    *sheets, stats = closed_form
-    grid = stats.grid
+    grid = roots.grid
     disagree = 0
 
     def block_errors(U, V, rows):
         nonlocal disagree
-        coeffs, r0, b0, ok, decided = _focal_quadratic(stats.surface, stats.field, U, V, h,
-                                                       stats.eps_grazing)
+        coeffs, r0, b0, ok, decided = _focal_quadratic(roots.surface, roots.field, U, V, h,
+                                                       roots.eps_grazing)
         lam = np.stack(_roots_of_focal_quadratic(*coeffs))
-        err, both, n = _point_errors(sheets, rows, r0, b0, ok, decided, lam, stats.max_radius)
+        r, b = (np.stack(x, axis=-1) for x in (r0, b0))
+        # compute's one placement, looked up on caustics where compute finds it
+        placed = [caustics.caustic_point(r, b, k[rows], roots.field, roots.eps_inf,
+                                         roots.base_flags[rows], roots.max_radius)
+                  for k in (roots.k1, roots.k2)]
+        del r, b  # the errors' temporaries need no stacked rays
+        err, both, n = _point_errors(roots, rows, placed, r0, b0, ok, decided, lam)
         disagree += n
         return np.moveaxis(err, 0, -1), np.moveaxis(both, 0, -1)
 
@@ -252,9 +266,8 @@ def validate_sheets(closed_form, h: float = FD_STEP_DEFAULT,
         summary = (float("inf"),) * 4
         passed = False
     return ValidationReport(
-        nu=grid.nu, nv=grid.nv, fd_step=float(h), tol=float(tol), max_radius=stats.max_radius,
+        nu=grid.nu, nv=grid.nv, fd_step=float(h), tol=float(tol), max_radius=roots.max_radius,
         n_points=grid.nu * grid.nv, n_compared=n_compared, n_flag_disagreements=disagree,
         max_error=max_err, mean_error=summary[0], p50=summary[1], p90=summary[2], p99=summary[3],
         passed=passed,
     )
-

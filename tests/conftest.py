@@ -5,10 +5,16 @@ random surfaces are gentle graphs z = f(u, v): always regular, with bounded
 slopes so that near-vertical incident fields stay safely away from grazing.
 """
 
+import os
+import pathlib
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 
+import catacaustics
 from catacaustics import FlatFront, PointSource, build_surface, parse_surface
 from catacaustics.surfacelang import (BinOp, Call, Const, Neg, Param,
                                       SurfaceAST, Var)
@@ -156,6 +162,35 @@ def traced_peak_per_point(fn, n_points):
     finally:
         tracemalloc.stop()
     return (peak - before) / n_points, result
+
+
+# a fresh interpreter that runs the CLI from its argv as the console script
+# does (cli.run) and, at exit, writes its own peak resident set to stderr
+_OWN_PEAK_CHILD = """
+import atexit, sys
+
+def own_peak():
+    with open("/proc/self/status") as fh:
+        sys.stderr.write("".join(line for line in fh if line.startswith("VmHWM:")))
+
+atexit.register(own_peak)
+from catacaustics.cli import run
+run()
+"""
+
+
+def cli_own_peak(argv, cwd):
+    """(exit code, stdout, own peak in MB) of a fresh child that runs the CLI argv.
+
+    The peak is the child's VmHWM at exit, read by the child itself: the
+    ru_maxrss a parent gets from os.wait4 starts from the parent's own
+    resident set, which a child inherits across fork and exec.
+    """
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(catacaustics.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _OWN_PEAK_CHILD, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    peak = re.search(r"^VmHWM:\s+(\d+) kB$", proc.stderr, re.M)
+    return proc.returncode, proc.stdout, int(peak[1]) / 1024.0
 
 
 # -- sheet labels ------------------------------------------------------------

@@ -11,8 +11,8 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           compute_caustic_sheets, eval_surface, frame_at,
                           fundamental_forms, incident_direction,
                           modified_forms, parse_surface, reflection_data,
-                          caustic_coefficients, solve_sheet_curvatures,
-                          validate_sheets)
+                          caustic_coefficients, caustic_roots,
+                          solve_sheet_curvatures, validate_sheets)
 from catacaustics.cli import main
 from catacaustics.surfacelang import format_expr
 from conftest import (GRAPH_DOMAIN, random_field, random_flat_field,
@@ -206,8 +206,7 @@ def test_criterion_08_oracle_equivalence():
     failures = []
     for name, params, grid, field in _builtin_validation_scenes():
         ast, _ = build_surface(name, params)
-        sheets = compute_caustic_sheets(ast, field, grid)
-        rep = validate_sheets(sheets, h=1e-4, tol=1e-4)
+        rep = validate_sheets(caustic_roots(ast, field, grid), h=1e-4, tol=1e-4)
         worst = max(worst, rep.max_error)
         if not rep.passed:
             failures.append(f"{name}/{type(field).__name__}: {rep.max_error:.2e}")
@@ -218,12 +217,12 @@ def test_criterion_08_oracle_equivalence():
         ast = random_graph_surface(rng)
         field = random_flat_field(rng) if i % 2 == 0 else random_point_field(rng)
         grid = GridSpec(15, 15, GRAPH_DOMAIN)
-        sheets = compute_caustic_sheets(ast, field, grid)
-        rep = validate_sheets(sheets, h=1e-4, tol=1e-4)
+        roots = caustic_roots(ast, field, grid)
+        rep = validate_sheets(roots, h=1e-4, tol=1e-4)
         worst = max(worst, rep.max_error)
         if not rep.passed:
             failures.append(f"random-{i}: {rep.max_error:.2e}")
-        random_scenes.append(sheets)
+        random_scenes.append(roots)
 
     # halving the step must shrink the error second-order (up to a noise floor)
     decay_ok = True
@@ -231,10 +230,10 @@ def test_criterion_08_oracle_equivalence():
     ast, _ = build_surface("ellipsoid")
     grid = GridSpec(15, 15, (-1.3, 1.3, 0.0, TWO_PI))
     field = PointSource((0.05, -0.03, 0.08))
-    convergence_cases = [*random_scenes[:2], compute_caustic_sheets(ast, field, grid)]
-    for sheets in convergence_cases:
-        big = validate_sheets(sheets, h=4e-4).max_error
-        small = validate_sheets(sheets, h=2e-4).max_error
+    convergence_cases = [*random_scenes[:2], caustic_roots(ast, field, grid)]
+    for roots in convergence_cases:
+        big = validate_sheets(roots, h=4e-4).max_error
+        small = validate_sheets(roots, h=2e-4).max_error
         decays.append(f"{big:.1e}->{small:.1e}")
         if small > big / 3.0 + 1e-9:
             decay_ok = False

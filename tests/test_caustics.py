@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
-                          caustic_coefficients, caustic_point,
+                          caustic_coefficients, caustic_point, caustic_roots,
                           compute_caustic_sheets, eval_surface, frame_at,
                           fundamental_forms, incident_direction,
                           modified_forms, parse_surface, reflect_direction,
@@ -33,8 +33,8 @@ from catacaustics.caustics import (_CROSSCHECK_RTOL, EPS_GRAZING_DEFAULT,
 from catacaustics.diffgeo import dot
 from catacaustics.oracle import validate_sheets
 from catacaustics.surfaces import BUILTINS
-from conftest import (BLOCK_SCENES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes, label_breaks,
-                      normal_curvature, random_field, random_graph_surface,
+from conftest import (BLOCK_SCENES, DEFECT_SURFACES, GRAPH_DOMAIN, HUGE_BLOCK, block_sizes,
+                      label_breaks, normal_curvature, random_field, random_graph_surface,
                       scene_surface, stack_planes, traced_peak_per_point)
 
 SPHERE = "[cos(u)*cos(v), cos(u)*sin(v), sin(u)]"
@@ -385,7 +385,7 @@ def test_far_source_is_the_flat_front():
         assert np.array_equal(g.flags, w.flags)
         assert np.array_equal(g.k_star, w.k_star, equal_nan=True)
         assert np.array_equal(g.points, w.points, equal_nan=True)
-    assert validate_sheets((*far, far_stats)).passed
+    assert validate_sheets(caustic_roots(ast, PointSource((1e300, 0.0, 0.0)), grid)).passed
 
 
 class TestRootIdentities:
@@ -459,6 +459,50 @@ def test_row_blocks_cover_every_row_once():
             assert np.all(runs == 1)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+# x = 0*sin(...) is -0.0 or +0.0 by the sign of the sine, so every row block
+# ties at zero in x, and the zero that wins decides the "surface bbox" bytes.
+# Under the first, whose sign alternates between rows, the first row holds
+# +0.0 and the last -0.0: a tie between blocks must go to the later one.  The
+# second changes sign along the rows too: on the 31 x 7 grid a reduction
+# across the contiguous x column picks the other zero than min/max(axis=0)
+SIGNED_ZERO_TIES = {"[0*sin(40*u), v, u + v^2]": "-0", "[0*sin(40*u + 17*v), v, u + v^2]": "0"}
+TIE_DOMAIN = (-1.05, 1.05, -1.0, 1.0)
+EXTENT_SCENES = [
+    *((text, TIE_DOMAIN, FlatFront((0.1, 0.2, 1.0)), shape)
+      for text in SIGNED_ZERO_TIES for shape in ((31, 7), (300, 120))),
+    # the apex is off the chart and out of the extent
+    (*DEFECT_SURFACES["cone"], FlatFront((0.1, 0.2, -1.0)), (19, 21)),
+    ("ellipsoid", None, PointSource((0.05, -0.03, 0.08)), (23, 17)),
+]
+
+
+def whole_grid_extent_lines(ast, field, grid):
+    """stats.txt's surface lines by min/max(axis=0) over the grid's mirror points on the chart."""
+    frame, _, flags = caustics._ray_block(ast, field, *grid.mesh(), EPS_GRAZING_DEFAULT)
+    shape = (grid.nu, grid.nv)
+    on_chart = np.broadcast_to((flags & FLAG_DOMAIN) == 0, shape)
+    pts = np.stack([np.broadcast_to(x, shape) for x in frame.r], axis=-1)[on_chart]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    return [f"surface bbox min: {caustics._fmt_vec(lo)}",
+            f"surface bbox max: {caustics._fmt_vec(hi)}",
+            f"surface diameter: {float(np.linalg.norm(hi - lo)):.9g}"]
+
+
+@pytest.mark.parametrize("text, domain, field, shape", EXTENT_SCENES)
+def test_surface_extent_is_the_whole_grid_rule(text, domain, field, shape):
+    ast, domain = (parse_surface(text), domain) if domain else build_surface(text)
+    grid = GridSpec(*shape, domain)
+    want = whole_grid_extent_lines(ast, field, grid)
+    if text in SIGNED_ZERO_TIES:
+        assert [line.split(": ")[1].split()[0] for line in want[:2]] == [SIGNED_ZERO_TIES[text]] * 2
+    for size in (1, 2, 5, caustics.BLOCK_POINTS):
+        with mock.patch.object(caustics, "BLOCK_POINTS", size):
+            stats = compute_caustic_sheets(ast, field, grid)[2]
+            roots = caustic_roots(ast, field, grid)
+        assert [line for line in stats.to_text().splitlines() if line.startswith("surface ")] == want
+        assert roots.max_radius == stats.max_radius == default_max_radius(stats.surface_diameter)
 
 
 @pytest.mark.parametrize("name, field, shape", BLOCK_SCENES)

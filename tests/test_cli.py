@@ -1,11 +1,14 @@
 """Command-line interface: scenes, exit codes, output files."""
 
 import argparse
+import ctypes
 import hashlib
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +19,8 @@ from catacaustics import caustics, cli
 from catacaustics.cli import main
 from catacaustics.surfacelang import eval_surface
 from catacaustics.surfaces import BUILTINS
-from conftest import BLOCK_SCENES, HUGE_BLOCK, block_sizes, scene_surface, traced_peak_per_point
+from conftest import (BLOCK_SCENES, HUGE_BLOCK, block_sizes, cli_own_peak, scene_surface,
+                      traced_peak_per_point)
 
 
 def run(capsys, *argv):
@@ -54,6 +58,60 @@ def test_console_entry_point(tmp_path):
     assert done.returncode == 1
     assert "scene: argument --grid: needs a value" in done.stderr.splitlines()
     assert not list(tmp_path.iterdir())
+
+
+def test_run_keeps_the_block_heap_once_before_main(monkeypatch):
+    events = []
+    libc = SimpleNamespace(mallopt=lambda param, value: events.append((param, value)))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 0)
+    with pytest.raises(SystemExit) as done:
+        cli.run()
+    assert done.value.code == 0
+    # M_MMAP_THRESHOLD above a block's (x, y, z) stack of float64 (24 B per
+    # point), M_TRIM_THRESHOLD above a block's working set (~390 B per point)
+    settings = [(-3, 32 * caustics.BLOCK_POINTS), (-1, 512 * caustics.BLOCK_POINTS)]
+    assert events == [*settings, "main"]
+    if hasattr(ctypes.CDLL(None), "mallopt"):
+        # the C library takes both values: mallopt returns 1 on success
+        code = f"import ctypes; m = ctypes.CDLL(None).mallopt; print([m(*s) for s in {settings}])"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert done.stdout == "[1, 1]\n"
+
+
+def test_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    with pytest.raises(SystemExit) as done:
+        cli.run()
+    assert done.value.code == 0
+
+
+def test_main_leaves_the_heap_as_it_finds_it(monkeypatch, tmp_path, capsys):
+    libc = mock.Mock()
+    monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+    scene = ("--surface", "sphere", "--flat", "0,0,1", "--grid", "8,8")
+    for argv in (["builtins"], ["validate", *scene],
+                 ["compute", *scene, "--out", str(tmp_path / "c")],
+                 ["front", *scene, "--travel", "2", "--out", str(tmp_path / "f")]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert not libc.called
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc/self/status")
+def test_validate_own_peak_is_bounded(tmp_path):
+    # own peak of a cold validate of the 400^2 torus above that of `builtins`
+    # (the interpreter with the package, 29.2 MB): 16.8 MB with a roots pass
+    # that keeps no r or b and the block heap kept, 23.9 MB when the roots
+    # pass kept them for a placement pass and glibc trimmed the heap
+    code, out, peak = cli_own_peak(["validate", "--surface", "revolution", "--flat", "0,0,1",
+                                    "--grid", "400,400"], tmp_path)
+    assert code == 0 and "result:            PASS" in out
+    _, _, floor = cli_own_peak(["builtins"], tmp_path)
+    assert peak - floor <= 20.5, f"{peak - floor:.1f} MB above the interpreter's"
 
 
 class TestBuiltinsCommand:
@@ -384,6 +442,17 @@ class TestValidate:
             raise AssertionError("validate computed the sheet statistics")
 
         monkeypatch.setattr(caustics, "_sheet_statistics", unread)
+        code, out, err = run(capsys, "validate", "--surface", "ellipsoid",
+                             "--source", "0.05,-0.03,0.08", "--grid", "15,15")
+        assert (code, err) == (0, "")
+        assert "result:            PASS" in out
+
+    def test_validate_places_no_whole_grid_sheet(self, capsys, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("validate computed the whole-grid sheets")
+
+        monkeypatch.setattr(cli, "compute_caustic_sheets", unread)
+        monkeypatch.setattr(caustics, "compute_caustic_sheets", unread)
         code, out, err = run(capsys, "validate", "--surface", "ellipsoid",
                              "--source", "0.05,-0.03,0.08", "--grid", "15,15")
         assert (code, err) == (0, "")

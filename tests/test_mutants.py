@@ -187,14 +187,22 @@ def _doubled_diameter():
     return mock.patch.object(caustics, "default_max_radius", lambda d: cap(2.0 * d))
 
 
-def _recompiled(module, name, old, new):
-    """module's function name with old replaced by new in its source, recompiled."""
+@contextlib.contextmanager
+def _recompiled(module, name, old, new, importers=()):
+    """module's function name with old replaced by new in its source, recompiled.
+
+    The modules in importers, which bound the name when they imported it,
+    take the mutant too.
+    """
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     mutated = source.replace(old, new)
     assert mutated != source
     namespace = {}
     exec(mutated, vars(module), namespace)
-    return mock.patch.object(module, name, namespace[name])
+    with contextlib.ExitStack() as stack:
+        for m in (module, *importers):
+            stack.enter_context(mock.patch.object(m, name, namespace[name]))
+        yield
 
 
 def _absolute_floor_restored():
@@ -279,6 +287,22 @@ def _oracle_pairs_raw_radii():
                        "swap_better = np.zeros_like(keep[0], dtype=bool)")
 
 
+def _validate_placement_uncapped():
+    # validate places the closed-form sheets without the radius cap
+    return _recompiled(oracle, "validate_sheets", "roots.base_flags[rows], roots.max_radius)",
+                       "roots.base_flags[rows], np.inf)", importers=(cli,))
+
+
+def _validate_places_from_a_stencil_ray():
+    # validate places the closed-form sheets on the ray at u + h, not on the centre ray
+    return _recompiled(oracle, "validate_sheets",
+                       "r, b = (np.stack(x, axis=-1) for x in (r0, b0))",
+                       "frame, refl, _ = _ray_block(roots.surface, roots.field, U + h, V, "
+                       "roots.eps_grazing, order=1)\n"
+                       "        r, b = (np.stack(np.broadcast_arrays(*x), axis=-1) "
+                       "for x in (frame.r, refl.b))", importers=(cli,))
+
+
 # the reference scene, at 0.4 s the dearest check, also fails the first and
 # third rows; it is named only where no cheaper check fails
 MUTANTS = {
@@ -302,6 +326,10 @@ MUTANTS = {
     "rho-shift-dropped": (_rho_shift_dropped, ("golden_ellipsoid_capped",)),
     "B-star-sign-flipped": (_b_star_sign_flipped, ("golden_ellipsoid_capped",)),
     "oracle-pairs-raw-radii": (_oracle_pairs_raw_radii, ("mean_error_bits", "flag_mismatch_rule")),
+    "validate-placement-uncapped": (_validate_placement_uncapped,
+                                    ("torus_capped_report", "flag_mismatch_rule")),
+    "validate-places-from-a-stencil-ray": (_validate_places_from_a_stencil_ray,
+                                           ("torus_capped_report", "mean_error_bits")),
 }
 
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
-                          compute_caustic_sheets, eval_surface, parse_surface,
-                          validate_sheets)
+                          caustic_roots, compute_caustic_sheets, eval_surface,
+                          parse_surface, validate_sheets)
 from catacaustics import caustics, oracle
 from catacaustics.caustics import (EPS_GRAZING_DEFAULT, FLAG_CLIPPED,
                                    FLAG_GRAZING, FLAG_VALID, _ray_block,
@@ -109,8 +109,7 @@ class TestValidateSheets:
         else:
             ast, dom = build_surface(name_or_text, params)
         grid = grid or GridSpec(25, 25, dom)
-        sheets = compute_caustic_sheets(ast, field, grid)
-        return validate_sheets(sheets, **kw)
+        return validate_sheets(caustic_roots(ast, field, grid), **kw)
 
     def test_sphere_axial(self):
         report = self._validate("sphere", AXIAL, GridSpec(30, 30, (0.2, 1.4, 0.0, 6.2831853)))
@@ -144,7 +143,7 @@ class TestValidateSheets:
         d_keep = np.linalg.norm(s1.points - xi_f, axis=-1) + np.linalg.norm(s2.points - xi_h, axis=-1)
         d_swap = np.linalg.norm(s1.points - xi_h, axis=-1) + np.linalg.norm(s2.points - xi_f, axis=-1)
         assert np.all(np.minimum(d_keep, d_swap) <= 2e-9)
-        report = validate_sheets((s1, s2, stats))
+        report = validate_sheets(caustic_roots(ast, AXIAL, grid))
         assert report.passed
 
     def test_ellipsoid_interior_point_source(self):
@@ -167,8 +166,8 @@ class TestValidateSheets:
         ast = random_graph_surface(rng)
         field = FlatFront((0.1, -0.05, 1.0))
         grid = GridSpec(15, 15, GRAPH_DOMAIN)
-        sheets = compute_caustic_sheets(ast, field, grid)
-        errs = [validate_sheets(sheets, h=h).max_error
+        roots = caustic_roots(ast, field, grid)
+        errs = [validate_sheets(roots, h=h).max_error
                 for h in (8e-4, 4e-4, 2e-4)]
         floor = 1e-9
         for big, small in zip(errs, errs[1:]):
@@ -187,16 +186,19 @@ def test_block_size_does_not_change_the_report(name, field, shape):
     ast, dom = scene_surface(name)
     grid = GridSpec(*shape, dom)
     with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
-        closed_form = compute_caustic_sheets(ast, field, grid)
-        want = validate_sheets(closed_form)
+        roots = caustic_roots(ast, field, grid)
+        stats = compute_caustic_sheets(ast, field, grid)[2]
+        want = validate_sheets(roots)
     assert want.n_compared
-    assert want.max_radius == closed_form[2].max_radius
-    assert want.max_radius == default_max_radius(closed_form[2].surface_diameter)
+    assert want.max_radius == roots.max_radius == stats.max_radius
+    assert want.max_radius == default_max_radius(stats.surface_diameter)
     for size in block_sizes(grid.nv):
         with mock.patch.object(caustics, "BLOCK_POINTS", size):
-            got = validate_sheets(closed_form)
-        assert got.to_text() == want.to_text()
-        assert repr(got) == repr(want)
+            # either pass in blocks: the oracle's on the roots of one block, and both
+            got = [validate_sheets(roots), validate_sheets(caustic_roots(ast, field, grid))]
+        for g in got:
+            assert g.to_text() == want.to_text()
+            assert repr(g) == repr(want)
 
 
 # validate's mean_error to the bit: the mean sums the compared points one
@@ -212,8 +214,8 @@ def mean_error_hex(scene) -> str:
     """mean_error.hex() of oracle.validate_sheets on a MEAN_ERROR_HEX scene."""
     direction, shape, _ = MEAN_ERROR_HEX[scene]
     ast, dom = build_surface("revolution")
-    closed_form = compute_caustic_sheets(ast, FlatFront(direction), GridSpec(*shape, dom))
-    return oracle.validate_sheets(closed_form).mean_error.hex()
+    roots = caustic_roots(ast, FlatFront(direction), GridSpec(*shape, dom))
+    return oracle.validate_sheets(roots).mean_error.hex()
 
 
 @pytest.mark.parametrize("scene", MEAN_ERROR_HEX)
@@ -243,18 +245,17 @@ def test_plane_norm_is_bitwise_linalg_norm(stacked):
 
 
 def test_validate_working_set_is_bounded():
-    # one pass over the row blocks holds only err and both (18 B per point) plus
-    # one block's temporaries, ~56 B per point here; a block's rays and roots
-    # kept alive while the next block runs read ~67, four stencil rays alive
-    # at once and (..., 3) stacks of the errors ~78, and whole-grid copies of
-    # the rays or roots ~127
+    # the whole validate, both passes: the roots pass holds k1, k2 and the flag
+    # byte (17 B per point) plus one block's temporaries, the oracle's pass adds
+    # err and both (18 B) plus one block's; ~72 B per point here.  The oracle
+    # on the whole sheets of compute_caustic_sheets, whose roots pass held r
+    # and b too, read ~123
     ast, dom = build_surface("revolution")
     grid = GridSpec(500, 500, dom)
-    closed_form = compute_caustic_sheets(ast, AXIAL, grid)
     per_point, report = traced_peak_per_point(
-        lambda: validate_sheets(closed_form), grid.nu * grid.nv)
+        lambda: validate_sheets(caustic_roots(ast, AXIAL, grid)), grid.nu * grid.nv)
     assert report.passed
-    assert per_point <= 61, f"{per_point:.0f} B per grid point"
+    assert per_point <= 90, f"{per_point:.0f} B per grid point"
 
 
 # -- the oracle's stencil on (..., 3) arrays, the reference for the planes ---
@@ -402,6 +403,27 @@ def test_stencil_on_the_source_is_bitwise_the_stacked_reference():
     assert not got[3][0, 0] and np.count_nonzero(~got[3]) == 1
 
 
+def test_validate_places_the_sheets_compute_places():
+    # the oracle's centre ray is the closed form's r and b to the bit, so the
+    # points and flags validate compares are compute's, clipped ones included
+    ast, dom = build_surface("ellipsoid")
+    grid = GridSpec(40, 30, dom)
+    field = PointSource((0.2, 0.1, 0.1))
+    sheets = compute_caustic_sheets(ast, field, grid, max_radius=1.0)[:2]
+    assert all(np.any(s.flags & FLAG_CLIPPED) for s in sheets)
+    placed, place = [], caustics.caustic_point
+    with mock.patch.object(caustics, "BLOCK_POINTS", 7 * grid.nv), \
+            mock.patch.object(caustics, "caustic_point", lambda *a: placed.append(place(*a))
+                              or placed[-1]):
+        oracle.validate_sheets(caustic_roots(ast, field, grid, max_radius=1.0))
+        blocks = caustics.row_blocks(grid.nu, grid.nv)
+    assert len(blocks) == 6 and len(placed) == 2 * len(blocks)
+    for rows, pair in zip(blocks, zip(placed[::2], placed[1::2])):
+        for sheet, (xi, flags) in zip(sheets, pair):
+            assert np.array_equal(xi, sheet.points[rows], equal_nan=True)
+            assert np.array_equal(flags, sheet.flags[rows])
+
+
 def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
     # the first row block has stencils at u - h < 0, off the chart of sqrt(u); they
     # are masked in the batch instead of re-evaluating the block point by point
@@ -409,8 +431,9 @@ def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
     grid = GridSpec(200, 200, dom)
     assert len(caustics.row_blocks(grid.nu, grid.nv)) == 2
     sheets = compute_caustic_sheets(ast, AXIAL, grid)
+    roots = caustic_roots(ast, AXIAL, grid)
     with mock.patch.object(caustics, "eval_surface", wraps=eval_surface) as spy:
-        report = validate_sheets(sheets)
+        report = validate_sheets(roots)
     assert spy.call_count == 10
     assert report.passed
     # row u0, whose stencils leave the chart, has both closed-form sheets placed
@@ -423,16 +446,17 @@ def test_off_chart_stencils_take_one_evaluation_per_stencil_point():
 def planted_grazing_mismatches():
     """validate's flag mismatches on a sphere before and after planting a bug.
 
-    The bug marks a grazing point of sheet 1 (on the equator) valid.
+    The bug lights a grazing point (on the equator) in the roots and gives
+    sheet 1 a root there, so that the closed form places sheet 1 only.
     """
     ast = parse_surface(SPHERE_TEXT)
     grid = GridSpec(7, 8, (-0.6, 0.6, 0.0, 6.0))
-    sheet1, sheet2, stats = compute_caustic_sheets(ast, AXIAL, grid)
-    i, j = np.argwhere(sheet1.flags & FLAG_GRAZING)[0]
-    before = validate_sheets((sheet1, sheet2, stats)).n_flag_disagreements
-    planted = dataclasses.replace(sheet1, flags=sheet1.flags.copy(), k_star=sheet1.k_star.copy())
-    planted.flags[i, j], planted.k_star[i, j] = FLAG_VALID, 1.0
-    return before, validate_sheets((planted, sheet2, stats)).n_flag_disagreements
+    roots = caustic_roots(ast, AXIAL, grid)
+    i, j = np.argwhere(roots.base_flags & FLAG_GRAZING)[0]
+    before = validate_sheets(roots).n_flag_disagreements
+    planted = dataclasses.replace(roots, base_flags=roots.base_flags.copy(), k1=roots.k1.copy())
+    planted.base_flags[i, j], planted.k1[i, j] = 0, 1.0
+    return before, validate_sheets(planted).n_flag_disagreements
 
 
 def test_unlit_oracle_centre_still_counts_as_a_flag_mismatch():
@@ -458,7 +482,7 @@ def test_silhouette_inside_the_chart_gives_no_flag_mismatch(surface, field, n, c
     # is usable, since the oracle differences r and b, never n; a lit centre
     # whose stencil reaches the grazing band gets no verdict
     ast, dom = build_surface(surface)
-    report = validate_sheets(compute_caustic_sheets(ast, field, GridSpec(n, n, dom)))
+    report = validate_sheets(caustic_roots(ast, field, GridSpec(n, n, dom)))
     assert report.n_flag_disagreements == 0
     assert report.n_compared == compared
     assert report.passed
@@ -474,7 +498,7 @@ def test_builtin_scenes_give_no_flag_mismatch(n):
     mismatched = []
     for name, field in itertools.product(sorted(BUILTINS), SWEEP_FIELDS):
         ast, dom = build_surface(name)
-        report = validate_sheets(compute_caustic_sheets(ast, field, GridSpec(n, n, dom)))
+        report = validate_sheets(caustic_roots(ast, field, GridSpec(n, n, dom)))
         if report.n_flag_disagreements:
             mismatched.append((name, field, report.n_flag_disagreements))
     assert not mismatched
