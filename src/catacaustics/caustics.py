@@ -338,12 +338,13 @@ def caustic_point(r, b, k_star, field: IncidentField, eps_inf: float = EPS_INF_D
                   base_flags=np.uint8(0), max_radius: float = np.inf):
     """Caustic points xi = r + b/k* of one sheet and their flag byte.
 
-    r and b are (..., 3) arrays.  Roots with |k*| <= eps_inf have no finite
-    caustic point: for a flat front they are flagged at_infinity, for a point
-    source excluded_zero_root.  base_flags (uint8) carries the upstream
-    reasons of the ray stage.  A placed point is flagged valid, or clipped
-    where it lies farther than max_radius along its ray; a clipped point
-    keeps its xi.  Returns (xi, flags); xi is NaN off the placed points.
+    r and b are (x, y, z) planes, and so is xi.  Roots with |k*| <= eps_inf
+    have no finite caustic point: for a flat front they are flagged
+    at_infinity, for a point source excluded_zero_root.  base_flags (uint8)
+    carries the upstream reasons of the ray stage.  A placed point is flagged
+    valid, or clipped where it lies farther than max_radius along its ray; a
+    clipped point keeps its xi.  Returns (xi, flags); xi is NaN off the
+    placed points.
     """
     k = np.asarray(k_star, dtype=float)
     finite_root = np.isfinite(k) & (np.abs(k) > eps_inf)
@@ -353,7 +354,7 @@ def caustic_point(r, b, k_star, field: IncidentField, eps_inf: float = EPS_INF_D
     radius = np.where(placed, caustic_radius(k), 0.0)
     flags |= np.where(placed, np.where(np.abs(radius) > max_radius, np.uint8(FLAG_CLIPPED),
                                        np.uint8(FLAG_VALID)), np.uint8(0))
-    xi = np.where(placed[..., None], r + b * radius[..., None], np.nan)
+    xi = tuple(np.where(placed, ri + bi * radius, np.nan) for ri, bi in zip(r, b))
     return xi, flags
 
 
@@ -556,19 +557,45 @@ class SheetStatistics:
 
 
 @dataclass
-class FrontStatistics:
-    """Counts, bounding boxes and degeneracy measures for both sheets, and
-    the scene they describe."""
+class CausticRoots:
+    """The closed form's roots over a grid, with their scene and the mirror's extent.
+
+    The one record of the roots pass, shared by compute and validate: the
+    scene, the radius cap resolved from the extent (the bounding box and
+    diameter of the mirror points on the chart), the flag byte of the ray
+    stage and the front curvatures of both sheets (sheet 1 holds the smaller
+    k*).  place puts both sheets on mirror points and reflected directions.
+    """
 
     grid: GridSpec
     surface: SurfaceAST = dc_field(repr=False)
     field: IncidentField
     eps_grazing: float       # |cos theta| at or below it was masked grazing
-    n_grazing: int
+    eps_inf: float
+    max_radius: float        # the caustic radius cap the sheets are clipped to
+    base_flags: np.ndarray   # (nu, nv) uint8
+    k1: np.ndarray           # (nu, nv)
+    k2: np.ndarray           # (nu, nv)
     surface_bbox_min: np.ndarray
     surface_bbox_max: np.ndarray
     surface_diameter: float
-    max_radius: float        # the caustic radius cap the sheets were clipped to
+
+    def place(self, rows, r, b):
+        """Both sheets' caustic_point (xi, flags) on grid rows whose r and b are given.
+
+        r, b and xi are (x, y, z) planes of the rows' points.
+        """
+        return tuple(caustic_point(r, b, k[rows], self.field, self.eps_inf,
+                                   self.base_flags[rows], self.max_radius)
+                     for k in (self.k1, self.k2))
+
+
+@dataclass
+class FrontStatistics:
+    """Counts, bounding boxes and degeneracy measures for both sheets, and
+    the roots they are placed from."""
+
+    roots: CausticRoots
     caustic_sheets: tuple = dc_field(repr=False)  # the two CausticSheets
 
     @functools.cached_property
@@ -581,13 +608,15 @@ class FrontStatistics:
         return all(s.n_valid == 0 for s in self.sheets)
 
     def to_text(self) -> str:
+        roots = self.roots
+        nu, nv = roots.grid.nu, roots.grid.nv
         lines = [
-            f"grid: {self.grid.nu} x {self.grid.nv} ({self.grid.nu * self.grid.nv} points)",
+            f"grid: {nu} x {nv} ({nu * nv} points)",
             "shadow points: 0",  # the mirror is two-sided: no point is in shadow
-            f"grazing points: {self.n_grazing}",
-            f"surface bbox min: {_fmt_vec(self.surface_bbox_min)}",
-            f"surface bbox max: {_fmt_vec(self.surface_bbox_max)}",
-            f"surface diameter: {self.surface_diameter:.9g}",
+            f"grazing points: {np.count_nonzero(roots.base_flags & FLAG_GRAZING)}",
+            f"surface bbox min: {_fmt_vec(roots.surface_bbox_min)}",
+            f"surface bbox max: {_fmt_vec(roots.surface_bbox_max)}",
+            f"surface diameter: {roots.surface_diameter:.9g}",
         ]
         for s in self.sheets:
             head = f"sheet {s.sheet_id}"
@@ -698,14 +727,13 @@ def _sheet_block(surface: SurfaceAST, field: IncidentField, U, V, eps_grazing: f
 
 
 def _roots_pass(surface: SurfaceAST, field: IncidentField, grid: GridSpec, eps_grazing: float,
-                max_radius: Optional[float], keep_rays: bool):
+                eps_inf: float, max_radius: Optional[float], keep_rays: bool):
     """The closed form's roots: one fill_rows pass of _sheet_block.
 
-    Returns (arrays, extent, max_radius).  arrays are the whole-grid r, b,
-    base flags, k1 and k2, without r and b unless keep_rays.  extent is the
-    (bbox min, bbox max, diameter) of the mirror points on the chart,
-    reduced block by block, and max_radius None resolves to
-    default_max_radius of that diameter.
+    Returns (roots, rays): the CausticRoots, whose extent is reduced block by
+    block and whose max_radius None resolves to default_max_radius of the
+    surface diameter, and [r, b], the whole-grid mirror points and reflected
+    directions as (nu, nv, 3) arrays, if keep_rays, else [].
     """
     if max_radius is not None and not max_radius > 0.0:
         raise ValueError("max_radius must be positive")
@@ -714,34 +742,13 @@ def _roots_pass(surface: SurfaceAST, field: IncidentField, grid: GridSpec, eps_g
     def roots_block(U, V, rows):
         r, b, base_flags, k1, k2 = _sheet_block(surface, field, U, V, eps_grazing)
         extrema.append(_chart_extrema(r, base_flags, np.broadcast_shapes(U.shape, V.shape)))
-        return (r, b, base_flags, k1, k2) if keep_rays else (base_flags, k1, k2)
+        return (base_flags, k1, k2, r, b) if keep_rays else (base_flags, k1, k2)
 
-    arrays = fill_rows(grid, roots_block)
-    extent = _surface_extent(extrema)
-    max_radius = default_max_radius(extent[2]) if max_radius is None else float(max_radius)
-    return arrays, extent, max_radius
-
-
-@dataclass
-class CausticRoots:
-    """The closed form's roots over a grid, without the sheets' points.
-
-    What validate reads: the scene, the front curvatures of both sheets
-    (sheet 1 holds the smaller k*), the flag byte of the ray stage and the
-    radius cap, resolved as compute_caustic_sheets resolves it.  A sheet's
-    points follow from these on the mirror points and reflected directions:
-    caustic_point(r, b, k1, field, eps_inf, base_flags, max_radius).
-    """
-
-    grid: GridSpec
-    surface: SurfaceAST = dc_field(repr=False)
-    field: IncidentField
-    eps_grazing: float
-    eps_inf: float
-    max_radius: float
-    base_flags: np.ndarray   # (nu, nv) uint8
-    k1: np.ndarray           # (nu, nv)
-    k2: np.ndarray           # (nu, nv)
+    base_flags, k1, k2, *rays = fill_rows(grid, roots_block)
+    lo, hi, diameter = _surface_extent(extrema)
+    max_radius = default_max_radius(diameter) if max_radius is None else float(max_radius)
+    return CausticRoots(grid, surface, field, eps_grazing, eps_inf, max_radius,
+                        base_flags, k1, k2, lo, hi, diameter), rays
 
 
 def caustic_roots(surface: SurfaceAST, field: IncidentField, grid: GridSpec,
@@ -752,10 +759,7 @@ def caustic_roots(surface: SurfaceAST, field: IncidentField, grid: GridSpec,
 
     It holds no whole-grid r or b: 17 B per grid point.
     """
-    (base_flags, k1, k2), _, max_radius = _roots_pass(surface, field, grid, eps_grazing,
-                                                      max_radius, keep_rays=False)
-    return CausticRoots(grid, surface, field, eps_grazing, eps_inf, max_radius,
-                        base_flags, k1, k2)
+    return _roots_pass(surface, field, grid, eps_grazing, eps_inf, max_radius, keep_rays=False)[0]
 
 
 def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: GridSpec,
@@ -769,25 +773,20 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
     point are flagged.  A caustic point farther than max_radius along its
     ray is flagged clipped and keeps its xi: near-flat parts of a mirror send
     the caustic off toward infinity.  max_radius None is default_max_radius
-    of the surface diameter and inf is no cap; the statistics record it.
-    The flat-front result is independent of any front offset by construction
-    (no travel parameter enters the computation).  Sheet 1 holds the smaller
-    k* at each point.  The pointwise stages run in fill_rows: the roots,
-    which also reduce the mirror's extent per block, then, once the cap is
-    resolved, each sheet's placement.  No whole-grid temporary is made, and
-    the result does not depend on the block size.
+    of the surface diameter and inf is no cap; the statistics' roots record
+    it.  The flat-front result is independent of any front offset by
+    construction (no travel parameter enters the computation).  Sheet 1
+    holds the smaller k* at each point.  The pointwise stages run in two
+    fill_rows passes: the roots, which also reduce the mirror's extent per
+    block, then, once the cap is resolved, both sheets' placement in one
+    pass (CausticRoots.place).  No whole-grid temporary is made, and the
+    result does not depend on the block size.
     """
-    (r, b, base_flags, k1, k2), (surf_min, surf_max, diameter), max_radius = _roots_pass(
-        surface, field, grid, eps_grazing, max_radius, keep_rays=True)
-    sheets = []
-    for sheet_id, k in ((1, k1), (2, k2)):
-        xi, flags = fill_rows(grid, lambda U, V, rows: caustic_point(
-            r[rows], b[rows], k[rows], field, eps_inf, base_flags[rows], max_radius))
-        sheets.append(CausticSheet(*grid.axes(), xi, flags, sheet_id, k))
-    stats = FrontStatistics(
-        grid=grid, surface=surface, field=field, eps_grazing=eps_grazing,
-        n_grazing=int(np.count_nonzero(base_flags & FLAG_GRAZING)),
-        surface_bbox_min=surf_min, surface_bbox_max=surf_max, surface_diameter=diameter,
-        max_radius=max_radius, caustic_sheets=tuple(sheets),
-    )
-    return sheets[0], sheets[1], stats
+    roots, (r, b) = _roots_pass(surface, field, grid, eps_grazing, eps_inf, max_radius,
+                                keep_rays=True)
+    # both sheets' (xi, flags) pairs flattened: fill_rows fills one array per result
+    xi1, flags1, xi2, flags2 = fill_rows(grid, lambda U, V, rows: sum(roots.place(
+        rows, np.moveaxis(r[rows], -1, 0), np.moveaxis(b[rows], -1, 0)), ()))
+    sheets = (CausticSheet(*grid.axes(), xi1, flags1, 1, roots.k1),
+              CausticSheet(*grid.axes(), xi2, flags2, 2, roots.k2))
+    return (*sheets, FrontStatistics(roots, sheets))

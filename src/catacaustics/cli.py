@@ -209,7 +209,7 @@ def cmd_compute(scene: argparse.Namespace) -> int:
     """Compute both caustic sheets and write meshes plus statistics."""
     ast, grid = _resolve(scene)
     sheet1, sheet2, stats = compute_caustic_sheets(ast, scene.field, grid, **_thresholds(scene))
-    sys.stdout.write(masked_points_text(sheet1.flags, ast, grid))
+    sys.stdout.write(masked_points_text(stats.roots.base_flags, ast, grid))
     for s in (sheet1, sheet2):
         path = f"{scene.out}-sheet{s.sheet_id}.{scene.format}"
         export_mesh(s, scene.format, path)

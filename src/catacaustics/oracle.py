@@ -23,8 +23,8 @@ field, grid, grazing threshold and radius cap.  The rays come from the ray
 stage that compute uses (caustics._ray_block), once per stencil point and
 block, on first-order jets: a ray needs r, r_u and r_v only.  The centre ray
 is therefore the closed form's mirror point and reflected direction to the
-bit, and the closed-form caustic points are placed on it with
-caustics.caustic_point, as compute places them.  The focal computation is
+bit, and the closed-form caustic points are placed on its (x, y, z) planes
+with CausticRoots.place, compute's one placement.  The focal computation is
 the oracle's own: its stencil, its quadratic and its pairing of the roots
 share nothing with the curvature route.  The radius cap holds for the
 oracle's focal distances as well.  A ray the stage flags (grazing, off the
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import caustics
 from .caustics import FLAG_DOMAIN, FLAG_VALID, _ray_block, caustic_radius, fill_rows
 from .diffgeo import cross, dot
 
@@ -164,17 +163,17 @@ class ValidationReport:
 def _point_errors(roots, rows, placed, r0, b0, ok, decided, lam):
     """Caustic-point errors of both sheets on a block of grid rows.
 
-    placed holds the closed form's (xi, flags) of both sheets on the rows.
-    Returns (err, both, n_disagree): the (2, rows, nv) distances between the
-    closed-form and the oracle caustic points, the mask of points both sides
-    call valid, and the number of decided sheet-points only one side calls
-    valid.  The closed form's valid points are already inside the radius
-    cap; the oracle's focal distances are held to it here.  The oracle
-    decides a point where its centre ray is flagged or all five stencil rays
-    are lit; the closed form has no answer where its own evaluation left the
-    chart (FLAG_DOMAIN), which at order 2 also covers a second derivative
-    that is not finite.  No mismatch is counted where either side has no
-    verdict.
+    placed holds the closed form's (xi, flags) of both sheets on the rows,
+    xi as (x, y, z) planes.  Returns (err, both, n_disagree): the (2, rows,
+    nv) distances between the closed-form and the oracle caustic points, the
+    mask of points both sides call valid, and the number of decided
+    sheet-points only one side calls valid.  The closed form's valid points
+    are already inside the radius cap; the oracle's focal distances are held
+    to it here.  The oracle decides a point where its centre ray is flagged
+    or all five stencil rays are lit; the closed form has no answer where
+    its own evaluation left the chart (FLAG_DOMAIN), which at order 2 also
+    covers a second derivative that is not finite.  No mismatch is counted
+    where either side has no verdict.
     """
     oracle_ok = ok[None] & (np.abs(lam) <= roots.max_radius) & np.isfinite(lam)
     decided = decided & ((roots.base_flags[rows] & FLAG_DOMAIN) == 0)
@@ -194,7 +193,7 @@ def _point_errors(roots, rows, placed, r0, b0, ok, decided, lam):
         disagree = int(np.count_nonzero((cf_ok != oracle_ok) & decided))
 
         # xi_cf - (r0 + lambda b0) per sheet and coordinate plane
-        diff = [np.where(both, np.stack([xi[..., c] for xi, _ in placed])
+        diff = [np.where(both, np.stack([xi[c] for xi, _ in placed])
                          - (r0[c] + orc * b0[c]), 0.0) for c in range(3)]
         err = _norm_planes(diff)
     return err, both, disagree
@@ -216,19 +215,20 @@ def validate_sheets(roots, h: float = FD_STEP_DEFAULT,
     first pass, which holds k1, k2 and the flag byte over the grid, and the
     scene (surface, field, grid, eps_grazing, eps_inf and max_radius).  One
     pass of fill_rows then runs the oracle on each block.  Its centre ray is
-    the closed form's r and b to the bit, so placing k1 and k2 on it with
-    caustic_point gives the closed-form sheets' points and flags as
+    the closed form's r and b to the bit, so roots.place on its (x, y, z)
+    planes gives the closed-form sheets' points and flags as
     compute_caustic_sheets gives them; the focal distances come from the
     oracle's own stencil and quadratic.  The pass compares the two and
     counts the flag mismatches where both decide: the oracle where a grid
     point's centre ray is flagged or its five stencil rays are all lit, the
     closed form where it stayed on the chart.  Only the errors and their
-    mask are kept over the grid.  The error at a point is the distance
-    between the closed-form caustic point and r + lambda_oracle * b after
-    pairing the roots by least total difference.  Points whose caustic lies
-    beyond the radius cap are excluded on both sides: far focal points
-    amplify any derivative noise linearly with distance and carry no
-    geometric information here.
+    mask are kept over the grid, so with the roots the whole-grid arrays
+    are 35 B per point.  The error at a point is the distance between the
+    closed-form caustic point and r + lambda_oracle * b after pairing the
+    roots by least total difference.  Points whose caustic lies beyond the
+    radius cap are excluded on both sides: far focal points amplify any
+    derivative noise linearly with distance and carry no geometric
+    information here.
     """
     grid = roots.grid
     disagree = 0
@@ -238,12 +238,7 @@ def validate_sheets(roots, h: float = FD_STEP_DEFAULT,
         coeffs, r0, b0, ok, decided = _focal_quadratic(roots.surface, roots.field, U, V, h,
                                                        roots.eps_grazing)
         lam = np.stack(_roots_of_focal_quadratic(*coeffs))
-        r, b = (np.stack(x, axis=-1) for x in (r0, b0))
-        # compute's one placement, looked up on caustics where compute finds it
-        placed = [caustics.caustic_point(r, b, k[rows], roots.field, roots.eps_inf,
-                                         roots.base_flags[rows], roots.max_radius)
-                  for k in (roots.k1, roots.k2)]
-        del r, b  # the errors' temporaries need no stacked rays
+        placed = roots.place(rows, r0, b0)  # compute's placement, on the centre ray
         err, both, n = _point_errors(roots, rows, placed, r0, b0, ok, decided, lam)
         disagree += n
         return np.moveaxis(err, 0, -1), np.moveaxis(both, 0, -1)

@@ -102,7 +102,7 @@ class TestClip:
 
     def test_clip_radius_masks_far_points(self):
         s1, _, stats = self.sphere_sheets(max_radius=1.0)  # radii span [0.507, 2.52]
-        assert stats.max_radius == 1.0
+        assert stats.roots.max_radius == 1.0
         clipped = (s1.flags & FLAG_CLIPPED) != 0
         assert np.any(clipped)
         assert not np.any(clipped & s1.valid)
@@ -114,7 +114,7 @@ class TestClip:
 
     def test_no_radius_keeps_core_flags_only(self):
         uncapped, _, stats = self.sphere_sheets(max_radius=np.inf)
-        assert stats.max_radius == np.inf
+        assert stats.roots.max_radius == np.inf
         assert not np.any(uncapped.flags & FLAG_CLIPPED)
         # the default cap, 10 surface diameters, is far beyond every radius here
         assert np.array_equal(self.sphere_sheets()[0].flags, uncapped.flags)

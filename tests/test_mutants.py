@@ -7,6 +7,8 @@ pinned bytes; a crash under a mutant counts as a failure.
 """
 
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import inspect
 import io
@@ -62,9 +64,11 @@ def torus_capped_report(out_dir):
 
 
 def reason_bits(out_dir):
-    """A sheet with roots at infinity passes the masked grid's reason check."""
+    """Sheets with roots at infinity or singular rows pass the masked grid's reason check."""
     ast, dom = build_surface("cylinder")
     caustics.compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), GridSpec(8, 4, dom))
+    ast, dom = scene_surface("singular-rows")
+    caustics.compute_caustic_sheets(ast, FlatFront((0.0, 0.0, 1.0)), GridSpec(9, 6, dom))
     return True
 
 
@@ -174,7 +178,7 @@ def _cap_never_applied():
 
 def _cap_makes_xi_nan():
     return _placement(lambda xi, flags: (
-        np.where(((flags & FLAG_CLIPPED) != 0)[..., None], np.nan, xi), flags))
+        tuple(np.where((flags & FLAG_CLIPPED) != 0, np.nan, x) for x in xi), flags))
 
 
 def _zero_root_bit_dropped():
@@ -191,17 +195,20 @@ def _doubled_diameter():
 def _recompiled(module, name, old, new, importers=()):
     """module's function name with old replaced by new in its source, recompiled.
 
-    The modules in importers, which bound the name when they imported it,
-    take the mutant too.
+    A dotted name is a method of one of module's classes.  The modules in
+    importers, which bound the name when they imported it, take the mutant
+    too.
     """
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    *path, attr = name.split(".")
+    owner = functools.reduce(getattr, path, module)
+    source = textwrap.dedent(inspect.getsource(getattr(owner, attr)))
     mutated = source.replace(old, new)
     assert mutated != source
     namespace = {}
     exec(mutated, vars(module), namespace)
     with contextlib.ExitStack() as stack:
-        for m in (module, *importers):
-            stack.enter_context(mock.patch.object(m, name, namespace[name]))
+        for m in (owner, *importers):
+            stack.enter_context(mock.patch.object(m, attr, namespace[attr]))
         yield
 
 
@@ -287,20 +294,28 @@ def _oracle_pairs_raw_radii():
                        "swap_better = np.zeros_like(keep[0], dtype=bool)")
 
 
+@contextlib.contextmanager
 def _validate_placement_uncapped():
-    # validate places the closed-form sheets without the radius cap
-    return _recompiled(oracle, "validate_sheets", "roots.base_flags[rows], roots.max_radius)",
-                       "roots.base_flags[rows], np.inf)", importers=(cli,))
+    # validate places the closed-form sheets without the radius cap; its
+    # oracle keeps the cap
+    with mock.patch.object(oracle, "dataclasses", dataclasses, create=True), \
+            _recompiled(oracle, "validate_sheets", "roots.place(rows, r0, b0)",
+                        "dataclasses.replace(roots, max_radius=np.inf).place(rows, r0, b0)",
+                        importers=(cli,)):
+        yield
 
 
 def _validate_places_from_a_stencil_ray():
     # validate places the closed-form sheets on the ray at u + h, not on the centre ray
-    return _recompiled(oracle, "validate_sheets",
-                       "r, b = (np.stack(x, axis=-1) for x in (r0, b0))",
+    return _recompiled(oracle, "validate_sheets", "placed = roots.place(rows, r0, b0)",
                        "frame, refl, _ = _ray_block(roots.surface, roots.field, U + h, V, "
                        "roots.eps_grazing, order=1)\n"
-                       "        r, b = (np.stack(np.broadcast_arrays(*x), axis=-1) "
-                       "for x in (frame.r, refl.b))", importers=(cli,))
+                       "        placed = roots.place(rows, frame.r, refl.b)", importers=(cli,))
+
+
+def _place_drops_base_flags():
+    # the shared placement forgets the ray stage's reasons
+    return _recompiled(caustics, "CausticRoots.place", "self.base_flags[rows]", "np.uint8(0)")
 
 
 # the reference scene, at 0.4 s the dearest check, also fails the first and
@@ -330,6 +345,7 @@ MUTANTS = {
                                     ("torus_capped_report", "flag_mismatch_rule")),
     "validate-places-from-a-stencil-ray": (_validate_places_from_a_stencil_ray,
                                            ("torus_capped_report", "mean_error_bits")),
+    "place-drops-base-flags": (_place_drops_base_flags, ("reason_bits",)),
 }
 
 
