@@ -441,7 +441,7 @@ def _chart_extrema(r, flags, shape):
     on_chart = np.broadcast_to((flags & FLAG_DOMAIN) == 0, shape)
     if not np.any(on_chart):
         return None
-    return _column_extrema(np.stack([np.broadcast_to(x, shape)[on_chart] for x in r], axis=-1))
+    return _column_extrema(np.stack([np.broadcast_to(x, shape)[on_chart] for x in r]))
 
 
 def _surface_extent(extrema):
@@ -489,22 +489,21 @@ def fill_rows(grid: GridSpec, block) -> tuple:
 
     The one loop over row_blocks.  U is the u column (rows, 1) and V the v
     row (1, nv), which a surface evaluates once per grid line.  A result
-    that broadcasts to (rows, nv) plus a shape fills an (nu, nv) plus that
-    shape array of its dtype; an (x, y, z) plane tuple fills (nu, nv, 3).
+    that broadcasts to a leading shape plus (rows, nv) fills an array of its
+    dtype of that shape plus (nu, nv); a tuple of planes, such as (x, y, z),
+    fills (len, nu, nv), one contiguous plane write each.
     """
     us, vs = grid.axes()
+    shape = (grid.nu, grid.nv)
     out = ()
     for rows in row_blocks(grid.nu, grid.nv):
         results = block(us[rows, None], vs[None, :], rows)
-        out = out or tuple(np.empty((grid.nu, grid.nv, 3)) if isinstance(x, tuple) else
-                           np.empty((grid.nu, grid.nv) + np.shape(x)[2:], np.asarray(x).dtype)
+        out = out or tuple(np.empty((len(x),) + shape) if isinstance(x, tuple) else
+                           np.empty(np.shape(x)[:-2] + shape, np.asarray(x).dtype)
                            for x in results)
         for whole, x in zip(out, results):
-            if isinstance(x, tuple):
-                for i in range(3):
-                    whole[rows, :, i] = x[i]
-            else:
-                whole[rows] = x
+            for plane, xi in zip(whole, x) if isinstance(x, tuple) else [(whole, x)]:
+                plane[..., rows, :] = xi
         del results, x  # a block's results die before the next block runs
     return out
 
@@ -514,16 +513,17 @@ class MaskedGrid:
     """A nu x nv vertex grid with a per-vertex flag byte of FLAG_* bits.
 
     Every vertex carries a bit: FLAG_VALID, or the reasons it is invalid.
+    The points are (x, y, z) planes, as placement fills them and writers read them.
     """
 
     u: np.ndarray        # (nu,)
     v: np.ndarray        # (nv,)
-    points: np.ndarray   # (nu, nv, 3); entries at invalid vertices are ignored
+    points: np.ndarray   # (3, nu, nv): (x, y, z) planes; entries at invalid vertices are ignored
     flags: np.ndarray    # (nu, nv) uint8
 
     def __post_init__(self):
         nu, nv = len(self.u), len(self.v)
-        if self.points.shape != (nu, nv, 3) or self.flags.shape != (nu, nv):
+        if self.points.shape != (3, nu, nv) or self.flags.shape != (nu, nv):
             raise ValueError("MaskedGrid arrays do not match the declared grid size")
         if not np.all(self.flags):
             raise ValueError("invalid vertices must carry at least one reason bit")
@@ -636,19 +636,18 @@ def _fmt_vec(x) -> str:
     return " ".join(f"{float(c):.9g}" for c in np.asarray(x).ravel())
 
 
-def _column_extrema(pts):
-    """(min, max) of each column of an (N, k) array, bit-identical to min/max(axis=0).
+def _column_extrema(planes):
+    """(min, max) of each plane of a (k, N) array, bit-identical to min/max(axis=0) of its (N, k).
 
-    Reducing a contiguous copy of the columns is several times faster than
-    reducing across the rows.  The two layouts differ only in which zero wins
-    a +0.0/-0.0 tie (and which NaN), so those columns take the axis-0 result.
+    Reducing planes is several times faster than reducing across the rows of
+    (N, k).  The two differ only in which zero wins a +0.0/-0.0 tie (and which
+    NaN), so those planes take the axis-0 result of a C-ordered (N, k) copy.
     """
-    cols = np.ascontiguousarray(pts.T)
-    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    lo, hi = planes.min(axis=1), planes.max(axis=1)
     for ext, reduce in ((lo, np.min), (hi, np.max)):
         redo = (ext == 0.0) | np.isnan(ext)
         if np.any(redo):
-            ext[redo] = reduce(pts, axis=0)[redo]
+            ext[redo] = reduce(np.ascontiguousarray(planes.T), axis=0)[redo]
     return lo, hi
 
 
@@ -660,18 +659,16 @@ def _sheet_statistics(sheet: CausticSheet) -> SheetStatistics:
     n_zero = int(np.count_nonzero(sheet.flags & FLAG_EXCLUDED_ZERO_ROOT))
     if not np.any(valid):
         return SheetStatistics(sheet.sheet_id, 0, n_inf, n_zero, None, None, 0.0, None)
-    pts = sheet.points[valid]
-    bb_min, bb_max = _column_extrema(pts)
+    planes = sheet.points.reshape(3, -1).compress(valid.ravel(), axis=1)
+    bb_min, bb_max = _column_extrema(planes)
     diameter = float(np.linalg.norm(bb_max - bb_min))
+    pts = np.ascontiguousarray(planes.T)  # (N, 3): the mean, SVD and projections round on it
     centered = pts - pts.mean(axis=0)
     if pts.shape[0] >= 2:
         # principal-component extents flag degeneracy to a curve or a point
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        proj = centered @ vt.T
-        proj_min, proj_max = _column_extrema(proj)
-        extents = proj_max - proj_min
-        if extents.shape[0] < 3:
-            extents = np.pad(extents, (0, 3 - extents.shape[0]))
+        proj_min, proj_max = _column_extrema(np.ascontiguousarray((centered @ vt.T).T))
+        extents = np.pad(proj_max - proj_min, (0, 3 - len(vt)))  # 2 points: one zero
     else:
         extents = np.zeros(3)
     return SheetStatistics(sheet.sheet_id, int(np.count_nonzero(valid)), n_inf, n_zero,
@@ -733,7 +730,7 @@ def _roots_pass(surface: SurfaceAST, field: IncidentField, grid: GridSpec, eps_g
     Returns (roots, rays): the CausticRoots, whose extent is reduced block by
     block and whose max_radius None resolves to default_max_radius of the
     surface diameter, and [r, b], the whole-grid mirror points and reflected
-    directions as (nu, nv, 3) arrays, if keep_rays, else [].
+    directions as (3, nu, nv) planes, if keep_rays, else [].
     """
     if max_radius is not None and not max_radius > 0.0:
         raise ValueError("max_radius must be positive")
@@ -786,7 +783,7 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
                                 keep_rays=True)
     # both sheets' (xi, flags) pairs flattened: fill_rows fills one array per result
     xi1, flags1, xi2, flags2 = fill_rows(grid, lambda U, V, rows: sum(roots.place(
-        rows, np.moveaxis(r[rows], -1, 0), np.moveaxis(b[rows], -1, 0)), ()))
+        rows, r[:, rows], b[:, rows]), ()))
     sheets = (CausticSheet(*grid.axes(), xi1, flags1, 1, roots.k1),
               CausticSheet(*grid.axes(), xi2, flags2, 2, roots.k2))
     return (*sheets, FrontStatistics(roots, sheets))

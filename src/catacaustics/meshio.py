@@ -12,7 +12,8 @@ they build the lines of a block with numpy and write them to the file as soon
 as they are built; no Python statement runs per vertex or face, and no
 whole-file string is built.  OBJ and PLY write the valid vertices of each
 block of grid rows, then the faces of each block of cell rows, whose indices
-come from the flags alone; the PLY header counts both from the flags.
+come from the flags alone; the PLY header counts both from the flags.  The
+coordinates of a block are its rows of the (x, y, z) planes, plane by plane.
 
 The lines of a block are a (width, lines) stack of byte planes, one row per
 byte position: literals are constant rows, and each number field is its rows
@@ -173,7 +174,8 @@ def _mesh_chunks(grid: MaskedGrid, ply: bool):
     base, vertex, face = (0, b"", b"4 ") if ply else (1, b"v ", b"f ")
     nu, nv = valid.shape
     for rows in row_blocks(nu, nv):
-        yield _table(vertex, _fixed9(grid.points[rows][valid[rows]].T.ravel()), 3)
+        yield _table(vertex, _fixed9(
+            grid.points[:, rows].reshape(3, -1).compress(valid[rows].ravel(), axis=1).ravel()), 3)
     # one less than the index of each row's first valid vertex
     offset = np.cumsum(counts) - counts + (base - 1)
     for rows in row_blocks(nu - 1, nv):
@@ -192,7 +194,7 @@ def _csv_chunks(grid: MaskedGrid):
     for rows in row_blocks(nu, nv):
         block = valid[rows].ravel()
         n = len(block)
-        xyz = _fixed9(grid.points[rows].reshape(n, 3).T.ravel(), np.tile(block, 3))
+        xyz = _fixed9(grid.points[:, rows].ravel(), np.tile(block, 3))
         yield _lines(n, [
             np.repeat(u[:, rows], nv, axis=1), b",", np.tile(v, (1, rows.stop - rows.start)),
             b",", xyz[:, :n], b",", xyz[:, n:2 * n], b",", xyz[:, 2 * n:], b",",

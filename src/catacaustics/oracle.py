@@ -241,12 +241,12 @@ def validate_sheets(roots, h: float = FD_STEP_DEFAULT,
         placed = roots.place(rows, r0, b0)  # compute's placement, on the centre ray
         err, both, n = _point_errors(roots, rows, placed, r0, b0, ok, decided, lam)
         disagree += n
-        return np.moveaxis(err, 0, -1), np.moveaxis(both, 0, -1)
+        return err, both
 
     err, both = fill_rows(grid, block_errors)
-    # err[both] taken sheet-major lists the compared points one sheet after the
-    # other, whatever the block size; the mean sums them in that order
-    errors = np.moveaxis(err, -1, 0)[np.moveaxis(both, -1, 0)]
+    # err[both] of the (2, nu, nv) arrays lists the compared points one sheet
+    # after the other, whatever the block size; the mean sums them in that order
+    errors = err[both]
 
     n_compared = int(errors.size)
     if n_compared:

@@ -33,10 +33,10 @@ def report(criterion: int, label: str, ok: bool, detail: str = ""):
 def match_sheets(sheets, golden_a, golden_b):
     """Pair computed sheets with two golden grids by least total distance."""
     s1, s2 = sheets
-    d_keep = (np.nanmax(np.linalg.norm(s1.points - golden_a, axis=-1)) +
-              np.nanmax(np.linalg.norm(s2.points - golden_b, axis=-1)))
-    d_swap = (np.nanmax(np.linalg.norm(s1.points - golden_b, axis=-1)) +
-              np.nanmax(np.linalg.norm(s2.points - golden_a, axis=-1)))
+    d_keep = (np.nanmax(np.linalg.norm(s1.points - golden_a, axis=0)) +
+              np.nanmax(np.linalg.norm(s2.points - golden_b, axis=0)))
+    d_swap = (np.nanmax(np.linalg.norm(s1.points - golden_b, axis=0)) +
+              np.nanmax(np.linalg.norm(s2.points - golden_a, axis=0)))
     if d_swap < d_keep:
         return (s1, s2), (golden_b, golden_a), d_swap
     return (s1, s2), (golden_a, golden_b), d_keep
@@ -54,11 +54,11 @@ def test_criterion_01_sphere_flat_axial_front():
     roots_ok = (np.max(np.abs(s1.k_star - k1_ref) / np.abs(k1_ref)) <= 1e-9 and
                 np.max(np.abs(s2.k_star - k2_ref) / np.abs(k2_ref)) <= 1e-9)
 
-    xi1_ref = np.stack([np.zeros_like(U), np.zeros_like(U), 1.0 / (2.0 * sin_u)], axis=-1)
+    xi1_ref = np.stack([np.zeros_like(U), np.zeros_like(U), 1.0 / (2.0 * sin_u)])
     xi2_ref = np.stack([cos_u**3 * np.cos(V), cos_u**3 * np.sin(V),
-                        0.5 * sin_u * (2.0 * cos_u**2 + 1.0)], axis=-1)
-    err1 = np.max(np.linalg.norm(s1.points - xi1_ref, axis=-1))
-    err2 = np.max(np.linalg.norm(s2.points - xi2_ref, axis=-1))
+                        0.5 * sin_u * (2.0 * cos_u**2 + 1.0)])
+    err1 = np.max(np.linalg.norm(s1.points - xi1_ref, axis=0))
+    err2 = np.max(np.linalg.norm(s2.points - xi2_ref, axis=0))
     report(1, "sphere, flat axial front", roots_ok and err1 <= 1e-9 and err2 <= 1e-9,
            f"sheet errors {err1:.2e}, {err2:.2e}")
 
@@ -69,10 +69,10 @@ def test_criterion_02_hyperbolic_paraboloid():
     s1, s2, _ = compute_caustic_sheets(ast, AXIAL, grid)
     X, Y = grid.mesh()
     zeros = np.zeros_like(X)
-    xi_a = np.stack([zeros, 2.0 * Y, 0.5 - Y**2], axis=-1)
-    xi_b = np.stack([2.0 * X, zeros, X**2 - 0.5], axis=-1)
+    xi_a = np.stack([zeros, 2.0 * Y, 0.5 - Y**2])
+    xi_b = np.stack([2.0 * X, zeros, X**2 - 0.5])
     sheets, goldens, _ = match_sheets((s1, s2), xi_a, xi_b)
-    errs = [np.max(np.linalg.norm(s.points - g, axis=-1)) for s, g in zip(sheets, goldens)]
+    errs = [np.max(np.linalg.norm(s.points - g, axis=0)) for s, g in zip(sheets, goldens)]
     report(2, "hyperbolic paraboloid parabolas", max(errs) <= 1e-9,
            f"max error {max(errs):.2e}")
 
@@ -84,7 +84,7 @@ def test_criterion_03_elliptic_paraboloid_focal_point():
     worst = 0.0
     for s in (s1, s2):
         worst = max(worst, float(np.max(
-            np.linalg.norm(s.points[s.valid] - np.array([0.0, 0.0, 0.5]), axis=-1))))
+            np.linalg.norm(s.points[:, s.valid] - np.array([[0.0], [0.0], [0.5]]), axis=0))))
     report(3, "elliptic paraboloid focal point", worst <= 1e-9, f"worst {worst:.2e}")
 
 
@@ -103,15 +103,15 @@ def test_criterion_04_cylinder_flat_front():
     r = np.stack([np.cos(U), np.sin(U), V], axis=-1)
     a_nu = np.einsum("...i,i->...", nu_, a)
     a_tau = np.einsum("...i,i->...", tau, a)
-    xi_ref = r + (a_nu / (2.0 * k))[..., None] * (
-        -a_tau[..., None] * tau + a_nu[..., None] * nu_)
+    xi_ref = np.moveaxis(r + (a_nu / (2.0 * k))[..., None] * (
+        -a_tau[..., None] * tau + a_nu[..., None] * nu_), -1, 0)
 
     from catacaustics.caustics import FLAG_AT_INFINITY
     zero_ok = bool(np.all(np.abs(inf_sheet.k_star) <= 1e-9) and
                    np.all(inf_sheet.flags & FLAG_AT_INFINITY))
     k_ref = 2.0 / np.cos(U)  # -2 k / cos(theta) with cos(theta) = -cos(u)
     root_ok = np.max(np.abs(fin_sheet.k_star - k_ref) / np.abs(k_ref)) <= 1e-9
-    err = np.max(np.linalg.norm(fin_sheet.points - xi_ref, axis=-1))
+    err = np.max(np.linalg.norm(fin_sheet.points - xi_ref, axis=0))
     report(4, "cylinder, flat front", zero_ok and root_ok and err <= 1e-9,
            f"sheet error {err:.2e}")
 
@@ -127,15 +127,15 @@ def test_criterion_05_torus_surface_of_revolution():
     D = zpp * xp - zp * xpp  # profile curvature factor; equals 1 for this torus
     rev_radius = x - xp**2 * zp / D
     xi_surface = np.stack([rev_radius * np.cos(V), rev_radius * np.sin(V),
-                           z - xp * (zp**2 - xp**2) / (2.0 * D)], axis=-1)
+                           z - xp * (zp**2 - xp**2) / (2.0 * D)])
     zeros = np.zeros_like(U)
-    xi_axis = np.stack([zeros, zeros, z - x * (zp**2 - xp**2) / (2.0 * xp * zp)], axis=-1)
+    xi_axis = np.stack([zeros, zeros, z - x * (zp**2 - xp**2) / (2.0 * xp * zp)])
 
     sheets, goldens, _ = match_sheets((s1, s2), xi_axis, xi_surface)
-    errs = [np.max(np.linalg.norm(s.points - g, axis=-1)) for s, g in zip(sheets, goldens)]
+    errs = [np.max(np.linalg.norm(s.points - g, axis=0)) for s, g in zip(sheets, goldens)]
     axis_sheet = sheets[0] if goldens[0] is xi_axis else sheets[1]
-    pts = axis_sheet.points[axis_sheet.valid]
-    extent = max(float(np.ptp(pts[:, 0])), float(np.ptp(pts[:, 1])))
+    pts = axis_sheet.points[:, axis_sheet.valid]
+    extent = max(float(np.ptp(pts[0])), float(np.ptp(pts[1])))
     report(5, "torus of revolution (both displayed sheets)",
            max(errs) <= 1e-9 and extent < 1e-9,
            f"max error {max(errs):.2e}, axis-sheet xy extent {extent:.2e}")
@@ -147,7 +147,7 @@ def test_criterion_06_point_source_at_sphere_center():
     s1, s2, _ = compute_caustic_sheets(ast, PointSource((0.0, 0.0, 0.0)), grid)
     k_ok = (np.max(np.abs(s1.k_star - 1.0)) <= 1e-9 and
             np.max(np.abs(s2.k_star - 1.0)) <= 1e-9)
-    worst = max(float(np.max(np.linalg.norm(s.points[s.valid], axis=-1))) for s in (s1, s2))
+    worst = max(float(np.max(np.linalg.norm(s.points[:, s.valid], axis=0))) for s in (s1, s2))
     report(6, "point source at sphere center", k_ok and worst <= 1e-12,
            f"|xi| max {worst:.2e}")
 
@@ -176,7 +176,7 @@ def test_criterion_07_cylinder_point_source_cross_section():
     shift_root = -1.0 / np.sqrt(d2)
     row1, row2 = s1.k_star[:, j0], s2.k_star[:, j0]
     fin = s2 if np.max(np.abs(row1 - shift_root)) < np.max(np.abs(row2 - shift_root)) else s1
-    err = np.max(np.linalg.norm(fin.points[:, j0] - xi_ref, axis=-1))
+    err = np.max(np.linalg.norm(fin.points[:, :, j0] - xi_ref.T, axis=0))
     report(7, "cylinder, point source (z = 0 slice)", err <= 1e-9, f"error {err:.2e}")
 
 
@@ -318,10 +318,10 @@ def test_criterion_10_equivariance():
             for s_base, s_new in zip(base, moved):
                 if not np.array_equal(s_base.flags, s_new.flags):
                     flags_ok = False
-                want_xi = c * np.einsum("ij,uvj->uvi", R, s_base.points) + t
+                want_xi = c * np.einsum("ij,juv->iuv", R, s_base.points) + t[:, None, None]
                 m = s_base.valid & s_new.valid
-                scale = np.maximum(1.0, np.linalg.norm(want_xi[m], axis=-1))
-                err = np.linalg.norm(s_new.points[m] - want_xi[m], axis=-1) / scale
+                scale = np.maximum(1.0, np.linalg.norm(want_xi[:, m], axis=0))
+                err = np.linalg.norm(s_new.points[:, m] - want_xi[:, m], axis=0) / scale
                 k_err = np.abs(s_new.k_star[m] - s_base.k_star[m] / c) / \
                     np.maximum(1.0, np.abs(s_base.k_star[m] / c))
                 worst = max(worst, float(err.max()), float(k_err.max()))

@@ -327,7 +327,7 @@ class TestComputeCausticSheets:
         s1, s2, stats = compute_caustic_sheets(ast, AXIAL, grid)
         for s in stats.sheets:
             assert s.diameter < 1e-9
-        assert np.allclose(s1.points[s1.valid], [0, 0, 0.5], atol=1e-12)
+        assert np.allclose(s1.points[:, s1.valid], [[0], [0], [0.5]], atol=1e-12)
 
     def test_central_source_sphere_collapses_to_origin(self):
         ast, _ = build_surface("sphere")
@@ -428,7 +428,7 @@ def _fill_every_kind(grid):
         return (np.uint8(5),                                # ()
                 U * 2.0,                                    # (rows, 1)
                 V > 0.5,                                    # (1, nv)
-                np.stack(np.broadcast_arrays(U, V), -1),    # (rows, nv, 2)
+                np.stack(np.broadcast_arrays(U, V)),        # (2, rows, nv)
                 (0.25, U - V, -1.0))                        # planes, two of them scalars
 
     return fill_rows(grid, block), runs
@@ -448,10 +448,10 @@ def test_row_blocks_cover_every_row_once():
         U, V = grid.mesh()
         with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
             want, _ = _fill_every_kind(grid)
-        assert [x.shape for x in want] == [(nu, nv)] * 3 + [(nu, nv, 2), (nu, nv, 3)]
+        assert [x.shape for x in want] == [(nu, nv)] * 3 + [(2, nu, nv), (3, nu, nv)]
         assert [x.dtype for x in want] == [np.uint8, float, bool, float, float]
-        for g, w in zip(want, (5, 2.0 * U, V > 0.5, np.stack([U, V], -1),
-                               np.stack(np.broadcast_arrays(0.25, U - V, -1.0), -1))):
+        for g, w in zip(want, (5, 2.0 * U, V > 0.5, np.stack([U, V]),
+                               np.stack(np.broadcast_arrays(0.25, U - V, -1.0)))):
             assert np.array_equal(g, np.broadcast_to(w, g.shape))
         for size in block_sizes(nv):
             with mock.patch.object(caustics, "BLOCK_POINTS", size):
@@ -807,11 +807,14 @@ extrema_values = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
               elements=extrema_values))
 @settings(max_examples=300, deadline=None)
 def test_column_extrema_is_bitwise_axis0(pts):
-    lo, hi = _column_extrema(pts)
+    # the planes of the C (N, k) array pts, C-ordered and as its F-ordered
+    # transpose: the +-0 and NaN ties go by pts' axis-0 rule either way
     with np.errstate(invalid="ignore"):
         want_lo, want_hi = pts.min(axis=0), pts.max(axis=0)
-    assert lo.view(np.uint64).tolist() == want_lo.view(np.uint64).tolist()
-    assert hi.view(np.uint64).tolist() == want_hi.view(np.uint64).tolist()
+    for planes in (np.ascontiguousarray(pts.T), pts.T):
+        lo, hi = _column_extrema(planes)
+        assert lo.view(np.uint64).tolist() == want_lo.view(np.uint64).tolist()
+        assert hi.view(np.uint64).tolist() == want_hi.view(np.uint64).tolist()
 
 
 # -- chart invariance: the caustic belongs to the mirror, not to r(u, v) ------
@@ -915,13 +918,49 @@ def test_sheets_do_not_depend_on_which_chart_axis_is_u(name):
         for g, w in zip(got, want):
             where = f"{field_name}, sheet {w.sheet_id}"
             assert np.array_equal(g.flags.T, w.flags), where
-            points = g.points.transpose(1, 0, 2)[w.valid]
-            scale = np.maximum(np.linalg.norm(w.points[w.valid], axis=-1),
+            points = g.points.transpose(0, 2, 1)[:, w.valid]
+            scale = np.maximum(np.linalg.norm(w.points[:, w.valid], axis=0),
                                stats.roots.surface_diameter)
-            assert np.all(np.linalg.norm(points - w.points[w.valid], axis=-1) <= 1e-8 * scale), \
+            assert np.all(np.linalg.norm(points - w.points[:, w.valid], axis=0) <= 1e-8 * scale), \
                 where
         both = np.isfinite(want[0].k_star) & np.isfinite(want[1].k_star)
         assert np.all(want[0].k_star[both] <= want[1].k_star[both]), field_name
+
+
+# the grid level of an affine chart: a paraboloid, regular everywhere and
+# with B12 = 0 on its own chart, re-charted by (u, v) -> (u + 0.5 v, v) + c,
+# whose B12 is 0.5 B11 of the original; the map on arrays rounds as the jets
+# evaluate its text
+AFFINE_MIRROR = "[u, v, 0.3*u^2 + 0.7*v^2]"
+AFFINE_CHART = ("u + 0.5*v + 0.1", "v - 0.2", lambda s, t: (s + 0.5 * t + 0.1, t - 0.2))
+AFFINE_DOMAIN = (-0.5, 0.5, -1.0, 1.0)
+AFFINE_FIELD = PointSource((0.3, 0.2, 3.0))
+
+
+def assert_affine_chart_invariant(nu, nv):
+    """compute on the affine chart's nu x nv grid places the sheets that
+    _sheet_block and caustic_point place on the original chart at the mapped
+    (u, v), and validate passes on the affine chart."""
+    ast = parse_surface(AFFINE_MIRROR)
+    u_text, v_text, to_old = AFFINE_CHART
+    new = rechart(ast, u_text, v_text)
+    grid = GridSpec(nu, nv, AFFINE_DOMAIN)
+    sheets = compute_caustic_sheets(new, AFFINE_FIELD, grid, max_radius=np.inf)[:2]
+    r, b, flags, *ks = caustics._sheet_block(ast, AFFINE_FIELD, *to_old(*grid.mesh()),
+                                              EPS_GRAZING_DEFAULT)
+    scale = np.maximum(np.abs(ks[0]), np.abs(ks[1]))
+    for sheet, k in zip(sheets, ks):
+        xi, want_flags = caustic_point(r, b, k, AFFINE_FIELD, base_flags=flags)
+        assert np.array_equal(sheet.flags, want_flags) and np.all(sheet.valid)
+        assert np.all(np.abs(sheet.k_star - k) <= 1e-10 * scale)
+        # a relative error of k* moves the point by that fraction of its radius
+        assert np.all(np.linalg.norm(sheet.points - np.stack(xi), axis=0)
+                      <= 1e-10 * np.abs(caustic_radius(k)))
+    assert validate_sheets(caustic_roots(new, AFFINE_FIELD, grid)).passed
+
+
+def test_sheets_do_not_depend_on_an_affine_chart():
+    assert_affine_chart_invariant(40, 30)
 
 
 # between-row label breaks at 100^2 (ROADMAP item 1's metric): an upper

@@ -21,8 +21,9 @@ AXIAL = FlatFront((0.0, 0.0, 1.0))
 def small_grid(flags=None):
     u = np.array([0.0, 1.0])
     v = np.array([0.0, 1.0])
-    pts = np.array([[[0.0, 0.0, 0.0], [0.0, 1.0, 0.25]],
-                    [[1.0, 0.0, 0.5], [1.0, 1.0, 1.0]]])
+    pts = np.array([[[0.0, 0.0], [1.0, 1.0]],      # x
+                    [[0.0, 1.0], [0.0, 1.0]],      # y
+                    [[0.0, 0.25], [0.5, 1.0]]])    # z
     if flags is None:
         flags = np.full((2, 2), FLAG_VALID, dtype=np.uint8)
     return MaskedGrid(u, v, pts, flags)
@@ -110,7 +111,7 @@ class TestClip:
             radii = np.abs(1.0 / s1.k_star)
         assert np.array_equal(clipped, radii > 1.0)
         # a clipped point keeps its placed caustic point
-        assert np.all(np.isfinite(s1.points[clipped]))
+        assert np.all(np.isfinite(s1.points[:, clipped]))
 
     def test_no_radius_keeps_core_flags_only(self):
         uncapped, _, stats = self.sphere_sheets(max_radius=np.inf)
@@ -133,7 +134,7 @@ class TestCsv:
         rng = np.random.default_rng(4)
         u = np.sort(rng.uniform(-2, 2, 3))
         v = np.sort(rng.uniform(-2, 2, 4))
-        pts = rng.uniform(-5, 5, (3, 4, 3))
+        pts = rng.uniform(-5, 5, (3, 3, 4))
         grid = MaskedGrid(u, v, pts, np.full((3, 4), FLAG_VALID, dtype=np.uint8))
         path = tmp_path / "grid.csv"
         export_mesh(grid, "csv", path)
@@ -146,7 +147,7 @@ class TestCsv:
             assert float(su) == pytest.approx(u[i], abs=5e-10)
             assert float(sv) == pytest.approx(v[j], abs=5e-10)
             assert [float(sx), float(sy), float(sz)] == pytest.approx(
-                list(pts[i, j]), abs=5e-10)
+                list(pts[:, i, j]), abs=5e-10)
             assert int(fl) == FLAG_VALID
 
     def test_invalid_rows_have_empty_coordinates(self, tmp_path):
@@ -217,13 +218,18 @@ class TestDeterminismAndErrors:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            MaskedGrid(np.zeros(3), np.zeros(2), np.zeros((2, 2, 3)),
+            MaskedGrid(np.zeros(3), np.zeros(2), np.zeros((3, 2, 2)),
                        np.full((2, 2), FLAG_VALID, dtype=np.uint8))
+        # points are (x, y, z) planes: an (nu, nv, 3) array on a 3 x 2 grid fails
+        # here rather than being written as a transposed mesh
+        with pytest.raises(ValueError):
+            MaskedGrid(np.zeros(3), np.zeros(2), np.zeros((3, 2, 3)),
+                       np.full((3, 2), FLAG_VALID, dtype=np.uint8))
 
     @pytest.mark.parametrize("nu, nv", [(3, 0), (0, 4), (0, 0)])
     def test_grid_without_points_is_writable(self, tmp_path, nu, nv):
         grid = MaskedGrid(np.linspace(0.0, 1.0, nu), np.linspace(0.0, 1.0, nv),
-                          np.zeros((nu, nv, 3)), np.zeros((nu, nv), dtype=np.uint8))
+                          np.zeros((3, nu, nv)), np.zeros((nu, nv), dtype=np.uint8))
         for fmt in meshio.FORMATS:
             path = tmp_path / f"none.{fmt}"
             assert export_mesh(grid, fmt, path) == path.stat().st_size
@@ -241,7 +247,7 @@ def test_writer_working_set_is_bounded(tmp_path, fmt):
     n = 500
     u, v = np.linspace(-1.0, 1.0, n), np.linspace(0.0, 6.2, n)
     U, V = np.meshgrid(u, v, indexing="ij")
-    points = np.stack([np.cos(V) * (2.0 + U), np.sin(V) * (2.0 + U), U * U], axis=-1)
+    points = np.stack([np.cos(V) * (2.0 + U), np.sin(V) * (2.0 + U), U * U])
     grid = MaskedGrid(u, v, points, np.full((n, n), FLAG_VALID, dtype=np.uint8))
     per_point, _ = traced_peak_per_point(
         lambda: export_mesh(grid, fmt, tmp_path / f"torus.{fmt}"), n * n)
@@ -300,10 +306,10 @@ def golden_files(out_dir):
     flat = next(s for s in sheets if np.all(s.flags & FLAG_AT_INFINITY))
     files.update(_grid_files(flat, out_dir, "empty"))
     v = np.linspace(-1.0, 1.0, 5)
-    pts = np.stack([np.full(5, 0.5), v, v * v - 0.25], axis=-1)[None]
+    pts = np.stack([np.full(5, 0.5), v, v * v - 0.25])[:, None]
     flags = np.full((1, 5), FLAG_VALID, dtype=np.uint8)
     flags[0, 3] = FLAG_GRAZING
-    pts[0, 0, 0], pts[0, 1, 0] = -0.0, -2e-10  # both print as -0.000000000
+    pts[0, 0, 0], pts[0, 0, 1] = -0.0, -2e-10  # both print as -0.000000000
     files.update(_grid_files(MaskedGrid(np.array([0.5]), v, pts, flags), out_dir, "row"))
     return files
 
@@ -372,7 +378,7 @@ def reference_bytes(grid: MaskedGrid, fmt: str) -> bytes:
     nu, nv = valid.shape
     idx = np.full(valid.shape, -1, dtype=int)
     idx[valid] = np.arange(int(np.count_nonzero(valid)))
-    vertices = [" ".join(_fmt9(c) for c in grid.points[i, j]) for i, j in np.argwhere(valid)]
+    vertices = [" ".join(_fmt9(c) for c in grid.points[:, i, j]) for i, j in np.argwhere(valid)]
     faces = [(idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1])
              for i in range(nu - 1) for j in range(nv - 1) if valid[i:i + 2, j:j + 2].all()]
     if fmt == "obj":
@@ -387,7 +393,7 @@ def reference_bytes(grid: MaskedGrid, fmt: str) -> bytes:
         lines = ["u,v,x,y,z,flags"]
         for i in range(nu):
             for j in range(nv):
-                coords = ",".join(_fmt9(c) for c in grid.points[i, j]) if valid[i, j] else ",,"
+                coords = ",".join(_fmt9(c) for c in grid.points[:, i, j]) if valid[i, j] else ",,"
                 lines.append(f"{_fmt9(grid.u[i])},{_fmt9(grid.v[j])},{coords},"
                              f"{int(grid.flags[i, j])}")
     return "".join(line + "\n" for line in lines).encode("ascii")
@@ -427,7 +433,7 @@ def masked_grids(draw):
     nu, nv = draw(st.integers(1, 7)), draw(st.integers(1, 9))
     u = draw(arrays(float, nu, elements=_values))
     v = draw(arrays(float, nv, elements=_values))
-    points = draw(arrays(float, (nu, nv, 3), elements=_values))
+    points = draw(arrays(float, (3, nu, nv), elements=_values))
     valid = draw(arrays(bool, (nu, nv)))
     reasons = draw(arrays(np.uint8, (nu, nv), elements=_reasons))
     flags = np.where(valid, np.uint8(FLAG_VALID), reasons).astype(np.uint8)

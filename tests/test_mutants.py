@@ -20,10 +20,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from catacaustics import FlatFront, GridSpec, build_surface, caustics, cli, meshio, oracle
+from catacaustics import (FlatFront, GridSpec, build_surface, caustics, cli, diffgeo, meshio,
+                          oracle)
 from catacaustics.caustics import (FLAG_AT_INFINITY, FLAG_CLIPPED,
                                    FLAG_EXCLUDED_ZERO_ROOT)
 from conftest import BLOCK_SCENES, HUGE_BLOCK, scene_surface
+from test_caustics import assert_affine_chart_invariant
 from test_cli import STEEP_PLANE, VALIDATE_STDOUT_SHA256
 from test_meshio import GOLDEN_SHA256
 from test_oracle import MEAN_ERROR_HEX, mean_error_hex, planted_grazing_mismatches
@@ -159,10 +161,16 @@ def flag_mismatch_rule(out_dir):
     return "  flag mismatches:   0\n" in out.getvalue() and after == before + 1
 
 
+def affine_chart(out_dir):
+    """The sheared paraboloid's sheets are the original chart's at the mapped (u, v)."""
+    assert_affine_chart_invariant(12, 10)
+    return True
+
+
 CHECKS = {f.__name__: f for f in (golden_ellipsoid_capped, torus_capped_report, reason_bits,
                                   reference_scene, double_root_scene, steep_plane_is_empty,
                                   ragged_blocks, mean_error_bits, golden_mesh_in_blocks,
-                                  flag_mismatch_rule)}
+                                  flag_mismatch_rule, affine_chart)}
 
 
 def _placement(after):
@@ -256,7 +264,8 @@ def _ragged_block_skipped():
 def _errors_taken_point_major():
     # the compared errors listed point by point, both sheets of a point together
     return _recompiled(oracle, "validate_sheets",
-                       "np.moveaxis(err, -1, 0)[np.moveaxis(both, -1, 0)]", "err[both]")
+                       "errors = err[both]",
+                       "errors = np.moveaxis(err, 0, -1)[np.moveaxis(both, 0, -1)]")
 
 
 def _vertex_offset_per_block():
@@ -318,6 +327,13 @@ def _place_drops_base_flags():
     return _recompiled(caustics, "CausticRoots.place", "self.base_flags[rows]", "np.uint8(0)")
 
 
+def _b12_dropped():
+    # B12 := 0, which the cross-check cannot see (the modified forms read the
+    # same B12) and every built-in chart nearly has (|B12| <= 1e-16)
+    return _recompiled(diffgeo, "fundamental_forms", "B12 = dot(frame.r_uv, frame.n)",
+                       "B12 = np.zeros_like(B11)", importers=(caustics,))
+
+
 # the reference scene, at 0.4 s the dearest check, also fails the first and
 # third rows; it is named only where no cheaper check fails
 MUTANTS = {
@@ -346,6 +362,7 @@ MUTANTS = {
     "validate-places-from-a-stencil-ray": (_validate_places_from_a_stencil_ray,
                                            ("torus_capped_report", "mean_error_bits")),
     "place-drops-base-flags": (_place_drops_base_flags, ("reason_bits",)),
+    "B12-dropped": (_b12_dropped, ("affine_chart",)),
 }
 
 

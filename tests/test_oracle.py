@@ -135,13 +135,13 @@ class TestValidateSheets:
         U, V = grid.mesh()
         fx, hy = 2 * c1 * U, 2 * c2 * V
         fxx, hyy = 2 * c1, 2 * c2
-        w = np.stack([2 * fx, 2 * hy, -1 + fx**2 + hy**2], axis=-1)
-        r = np.stack([U, V, c1 * U**2 + c2 * V**2], axis=-1)
+        w = np.stack([2 * fx, 2 * hy, -1 + fx**2 + hy**2])
+        r = np.stack([U, V, c1 * U**2 + c2 * V**2])
         xi_f = r - w / (2 * fxx)
         xi_h = r - w / (2 * hyy)
         # match computed sheets to the displayed pair point-by-point
-        d_keep = np.linalg.norm(s1.points - xi_f, axis=-1) + np.linalg.norm(s2.points - xi_h, axis=-1)
-        d_swap = np.linalg.norm(s1.points - xi_h, axis=-1) + np.linalg.norm(s2.points - xi_f, axis=-1)
+        d_keep = np.linalg.norm(s1.points - xi_f, axis=0) + np.linalg.norm(s2.points - xi_h, axis=0)
+        d_swap = np.linalg.norm(s1.points - xi_h, axis=0) + np.linalg.norm(s2.points - xi_f, axis=0)
         assert np.all(np.minimum(d_keep, d_swap) <= 2e-9)
         report = validate_sheets(caustic_roots(ast, AXIAL, grid))
         assert report.passed
