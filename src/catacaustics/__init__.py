@@ -19,14 +19,13 @@ import os
 # Pinning changes no output byte.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .caustics import (CausticRoots, CausticSheet, FlatFront, FrontPoint,
-                       FrontStatistics, GridSpec, IncidentField, MaskedGrid,
-                       ModifiedForms, PointSource, ReflectionData,
+from .caustics import (CausticRoots, FlatFront, GridSpec, IncidentField,
+                       MaskedGrid, ModifiedForms, PointSource, ReflectionData,
                        caustic_coefficients, caustic_point, caustic_roots,
                        compute_caustic_sheets, incident_direction,
                        modified_forms, reflect_direction,
                        reflected_front_point, reflection_data,
-                       solve_sheet_curvatures)
+                       solve_sheet_curvatures, statistics_text)
 from .diffgeo import FrameData, SurfaceForms, frame_at, fundamental_forms
 from .jets import Jet2, Jet2Vec3
 from .meshio import export_mesh
@@ -43,12 +42,11 @@ __all__ = [
     "BUILTINS", "build_surface", "builtin_listing",
     "FrameData", "SurfaceForms", "frame_at", "fundamental_forms",
     "FlatFront", "PointSource", "IncidentField", "GridSpec",
-    "ReflectionData", "ModifiedForms", "MaskedGrid", "CausticSheet",
-    "FrontPoint", "FrontStatistics", "CausticRoots",
+    "ReflectionData", "ModifiedForms", "MaskedGrid", "CausticRoots",
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "reflected_front_point", "caustic_roots",
-    "compute_caustic_sheets",
+    "compute_caustic_sheets", "statistics_text",
     "ValidationReport", "validate_sheets",
     "export_mesh",
 ]

@@ -36,8 +36,7 @@ from .surfacelang import EvalDomainError, SurfaceAST, eval_surface
 
 __all__ = [
     "FlatFront", "PointSource", "IncidentField",
-    "ReflectionData", "ModifiedForms", "MaskedGrid", "CausticSheet",
-    "FrontPoint", "GridSpec", "SheetStatistics", "FrontStatistics",
+    "ReflectionData", "ModifiedForms", "MaskedGrid", "GridSpec", "SheetStatistics",
     "InternalConsistencyError",
     "FLAG_VALID", "FLAG_AT_SOURCE", "FLAG_GRAZING", "FLAG_AT_INFINITY",
     "FLAG_CLIPPED", "FLAG_EXCLUDED_ZERO_ROOT", "FLAG_DOMAIN", "FLAG_DEGENERATE",
@@ -45,7 +44,7 @@ __all__ = [
     "incident_direction", "reflect_direction", "reflection_data",
     "modified_forms", "caustic_coefficients", "solve_sheet_curvatures",
     "caustic_point", "caustic_radius", "reflected_front_point",
-    "CausticRoots", "caustic_roots", "compute_caustic_sheets",
+    "CausticRoots", "caustic_roots", "compute_caustic_sheets", "statistics_text",
 ]
 
 # per-vertex flag byte of a MaskedGrid:
@@ -369,28 +368,16 @@ def caustic_radius(k_star) -> np.ndarray:
         return np.where(k != 0.0, 1.0 / np.where(k != 0.0, k, 1.0), np.inf)
 
 
-@dataclass
-class FrontPoint:
-    """Reflected front samples rho = r + lambda b at total travel L, as (x, y, z) planes."""
+def reflected_front_point(r, a, b, L, r_dist=None):
+    """The reflected front at total travel L: (lambda, rho = r + lambda b).
 
-    lam: np.ndarray      # post-reflection travel; negative where not yet reached
-    rho: tuple
-
-    @property
-    def arrived(self):
-        return self.lam >= 0.0
-
-
-def reflected_front_point(r, a, b, L, r_dist=None) -> FrontPoint:
-    """Propagate the front: lambda = L - (r, a) (flat) or L - |r - O| (point).
-
-    r, a and b are (x, y, z) planes, and so is the returned rho = r + lambda b.
-    Points with lambda < 0 have not been reached by the front yet; consumers
-    exclude them from export.
+    lambda = L - (r, a) (flat) or L - |r - O| (point) is the travel after
+    reflection.  r, a and b are (x, y, z) planes, and so is rho.  Points with
+    lambda < 0 have not been reached by the front yet; consumers exclude
+    them from export.
     """
     lam = L - (dot(r, a) if r_dist is None else np.asarray(r_dist, dtype=float))
-    rho = tuple(ri + lam * bi for ri, bi in zip(r, b))
-    return FrontPoint(lam, rho)
+    return lam, tuple(ri + lam * bi for ri, bi in zip(r, b))
 
 
 # --------------------------------------------------------------------------
@@ -425,7 +412,10 @@ class GridSpec:
 
 
 def default_max_radius(surface_diameter: float) -> float:
-    """The default caustic radius cap: 10 surface diameters, positive even at 0."""
+    """The default caustic radius cap: 10 surface diameters, positive even at 0.
+
+    With no mirror point on the chart the diameter is NaN, and so is the cap.
+    """
     return 10.0 * max(surface_diameter, 1e-300)
 
 
@@ -489,21 +479,20 @@ def fill_rows(grid: GridSpec, block) -> tuple:
 
     The one loop over row_blocks.  U is the u column (rows, 1) and V the v
     row (1, nv), which a surface evaluates once per grid line.  A result
-    that broadcasts to a leading shape plus (rows, nv) fills an array of its
-    dtype of that shape plus (nu, nv); a tuple of planes, such as (x, y, z),
-    fills (len, nu, nv), one contiguous plane write each.
+    that broadcasts to (rows, nv) fills an (nu, nv) array of its dtype; a
+    tuple of such planes, such as (x, y, z), fills a (len, nu, nv) array of
+    their common dtype, one contiguous plane write each.
     """
     us, vs = grid.axes()
     shape = (grid.nu, grid.nv)
     out = ()
     for rows in row_blocks(grid.nu, grid.nv):
         results = block(us[rows, None], vs[None, :], rows)
-        out = out or tuple(np.empty((len(x),) + shape) if isinstance(x, tuple) else
-                           np.empty(np.shape(x)[:-2] + shape, np.asarray(x).dtype)
-                           for x in results)
+        out = out or tuple(np.empty((len(x),) + shape, np.result_type(*x)) if isinstance(x, tuple)
+                           else np.empty(shape, np.asarray(x).dtype) for x in results)
         for whole, x in zip(out, results):
             for plane, xi in zip(whole, x) if isinstance(x, tuple) else [(whole, x)]:
-                plane[..., rows, :] = xi
+                plane[rows] = xi
         del results, x  # a block's results die before the next block runs
     return out
 
@@ -514,6 +503,7 @@ class MaskedGrid:
 
     Every vertex carries a bit: FLAG_VALID, or the reasons it is invalid.
     The points are (x, y, z) planes, as placement fills them and writers read them.
+    compute's caustic sheets are MaskedGrids too, whose points are the xi.
     """
 
     u: np.ndarray        # (nu,)
@@ -532,21 +522,14 @@ class MaskedGrid:
     def valid(self) -> np.ndarray:
         return (self.flags & FLAG_VALID) != 0
 
-
-@dataclass
-class CausticSheet(MaskedGrid):
-    """One caustic sheet sampled over a parameter grid; its points are the xi.
-
-    Sheet 1 holds the smaller k* at each point, sheet 2 the larger.
-    """
-
-    sheet_id: int
-    k_star: np.ndarray       # (nu, nv)
+    @property
+    def placed(self) -> np.ndarray:
+        """Vertices placed before a clip: valid, or clipped (by the radius cap, or unreached)."""
+        return (self.flags & (FLAG_VALID | FLAG_CLIPPED)) != 0
 
 
 @dataclass
 class SheetStatistics:
-    sheet_id: int
     n_valid: int
     n_at_infinity: int
     n_excluded_zero_root: int
@@ -572,7 +555,7 @@ class CausticRoots:
     field: IncidentField
     eps_grazing: float       # |cos theta| at or below it was masked grazing
     eps_inf: float
-    max_radius: float        # the caustic radius cap the sheets are clipped to
+    max_radius: float        # the sheets' radius cap; NaN with no mirror point on the chart
     base_flags: np.ndarray   # (nu, nv) uint8
     k1: np.ndarray           # (nu, nv)
     k2: np.ndarray           # (nu, nv)
@@ -590,46 +573,29 @@ class CausticRoots:
                      for k in (self.k1, self.k2))
 
 
-@dataclass
-class FrontStatistics:
-    """Counts, bounding boxes and degeneracy measures for both sheets, and
-    the roots they are placed from."""
-
-    roots: CausticRoots
-    caustic_sheets: tuple = dc_field(repr=False)  # the two CausticSheets
-
-    @functools.cached_property
-    def sheets(self) -> tuple:
-        """SheetStatistics of both sheets, made on first use."""
-        return tuple(_sheet_statistics(s) for s in self.caustic_sheets)
-
-    @property
-    def empty(self) -> bool:
-        return all(s.n_valid == 0 for s in self.sheets)
-
-    def to_text(self) -> str:
-        roots = self.roots
-        nu, nv = roots.grid.nu, roots.grid.nv
-        lines = [
-            f"grid: {nu} x {nv} ({nu * nv} points)",
-            "shadow points: 0",  # the mirror is two-sided: no point is in shadow
-            f"grazing points: {np.count_nonzero(roots.base_flags & FLAG_GRAZING)}",
-            f"surface bbox min: {_fmt_vec(roots.surface_bbox_min)}",
-            f"surface bbox max: {_fmt_vec(roots.surface_bbox_max)}",
-            f"surface diameter: {roots.surface_diameter:.9g}",
-        ]
-        for s in self.sheets:
-            head = f"sheet {s.sheet_id}"
-            lines.append(f"{head}: valid {s.n_valid}, at_infinity {s.n_at_infinity}, "
-                         f"excluded_zero_root {s.n_excluded_zero_root}")
-            if s.n_valid:
-                lines.append(f"{head} bbox min: {_fmt_vec(s.bbox_min)}")
-                lines.append(f"{head} bbox max: {_fmt_vec(s.bbox_max)}")
-                lines.append(f"{head} bbox diameter: {s.diameter:.9g}")
-                lines.append(f"{head} principal extents: {_fmt_vec(s.principal_extents)}")
-            else:
-                lines.append(f"{head}: no caustic (no valid points)")
-        return "\n".join(lines) + "\n"
+def statistics_text(roots: CausticRoots, sheets) -> str:
+    """compute's stats.txt of roots and the two MaskedGrids placed from them, sheet 1 first."""
+    nu, nv = roots.grid.nu, roots.grid.nv
+    lines = [
+        f"grid: {nu} x {nv} ({nu * nv} points)",
+        "shadow points: 0",  # the mirror is two-sided: no point is in shadow
+        f"grazing points: {np.count_nonzero(roots.base_flags & FLAG_GRAZING)}",
+        f"surface bbox min: {_fmt_vec(roots.surface_bbox_min)}",
+        f"surface bbox max: {_fmt_vec(roots.surface_bbox_max)}",
+        f"surface diameter: {roots.surface_diameter:.9g}",
+    ]
+    for i, sheet in enumerate(sheets, start=1):
+        s, head = _sheet_statistics(sheet), f"sheet {i}"
+        lines.append(f"{head}: valid {s.n_valid}, at_infinity {s.n_at_infinity}, "
+                     f"excluded_zero_root {s.n_excluded_zero_root}")
+        if s.n_valid:
+            lines.append(f"{head} bbox min: {_fmt_vec(s.bbox_min)}")
+            lines.append(f"{head} bbox max: {_fmt_vec(s.bbox_max)}")
+            lines.append(f"{head} bbox diameter: {s.diameter:.9g}")
+            lines.append(f"{head} principal extents: {_fmt_vec(s.principal_extents)}")
+        else:
+            lines.append(f"{head}: no caustic (no valid points)")
+    return "\n".join(lines) + "\n"
 
 
 def _fmt_vec(x) -> str:
@@ -651,14 +617,13 @@ def _column_extrema(planes):
     return lo, hi
 
 
-def _sheet_statistics(sheet: CausticSheet) -> SheetStatistics:
-    # the statistics describe the sheet as placed, before the radius cap, so
-    # stats.txt reads the same whatever the cap
-    valid = (sheet.flags & (FLAG_VALID | FLAG_CLIPPED)) != 0
+def _sheet_statistics(sheet: MaskedGrid) -> SheetStatistics:
+    """Counts and extents of a sheet as placed, before the radius cap: stats.txt ignores the cap."""
+    valid = sheet.placed
     n_inf = int(np.count_nonzero(sheet.flags & FLAG_AT_INFINITY))
     n_zero = int(np.count_nonzero(sheet.flags & FLAG_EXCLUDED_ZERO_ROOT))
     if not np.any(valid):
-        return SheetStatistics(sheet.sheet_id, 0, n_inf, n_zero, None, None, 0.0, None)
+        return SheetStatistics(0, n_inf, n_zero, None, None, 0.0, None)
     planes = sheet.points.reshape(3, -1).compress(valid.ravel(), axis=1)
     bb_min, bb_max = _column_extrema(planes)
     diameter = float(np.linalg.norm(bb_max - bb_min))
@@ -671,7 +636,7 @@ def _sheet_statistics(sheet: CausticSheet) -> SheetStatistics:
         extents = np.pad(proj_max - proj_min, (0, 3 - len(vt)))  # 2 points: one zero
     else:
         extents = np.zeros(3)
-    return SheetStatistics(sheet.sheet_id, int(np.count_nonzero(valid)), n_inf, n_zero,
+    return SheetStatistics(int(np.count_nonzero(valid)), n_inf, n_zero,
                            bb_min, bb_max, diameter, extents)
 
 
@@ -765,25 +730,25 @@ def compute_caustic_sheets(surface: SurfaceAST, field: IncidentField, grid: Grid
                            max_radius: Optional[float] = None):
     """Both caustic sheets of the reflected front over a parameter grid.
 
-    Returns (sheet1, sheet2, statistics).  Grazing, off-chart, singular and
-    at-source points are masked, not errors; roots without a finite caustic
-    point are flagged.  A caustic point farther than max_radius along its
-    ray is flagged clipped and keeps its xi: near-flat parts of a mirror send
-    the caustic off toward infinity.  max_radius None is default_max_radius
-    of the surface diameter and inf is no cap; the statistics' roots record
-    it.  The flat-front result is independent of any front offset by
-    construction (no travel parameter enters the computation).  Sheet 1
-    holds the smaller k* at each point.  The pointwise stages run in two
-    fill_rows passes: the roots, which also reduce the mirror's extent per
-    block, then, once the cap is resolved, both sheets' placement in one
-    pass (CausticRoots.place).  No whole-grid temporary is made, and the
-    result does not depend on the block size.
+    Returns (sheet1, sheet2, roots): both sheets as MaskedGrids whose points
+    are the caustic points xi, and the CausticRoots they are placed from,
+    whose k1 and k2 are the sheets' k* (sheet 1 holds the smaller at each
+    point).  Grazing, off-chart, singular and at-source points are masked,
+    not errors; roots without a finite caustic point are flagged.  A caustic
+    point farther than max_radius along its ray is flagged clipped and keeps
+    its xi: near-flat parts of a mirror send the caustic off toward
+    infinity.  max_radius None is default_max_radius of the surface diameter
+    and inf is no cap; roots.max_radius records the cap in force.  The
+    flat-front result is independent of any front offset by construction
+    (no travel parameter enters the computation).  The pointwise stages run
+    in two fill_rows passes: the roots, which also reduce the mirror's
+    extent per block, then, once the cap is resolved, both sheets' placement
+    in one pass (CausticRoots.place).  No whole-grid temporary is made, and
+    the result does not depend on the block size.
     """
     roots, (r, b) = _roots_pass(surface, field, grid, eps_grazing, eps_inf, max_radius,
                                 keep_rays=True)
     # both sheets' (xi, flags) pairs flattened: fill_rows fills one array per result
     xi1, flags1, xi2, flags2 = fill_rows(grid, lambda U, V, rows: sum(roots.place(
         rows, r[:, rows], b[:, rows]), ()))
-    sheets = (CausticSheet(*grid.axes(), xi1, flags1, 1, roots.k1),
-              CausticSheet(*grid.axes(), xi2, flags2, 2, roots.k2))
-    return (*sheets, FrontStatistics(roots, sheets))
+    return MaskedGrid(*grid.axes(), xi1, flags1), MaskedGrid(*grid.axes(), xi2, flags2), roots

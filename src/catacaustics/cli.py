@@ -42,7 +42,8 @@ from .caustics import (BLOCK_POINTS, EPS_GRAZING_DEFAULT, EPS_INF_DEFAULT,
                        FLAG_CLIPPED, FLAG_VALID, FlatFront, GridSpec,
                        InternalConsistencyError, MaskedGrid, PointSource,
                        _ray_block, caustic_roots, compute_caustic_sheets,
-                       fill_rows, masked_points_text, reflected_front_point)
+                       fill_rows, masked_points_text, reflected_front_point,
+                       statistics_text)
 from .meshio import FORMATS, export_mesh, write_ascii
 from .oracle import FD_STEP_DEFAULT, VALIDATION_TOL_DEFAULT, validate_sheets
 from .surfacelang import SurfaceLangError, parse_surface_definition
@@ -208,18 +209,22 @@ def _thresholds(scene: argparse.Namespace) -> dict:
 def cmd_compute(scene: argparse.Namespace) -> int:
     """Compute both caustic sheets and write meshes plus statistics."""
     ast, grid = _resolve(scene)
-    sheet1, sheet2, stats = compute_caustic_sheets(ast, scene.field, grid, **_thresholds(scene))
-    sys.stdout.write(masked_points_text(stats.roots.base_flags, ast, grid))
-    for s in (sheet1, sheet2):
-        path = f"{scene.out}-sheet{s.sheet_id}.{scene.format}"
-        export_mesh(s, scene.format, path)
+    *sheets, roots = compute_caustic_sheets(ast, scene.field, grid, **_thresholds(scene))
+    sys.stdout.write(masked_points_text(roots.base_flags, ast, grid))
+    for i, sheet in enumerate(sheets, start=1):
+        path = f"{scene.out}-sheet{i}.{scene.format}"
+        export_mesh(sheet, scene.format, path)
         print(f"wrote {path}")
     stats_path = f"{scene.out}-stats.txt"
-    write_ascii(stats_path, (stats.to_text().encode("ascii"),))
+    write_ascii(stats_path, (statistics_text(roots, sheets).encode("ascii"),))
     print(f"wrote {stats_path}")
 
-    if stats.empty:
+    if not any(np.any(sheet.placed) for sheet in sheets):
         print("no caustic: every grid point is masked (grazing, a point defect or no finite root)")
+        return EXIT_EMPTY
+    if not any(np.any(sheet.valid) for sheet in sheets):
+        print(f"no caustic within the radius cap: every caustic point is farther than "
+              f"{roots.max_radius:.6g}")
         return EXIT_EMPTY
     return EXIT_OK
 
@@ -245,11 +250,11 @@ def cmd_front(scene: argparse.Namespace) -> int:
 
     def front_rows(U, V, rows):
         frame, refl, flags = _ray_block(ast, scene.field, U, V, scene.eps_grazing, order=1)
-        front = reflected_front_point(frame.r, refl.a, refl.b, scene.travel, refl.r_dist)
-        # the front has not reached points with lambda < 0; mask them like a clip
-        flags = flags | np.where(~front.arrived & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
+        lam, rho = reflected_front_point(frame.r, refl.a, refl.b, scene.travel, refl.r_dist)
+        # the front has not reached points with lambda < 0 (or NaN); mask them like a clip
+        flags = flags | np.where(~(lam >= 0.0) & (flags == 0), np.uint8(FLAG_CLIPPED), np.uint8(0))
         valid = flags == 0
-        return (tuple(np.where(valid, x, np.nan) for x in front.rho),
+        return (tuple(np.where(valid, x, np.nan) for x in rho),
                 np.where(valid, np.uint8(FLAG_VALID), flags))
 
     points, flags = fill_rows(grid, front_rows)
@@ -260,10 +265,10 @@ def cmd_front(scene: argparse.Namespace) -> int:
     export_mesh(mesh, scene.format, path)
     print(f"wrote {path}")
     # a point the ray stage lit is VALID, or CLIPPED where the front has not reached it
-    if not np.any(flags & (FLAG_VALID | FLAG_CLIPPED)):
+    if not np.any(mesh.placed):
         print("no front: every grid point is masked (grazing or a point defect)")
         return EXIT_EMPTY
-    if not np.any(flags & FLAG_VALID):
+    if not np.any(mesh.valid):
         print(f"front not arrived: L = {scene.travel} is below the travel to every lit grid point")
         return EXIT_EMPTY
     return EXIT_OK

@@ -241,7 +241,7 @@ def validate_sheets(roots, h: float = FD_STEP_DEFAULT,
         placed = roots.place(rows, r0, b0)  # compute's placement, on the centre ray
         err, both, n = _point_errors(roots, rows, placed, r0, b0, ok, decided, lam)
         disagree += n
-        return err, both
+        return tuple(err), tuple(both)  # a plane per sheet
 
     err, both = fill_rows(grid, block_errors)
     # err[both] of the (2, nu, nv) arrays lists the compared points one sheet

@@ -45,14 +45,14 @@ def match_sheets(sheets, golden_a, golden_b):
 def test_criterion_01_sphere_flat_axial_front():
     grid = GridSpec(60, 60, (0.2, 1.4, 0.0, TWO_PI))
     ast, _ = build_surface("sphere")
-    s1, s2, _ = compute_caustic_sheets(ast, AXIAL, grid)
+    s1, s2, roots = compute_caustic_sheets(ast, AXIAL, grid)
     U, V = grid.mesh()
     sin_u, cos_u = np.sin(U), np.cos(U)
 
     k1_ref = 2.0 * sin_u          # -2 cos(theta), cos(theta) = -sin(u)
     k2_ref = 2.0 / sin_u          # -2 / cos(theta)
-    roots_ok = (np.max(np.abs(s1.k_star - k1_ref) / np.abs(k1_ref)) <= 1e-9 and
-                np.max(np.abs(s2.k_star - k2_ref) / np.abs(k2_ref)) <= 1e-9)
+    roots_ok = (np.max(np.abs(roots.k1 - k1_ref) / np.abs(k1_ref)) <= 1e-9 and
+                np.max(np.abs(roots.k2 - k2_ref) / np.abs(k2_ref)) <= 1e-9)
 
     xi1_ref = np.stack([np.zeros_like(U), np.zeros_like(U), 1.0 / (2.0 * sin_u)])
     xi2_ref = np.stack([cos_u**3 * np.cos(V), cos_u**3 * np.sin(V),
@@ -92,8 +92,10 @@ def test_criterion_04_cylinder_flat_front():
     grid = GridSpec(33, 7, (-1.2, 1.2, 0.0, 1.0))
     ast, _ = build_surface("cylinder")
     field = FlatFront((1.0, 0.0, 0.0))
-    s1, s2, _ = compute_caustic_sheets(ast, field, grid)
-    inf_sheet, fin_sheet = (s1, s2) if np.all(~s1.valid) else (s2, s1)
+    s1, s2, roots = compute_caustic_sheets(ast, field, grid)
+    (inf_sheet, inf_k), (fin_sheet, fin_k) = (((s1, roots.k1), (s2, roots.k2))
+                                              if np.all(~s1.valid) else
+                                              ((s2, roots.k2), (s1, roots.k1)))
 
     U, V = grid.mesh()
     a = np.array([1.0, 0.0, 0.0])
@@ -107,10 +109,10 @@ def test_criterion_04_cylinder_flat_front():
         -a_tau[..., None] * tau + a_nu[..., None] * nu_), -1, 0)
 
     from catacaustics.caustics import FLAG_AT_INFINITY
-    zero_ok = bool(np.all(np.abs(inf_sheet.k_star) <= 1e-9) and
+    zero_ok = bool(np.all(np.abs(inf_k) <= 1e-9) and
                    np.all(inf_sheet.flags & FLAG_AT_INFINITY))
     k_ref = 2.0 / np.cos(U)  # -2 k / cos(theta) with cos(theta) = -cos(u)
-    root_ok = np.max(np.abs(fin_sheet.k_star - k_ref) / np.abs(k_ref)) <= 1e-9
+    root_ok = np.max(np.abs(fin_k - k_ref) / np.abs(k_ref)) <= 1e-9
     err = np.max(np.linalg.norm(fin_sheet.points - xi_ref, axis=0))
     report(4, "cylinder, flat front", zero_ok and root_ok and err <= 1e-9,
            f"sheet error {err:.2e}")
@@ -144,9 +146,9 @@ def test_criterion_05_torus_surface_of_revolution():
 def test_criterion_06_point_source_at_sphere_center():
     grid = GridSpec(40, 40, (0.2, 1.4, 0.0, TWO_PI))
     ast, _ = build_surface("sphere")
-    s1, s2, _ = compute_caustic_sheets(ast, PointSource((0.0, 0.0, 0.0)), grid)
-    k_ok = (np.max(np.abs(s1.k_star - 1.0)) <= 1e-9 and
-            np.max(np.abs(s2.k_star - 1.0)) <= 1e-9)
+    s1, s2, roots = compute_caustic_sheets(ast, PointSource((0.0, 0.0, 0.0)), grid)
+    k_ok = (np.max(np.abs(roots.k1 - 1.0)) <= 1e-9 and
+            np.max(np.abs(roots.k2 - 1.0)) <= 1e-9)
     worst = max(float(np.max(np.linalg.norm(s.points[:, s.valid], axis=0))) for s in (s1, s2))
     report(6, "point source at sphere center", k_ok and worst <= 1e-12,
            f"|xi| max {worst:.2e}")
@@ -156,7 +158,7 @@ def test_criterion_07_cylinder_point_source_cross_section():
     source = np.array([0.3, -0.2, 0.0])
     grid = GridSpec(31, 9, (-1.2, 1.2, -0.5, 0.5))  # middle row sits at z = 0
     ast, _ = build_surface("cylinder")
-    s1, s2, _ = compute_caustic_sheets(ast, PointSource(source), grid)
+    s1, s2, roots = compute_caustic_sheets(ast, PointSource(source), grid)
     j0 = 4
     assert abs(grid.axes()[1][j0]) < 1e-15
 
@@ -174,7 +176,7 @@ def test_criterion_07_cylinder_point_source_cross_section():
 
     # the non-trivial sheet is the one away from the virtual image root -1/|d|
     shift_root = -1.0 / np.sqrt(d2)
-    row1, row2 = s1.k_star[:, j0], s2.k_star[:, j0]
+    row1, row2 = roots.k1[:, j0], roots.k2[:, j0]
     fin = s2 if np.max(np.abs(row1 - shift_root)) < np.max(np.abs(row2 - shift_root)) else s1
     err = np.max(np.linalg.norm(fin.points[:, :, j0] - xi_ref.T, axis=0))
     report(7, "cylinder, point source (z = 0 slice)", err <= 1e-9, f"error {err:.2e}")
@@ -304,7 +306,7 @@ def test_criterion_10_equivariance():
     # no radius cap: the default one follows the axis-aligned bounding box of
     # the mirror, which a rotation changes
     for ast, field, grid in scenes:
-        base = compute_caustic_sheets(ast, field, grid, max_radius=np.inf)[:2]
+        *base, base_roots = compute_caustic_sheets(ast, field, grid, max_radius=np.inf)
         for _ in range(4):
             R = random_rotation(rng)
             t = rng.uniform(-2.0, 2.0, size=3)
@@ -314,16 +316,18 @@ def test_criterion_10_equivariance():
                 moved_field = FlatFront(R @ field.direction)
             else:
                 moved_field = PointSource(c * (R @ field.origin) + t)
-            moved = compute_caustic_sheets(moved_ast, moved_field, grid, max_radius=np.inf)[:2]
-            for s_base, s_new in zip(base, moved):
+            *moved, moved_roots = compute_caustic_sheets(moved_ast, moved_field, grid,
+                                                         max_radius=np.inf)
+            for s_base, s_new, k_base, k_new in zip(base, moved, (base_roots.k1, base_roots.k2),
+                                                    (moved_roots.k1, moved_roots.k2)):
                 if not np.array_equal(s_base.flags, s_new.flags):
                     flags_ok = False
                 want_xi = c * np.einsum("ij,juv->iuv", R, s_base.points) + t[:, None, None]
                 m = s_base.valid & s_new.valid
                 scale = np.maximum(1.0, np.linalg.norm(want_xi[:, m], axis=0))
                 err = np.linalg.norm(s_new.points[:, m] - want_xi[:, m], axis=0) / scale
-                k_err = np.abs(s_new.k_star[m] - s_base.k_star[m] / c) / \
-                    np.maximum(1.0, np.abs(s_base.k_star[m] / c))
+                k_err = np.abs(k_new[m] - k_base[m] / c) / \
+                    np.maximum(1.0, np.abs(k_base[m] / c))
                 worst = max(worst, float(err.max()), float(k_err.max()))
     report(10, "equivariance under rotation/translation/scaling",
            flags_ok and worst <= 1e-9, f"worst relative {worst:.2e}")

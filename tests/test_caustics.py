@@ -19,7 +19,7 @@ from catacaustics import (FlatFront, GridSpec, PointSource, build_surface,
                           fundamental_forms, incident_direction,
                           modified_forms, parse_surface, reflect_direction,
                           reflected_front_point, reflection_data,
-                          solve_sheet_curvatures, to_text)
+                          solve_sheet_curvatures, statistics_text, to_text)
 from catacaustics import caustics
 from catacaustics.caustics import (_CROSSCHECK_RTOL, EPS_GRAZING_DEFAULT,
                                    FLAG_AT_INFINITY, FLAG_AT_SOURCE,
@@ -27,7 +27,8 @@ from catacaustics.caustics import (_CROSSCHECK_RTOL, EPS_GRAZING_DEFAULT,
                                    FLAG_DOMAIN, FLAG_EXCLUDED_ZERO_ROOT,
                                    FLAG_GRAZING, FLAG_VALID,
                                    InternalConsistencyError, _column_extrema,
-                                   _stable_quadratic_roots, caustic_radius,
+                                   _sheet_statistics, _stable_quadratic_roots,
+                                   caustic_radius,
                                    default_max_radius, fill_rows,
                                    masked_points_text, row_blocks)
 from catacaustics.diffgeo import dot
@@ -282,17 +283,17 @@ class TestReflectedFrontPoint:
     def test_front_touches_mirror_at_launch(self):
         r = np.array([0.3, 0.4, 0.5])
         a = np.array([0.0, 0.0, 1.0])
-        fp = reflected_front_point(r, a, np.array([1.0, 0.0, 0.0]), L=float(r[2]))
-        assert fp.lam == 0.0
-        assert np.allclose(fp.rho, r)
+        lam, rho = reflected_front_point(r, a, np.array([1.0, 0.0, 0.0]), L=float(r[2]))
+        assert lam == 0.0
+        assert np.allclose(rho, r)
 
     def test_sphere_front_at_L_1_5(self):
         u = np.pi / 6
         r = np.array([np.cos(u), 0.0, np.sin(u)])
         b = np.array([-np.sqrt(3) / 2, 0.0, 0.5])
-        fp = reflected_front_point(r, (0.0, 0.0, 1.0), b, L=1.5)
-        assert fp.lam == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(fp.rho, [0, 0, 1], atol=1e-15)
+        lam, rho = reflected_front_point(r, (0.0, 0.0, 1.0), b, L=1.5)
+        assert lam == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(rho, [0, 0, 1], atol=1e-15)
 
     def test_plane_mirror_re_emits_flat_front(self):
         us = np.linspace(-1, 1, 5)
@@ -302,44 +303,45 @@ class TestReflectedFrontPoint:
         a = np.array([0.0, 0.0, -1.0])
         frame = frame_at(jet)
         b = reflect_direction(a, frame.n)
-        fp = reflected_front_point(r, a, b, L=2.0)
-        assert np.allclose(fp.rho[2], 2.0)
-        assert np.all(fp.arrived)
+        lam, rho = reflected_front_point(r, a, b, L=2.0)
+        assert np.allclose(rho[2], 2.0)
+        assert np.all(lam >= 0.0)
 
     def test_not_arrived_is_flagged_not_raised(self):
-        fp = reflected_front_point(np.array([0.0, 0.0, 5.0]), (0.0, 0.0, 1.0),
-                                   np.array([0.0, 0.0, -1.0]), L=1.0)
-        assert not fp.arrived
+        lam, _ = reflected_front_point(np.array([0.0, 0.0, 5.0]), (0.0, 0.0, 1.0),
+                                       np.array([0.0, 0.0, -1.0]), L=1.0)
+        assert not lam >= 0.0
 
 
 class TestComputeCausticSheets:
     def test_hemisphere_axis_line_degeneracy(self):
         ast, _ = build_surface("sphere")
         grid = GridSpec(30, 30, (0.2, 1.4, 0.0, 6.283185307179586))
-        s1, s2, stats = compute_caustic_sheets(ast, AXIAL, grid)
-        ext = stats.sheets[0].bbox_max - stats.sheets[0].bbox_min
+        s1, _, _ = compute_caustic_sheets(ast, AXIAL, grid)
+        stats = _sheet_statistics(s1)
+        ext = stats.bbox_max - stats.bbox_min
         assert ext[0] < 1e-9 and ext[1] < 1e-9
-        assert stats.sheets[0].principal_extents[1] < 1e-9
+        assert stats.principal_extents[1] < 1e-9
 
     def test_elliptic_paraboloid_focal_point(self):
         ast, dom = build_surface("elliptic-paraboloid")
         grid = GridSpec(25, 25, dom)
-        s1, s2, stats = compute_caustic_sheets(ast, AXIAL, grid)
-        for s in stats.sheets:
-            assert s.diameter < 1e-9
+        s1, s2, _ = compute_caustic_sheets(ast, AXIAL, grid)
+        for s in (s1, s2):
+            assert _sheet_statistics(s).diameter < 1e-9
         assert np.allclose(s1.points[:, s1.valid], [[0], [0], [0.5]], atol=1e-12)
 
     def test_central_source_sphere_collapses_to_origin(self):
         ast, _ = build_surface("sphere")
         grid = GridSpec(20, 20, (0.2, 1.4, 0.0, 6.283185307179586))
-        s1, s2, stats = compute_caustic_sheets(ast, PointSource((0, 0, 0)), grid)
+        s1, s2, _ = compute_caustic_sheets(ast, PointSource((0, 0, 0)), grid)
         assert np.nanmax(np.abs(s1.points)) < 1e-12
         assert np.nanmax(np.abs(s2.points)) < 1e-12
 
     def test_cylinder_one_sheet_at_infinity(self):
         ast, dom = build_surface("cylinder")
         grid = GridSpec(15, 8, dom)
-        s1, s2, stats = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), grid)
+        s1, s2, _ = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), grid)
         flat_sheet, finite_sheet = (s1, s2) if np.all(s1.flags & FLAG_AT_INFINITY) else (s2, s1)
         assert np.all(flat_sheet.flags & FLAG_AT_INFINITY)
         assert np.all(finite_sheet.valid)
@@ -348,9 +350,9 @@ class TestComputeCausticSheets:
         # plane lit edge-on: every point grazes
         ast = parse_surface("[u, v, 0]")
         grid = GridSpec(5, 5, (-1, 1, -1, 1))
-        s1, s2, stats = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), grid)
-        assert np.count_nonzero(stats.roots.base_flags & FLAG_GRAZING) == 25
-        assert stats.empty
+        s1, s2, roots = compute_caustic_sheets(ast, FlatFront((1.0, 0.0, 0.0)), grid)
+        assert np.count_nonzero(roots.base_flags & FLAG_GRAZING) == 25
+        assert not np.any(s1.placed | s2.placed)
 
     def test_compute_path_never_reads_a_travel_distance(self):
         # flat-front caustics are independent of the front offset; the API
@@ -377,13 +379,14 @@ def test_far_source_is_the_flat_front():
     grid = GridSpec(12, 12, dom)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        *far, far_stats = compute_caustic_sheets(ast, PointSource((1e300, 0.0, 0.0)), grid)
-        *flat, flat_stats = compute_caustic_sheets(ast, FlatFront((-1.0, 0.0, 0.0)), grid)
-    assert np.count_nonzero(far_stats.roots.base_flags & FLAG_GRAZING) == 0
-    assert far_stats.to_text() == flat_stats.to_text()
-    for g, w in zip(far, flat):
+        *far, far_roots = compute_caustic_sheets(ast, PointSource((1e300, 0.0, 0.0)), grid)
+        *flat, flat_roots = compute_caustic_sheets(ast, FlatFront((-1.0, 0.0, 0.0)), grid)
+    assert np.count_nonzero(far_roots.base_flags & FLAG_GRAZING) == 0
+    assert statistics_text(far_roots, far) == statistics_text(flat_roots, flat)
+    for g, w, gk, wk in zip(far, flat, (far_roots.k1, far_roots.k2),
+                            (flat_roots.k1, flat_roots.k2)):
         assert np.array_equal(g.flags, w.flags)
-        assert np.array_equal(g.k_star, w.k_star, equal_nan=True)
+        assert np.array_equal(gk, wk, equal_nan=True)
         assert np.array_equal(g.points, w.points, equal_nan=True)
     assert validate_sheets(caustic_roots(ast, PointSource((1e300, 0.0, 0.0)), grid)).passed
 
@@ -428,7 +431,7 @@ def _fill_every_kind(grid):
         return (np.uint8(5),                                # ()
                 U * 2.0,                                    # (rows, 1)
                 V > 0.5,                                    # (1, nv)
-                np.stack(np.broadcast_arrays(U, V)),        # (2, rows, nv)
+                (U < V, V > 0.25),                          # bool planes
                 (0.25, U - V, -1.0))                        # planes, two of them scalars
 
     return fill_rows(grid, block), runs
@@ -449,8 +452,8 @@ def test_row_blocks_cover_every_row_once():
         with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
             want, _ = _fill_every_kind(grid)
         assert [x.shape for x in want] == [(nu, nv)] * 3 + [(2, nu, nv), (3, nu, nv)]
-        assert [x.dtype for x in want] == [np.uint8, float, bool, float, float]
-        for g, w in zip(want, (5, 2.0 * U, V > 0.5, np.stack([U, V]),
+        assert [x.dtype for x in want] == [np.uint8, float, bool, bool, float]
+        for g, w in zip(want, (5, 2.0 * U, V > 0.5, np.stack([U < V, V > 0.25]),
                                np.stack(np.broadcast_arrays(0.25, U - V, -1.0)))):
             assert np.array_equal(g, np.broadcast_to(w, g.shape))
         for size in block_sizes(nv):
@@ -499,11 +502,12 @@ def test_surface_extent_is_the_whole_grid_rule(text, domain, field, shape):
         assert [line.split(": ")[1].split()[0] for line in want[:2]] == [SIGNED_ZERO_TIES[text]] * 2
     for size in (1, 2, 5, caustics.BLOCK_POINTS):
         with mock.patch.object(caustics, "BLOCK_POINTS", size):
-            stats = compute_caustic_sheets(ast, field, grid)[2]
+            *sheets, sheet_roots = compute_caustic_sheets(ast, field, grid)
             roots = caustic_roots(ast, field, grid)
-        assert [line for line in stats.to_text().splitlines() if line.startswith("surface ")] == want
-        cap = default_max_radius(stats.roots.surface_diameter)
-        assert roots.max_radius == stats.roots.max_radius == cap
+        text = statistics_text(sheet_roots, sheets)
+        assert [line for line in text.splitlines() if line.startswith("surface ")] == want
+        cap = default_max_radius(sheet_roots.surface_diameter)
+        assert roots.max_radius == sheet_roots.max_radius == cap
 
 
 @pytest.mark.parametrize("name, field, shape", BLOCK_SCENES)
@@ -511,14 +515,14 @@ def test_block_size_does_not_change_the_sheets(name, field, shape):
     ast, dom = scene_surface(name)
     grid = GridSpec(*shape, dom)
     with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
-        *want, want_stats = compute_caustic_sheets(ast, field, grid)
+        *want, want_roots = compute_caustic_sheets(ast, field, grid)
     for size in block_sizes(grid.nv):
         with mock.patch.object(caustics, "BLOCK_POINTS", size):
             assert len(row_blocks(grid.nu, grid.nv)) > 1
-            *got, stats = compute_caustic_sheets(ast, field, grid)
-        assert stats.to_text() == want_stats.to_text()
-        for g, w in zip(got, want):
-            assert np.array_equal(g.k_star, w.k_star, equal_nan=True)
+            *got, roots = compute_caustic_sheets(ast, field, grid)
+        assert statistics_text(roots, got) == statistics_text(want_roots, want)
+        for g, w, gk, wk in zip(got, want, (roots.k1, roots.k2), (want_roots.k1, want_roots.k2)):
+            assert np.array_equal(gk, wk, equal_nan=True)
             assert np.array_equal(g.points, w.points, equal_nan=True)
             assert np.array_equal(g.flags, w.flags)
 
@@ -529,19 +533,20 @@ def test_radius_cap_only_clips(name, field, shape):
     # clipped exactly the valid points farther than it along the ray
     ast, dom = scene_surface(name)
     grid = GridSpec(*shape, dom)
-    *uncapped, free_stats = compute_caustic_sheets(ast, field, grid, max_radius=np.inf)
-    radii = [np.abs(caustic_radius(s.k_star[s.valid])) for s in uncapped]
+    *uncapped, free_roots = compute_caustic_sheets(ast, field, grid, max_radius=np.inf)
+    free_ks = (free_roots.k1, free_roots.k2)
+    radii = [np.abs(caustic_radius(k[s.valid])) for s, k in zip(uncapped, free_ks)]
     binding = float(np.median(np.concatenate(radii)))
     for max_radius in (None, binding):
-        *capped, stats = compute_caustic_sheets(ast, field, grid, max_radius=max_radius)
-        cap = default_max_radius(stats.roots.surface_diameter) if max_radius is None else binding
-        assert stats.roots.max_radius == cap
-        assert stats.to_text() == free_stats.to_text()
+        *capped, roots = compute_caustic_sheets(ast, field, grid, max_radius=max_radius)
+        cap = default_max_radius(roots.surface_diameter) if max_radius is None else binding
+        assert roots.max_radius == cap
+        assert statistics_text(roots, capped) == statistics_text(free_roots, uncapped)
         n_clipped = 0
-        for c, u in zip(capped, uncapped):
-            assert np.array_equal(c.k_star, u.k_star, equal_nan=True)
+        for c, u, ck, uk in zip(capped, uncapped, (roots.k1, roots.k2), free_ks):
+            assert np.array_equal(ck, uk, equal_nan=True)
             assert np.array_equal(c.points, u.points, equal_nan=True)
-            far = u.valid & (np.abs(caustic_radius(u.k_star)) > cap)
+            far = u.valid & (np.abs(caustic_radius(uk)) > cap)
             assert np.array_equal(c.flags, np.where(far, np.uint8(FLAG_CLIPPED), u.flags))
             n_clipped += np.count_nonzero(far)
     assert n_clipped  # the median radius binds
@@ -554,12 +559,12 @@ def test_vanishing_partial_is_degenerate_not_grazing():
     grid = GridSpec(5, 8, (0.0, 1.0, 0.0, 2.0 * np.pi))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        sheet1, sheet2, stats = compute_caustic_sheets(ast, AXIAL, grid)
+        sheet1, sheet2, roots = compute_caustic_sheets(ast, AXIAL, grid)
     for sheet in (sheet1, sheet2):
         assert np.all(sheet.flags[0] == FLAG_DEGENERATE)
         assert not np.any(sheet.flags & FLAG_GRAZING)
         assert np.all(sheet.valid[1:])
-    assert np.count_nonzero(stats.roots.base_flags & FLAG_GRAZING) == 0
+    assert np.count_nonzero(roots.base_flags & FLAG_GRAZING) == 0
 
 
 @pytest.mark.parametrize("text", ["[u, u^2, u^3]", "[v, v^2, v^3]"])
@@ -567,11 +572,11 @@ def test_degenerate_count_is_taken_on_the_grid(text):
     # a chart in u (or v) alone has planes of shape (nu, 1) (or (1, nv)); every
     # one of the 5 x 8 grid points is singular, not just one per plane entry
     grid = GridSpec(5, 8, (0.0, 1.0, 0.0, 1.0))
-    sheet1, sheet2, stats = compute_caustic_sheets(parse_surface(text), AXIAL, grid)
+    sheet1, sheet2, _ = compute_caustic_sheets(parse_surface(text), AXIAL, grid)
     for sheet in (sheet1, sheet2):
         assert sheet.flags.shape == (5, 8)
         assert np.all(sheet.flags == FLAG_DEGENERATE)
-    assert stats.empty
+    assert not np.any(sheet1.placed | sheet2.placed)
 
 
 def test_off_chart_apex_is_flagged_where_it_is():
@@ -579,13 +584,13 @@ def test_off_chart_apex_is_flagged_where_it_is():
     # grid point; every other point is computed as on the 20 x 20 grid
     ast = parse_surface("[u, v, sqrt(u^2+v^2)]")
     field = FlatFront((0.1, 0.2, -1.0))
-    sheet1, sheet2, stats = compute_caustic_sheets(ast, field, GridSpec(21, 21, GRAPH_DOMAIN))
+    sheet1, sheet2, roots = compute_caustic_sheets(ast, field, GridSpec(21, 21, GRAPH_DOMAIN))
     for sheet in (sheet1, sheet2):
         assert sheet.flags[10, 10] == FLAG_DOMAIN
         assert np.count_nonzero(sheet.flags & FLAG_DOMAIN) == 1
     assert np.count_nonzero(sheet1.valid | sheet2.valid) == 21 * 21 - 1
     # the stand-in r = 0 of the apex is no surface point: z >= 0.1 elsewhere
-    assert stats.roots.surface_bbox_min[2] == pytest.approx(0.1)
+    assert roots.surface_bbox_min[2] == pytest.approx(0.1)
 
 
 STENCIL_SHIFTS = [(0.0, 0.0), (1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)]
@@ -913,18 +918,18 @@ def test_sheets_do_not_depend_on_which_chart_axis_is_u(name):
     swapped = rechart(ast, "v", "u")
     fields = {**CHART_FIELDS, "near-point": PointSource((0.2, 0.1, 0.1))}
     for field_name, field in fields.items():
-        *want, stats = compute_caustic_sheets(ast, field, GridSpec(37, 29, (u0, u1, v0, v1)))
+        *want, roots = compute_caustic_sheets(ast, field, GridSpec(37, 29, (u0, u1, v0, v1)))
         *got, _ = compute_caustic_sheets(swapped, field, GridSpec(29, 37, (v0, v1, u0, u1)))
-        for g, w in zip(got, want):
-            where = f"{field_name}, sheet {w.sheet_id}"
+        for sheet_id, (g, w) in enumerate(zip(got, want), start=1):
+            where = f"{field_name}, sheet {sheet_id}"
             assert np.array_equal(g.flags.T, w.flags), where
             points = g.points.transpose(0, 2, 1)[:, w.valid]
             scale = np.maximum(np.linalg.norm(w.points[:, w.valid], axis=0),
-                               stats.roots.surface_diameter)
+                               roots.surface_diameter)
             assert np.all(np.linalg.norm(points - w.points[:, w.valid], axis=0) <= 1e-8 * scale), \
                 where
-        both = np.isfinite(want[0].k_star) & np.isfinite(want[1].k_star)
-        assert np.all(want[0].k_star[both] <= want[1].k_star[both]), field_name
+        both = np.isfinite(roots.k1) & np.isfinite(roots.k2)
+        assert np.all(roots.k1[both] <= roots.k2[both]), field_name
 
 
 # the grid level of an affine chart: a paraboloid, regular everywhere and
@@ -945,14 +950,14 @@ def assert_affine_chart_invariant(nu, nv):
     u_text, v_text, to_old = AFFINE_CHART
     new = rechart(ast, u_text, v_text)
     grid = GridSpec(nu, nv, AFFINE_DOMAIN)
-    sheets = compute_caustic_sheets(new, AFFINE_FIELD, grid, max_radius=np.inf)[:2]
+    *sheets, roots = compute_caustic_sheets(new, AFFINE_FIELD, grid, max_radius=np.inf)
     r, b, flags, *ks = caustics._sheet_block(ast, AFFINE_FIELD, *to_old(*grid.mesh()),
                                               EPS_GRAZING_DEFAULT)
     scale = np.maximum(np.abs(ks[0]), np.abs(ks[1]))
-    for sheet, k in zip(sheets, ks):
+    for sheet, k_star, k in zip(sheets, (roots.k1, roots.k2), ks):
         xi, want_flags = caustic_point(r, b, k, AFFINE_FIELD, base_flags=flags)
         assert np.array_equal(sheet.flags, want_flags) and np.all(sheet.valid)
-        assert np.all(np.abs(sheet.k_star - k) <= 1e-10 * scale)
+        assert np.all(np.abs(k_star - k) <= 1e-10 * scale)
         # a relative error of k* moves the point by that fraction of its radius
         assert np.all(np.linalg.norm(sheet.points - np.stack(xi), axis=0)
                       <= 1e-10 * np.abs(caustic_radius(k)))
@@ -979,9 +984,8 @@ LABEL_BREAK_BOUNDS = {
                          ids=LABEL_BREAK_BOUNDS.keys())
 def test_sheet_labels_rarely_break_between_rows(name, field, bound):
     ast, dom = build_surface(name)
-    sheet1, sheet2, stats = compute_caustic_sheets(ast, field, GridSpec(100, 100, dom),
-                                                   max_radius=np.inf)
-    assert label_breaks(sheet1.k_star, sheet2.k_star, stats.roots.surface_diameter, axis=0) <= bound
+    roots = compute_caustic_sheets(ast, field, GridSpec(100, 100, dom), max_radius=np.inf)[2]
+    assert label_breaks(roots.k1, roots.k2, roots.surface_diameter, axis=0) <= bound
 
 
 def _sign_free_quantities(frame, refl, sign):

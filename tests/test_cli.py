@@ -168,6 +168,19 @@ class TestCompute:
         assert code == 2
         assert "no caustic" in out
 
+    def test_cap_clipping_every_point_gives_empty_exit_2(self, tmp_path, capsys):
+        # this wrote two empty meshes, said nothing and exited 0
+        scene = ("compute", "--surface", "cylinder", "--source=0,0,0.5", "--grid", "9,9")
+        code, out, err = run(capsys, *scene, "--max-radius", "1e-300",
+                             "--out", str(tmp_path / "capped"))
+        assert (code, err) == (2, "")
+        assert out.endswith("no caustic within the radius cap: "
+                            "every caustic point is farther than 1e-300\n")
+        assert read(tmp_path / "capped-sheet1.obj") == read(tmp_path / "capped-sheet2.obj") == b""
+        # stats.txt counts the points as placed, before the cap
+        assert run(capsys, *scene, "--out", str(tmp_path / "free"))[0] == 0
+        assert read(tmp_path / "capped-stats.txt") == read(tmp_path / "free-stats.txt")
+
     def test_expr_file_with_domain(self, tmp_path, capsys):
         surf = tmp_path / "saddle.surf"
         surf.write_text("# a saddle\n[u, v, u^2/2 - v^2/2]\nu in [-2, 2]; v in [-2, 2]\n")
@@ -703,6 +716,23 @@ class TestPointDefects:
                                    "--domain=0,1,0,1", "--grid", "5,8")
         assert (code, err) == (3, "")
         assert "compared:          0 sheet-points" in out
+
+    def test_chart_without_a_mirror_point(self, capsys, tmp_path):
+        # sqrt(u) is off the chart at every u < 0: the mirror has no extent, so
+        # its diameter and the default radius cap are NaN, and nothing is placed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcomes = [self._run(capsys, tmp_path, command, "[u, v, sqrt(u)]\n",
+                                  "--domain=-2,-1,0,1", "--grid", "4,4")
+                        for command in (("compute",), ("front", "--travel", "1"), ("validate",))]
+        assert [(code, err) for code, _, err in outcomes] == [(2, ""), (2, ""), (3, "")]
+        (_, compute, _), (_, front, _), (_, validate, _) = outcomes
+        for out in (compute, front, validate):
+            assert out.startswith("masked: 16 point(s) off the chart, first at grid index (0, 0)")
+        assert "no caustic: every grid point is masked" in compute
+        assert "surface diameter: nan\n" in read(tmp_path / "out-stats.txt").decode()
+        assert "no front: every grid point is masked" in front
+        assert "caustic radius cap: nan\n  compared:          0 sheet-points\n" in validate
 
 
 # the sphere passes through the source (1, 0, 0) at (u, v) = (0, 0)

@@ -102,20 +102,20 @@ class TestClip:
         assert np.all(s1.valid)
 
     def test_clip_radius_masks_far_points(self):
-        s1, _, stats = self.sphere_sheets(max_radius=1.0)  # radii span [0.507, 2.52]
-        assert stats.roots.max_radius == 1.0
+        s1, _, roots = self.sphere_sheets(max_radius=1.0)  # radii span [0.507, 2.52]
+        assert roots.max_radius == 1.0
         clipped = (s1.flags & FLAG_CLIPPED) != 0
         assert np.any(clipped)
         assert not np.any(clipped & s1.valid)
         with np.errstate(all="ignore"):
-            radii = np.abs(1.0 / s1.k_star)
+            radii = np.abs(1.0 / roots.k1)
         assert np.array_equal(clipped, radii > 1.0)
         # a clipped point keeps its placed caustic point
         assert np.all(np.isfinite(s1.points[:, clipped]))
 
     def test_no_radius_keeps_core_flags_only(self):
-        uncapped, _, stats = self.sphere_sheets(max_radius=np.inf)
-        assert stats.roots.max_radius == np.inf
+        uncapped, _, roots = self.sphere_sheets(max_radius=np.inf)
+        assert roots.max_radius == np.inf
         assert not np.any(uncapped.flags & FLAG_CLIPPED)
         # the default cap, 10 surface diameters, is far beyond every radius here
         assert np.array_equal(self.sphere_sheets()[0].flags, uncapped.flags)

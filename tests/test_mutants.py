@@ -123,11 +123,13 @@ def ragged_blocks(out_dir):
     for size in (7 * nv, HUGE_BLOCK):
         with mock.patch.object(caustics, "BLOCK_POINTS", size):
             runs.append(caustics.compute_caustic_sheets(ast, field, grid))
-    (*got, got_stats), (*want, want_stats) = runs
-    return got_stats.to_text() == want_stats.to_text() and all(
-        np.array_equal(g.k_star, w.k_star, equal_nan=True)
+    (*got, got_roots), (*want, want_roots) = runs
+    got_ks, want_ks = (got_roots.k1, got_roots.k2), (want_roots.k1, want_roots.k2)
+    text = caustics.statistics_text
+    return text(got_roots, got) == text(want_roots, want) and all(
+        np.array_equal(gk, wk, equal_nan=True)
         and np.array_equal(g.points, w.points, equal_nan=True)
-        and np.array_equal(g.flags, w.flags) for g, w in zip(got, want))
+        and np.array_equal(g.flags, w.flags) for g, w, gk, wk in zip(got, want, got_ks, want_ks))
 
 
 def golden_mesh_in_blocks(out_dir):

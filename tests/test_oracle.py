@@ -131,7 +131,7 @@ class TestValidateSheets:
         text = "[u, v, c1*u^2 + c2*v^2]"
         ast = parse_surface(text, params)
         grid = GridSpec(21, 21, GRAPH_DOMAIN)
-        s1, s2, stats = compute_caustic_sheets(ast, AXIAL, grid)
+        s1, s2, _ = compute_caustic_sheets(ast, AXIAL, grid)
         U, V = grid.mesh()
         fx, hy = 2 * c1 * U, 2 * c2 * V
         fxx, hyy = 2 * c1, 2 * c2
@@ -187,11 +187,11 @@ def test_block_size_does_not_change_the_report(name, field, shape):
     grid = GridSpec(*shape, dom)
     with mock.patch.object(caustics, "BLOCK_POINTS", HUGE_BLOCK):
         roots = caustic_roots(ast, field, grid)
-        stats = compute_caustic_sheets(ast, field, grid)[2]
+        sheet_roots = compute_caustic_sheets(ast, field, grid)[2]
         want = validate_sheets(roots)
     assert want.n_compared
-    assert want.max_radius == roots.max_radius == stats.roots.max_radius
-    assert want.max_radius == default_max_radius(stats.roots.surface_diameter)
+    assert want.max_radius == roots.max_radius == sheet_roots.max_radius
+    assert want.max_radius == default_max_radius(sheet_roots.surface_diameter)
     for size in block_sizes(grid.nv):
         with mock.patch.object(caustics, "BLOCK_POINTS", size):
             # either pass in blocks: the oracle's on the roots of one block, and both
